@@ -1,27 +1,85 @@
-//! Tight-loop microbenchmarks of the engine tile kernels, isolating the
+//! Tight-loop microbenchmarks of the engine kernels, isolating the
 //! zero-skipping fast paths from the full simulator (whose end-to-end
 //! timings on a shared host carry several percent of scheduler noise).
-//! Each case streams 256 pre-built tiles through a reused accumulator,
-//! exactly as the accelerator's tile pipeline does.
 //!
-//! Cases:
+//! Tile cases stream 256 pre-built tiles through a reused accumulator
+//! with the one-cycle `compute_tile_into` API (the portion kernels at the
+//! extent of one engine cycle):
 //!  - `dwc_dense`   — no zero planes: the branch-free MAC loop plus the
 //!    per-plane `all_zero` probe (the probe cost is the dense overhead).
 //!  - `dwc_allzero` — every plane zero: the plane-skip path, the common
 //!    case at the Fig.-11 late layers (97.4 % element zeros).
-//!  - `pwc_dense`   — dense activations: the vectorized lane kernel plus
-//!    the occupancy scan (again, the scan is the dense overhead).
-//!  - `pwc_sparse`  — 6 of 8 channel rows zero: the masked lane walk.
-//!  - `pwc_sparse_gated` — same, with a 50 %-sparse weight occupancy
-//!    AND-ed in (the planned serving path).
+//!  - `pwc_dense`   — dense activations.
+//!  - `pwc_sparse`  — 6 of 8 channel rows zero.
+//!
+//! Portion cases time one channel pass of one portion — the DWC over the
+//! input region, then the PWC over every kernel tile into the psum bank —
+//! once through the portion kernels (two calls) and once tile by tile
+//! (one DWC call per spatial tile, one PWC call per spatial tile × kernel
+//! tile, each partial scattered into the bank), on the same data — the
+//! per-call cost the portion kernels remove:
+//!  - `8x8_k512`  — a 64-pixel portion at K = 512, 60 % activation zeros
+//!    (the widest portion the schedule cuts, at a mid-network K).
+//!  - `2x2_k1024` — the one-tile portion of layer 12, K = 1024, 97 %
+//!    activation zeros (Fig. 11's last layer).
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use edea::core::engine::{DwcEngine, LaneOccupancy, PwcEngine};
-use edea::tensor::{rng, Tensor3};
+use edea::core::engine::{DwcEngine, PwcEngine, WeightSlice};
+use edea::tensor::{rng, Tensor3, Tensor4};
 use edea::EdeaConfig;
 use std::hint::black_box;
 
 const TILES: usize = 256;
+
+/// Zeroes every element whose index hash falls below `z` of the range.
+fn sparsify(values: &mut [i8], z: f64) {
+    let cut = (z * 65536.0) as u64;
+    for (i, v) in values.iter_mut().enumerate() {
+        let h = (i as u64 + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 48;
+        if h < cut {
+            *v = 0;
+        }
+    }
+}
+
+/// One channel pass of one `side × side` portion against `k` output
+/// channels: the input region, the DWC taps, the intermediate slab and
+/// the pointwise weights in both layouts.
+struct PortionCase {
+    side: usize,
+    region: Tensor3<i8>,
+    dw: Tensor4<i8>,
+    mid: Tensor3<i8>,
+    /// `(K, Td)` pointwise weights transposed to input-channel-major.
+    pw_t: Vec<i8>,
+    /// The same weights as one input-channel-major slice per kernel tile.
+    kernel_tiles: Vec<Vec<i8>>,
+}
+
+impl PortionCase {
+    fn new(side: usize, k: usize, zeros: f64, seed: u64) -> Self {
+        let mut region = rng::uniform_i8_tensor3(8, side + 2, side + 2, -128, 127, seed);
+        sparsify(region.as_mut_slice(), zeros);
+        let dw = rng::uniform_i8_tensor4(8, 1, 3, 3, -128, 127, seed + 1);
+        let mut mid = rng::uniform_i8_tensor3(8, side, side, -128, 127, seed + 2);
+        sparsify(mid.as_mut_slice(), zeros);
+        let pw = rng::uniform_i8_tensor4(k, 8, 1, 1, -128, 127, seed + 3);
+        let by_channel = |k0: usize, n: usize| -> Vec<i8> {
+            (0..8)
+                .flat_map(|c| (k0..k0 + n).map(move |ki| (ki, c)))
+                .map(|(ki, c)| pw[(ki, c, 0, 0)])
+                .collect()
+        };
+        Self {
+            side,
+            region,
+            dw,
+            mid,
+            pw_t: by_channel(0, k),
+            kernel_tiles: (0..k / 16).map(|kt| by_channel(kt * 16, 16)).collect(),
+        }
+    }
+}
 
 fn bench_tile_kernels(c: &mut Criterion) {
     let smoke = matches!(
@@ -38,20 +96,15 @@ fn bench_tile_kernels(c: &mut Criterion) {
         .collect();
     let dw_zero: Vec<Tensor3<i8>> = (0..TILES).map(|_| Tensor3::zeros(8, 4, 4)).collect();
 
-    let pw_weights = rng::uniform_i8_tensor4(16, 8, 1, 1, -128, 127, 12);
-    // Half the weight entries zeroed: a realistic gated occupancy.
-    let mut pw_weights_sparse = pw_weights.clone();
-    for (i, w) in pw_weights_sparse.as_mut_slice().iter_mut().enumerate() {
-        if i % 2 == 0 {
-            *w = 0;
-        }
-    }
-    let occ = LaneOccupancy::of_weights(&pw_weights_sparse).expect("occupancy");
+    // A 16×8 kernel tile, input-channel-major.
+    let pw_weights: Vec<i8> = rng::uniform_i8_tensor4(16, 8, 1, 1, -128, 127, 12)
+        .as_slice()
+        .to_vec();
     let pw_dense: Vec<Tensor3<i8>> = (0..TILES)
         .map(|i| rng::uniform_i8_tensor3(8, 2, 2, 1, 127, 500 + i as u64))
         .collect();
-    // Channels 0..6 entirely zero: act mask popcount 2 ≤ Td/2 = 4, so the
-    // masked path fires — the shape of a Fig.-11 late-layer tile.
+    // Channels 0..6 entirely zero — the shape of a Fig.-11 late-layer
+    // tile.
     let pw_sparse: Vec<Tensor3<i8>> = pw_dense
         .iter()
         .map(|t| {
@@ -80,31 +133,90 @@ fn bench_tile_kernels(c: &mut Criterion) {
         });
     });
 
-    let mut partial = Tensor3::<i32>::zeros(16, 2, 2);
+    let mut partial = Tensor3::<i32>::zeros(2, 2, 16);
     g.bench_function("pwc_dense_256_tiles", |b| {
         b.iter(|| {
             for t in &pw_dense {
-                black_box(pwc.compute_tile_into(t, &pw_weights, &mut partial).unwrap());
+                black_box(
+                    pwc.compute_tile_into(t, WeightSlice::new(&pw_weights), &mut partial)
+                        .unwrap(),
+                );
             }
         });
     });
     g.bench_function("pwc_sparse_256_tiles", |b| {
         b.iter(|| {
             for t in &pw_sparse {
-                black_box(pwc.compute_tile_into(t, &pw_weights, &mut partial).unwrap());
-            }
-        });
-    });
-    g.bench_function("pwc_sparse_gated_256_tiles", |b| {
-        b.iter(|| {
-            for t in &pw_sparse {
                 black_box(
-                    pwc.compute_tile_gated_into(t, &pw_weights_sparse, Some(&occ), &mut partial)
+                    pwc.compute_tile_into(t, WeightSlice::new(&pw_weights), &mut partial)
                         .unwrap(),
                 );
             }
         });
     });
+
+    for (name, case) in [
+        ("8x8_k512", PortionCase::new(8, 512, 0.6, 900)),
+        ("2x2_k1024", PortionCase::new(2, 1024, 0.97, 910)),
+    ] {
+        let (side, k) = (case.side, case.pw_t.len() / 8);
+        let pix = side * side;
+        let mut psum = vec![0i32; pix * k];
+        let mut region = case.region.clone();
+        g.bench_function(&format!("portion_{name}"), |b| {
+            b.iter(|| {
+                case.region.copy_window_into(0, 0, 0, &mut region);
+                black_box(
+                    dwc.compute_portion_into(
+                        &region,
+                        WeightSlice::new(case.dw.as_slice()),
+                        1,
+                        &mut acc,
+                    )
+                    .unwrap(),
+                );
+                psum.fill(0);
+                black_box(
+                    pwc.accumulate_portion(
+                        case.mid.as_slice(),
+                        WeightSlice::new(&case.pw_t),
+                        &mut psum,
+                    )
+                    .unwrap(),
+                );
+            });
+        });
+        let mut window = Tensor3::<i8>::zeros(8, 4, 4);
+        let mut mid_tile = Tensor3::<i8>::zeros(8, 2, 2);
+        g.bench_function(&format!("tiles_{name}"), |b| {
+            b.iter(|| {
+                psum.fill(0);
+                for r in (0..side).step_by(2) {
+                    for col in (0..side).step_by(2) {
+                        case.region.copy_window_into(0, r, col, &mut window);
+                        black_box(
+                            dwc.compute_tile_into(&window, &case.dw, 1, &mut acc)
+                                .unwrap(),
+                        );
+                        case.mid.copy_window_into(0, r, col, &mut mid_tile);
+                        for (kt, w) in case.kernel_tiles.iter().enumerate() {
+                            black_box(
+                                pwc.compute_tile_into(&mid_tile, WeightSlice::new(w), &mut partial)
+                                    .unwrap(),
+                            );
+                            for (p, sums) in partial.as_slice().chunks_exact(16).enumerate() {
+                                let at = ((r + p / 2) * side + col + p % 2) * k + kt * 16;
+                                for (dst, &v) in psum[at..at + 16].iter_mut().zip(sums) {
+                                    *dst += v;
+                                }
+                            }
+                        }
+                    }
+                }
+                black_box(&psum);
+            });
+        });
+    }
     g.finish();
 }
 

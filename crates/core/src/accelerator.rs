@@ -25,7 +25,7 @@ use crate::engine::{DwcEngine, EngineActivity, PwcEngine};
 use crate::nonconv::NonConvUnit;
 use crate::par::{self, Parallelism};
 use crate::plan::{LayerPlan, NetworkPlan};
-use crate::schedule::{portions, spatial_tiles, Portion, WeightResidency};
+use crate::schedule::{portions, Portion, WeightResidency};
 use crate::scratch::TileScratch;
 use crate::stats::{BatchLayerStats, BatchNetworkStats, BufferTraffic, LayerStats, NetworkStats};
 use crate::timing;
@@ -339,9 +339,18 @@ impl Edea {
     }
 
     /// One portion of the layer schedule: psum residency, the channel-pass
-    /// × image × tile loop, and the drain — writing **portion-local**
+    /// × image loop, and the drain — writing **portion-local**
     /// intermediate (`mids`) and output (`outs`) maps (one slot per image)
     /// and counting traffic into the caller's `buffers`/`tally`.
+    ///
+    /// Each `(channel pass, image)` step is four host calls whatever the
+    /// portion's size: one copy of the input region, one DWC portion
+    /// kernel, one Non-Conv #1 straight into the mid slot's channel slab,
+    /// and one PWC accumulate over every kernel tile. One modeled engine
+    /// cycle is one spatial tile (DWC) or one spatial tile × kernel tile
+    /// (PWC); the kernels cover all of the step's cycles at once, their
+    /// activity is the exact per-cycle sum, and the buffer counters move
+    /// by `cycles × per-cycle bytes` here.
     ///
     /// This is the unit the parallel portion loop distributes across
     /// lanes: a portion touches only its own output rectangle, its lane's
@@ -372,18 +381,29 @@ impl Edea {
         let kernel_tiles = s.k_out / tk;
         let tr = (tn - 1) * s.stride + s.kernel;
         let tc = (tm - 1) * s.stride + s.kernel;
+        let pix = portion.pixels();
+        // Modeled engine cycles per (channel pass, image).
+        let dwc_cycles = portion.rows.div_ceil(tn) * portion.cols.div_ceil(tm);
+        let pwc_cycles = dwc_cycles * kernel_tiles;
 
         // Per-portion psum SRAM residency, one bank per in-flight image
-        // (write traffic is counted per PWC invocation below).
-        let psum_bytes = portion.pixels() * s.k_out * 4;
+        // (write traffic is counted per PWC invocation in execute_layer).
+        let psum_bytes = pix * s.k_out * 4;
         buffers.psum.reserve(n_images * psum_bytes)?;
         for psum in scratch.psums.iter_mut().take(n_images) {
-            psum.resize_zeroed(s.k_out, portion.rows, portion.cols);
+            psum.resize_zeroed(portion.rows, portion.cols, s.k_out);
         }
+        // Every channel pass writes its own slab, so no zero-fill.
         for mid in mids.iter_mut() {
-            mid.resize_zeroed(s.d_in, portion.rows, portion.cols);
+            mid.resize_for_overwrite(s.d_in, portion.rows, portion.cols);
         }
-        let tiles = spatial_tiles(portion, &self.cfg);
+        if s.op == StageOp::Dsc {
+            scratch.window.resize_for_overwrite(
+                td,
+                (portion.rows - 1) * s.stride + s.kernel,
+                (portion.cols - 1) * s.stride + s.kernel,
+            );
+        }
         let (_, _, rows, cols) = portion.input_region(s.stride, s.kernel, pad, s.in_spatial);
         let slice_bytes = rows * cols * td;
         let pw_bytes = td * s.k_out;
@@ -413,96 +433,69 @@ impl Edea {
                 }
                 // Ifmap-side initiation: this image's slice for the
                 // portion's channel window (with halo) — inherently
-                // per-image.
+                // per-image. Every DWC cycle then reads its tile window.
                 buffers.external.read_ifmap(slice_bytes);
                 buffers.ifmap.fill(slice_bytes)?;
-
-                for st in &tiles {
-                    // Window extraction into the scratch buffer with flat
-                    // row copies (for a 1×1 stride-1 PwcOnly stage the
-                    // window *is* the `(Td, Tn, Tm)` input tile).
-                    padded_img.copy_window_into(
-                        ct * td,
-                        st.row0 * s.stride,
-                        st.col0 * s.stride,
-                        &mut scratch.window,
-                    );
-                    buffers.ifmap.read(tr * tc * td);
-                    let mid_tile: &Tensor3<i8> = match s.op {
-                        StageOp::Dsc => {
-                            // DWC: one engine cycle.
-                            let act = self.dwc.compute_tile_into(
-                                &scratch.window,
-                                plan.dw_slice(ct),
-                                s.stride,
-                                &mut scratch.dwc_acc,
-                            )?;
-                            tally.dwc_activity.merge(&act);
-                            tally.dwc_invocations += 1;
-
-                            // Non-Conv: fold to int8 and stream to the
-                            // intermediate buffer (direct data transfer —
-                            // no external round trip).
-                            let nc = self.nonconv.apply_tile_into(
-                                &scratch.dwc_acc,
-                                &layer.nonconv1()[ct * td..],
-                                &mut scratch.mid_tile,
-                            )?;
-                            tally.nonconv_ops += nc.ops;
-                            buffers.intermediate.fill(tn * tm * td)?;
-                            &scratch.mid_tile
-                        }
-                        // PwcOnly: the DWC engine, Non-Conv #1 and the
-                        // intermediate buffer are bypassed — the PWC is
-                        // fed straight from the ifmap buffer.
-                        StageOp::PwcOnly => &scratch.window,
-                    };
-                    mids[img].paste_window(
-                        ct * td,
-                        st.row0 - portion.row0,
-                        st.col0 - portion.col0,
-                        mid_tile,
-                    );
-
-                    // PWC: one engine cycle per kernel tile,
-                    // accumulating into this image's psum bank.
-                    for kt in 0..kernel_tiles {
-                        match s.op {
-                            StageOp::Dsc => buffers.intermediate.read(tn * tm * td),
-                            // The tile is re-read from the ifmap buffer
-                            // once per kernel tile instead.
-                            StageOp::PwcOnly => buffers.ifmap.read(tn * tm * td),
-                        }
-                        buffers.pwc_weight.read(td * tk);
-                        let act = self.pwc.compute_tile_gated_into(
-                            mid_tile,
-                            plan.pw_slice(ct, kt),
-                            plan.pw_occupancy(ct, kt),
-                            &mut scratch.pwc_partial,
+                buffers.ifmap.read(dwc_cycles * tr * tc * td);
+                let slab = &mut mids[img].as_mut_slice()[ct * td * pix..(ct + 1) * td * pix];
+                match s.op {
+                    StageOp::Dsc => {
+                        padded_img.copy_window_into(
+                            ct * td,
+                            portion.row0 * s.stride,
+                            portion.col0 * s.stride,
+                            &mut scratch.window,
+                        );
+                        let act = self.dwc.compute_portion_into(
+                            &scratch.window,
+                            plan.dw_slice(ct),
+                            s.stride,
+                            &mut scratch.dwc_acc,
                         )?;
-                        tally.pwc_activity.merge(&act);
-                        tally.pwc_invocations += 1;
-                        // Read-modify-write: the first pass writes fresh
-                        // values, later passes read the running sums
-                        // first.
-                        if ct > 0 {
-                            buffers.psum.read(tk * tn * tm * 4);
-                        }
-                        let psum = scratch.psums[img].as_mut_slice();
-                        let part = scratch.pwc_partial.as_slice();
-                        let r0 = st.row0 - portion.row0;
-                        let c0 = st.col0 - portion.col0;
-                        for k in 0..tk {
-                            for n in 0..tn {
-                                let dst =
-                                    ((kt * tk + k) * portion.rows + r0 + n) * portion.cols + c0;
-                                let src = (k * tn + n) * tm;
-                                for m in 0..tm {
-                                    psum[dst + m] += part[src + m];
-                                }
-                            }
-                        }
+                        tally.dwc_activity.merge(&act);
+                        tally.dwc_invocations += dwc_cycles as u64;
+                        // Non-Conv: fold to int8 and stream to the
+                        // intermediate buffer (direct data transfer — no
+                        // external round trip), here straight into the
+                        // portion's mid slab.
+                        let nc = self.nonconv.apply_into_slice(
+                            &scratch.dwc_acc,
+                            &layer.nonconv1()[ct * td..],
+                            0,
+                            slab,
+                        )?;
+                        tally.nonconv_ops += nc.ops;
+                        buffers.intermediate.fill_times(tn * tm * td, dwc_cycles)?;
+                        buffers.intermediate.read(pwc_cycles * tn * tm * td);
                     }
+                    // PwcOnly: the DWC engine, Non-Conv #1 and the
+                    // intermediate buffer are bypassed — the PWC is fed
+                    // straight from the ifmap buffer, re-reading each
+                    // tile once per kernel tile.
+                    StageOp::PwcOnly => {
+                        padded_img.copy_window_to_slice(
+                            (ct * td, portion.row0, portion.col0),
+                            (td, portion.rows, portion.cols),
+                            slab,
+                        );
+                        buffers.ifmap.read(pwc_cycles * tn * tm * td);
+                    }
+                }
+
+                // PWC: every kernel tile of every spatial tile,
+                // accumulating into this image's psum bank.
+                buffers.pwc_weight.read(pwc_cycles * td * tk);
+                let act = self.pwc.accumulate_portion(
+                    slab,
+                    plan.pw_slice(ct),
+                    scratch.psums[img].as_mut_slice(),
+                )?;
+                tally.pwc_activity.merge(&act);
+                tally.pwc_invocations += pwc_cycles as u64;
+                // Read-modify-write: the first pass writes fresh values,
+                // later passes read the running sums first.
+                if ct > 0 {
+                    buffers.psum.read(pwc_cycles * tk * tn * tm * 4);
                 }
             }
         }
@@ -522,13 +515,23 @@ impl Edea {
             .enumerate()
         {
             buffers.psum.read(psum_bytes);
+            // The bank is pixel-major; the Non-Conv drains channel planes.
+            scratch
+                .drain
+                .resize_for_overwrite(s.k_out, portion.rows, portion.cols);
+            let drain = scratch.drain.as_mut_slice();
+            for (p, sums) in psum.as_slice().chunks_exact(s.k_out).enumerate() {
+                for (k, &v) in sums.iter().enumerate() {
+                    drain[k * pix + p] = v;
+                }
+            }
             let nc = if let Some(res_imgs) = residuals {
                 let r = layer
                     .residual_scale()
                     .ok_or_else(|| CoreError::UnsupportedShape {
                         detail: format!("layer {}: residual add without a residual scale", s.index),
                     })?;
-                buffers.external.read_ifmap(portion.pixels() * s.k_out);
+                buffers.external.read_ifmap(pix * s.k_out);
                 scratch
                     .res_tile
                     .resize_zeroed(s.k_out, portion.rows, portion.cols);
@@ -539,7 +542,7 @@ impl Edea {
                     &mut scratch.res_tile,
                 );
                 self.nonconv.apply_tile_residual_into(
-                    psum,
+                    &scratch.drain,
                     layer.nonconv2(),
                     &scratch.res_tile,
                     r,
@@ -548,10 +551,10 @@ impl Edea {
                 )?
             } else {
                 self.nonconv
-                    .apply_tile_into_clipped(psum, layer.nonconv2(), lo, out)?
+                    .apply_tile_into_clipped(&scratch.drain, layer.nonconv2(), lo, out)?
             };
             tally.nonconv_ops += nc.ops;
-            buffers.external.write(portion.pixels() * s.k_out);
+            buffers.external.write(pix * s.k_out);
         }
         buffers.psum.clear();
         Ok(())

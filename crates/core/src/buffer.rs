@@ -90,6 +90,21 @@ impl TrackedBuffer {
         Ok(())
     }
 
+    /// Records `times` successive [`TrackedBuffer::fill`]s of `bytes`
+    /// each — a run of identical per-tile fills counted in one call.
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::BufferOverflow`] if `bytes` exceeds the capacity.
+    pub fn fill_times(&mut self, bytes: usize, times: usize) -> Result<(), CoreError> {
+        if times == 0 {
+            return Ok(());
+        }
+        self.fill(bytes)?;
+        self.writes += (bytes * (times - 1)) as u64;
+        Ok(())
+    }
+
     /// Declares `bytes` of live contents *without* counting write traffic —
     /// used to capacity-check a residency whose fill traffic is accounted
     /// separately (e.g. psum write-backs counted per engine invocation).
@@ -315,6 +330,20 @@ mod tests {
             err,
             CoreError::BufferOverflow { buffer: "test", .. }
         ));
+    }
+
+    #[test]
+    fn fill_times_equals_repeated_fills() {
+        let mut bulk = TrackedBuffer::new("test", 100);
+        let mut each = bulk.clone();
+        bulk.fill_times(40, 3).unwrap();
+        for _ in 0..3 {
+            each.fill(40).unwrap();
+        }
+        assert_eq!(bulk, each);
+        bulk.fill_times(0, 0).unwrap();
+        assert_eq!(bulk, each);
+        assert!(bulk.fill_times(101, 2).is_err());
     }
 
     #[test]

@@ -9,13 +9,15 @@
 //!
 //! One invocation of [`DwcEngine::compute_tile`] models one engine cycle:
 //! all `Td` channel PEs fire in parallel, each computing its `Tn×Tm` output
-//! windows through 9-input adder trees.
+//! windows through 9-input adder trees. [`DwcEngine::compute_portion_into`]
+//! models every cycle of one portion's channel pass in a single call; the
+//! tile API is its one-cycle case.
 
 use edea_tensor::ops::all_zero_i8;
 use edea_tensor::{Tensor3, Tensor4};
 
 use crate::config::EdeaConfig;
-use crate::engine::EngineActivity;
+use crate::engine::{EngineActivity, WeightSlice};
 use crate::CoreError;
 
 /// Output of one DWC engine cycle.
@@ -60,9 +62,7 @@ impl DwcEngine {
     /// (`Tr = (Tn−1)·stride + kernel`), `weights` the `(Td, 1, K, K)` kernel
     /// slice.
     ///
-    /// Thin allocating wrapper over [`DwcEngine::compute_tile_into`]; the
-    /// simulator's hot path uses the `_into` variant with a reused
-    /// accumulator buffer.
+    /// Thin allocating wrapper over [`DwcEngine::compute_tile_into`].
     ///
     /// # Errors
     ///
@@ -80,8 +80,8 @@ impl DwcEngine {
     }
 
     /// Computes one tile into a caller-provided accumulator buffer, which
-    /// is reshaped to `(Td, Tn, Tm)` in place — allocation-free once the
-    /// buffer has grown to that size. Bit-exact with
+    /// is reshaped to `(Td, Tn, Tm)` in place — the one-cycle case of
+    /// [`DwcEngine::compute_portion_into`], bit-exact with
     /// [`DwcEngine::compute_tile`].
     ///
     /// # Errors
@@ -117,62 +117,118 @@ impl DwcEngine {
                 ),
             });
         }
-        acc.resize_zeroed(self.td, self.tn, self.tm);
+        self.compute_portion_into(ifmap, WeightSlice::new(weights.as_slice()), stride, acc)
+    }
+
+    /// Computes one channel pass of a whole portion — every spatial tile's
+    /// engine cycle — in one call. `window` is the `(Td, Hr, Hc)` input
+    /// region with halo (`Hr = (rows−1)·stride + K` for `rows` output
+    /// rows), `weights` the pass's `Td·K·K` taps in channel-major order;
+    /// `acc` is reshaped to `(Td, rows, cols)`. The output extent must be
+    /// a whole number of `Tn×Tm` tiles, and the returned activity is
+    /// exactly the sum of those tiles' per-cycle activities.
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::UnsupportedShape`] if the window is not `Td` deep, its
+    /// extent is not a whole number of tiles at `stride`, or `weights` is
+    /// not `Td·K·K` long.
+    pub fn compute_portion_into(
+        &self,
+        window: &Tensor3<i8>,
+        weights: WeightSlice<'_>,
+        stride: usize,
+        acc: &mut Tensor3<i32>,
+    ) -> Result<EngineActivity, CoreError> {
+        let k = self.kernel;
+        let taps = k * k;
+        let (c, hr, hc) = window.shape();
+        let extent = |h: usize| {
+            (stride > 0 && h >= k && (h - k) % stride == 0).then(|| (h - k) / stride + 1)
+        };
+        let (rows, cols) = match (extent(hr), extent(hc)) {
+            (Some(rows), Some(cols))
+                if c == self.td && rows % self.tn == 0 && cols % self.tm == 0 =>
+            {
+                (rows, cols)
+            }
+            _ => {
+                return Err(CoreError::UnsupportedShape {
+                    detail: format!(
+                        "DWC portion window {:?} is not a whole number of ({}, {}) tiles \
+                         of a {}-deep engine at stride {stride}",
+                        window.shape(),
+                        self.tn,
+                        self.tm,
+                        self.td
+                    ),
+                })
+            }
+        };
+        let wt = weights.values();
+        if wt.len() != self.td * taps {
+            return Err(CoreError::UnsupportedShape {
+                detail: format!(
+                    "DWC weight slice of {} taps, engine expects {}",
+                    wt.len(),
+                    self.td * taps
+                ),
+            });
+        }
+        acc.resize_zeroed(self.td, rows, cols);
         // Flat-slice tap-major form of the 9-input adder trees: per
-        // channel, each kernel tap accumulates into all Tn·Tm outputs. Per
-        // output element the tap order is ascending `(kh, kw)` — integer
-        // addition is associative, so this is bit-exact with both the
-        // element-at-a-time fold and the tree the RTL instantiates.
+        // channel, each kernel tap accumulates into all rows·cols outputs.
+        // Per output element the tap order is ascending `(kh, kw)` —
+        // integer addition is associative, so this is bit-exact with both
+        // the element-at-a-time fold and the tree the RTL instantiates, and
+        // covering the portion's tiles in one sweep instead of one call
+        // per tile changes no sum.
         //
-        // Zero skipping: a plane (one channel's input window) that is
+        // Zero skipping: a plane (one channel's input region) that is
         // entirely zero contributes exactly 0 to every accumulator, so the
-        // simulator skips its whole 3×3×Tn×Tm slot block — bit-exact by
-        // the additive identity, and the common case at the Fig.-11 late
-        // layers (97.4 % element zeros ⇒ most 16-pixel windows are fully
-        // zero). The skip granularity is deliberately the *plane*, never
-        // the element: a per-element branch on mid-sparsity data
-        // mispredicts constantly and forfeits the vectorized inner loop,
-        // costing more than the multiplies it saves. The *modeled*
+        // simulator skips its whole taps×pixels slot block — bit-exact by
+        // the additive identity, and common at the Fig.-11 late layers
+        // (97.4 % element zeros). The skip granularity is deliberately the
+        // *plane*, never the element: a per-element branch on mid-sparsity
+        // data mispredicts constantly and forfeits the vectorized inner
+        // loop, costing more than the multiplies it saves. The *modeled*
         // activity is decoupled from the shortcut: a skipped plane counts
-        // its full `taps·pix` gated slots, and live planes count
-        // per slot branchlessly inside the MAC loop — the power model sees
-        // every clock-gated hardware slot either way.
-        let ia = ifmap.as_slice();
-        let wt = weights.as_slice();
+        // its full `taps·pix` gated slots, and live planes count per slot
+        // branchlessly inside the MAC loop — the power model sees every
+        // clock-gated hardware slot either way.
+        let ia = window.as_slice();
         let out = acc.as_mut_slice();
-        let pix = self.tn * self.tm;
-        let taps = self.kernel * self.kernel;
+        let pix = rows * cols;
         let mut zero_act = 0u64;
-        for c in 0..self.td {
-            let plane = &ia[c * tr * tc..(c + 1) * tr * tc];
-            let wch = &wt[c * taps..(c + 1) * taps];
-            let orow = &mut out[c * pix..(c + 1) * pix];
+        for ch in 0..self.td {
+            let plane = &ia[ch * hr * hc..(ch + 1) * hr * hc];
+            let wch = &wt[ch * taps..(ch + 1) * taps];
+            let orow = &mut out[ch * pix..(ch + 1) * pix];
             if all_zero_i8(plane) {
                 // Every slot of this channel sees a zero activation; the
                 // accumulators stay at resize_zeroed's zeros — no MACs.
                 zero_act += (taps * pix) as u64;
                 continue;
             }
-            for kh in 0..self.kernel {
-                for kw in 0..self.kernel {
-                    let w = i32::from(wch[kh * self.kernel + kw]);
-                    for on in 0..self.tn {
-                        let base = (on * stride + kh) * tc + kw;
-                        for om in 0..self.tm {
+            for kh in 0..k {
+                for kw in 0..k {
+                    let w = i32::from(wch[kh * k + kw]);
+                    for (on, orow) in orow.chunks_exact_mut(cols).enumerate() {
+                        let base = (on * stride + kh) * hc + kw;
+                        for (om, o) in orow.iter_mut().enumerate() {
                             let a = plane[base + om * stride];
                             zero_act += u64::from(a == 0);
-                            orow[on * self.tm + om] += i32::from(a) * w;
+                            *o += i32::from(a) * w;
                         }
                     }
                 }
             }
         }
-        // Weight zero counts, hoisted: every weight feeds all Tn·Tm lanes.
-        let zero_weight: u64 = wt.iter().map(|&w| u64::from(w == 0)).sum();
+        // Every weight feeds every output pixel of its channel.
         Ok(EngineActivity {
-            mac_slots: self.macs_per_cycle(),
+            mac_slots: (self.td * taps * pix) as u64,
             zero_act_slots: zero_act,
-            zero_weight_slots: zero_weight * pix as u64,
+            zero_weight_slots: weights.zeros() * pix as u64,
         })
     }
 }

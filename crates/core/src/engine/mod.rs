@@ -4,12 +4,64 @@
 //! the RTL would see, they produce the accumulator values the adder trees
 //! would produce, plus the activity statistics (zero-operand counts) the
 //! power model consumes.
+//!
+//! Each engine has a **portion kernel** — one call covers every spatial
+//! tile of a portion for one channel pass, i.e. many modeled engine
+//! cycles — and a one-tile `compute_tile*` API that is the portion kernel
+//! at the extent of a single cycle. The portion kernel's
+//! [`EngineActivity`] is exactly the sum of the per-cycle activities of
+//! the tiles it covers, so modeled cycles and host calls are decoupled
+//! without moving any modeled number.
 
 mod dwc;
 mod pwc;
 
 pub use dwc::{DwcEngine, DwcTileOutput};
-pub use pwc::{LaneOccupancy, PwcEngine, PwcTileOutput};
+pub use pwc::{PwcEngine, PwcTileOutput};
+
+/// A weight slice handed to a portion kernel, with its zero count: the
+/// engines report zero-weight slots as `zeros × pixels`, so the count is
+/// taken once — at plan time for [`crate::plan::LayerPlan`]'s slices —
+/// instead of per engine call.
+#[derive(Debug, Clone, Copy)]
+pub struct WeightSlice<'a> {
+    values: &'a [i8],
+    zeros: u64,
+}
+
+impl<'a> WeightSlice<'a> {
+    /// Wraps `values`, counting its zeros.
+    #[must_use]
+    pub fn new(values: &'a [i8]) -> Self {
+        Self {
+            values,
+            zeros: count_zeros(values),
+        }
+    }
+
+    /// Wraps `values` with a precomputed zero count.
+    pub(crate) fn with_zeros(values: &'a [i8], zeros: u64) -> Self {
+        debug_assert_eq!(zeros, count_zeros(values), "stale zero count");
+        Self { values, zeros }
+    }
+
+    /// The weights.
+    #[must_use]
+    pub fn values(&self) -> &'a [i8] {
+        self.values
+    }
+
+    /// How many of the weights are zero.
+    #[must_use]
+    pub fn zeros(&self) -> u64 {
+        self.zeros
+    }
+}
+
+/// Number of zero bytes in an int8 run.
+pub(crate) fn count_zeros(values: &[i8]) -> u64 {
+    values.iter().map(|&v| u64::from(v == 0)).sum()
+}
 
 /// Activity statistics of one engine invocation.
 ///

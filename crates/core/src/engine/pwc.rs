@@ -4,119 +4,19 @@
 //! on an ifmap with dimensions 2×2×8 and a tiled kernel of size 1×1×8×16,
 //! producing an ofmap with dimensions 2×2×16."
 //!
-//! One invocation models one engine cycle: 64 dot-product lanes
-//! (`Tn·Tm·Tk`), each 8 deep (`Td`), summed by 8-input adder trees. The
-//! returned values are *partial sums over one channel slice*; accumulation
-//! across the `⌈D/Td⌉` passes happens in the psum SRAM
-//! (see [`crate::accelerator`]).
+//! One invocation of [`PwcEngine::compute_tile`] models one engine cycle:
+//! 64 dot-product lanes (`Tn·Tm·Tk`), each 8 deep (`Td`), summed by
+//! 8-input adder trees. [`PwcEngine::accumulate_portion`] models every
+//! cycle of one portion's channel pass — all spatial tiles × all kernel
+//! tiles — in a single call. The values are *partial sums over one channel
+//! slice*; accumulation across the `⌈D/Td⌉` passes happens in the psum
+//! SRAM (see [`crate::accelerator`]).
 
-use edea_tensor::ops::nonzero_row_mask_i8;
 use edea_tensor::{Tensor3, Tensor4};
 
 use crate::config::EdeaConfig;
-use crate::engine::EngineActivity;
+use crate::engine::{EngineActivity, WeightSlice};
 use crate::CoreError;
-
-/// Per-lane nonzero-weight occupancy of one `(Tk, Td, 1, 1)` PWC weight
-/// tile: bit `c` of `masks[k]` is set iff output channel `k`'s weight for
-/// input channel `c` is nonzero.
-///
-/// Weights are fixed at plan time, so [`crate::plan::LayerPlan`]
-/// precomputes one of these per weight tile; at run time the engine ANDs
-/// it with the tile's activation occupancy and iterates only the set bits
-/// — dense tiles short-circuit to the branch-free lane kernel, paying
-/// nothing for the machinery.
-///
-/// Masks live inline (no heap): a width-1.0 network plan holds tens of
-/// thousands of these, one per weight tile, and a per-tile `Vec` was a
-/// measurable slice of one-shot plan-build time.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LaneOccupancy {
-    masks: [u64; Self::MAX_LANES],
-    lanes: usize,
-    all_full: bool,
-}
-
-impl LaneOccupancy {
-    /// Largest `Tk` the inline mask array covers (the paper config uses
-    /// 16); wider tiles fall back to the unmasked engine paths.
-    pub const MAX_LANES: usize = 16;
-
-    /// Scans a `(Tk, Td, 1, 1)` weight tile. Returns `None` when the tile
-    /// has more than 64 input channels or more than
-    /// [`LaneOccupancy::MAX_LANES`] output channels (no mask storage fits;
-    /// the engine then runs its unmasked paths).
-    #[must_use]
-    pub fn of_weights(weights: &Tensor4<i8>) -> Option<Self> {
-        let (tk, td, _, _) = weights.shape();
-        if td > 64 || tk > Self::MAX_LANES {
-            return None;
-        }
-        let full = full_mask(td);
-        let flat = weights.as_slice();
-        let mut masks = [0u64; Self::MAX_LANES];
-        if td == 8 {
-            // The paper geometry: one u64 load per lane. Per-byte nonzero
-            // detect word-wide: adding 0x7F to a byte's low 7 bits carries
-            // into bit 7 iff they are nonzero, and OR-ing `x` back in
-            // catches the 0x80 case — unlike the classic
-            // `(x-0x01…) & !x & 0x80…` zero-byte probe, this has no
-            // cross-byte borrows, so it identifies *which* bytes are zero
-            // exactly. Then gather one bit per byte. Plan construction
-            // scans every weight byte, so this path keeps the occupancy
-            // precompute a negligible slice of plan-build time.
-            for (dst, lane) in masks.iter_mut().zip(flat.chunks_exact(8)) {
-                let mut bytes = [0u8; 8];
-                for (dst, &src) in bytes.iter_mut().zip(lane) {
-                    *dst = src as u8;
-                }
-                let x = u64::from_le_bytes(bytes);
-                let hi = ((x & 0x7F7F_7F7F_7F7F_7F7F) + 0x7F7F_7F7F_7F7F_7F7F) | x;
-                let nonzero = (hi & 0x8080_8080_8080_8080) >> 7;
-                *dst = nonzero.wrapping_mul(0x0102_0408_1020_4080) >> 56;
-            }
-        } else {
-            for (dst, lane) in masks.iter_mut().zip(flat.chunks_exact(td)) {
-                *dst = lane
-                    .iter()
-                    .enumerate()
-                    .fold(0u64, |m, (c, &w)| m | (u64::from(w != 0) << c));
-            }
-        }
-        let all_full = masks[..tk].iter().all(|&m| m == full);
-        Some(Self {
-            masks,
-            lanes: tk,
-            all_full,
-        })
-    }
-
-    /// Whether every lane uses every input channel (a fully dense tile).
-    #[must_use]
-    pub fn all_full(&self) -> bool {
-        self.all_full
-    }
-
-    /// The nonzero-weight mask of lane `k`.
-    ///
-    /// # Panics
-    ///
-    /// If `k` is not a lane of the scanned tile.
-    #[must_use]
-    pub fn lane(&self, k: usize) -> u64 {
-        assert!(k < self.lanes, "lane {k} out of {} lanes", self.lanes);
-        self.masks[k]
-    }
-}
-
-/// A mask with the low `td` bits set (`td` ≤ 64).
-fn full_mask(td: usize) -> u64 {
-    if td == 64 {
-        u64::MAX
-    } else {
-        (1u64 << td) - 1
-    }
-}
 
 /// Output of one PWC engine cycle.
 #[derive(Debug, Clone, PartialEq)]
@@ -157,9 +57,9 @@ impl PwcEngine {
     /// Computes one tile: `ifmap` is the `(Td, Tn, Tm)` intermediate tile
     /// from the Non-Conv unit, `weights` the `(Tk, Td, 1, 1)` kernel tile.
     ///
-    /// Thin allocating wrapper over [`PwcEngine::compute_tile_into`]; the
-    /// simulator's hot path uses the `_into` variant with a reused partial
-    /// buffer.
+    /// Allocating wrapper over [`PwcEngine::compute_tile_into`]: it lays
+    /// the kernel tile out input-channel-major and returns the partials
+    /// channel-major.
     ///
     /// # Errors
     ///
@@ -170,52 +70,42 @@ impl PwcEngine {
         ifmap: &Tensor3<i8>,
         weights: &Tensor4<i8>,
     ) -> Result<PwcTileOutput, CoreError> {
-        let mut partial = Tensor3::<i32>::zeros(self.tk, self.tn, self.tm);
-        let activity = self.compute_tile_into(ifmap, weights, &mut partial)?;
+        if weights.shape() != (self.tk, self.td, 1, 1) {
+            return Err(CoreError::UnsupportedShape {
+                detail: format!(
+                    "PWC weight tile {:?}, engine expects ({}, {}, 1, 1)",
+                    weights.shape(),
+                    self.tk,
+                    self.td
+                ),
+            });
+        }
+        let mut by_channel = vec![0i8; self.td * self.tk];
+        for (k, lane) in weights.as_slice().chunks_exact(self.td).enumerate() {
+            for (c, &w) in lane.iter().enumerate() {
+                by_channel[c * self.tk + k] = w;
+            }
+        }
+        let mut sums = Tensor3::<i32>::zeros(self.tn, self.tm, self.tk);
+        let activity = self.compute_tile_into(ifmap, WeightSlice::new(&by_channel), &mut sums)?;
+        let partial = Tensor3::from_fn(self.tk, self.tn, self.tm, |k, n, m| sums[(n, m, k)]);
         Ok(PwcTileOutput { partial, activity })
     }
 
-    /// Computes one tile into a caller-provided partial-sum buffer, which
-    /// is reshaped to `(Tk, Tn, Tm)` in place — allocation-free once the
-    /// buffer has grown to that size. Bit-exact with
-    /// [`PwcEngine::compute_tile`].
-    ///
-    /// Equivalent to [`PwcEngine::compute_tile_gated_into`] without a
-    /// precomputed weight occupancy: zero *activations* are still skipped.
+    /// Computes one tile into a caller-provided buffer — the one-cycle
+    /// case of [`PwcEngine::accumulate_portion`], bit-exact with
+    /// [`PwcEngine::compute_tile`]. `weights` is the `Td × Tk` kernel tile
+    /// in input-channel-major order, and `partial` is reshaped to the
+    /// pixel-major `(Tn, Tm, Tk)` layout of a psum bank.
     ///
     /// # Errors
     ///
-    /// [`CoreError::UnsupportedShape`] if tile shapes do not match the
-    /// engine geometry.
+    /// [`CoreError::UnsupportedShape`] if `ifmap` is not `(Td, Tn, Tm)` or
+    /// `weights` is not `Td·Tk` long.
     pub fn compute_tile_into(
         &self,
         ifmap: &Tensor3<i8>,
-        weights: &Tensor4<i8>,
-        partial: &mut Tensor3<i32>,
-    ) -> Result<EngineActivity, CoreError> {
-        self.compute_tile_gated_into(ifmap, weights, None, partial)
-    }
-
-    /// Computes one tile with zero skipping: input channels whose
-    /// activation row is entirely zero — and, when `occupancy` is given,
-    /// whose weight is zero for a lane — contribute exactly 0 to every
-    /// partial sum, so their multiplies are elided. Bit-exact with the
-    /// dense kernels (the additive identity), and a fully dense tile
-    /// short-circuits to them, paying only the occupancy scan.
-    ///
-    /// The returned [`EngineActivity`] reports the *modeled hardware*
-    /// slots — every zero-operand slot the silicon clock-gates is counted
-    /// from the full tile, never elided with the software shortcut.
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::UnsupportedShape`] if tile shapes do not match the
-    /// engine geometry.
-    pub fn compute_tile_gated_into(
-        &self,
-        ifmap: &Tensor3<i8>,
-        weights: &Tensor4<i8>,
-        occupancy: Option<&LaneOccupancy>,
+        weights: WeightSlice<'_>,
         partial: &mut Tensor3<i32>,
     ) -> Result<EngineActivity, CoreError> {
         if ifmap.shape() != (self.td, self.tn, self.tm) {
@@ -229,172 +119,129 @@ impl PwcEngine {
                 ),
             });
         }
-        if weights.shape() != (self.tk, self.td, 1, 1) {
+        if weights.values().len() != self.td * self.tk {
             return Err(CoreError::UnsupportedShape {
                 detail: format!(
-                    "PWC weight tile {:?}, engine expects ({}, {}, 1, 1)",
-                    weights.shape(),
-                    self.tk,
+                    "PWC weight tile of {} weights, engine expects {}",
+                    weights.values().len(),
+                    self.td * self.tk
+                ),
+            });
+        }
+        partial.resize_zeroed(self.tn, self.tm, self.tk);
+        self.accumulate_portion(ifmap.as_slice(), weights, partial.as_mut_slice())
+    }
+
+    /// Accumulates one channel pass of a whole portion — every spatial
+    /// tile × kernel tile engine cycle — into its psum bank in one call.
+    ///
+    /// `mid` is the `(Td, pixels)` channel-major intermediate slab (a whole
+    /// number of `Tn×Tm` tiles), `weights` the pass's `Td × K` weights in
+    /// input-channel-major order (row `c` holds input channel `c`'s weight
+    /// for every output channel — the layout
+    /// [`crate::plan::LayerPlan`] transposes the layer into once), and
+    /// `psum` the pixel-major `(pixels, K)` bank, accumulated with `+=`.
+    /// The returned activity is exactly the sum of the covered cycles'
+    /// per-cycle activities.
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::UnsupportedShape`] if `mid` is not a whole number of
+    /// `Td`-deep tiles, `weights` is not a whole number of `Td`-long
+    /// columns, or `psum` does not hold `pixels × K` sums.
+    pub fn accumulate_portion(
+        &self,
+        mid: &[i8],
+        weights: WeightSlice<'_>,
+        psum: &mut [i32],
+    ) -> Result<EngineActivity, CoreError> {
+        let tile = self.td * self.tn * self.tm;
+        let wt = weights.values();
+        let pix = mid.len() / self.td;
+        let k = wt.len() / self.td;
+        if mid.is_empty() || mid.len() % tile != 0 || wt.is_empty() || wt.len() % self.td != 0 {
+            return Err(CoreError::UnsupportedShape {
+                detail: format!(
+                    "PWC portion of {} activations and {} weights, engine expects \
+                     multiples of {tile} and {}",
+                    mid.len(),
+                    wt.len(),
                     self.td
                 ),
             });
         }
-        // Flat-slice axpy form of the 8-input adder trees: for each output
-        // channel, accumulate one scaled activation plane per input
-        // channel. Per output element the channel summation order is
-        // ascending `c`, exactly as the element-at-a-time tree fold — the
-        // partials are bit-identical. The paper's Tn = Tm = 2 tile runs
-        // the register-resident lane kernel, which overwrites every output
-        // element (so the reshape skips the zero-fill); other geometries
-        // take the generic accumulate path over a zeroed buffer.
-        let pix = self.tn * self.tm;
-        let ia = ifmap.as_slice();
-        let wt = weights.as_slice();
-        // Skip dispatch: scan the tile's activation occupancy (bit `c` =
-        // channel `c` has any nonzero pixel) and route to the masked
-        // kernels — which walk only the set bits of `act_mask &
-        // weight_mask` per lane — only when at least half the channel rows
-        // are entirely zero. Below that the vectorized dense kernels win:
-        // multiplying by a zero is cheaper than branching on one, so
-        // moderate sparsity (and weight-only sparsity) stays branch-free.
-        let act_mask = if self.td <= 64 {
-            let mask = nonzero_row_mask_i8(ia, pix);
-            (2 * mask.count_ones() as usize <= self.td).then_some(mask)
-        } else {
-            None // no mask word fits; dense kernels are bit-exact anyway
-        };
-        // Each arm owns its reshape: the lane kernels overwrite every
-        // output element (no zero-fill needed), the generic arms
-        // accumulate and require a zeroed buffer.
-        match (act_mask, pix) {
-            (None, 4) => {
-                partial.resize_for_overwrite(self.tk, self.tn, self.tm);
-                Self::mac_lanes::<4>(ia, wt, partial.as_mut_slice(), self.td, self.tk);
-            }
-            (None, 8) => {
-                partial.resize_for_overwrite(self.tk, self.tn, self.tm);
-                Self::mac_lanes::<8>(ia, wt, partial.as_mut_slice(), self.td, self.tk);
-            }
-            (Some(m), 4) => {
-                partial.resize_for_overwrite(self.tk, self.tn, self.tm);
-                Self::masked_lanes::<4>(
-                    ia,
-                    wt,
-                    partial.as_mut_slice(),
-                    self.td,
-                    self.tk,
-                    m,
-                    occupancy,
-                );
-            }
-            (Some(m), 8) => {
-                partial.resize_for_overwrite(self.tk, self.tn, self.tm);
-                Self::masked_lanes::<8>(
-                    ia,
-                    wt,
-                    partial.as_mut_slice(),
-                    self.td,
-                    self.tk,
-                    m,
-                    occupancy,
-                );
-            }
-            (mask, _) => {
-                partial.resize_zeroed(self.tk, self.tn, self.tm);
-                let out = partial.as_mut_slice();
-                for k in 0..self.tk {
-                    let wrow = &wt[k * self.td..(k + 1) * self.td];
-                    let orow = &mut out[k * pix..(k + 1) * pix];
-                    if let Some(act) = mask {
-                        // Masked generic lanes: walk the set bits in
-                        // ascending channel order — the summation order
-                        // of the dense fold, minus its zero terms.
-                        let mut m = act & occupancy.map_or(u64::MAX, |o| o.lane(k));
-                        while m != 0 {
-                            let c = m.trailing_zeros() as usize;
-                            m &= m - 1;
-                            let w = i32::from(wrow[c]);
-                            let arow = &ia[c * pix..(c + 1) * pix];
-                            for (o, &a) in orow.iter_mut().zip(arow) {
-                                *o += i32::from(a) * w;
-                            }
-                        }
-                    } else {
-                        for (c, &wq) in wrow.iter().enumerate() {
-                            let w = i32::from(wq);
-                            let arow = &ia[c * pix..(c + 1) * pix];
-                            for (o, &a) in orow.iter_mut().zip(arow) {
-                                *o += i32::from(a) * w;
-                            }
-                        }
-                    }
+        if psum.len() != pix * k {
+            return Err(CoreError::UnsupportedShape {
+                detail: format!(
+                    "PWC psum bank of {} sums, portion needs {pix} pixels × {k} kernels",
+                    psum.len()
+                ),
+            });
+        }
+        // Pixel-outer, K-inner: each live activation is one axpy of its
+        // weight row into its pixel's contiguous psum row. The zero skip
+        // sits on the activation *element* — coarse enough because every
+        // skipped element elides a whole K-long row of multiplies (K ≥ 16
+        // on the paper geometry, 1024 at the last layers, where ≥ 97 % of
+        // the elements are zero), so one-tile and 64-pixel portions are
+        // both served. A pixel's live activations are gathered
+        // branch-free, then applied together one register-sized chunk of
+        // the psum row at a time, so the row is loaded and stored once per
+        // group instead of once per activation. Integer sums are
+        // order-independent, so the result is bit-exact with the per-tile
+        // adder-tree fold.
+        let mut zero_act = 0u64;
+        let mut live = [(0i16, 0usize); LIVE_GROUP];
+        for (p, row) in psum.chunks_exact_mut(k).enumerate() {
+            for c0 in (0..self.td).step_by(LIVE_GROUP) {
+                let group = c0..(c0 + LIVE_GROUP).min(self.td);
+                let mut n = 0;
+                for c in group.clone() {
+                    let a = mid[c * pix + p];
+                    live[n] = (i16::from(a), c * k);
+                    n += usize::from(a != 0);
                 }
+                zero_act += (group.len() - n) as u64;
+                accumulate_row(row, &live[..n], wt);
             }
         }
-        // Activity counts, hoisted out of the MAC loop: every activation
-        // feeds all Tk adder trees, every weight all Tn·Tm lanes.
-        let zero_act: u64 = ia.iter().map(|&a| u64::from(a == 0)).sum();
-        let zero_weight: u64 = wt.iter().map(|&w| u64::from(w == 0)).sum();
+        // Every activation feeds all K adder trees, every weight all
+        // pixels — the modeled slots, whatever the shortcut skipped.
         Ok(EngineActivity {
-            mac_slots: self.macs_per_cycle(),
-            zero_act_slots: zero_act * self.tk as u64,
-            zero_weight_slots: zero_weight * pix as u64,
+            mac_slots: (self.td * k * pix) as u64,
+            zero_act_slots: zero_act * k as u64,
+            zero_weight_slots: weights.zeros() * pix as u64,
         })
     }
+}
 
-    /// The dot-product lanes with a compile-time pixel count (`PIX =
-    /// Tn·Tm`), so each output tile's accumulators stay in registers and
-    /// the lane loop fully unrolls. Channel summation order is identical
-    /// to the generic path — bit-exact.
-    fn mac_lanes<const PIX: usize>(ia: &[i8], wt: &[i8], out: &mut [i32], td: usize, tk: usize) {
-        for k in 0..tk {
-            let wrow = &wt[k * td..(k + 1) * td];
-            let mut acc = [0i32; PIX];
-            for (c, &wq) in wrow.iter().enumerate() {
-                let w = i32::from(wq);
-                let arow: &[i8; PIX] = ia[c * PIX..(c + 1) * PIX]
-                    .try_into()
-                    // edea-lint: allow(panic-in-lib): the chunk is PIX long by construction
-                    .expect("lane slice is exactly PIX long");
-                for (o, &a) in acc.iter_mut().zip(arow) {
-                    *o += i32::from(a) * w;
-                }
-            }
-            out[k * PIX..(k + 1) * PIX].copy_from_slice(&acc);
-        }
+/// Input channels gathered per psum-row sweep (the paper's `Td`).
+const LIVE_GROUP: usize = 8;
+/// Psum sums held in registers per chunk of a row sweep.
+const ROW_CHUNK: usize = 16;
+
+/// `row[j] += Σ a · wt[offset + j]` over the `(a, offset)` pairs in
+/// `live`, one `ROW_CHUNK`-sum chunk of the row at a time. The product of
+/// two int8 values always fits `i16`, which keeps the multiplies 16-bit.
+fn accumulate_row(row: &mut [i32], live: &[(i16, usize)], wt: &[i8]) {
+    if live.is_empty() {
+        return;
     }
-
-    /// The zero-skipping twin of [`PwcEngine::mac_lanes`]: each lane walks
-    /// only the set bits of `act_mask & occupancy.lane(k)` — the input
-    /// channels with a live activation *and* a live weight. Set bits come
-    /// out in ascending channel order, so the summation order is the dense
-    /// kernel's minus its zero terms: bit-exact by the additive identity.
-    fn masked_lanes<const PIX: usize>(
-        ia: &[i8],
-        wt: &[i8],
-        out: &mut [i32],
-        td: usize,
-        tk: usize,
-        act_mask: u64,
-        occupancy: Option<&LaneOccupancy>,
-    ) {
-        for k in 0..tk {
-            let wrow = &wt[k * td..(k + 1) * td];
-            let mut m = act_mask & occupancy.map_or(u64::MAX, |o| o.lane(k));
-            let mut acc = [0i32; PIX];
-            while m != 0 {
-                let c = m.trailing_zeros() as usize;
-                m &= m - 1;
-                let w = i32::from(wrow[c]);
-                let arow: &[i8; PIX] = ia[c * PIX..(c + 1) * PIX]
-                    .try_into()
-                    // edea-lint: allow(panic-in-lib): the chunk is PIX long by construction
-                    .expect("lane slice is exactly PIX long");
-                for (o, &a) in acc.iter_mut().zip(arow) {
-                    *o += i32::from(a) * w;
-                }
+    let done = row.len() - row.len() % ROW_CHUNK;
+    for (j, chunk) in row.chunks_exact_mut(ROW_CHUNK).enumerate() {
+        let mut acc = [0i32; ROW_CHUNK];
+        acc.copy_from_slice(chunk);
+        for &(a, offset) in live {
+            let at = offset + j * ROW_CHUNK;
+            for (o, &w) in acc.iter_mut().zip(&wt[at..at + ROW_CHUNK]) {
+                *o += i32::from(a * i16::from(w));
             }
-            out[k * PIX..(k + 1) * PIX].copy_from_slice(&acc);
+        }
+        chunk.copy_from_slice(&acc);
+    }
+    for (j, o) in row[done..].iter_mut().enumerate() {
+        for &(a, offset) in live {
+            *o += i32::from(a * i16::from(wt[offset + done + j]));
         }
     }
 }
@@ -453,58 +300,6 @@ mod tests {
         ifmap[(3, 1, 0)] = 0; // one zero activation feeds all 16 kernels
         let out = engine().compute_tile(&ifmap, &weights).unwrap();
         assert_eq!(out.activity.zero_act_slots, 16);
-    }
-
-    #[test]
-    fn occupancy_word_path_matches_naive_scan() {
-        // td = 8 takes the word-at-a-time zero-byte path; td = 4 the
-        // generic fold. Both must agree with a per-element scan for every
-        // single-zero position and for denser zero patterns.
-        for td in [8usize, 4] {
-            let mut w = rng::uniform_i8_tensor4(16, td, 1, 1, 1, 127, 99);
-            for hot in 0..w.len() {
-                let saved = w.as_mut_slice()[hot];
-                w.as_mut_slice()[hot] = 0;
-                if hot % 3 == 0 {
-                    w.as_mut_slice()[(hot + 7) % (16 * td)] = 0;
-                }
-                let occ = LaneOccupancy::of_weights(&w).unwrap();
-                for k in 0..16 {
-                    let naive =
-                        (0..td).fold(0u64, |m, c| m | (u64::from(w[(k, c, 0, 0)] != 0) << c));
-                    assert_eq!(occ.lane(k), naive, "td={td} hot={hot} lane={k}");
-                }
-                assert_eq!(
-                    occ.all_full(),
-                    w.as_slice().iter().all(|&v| v != 0),
-                    "td={td} hot={hot}"
-                );
-                // Restore for the next pattern (approximately: the extra
-                // zero seeded above may persist — that only adds variety).
-                w.as_mut_slice()[hot] = saved;
-            }
-        }
-        // Adversarial byte patterns for the word path: a 1 directly above a
-        // 0 trips the borrow-propagation false positive of the classic
-        // `(x-0x01…) & !x` zero-byte probe, and -128 (0x80) exercises the
-        // sign bit. Every lane must still match the per-element scan.
-        let rows: [[i8; 8]; 4] = [
-            [0, 1, 1, 0, 1, 0, 0, 1],
-            [-128, 0, -128, 1, 0, -128, 1, 0],
-            [1, 1, 1, 1, 1, 1, 1, 1],
-            [0, 0, 0, 0, 0, 0, 0, 0],
-        ];
-        let mut w = Tensor4::<i8>::zeros(16, 8, 1, 1);
-        for k in 0..16 {
-            for c in 0..8 {
-                w[(k, c, 0, 0)] = rows[k % rows.len()][c];
-            }
-        }
-        let occ = LaneOccupancy::of_weights(&w).unwrap();
-        for k in 0..16 {
-            let naive = (0..8).fold(0u64, |m, c| m | (u64::from(w[(k, c, 0, 0)] != 0) << c));
-            assert_eq!(occ.lane(k), naive, "adversarial lane {k}");
-        }
     }
 
     #[test]

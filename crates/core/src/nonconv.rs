@@ -109,20 +109,49 @@ impl NonConvUnit {
         out: &mut Tensor3<i8>,
     ) -> Result<NonConvActivity, CoreError> {
         let (c, h, w) = acc.shape();
+        // The plane loop writes every output element, so the reshape
+        // skips the zero-fill.
+        out.resize_for_overwrite(c, h, w);
+        self.apply_into_slice(acc, params, lo, out.as_mut_slice())
+    }
+
+    /// [`NonConvUnit::apply_tile_into_clipped`] into a caller-owned slice
+    /// laid out like `acc` (channel planes, then rows) — the form that
+    /// writes a portion's DWC accumulators straight into their channel
+    /// slab of the portion-local intermediate map, with no tile paste.
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::UnsupportedShape`] if `params` has fewer entries than
+    /// `acc` has channels, or `out` is not exactly `acc`'s length.
+    pub fn apply_into_slice(
+        &self,
+        acc: &Tensor3<i32>,
+        params: &[FoldedAffine],
+        lo: i8,
+        out: &mut [i8],
+    ) -> Result<NonConvActivity, CoreError> {
+        let (c, h, w) = acc.shape();
         if params.len() < c {
             return Err(CoreError::UnsupportedShape {
                 detail: format!("{} Non-Conv parameter sets for {c} channels", params.len()),
             });
         }
-        // The plane loop below writes every output element, so the
-        // reshape skips the zero-fill.
-        out.resize_for_overwrite(c, h, w);
+        if out.len() != acc.len() {
+            return Err(CoreError::UnsupportedShape {
+                detail: format!(
+                    "Non-Conv output of {} elements for a {:?} accumulator",
+                    out.len(),
+                    acc.shape()
+                ),
+            });
+        }
         let mut activity = NonConvActivity::default();
         let plane = h * w;
         let planes = acc
             .as_slice()
             .chunks_exact(plane)
-            .zip(out.as_mut_slice().chunks_exact_mut(plane));
+            .zip(out.chunks_exact_mut(plane));
         for ((src, dst), p) in planes.zip(params) {
             for (d, &a) in dst.iter_mut().zip(src) {
                 let y = p.apply_fixed(a, lo);

@@ -1,15 +1,13 @@
 //! Pre-sliced weight plans for the functional simulator.
 //!
 //! The loop nest of [`crate::accelerator`] consumes depthwise weights one
-//! `Td`-kernel slice per channel pass, and pointwise weights one
-//! `(Tk, Td)` tile per channel pass × kernel tile. Slicing is pure
-//! bookkeeping — the same tensors come out for the same layer every time —
-//! yet the original hot path rebuilt every slice on every
-//! `run_layer`/`run_layer_batch` call, so a serving session re-sliced all
-//! weights once per request. A [`LayerPlan`] performs that slicing once;
-//! a [`NetworkPlan`] holds one plan per layer and is the unit a long-lived
-//! deployment caches (see `edea::Deployment` and
-//! [`crate::serve::SimulatorBackend`]).
+//! `Td`-kernel slice per channel pass, and pointwise weights one `Td × K`
+//! slice per channel pass, fed to the engines' portion kernels. Laying
+//! the weights out is pure bookkeeping — the same bytes come out for the
+//! same layer every time — so a [`LayerPlan`] does it once, together with
+//! the per-slice zero-weight counts the engines report; a [`NetworkPlan`]
+//! holds one plan per layer and is the unit a long-lived deployment caches
+//! (see `edea::Deployment` and [`crate::serve::SimulatorBackend`]).
 //!
 //! Plans are pure data derived from `(layer weights, config tile
 //! geometry)`: executing through a plan is bit-exact with the unplanned
@@ -21,21 +19,18 @@ use std::sync::OnceLock;
 
 use edea_nn::quantize::{QuantizedDscLayer, QuantizedDscNetwork};
 use edea_nn::workload::LayerShape;
-use edea_tensor::Tensor4;
 
 use crate::config::EdeaConfig;
-use crate::engine::LaneOccupancy;
+use crate::engine::{count_zeros, WeightSlice};
 use crate::CoreError;
 
-/// The pre-sliced weights of one layer: everything `execute_layer` needs
+/// The laid-out weights of one layer: everything `execute_layer` needs
 /// that depends only on the layer and the tile geometry, not on the input.
 #[derive(Debug, Clone)]
 pub struct LayerPlan {
     shape: LayerShape,
     /// Tile channel depth the slices were cut for.
     td: usize,
-    /// Tile kernel count the slices were cut for.
-    tk: usize,
     /// Lazily computed FNV-style digest of the plan's weight bytes, so a
     /// plan can detect being used with a same-shaped layer from a
     /// *different* network (`shape` alone identifies a layer only within
@@ -43,18 +38,19 @@ pub struct LayerPlan {
     /// wrappers build route through the `_unchecked` paths and never need
     /// it.
     fingerprint: OnceLock<u64>,
-    /// `dw_slices[ct]` is the `(Td, 1, K, K)` depthwise slice of channel
-    /// pass `ct`.
-    dw_slices: Vec<Tensor4<i8>>,
-    /// `pw_slices[ct][kt]` is the `(Tk, Td, 1, 1)` pointwise tile of
-    /// channel pass `ct`, kernel tile `kt`.
-    pw_slices: Vec<Vec<Tensor4<i8>>>,
-    /// `pw_occupancy[ct][kt]` is the per-lane nonzero-weight occupancy of
-    /// `pw_slices[ct][kt]`, precomputed once here so the PWC engine's
-    /// zero-skipping kernels pay no per-tile weight scan — and so fully
-    /// dense tiles are recognized up front and keep the branch-free dense
-    /// kernels (`None` when `Td` exceeds the 64-bit mask word).
-    pw_occupancy: Vec<Vec<Option<LaneOccupancy>>>,
+    /// The `(D, 1, K, K)` depthwise taps, flat and channel-major: channel
+    /// pass `ct` is the contiguous run of its `Td` kernels.
+    dw: Vec<i8>,
+    /// Zero taps per channel pass.
+    dw_zeros: Vec<u64>,
+    /// The pointwise weights transposed to input-channel-major `(D, K)`:
+    /// row `d` holds input channel `d`'s weight for every output channel,
+    /// so channel pass `ct` is one contiguous `Td × K` slice — the layout
+    /// the PWC portion kernel accumulates from. The plan holds this one
+    /// copy of the pointwise weights and no other.
+    pw: Vec<i8>,
+    /// Zero weights per channel pass.
+    pw_zeros: Vec<u64>,
 }
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -79,60 +75,39 @@ fn fnv_bytes(h: &mut u64, bytes: &[i8]) {
     }
 }
 
-/// Digest of a plan's own slices. The byte runs fed to [`fnv_bytes`] —
-/// per depthwise slice, then per pointwise `(ct, kt, k)` row of `Td`
-/// bytes — are chosen so [`layer_fingerprint`] can replay the identical
-/// sequence straight from an unsliced layer.
-fn plan_fingerprint(dw_slices: &[Tensor4<i8>], pw_slices: &[Vec<Tensor4<i8>>]) -> u64 {
+/// Digest of a layer's weights: the depthwise taps, then the pointwise
+/// weights one output channel (`D` bytes) at a time — the layer's own
+/// layout, so [`LayerPlan::check_layer`] hashes the layer in place.
+fn fingerprint<'a>(dw: &[i8], pw_rows: impl Iterator<Item = &'a [i8]>) -> u64 {
     let mut h = FNV_OFFSET;
-    for s in dw_slices {
-        fnv_bytes(&mut h, s.as_slice());
-    }
-    for row in pw_slices {
-        for s in row {
-            let (tk, td, _, _) = s.shape();
-            let flat = s.as_slice();
-            for k in 0..tk {
-                fnv_bytes(&mut h, &flat[k * td..(k + 1) * td]);
-            }
-        }
+    fnv_bytes(&mut h, dw);
+    for row in pw_rows {
+        fnv_bytes(&mut h, row);
     }
     h
 }
 
-/// Digest of a layer's weights over exactly the byte runs
-/// [`plan_fingerprint`] hashes, read in place from the unsliced tensors.
-fn layer_fingerprint(layer: &QuantizedDscLayer, td: usize, tk: usize) -> u64 {
-    let mut h = FNV_OFFSET;
-    let s = layer.shape();
-    let dw = layer.dw_weights().values();
-    let (_, _, kh, kw) = dw.shape();
-    let kernel_vol = kh * kw;
-    let dw_flat = dw.as_slice();
-    for ct in 0..s.d_in / td {
-        fnv_bytes(
-            &mut h,
-            &dw_flat[ct * td * kernel_vol..(ct + 1) * td * kernel_vol],
-        );
-    }
-    let pw = layer.pw_weights().values();
-    let (_, c_in, _, _) = pw.shape();
-    let pw_flat = pw.as_slice();
-    for ct in 0..s.d_in / td {
-        for kt in 0..s.k_out / tk {
-            for k in kt * tk..(kt + 1) * tk {
-                fnv_bytes(
-                    &mut h,
-                    &pw_flat[k * c_in + ct * td..k * c_in + (ct + 1) * td],
-                );
-            }
+/// The `cols × rows` transpose of a row-major `rows × cols` matrix.
+fn transpose(src: &[i8], rows: usize, cols: usize) -> Vec<i8> {
+    let mut out = vec![0i8; rows * cols];
+    for (r, row) in src.chunks_exact(cols).enumerate() {
+        for (c, &v) in row.iter().enumerate() {
+            out[c * rows + r] = v;
         }
     }
-    h
+    out
+}
+
+/// `values` split into `n` equal runs, each run's zero count.
+fn zeros_per_run(values: &[i8], n: usize) -> Vec<u64> {
+    values
+        .chunks_exact(values.len() / n)
+        .map(count_zeros)
+        .collect()
 }
 
 impl LayerPlan {
-    /// Slices one layer's weights for `cfg`'s tile geometry.
+    /// Lays out one layer's weights for `cfg`'s tile geometry.
     ///
     /// # Errors
     ///
@@ -141,34 +116,22 @@ impl LayerPlan {
     pub fn new(layer: &QuantizedDscLayer, cfg: &EdeaConfig) -> Result<Self, CoreError> {
         let shape = layer.shape();
         crate::schedule::check_layer_geometry(&shape, cfg)?;
-        let (td, tk) = (cfg.tile.td, cfg.tile.tk);
+        let td = cfg.tile.td;
         let channel_passes = shape.d_in / td;
-        let kernel_tiles = shape.k_out / tk;
-        // Depthwise weights are (D, 1, K, K): the per-pass slice selects Td
-        // *kernels* (one per channel).
-        let dw_slices = (0..channel_passes)
-            .map(|ct| layer.dw_weights().values().kernel_slice(ct * td, td))
-            .collect();
-        let pw_slices: Vec<Vec<Tensor4<i8>>> = (0..channel_passes)
-            .map(|ct| {
-                let chan = layer.pw_weights().values().channel_slice(ct * td, td);
-                (0..kernel_tiles)
-                    .map(|kt| chan.kernel_slice(kt * tk, tk))
-                    .collect()
-            })
-            .collect();
-        let pw_occupancy = pw_slices
-            .iter()
-            .map(|row| row.iter().map(LaneOccupancy::of_weights).collect())
-            .collect();
+        let dw = layer.dw_weights().values().as_slice().to_vec();
+        let pw = transpose(
+            layer.pw_weights().values().as_slice(),
+            shape.k_out,
+            shape.d_in,
+        );
         Ok(Self {
             shape,
             td,
-            tk,
             fingerprint: OnceLock::new(),
-            dw_slices,
-            pw_slices,
-            pw_occupancy,
+            dw_zeros: zeros_per_run(&dw, channel_passes),
+            dw,
+            pw_zeros: zeros_per_run(&pw, channel_passes),
+            pw,
         })
     }
 
@@ -178,24 +141,19 @@ impl LayerPlan {
         &self.shape
     }
 
-    /// The depthwise slice of channel pass `ct`.
+    /// The `Td·K·K` depthwise taps of channel pass `ct`.
     #[must_use]
-    pub(crate) fn dw_slice(&self, ct: usize) -> &Tensor4<i8> {
-        &self.dw_slices[ct]
+    pub(crate) fn dw_slice(&self, ct: usize) -> WeightSlice<'_> {
+        let len = self.dw.len() / self.dw_zeros.len();
+        WeightSlice::with_zeros(&self.dw[ct * len..(ct + 1) * len], self.dw_zeros[ct])
     }
 
-    /// The pointwise tile of channel pass `ct`, kernel tile `kt`.
+    /// The `Td × K` input-channel-major pointwise weights of channel pass
+    /// `ct`.
     #[must_use]
-    pub(crate) fn pw_slice(&self, ct: usize, kt: usize) -> &Tensor4<i8> {
-        &self.pw_slices[ct][kt]
-    }
-
-    /// The precomputed per-lane weight occupancy of the pointwise tile of
-    /// channel pass `ct`, kernel tile `kt` (`None` when the tile depth
-    /// exceeds the mask word — the engine then skips on activations only).
-    #[must_use]
-    pub(crate) fn pw_occupancy(&self, ct: usize, kt: usize) -> Option<&LaneOccupancy> {
-        self.pw_occupancy[ct][kt].as_ref()
+    pub(crate) fn pw_slice(&self, ct: usize) -> WeightSlice<'_> {
+        let len = self.td * self.shape.k_out;
+        WeightSlice::with_zeros(&self.pw[ct * len..(ct + 1) * len], self.pw_zeros[ct])
     }
 
     /// Checks that this plan was built for `layer`: shape (which carries
@@ -217,10 +175,16 @@ impl LayerPlan {
                 ),
             });
         }
-        let own = *self
-            .fingerprint
-            .get_or_init(|| plan_fingerprint(&self.dw_slices, &self.pw_slices));
-        if own != layer_fingerprint(layer, self.td, self.tk) {
+        let (d, k) = (self.shape.d_in, self.shape.k_out);
+        let own = *self.fingerprint.get_or_init(|| {
+            // Back to output-channel rows, once per plan.
+            fingerprint(&self.dw, transpose(&self.pw, d, k).chunks_exact(d))
+        });
+        let theirs = fingerprint(
+            layer.dw_weights().values().as_slice(),
+            layer.pw_weights().values().as_slice().chunks_exact(d),
+        );
+        if own != theirs {
             return Err(CoreError::UnsupportedShape {
                 detail: format!(
                     "layer plan built for a different layer {} (same shape, different weights)",
@@ -295,16 +259,22 @@ mod tests {
         let layer = &d.qnet.layers()[1];
         let plan = LayerPlan::new(layer, &cfg).unwrap();
         let s = layer.shape();
-        let (td, tk) = (cfg.tile.td, cfg.tile.tk);
+        let td = cfg.tile.td;
+        let pw = layer.pw_weights().values();
         for ct in 0..s.d_in / td {
-            assert_eq!(
-                plan.dw_slice(ct),
-                &layer.dw_weights().values().kernel_slice(ct * td, td)
-            );
-            let chan = layer.pw_weights().values().channel_slice(ct * td, td);
-            for kt in 0..s.k_out / tk {
-                assert_eq!(plan.pw_slice(ct, kt), &chan.kernel_slice(kt * tk, tk));
+            let dw = layer.dw_weights().values().kernel_slice(ct * td, td);
+            let slice = plan.dw_slice(ct);
+            assert_eq!(slice.values(), dw.as_slice());
+            assert_eq!(slice.zeros(), count_zeros(dw.as_slice()));
+            // Row c of a pointwise slice is input channel ct·Td + c's
+            // weight for every output channel.
+            let slice = plan.pw_slice(ct);
+            for (c, row) in slice.values().chunks_exact(s.k_out).enumerate() {
+                for (k, &w) in row.iter().enumerate() {
+                    assert_eq!(w, pw[(k, ct * td + c, 0, 0)], "ct={ct} c={c} k={k}");
+                }
             }
+            assert_eq!(slice.zeros(), count_zeros(slice.values()));
         }
     }
 

@@ -1,17 +1,17 @@
-//! Reusable scratch buffers for the simulator's tile pipeline.
+//! Reusable scratch buffers for the simulator's portion pipeline.
 //!
-//! Every spatial tile of the loop nest in [`crate::accelerator`] needs the
-//! same five working buffers: the DWC input window, the DWC accumulator
-//! tile, the Non-Conv'd intermediate tile, the PWC partial-sum tile, and
-//! (per portion) the psum banks plus the portion-local mid/output maps. The
-//! original hot path allocated all of them afresh on every tile — the
-//! software equivalent of the external-memory round trips the paper's
-//! direct data transfer eliminates. A [`TileScratch`] owns them instead:
+//! Every `(portion, channel pass, image)` step of the loop nest in
+//! [`crate::accelerator`] needs the same working buffers: the DWC input
+//! region, the DWC accumulators, and (per portion) the psum banks, the
+//! drain buffer plus the portion-local mid/output maps. Allocating them
+//! afresh per step would be the software equivalent of the
+//! external-memory round trips the paper's direct data transfer
+//! eliminates. A [`TileScratch`] owns them instead:
 //! [`TileScratch::reserve`] grows each buffer to the layer's largest shape
 //! once per layer run, and every later reshape
 //! ([`edea_tensor::Tensor3::resize_zeroed`]) reuses the allocation, so the
-//! steady-state tile loop performs **zero heap allocations** (guarded by
-//! the allocation-regression test in `crates/core/tests`).
+//! steady-state portion loop performs **zero heap allocations** (guarded
+//! by the allocation-regression test in `crates/core/tests`).
 //!
 //! A scratch outlives a layer run: `Edea::run_network_planned` and
 //! `run_batch_planned` thread one scratch through every layer, and its
@@ -22,21 +22,22 @@ use edea_tensor::Tensor3;
 
 use crate::config::EdeaConfig;
 
-/// The per-layer-run scratch arena: one set of tile buffers reused across
-/// tiles, kernel tiles, channel passes, portions and images.
+/// The per-layer-run scratch arena: one set of buffers reused across
+/// channel passes, portions and images.
 #[derive(Debug, Clone)]
 pub struct TileScratch {
-    /// The `(Td, Tr, Tc)` DWC input window of the current tile.
+    /// The `(Td, rows, cols)` DWC input region (with halo) of the current
+    /// portion's channel pass.
     pub(crate) window: Tensor3<i8>,
-    /// The `(Td, Tn, Tm)` DWC accumulator tile.
+    /// The `(Td, portion rows, portion cols)` DWC accumulators.
     pub(crate) dwc_acc: Tensor3<i32>,
-    /// The `(Td, Tn, Tm)` intermediate tile (Non-Conv output).
-    pub(crate) mid_tile: Tensor3<i8>,
-    /// The `(Tk, Tn, Tm)` PWC partial-sum tile.
-    pub(crate) pwc_partial: Tensor3<i32>,
-    /// Per-image psum banks for the current portion,
-    /// `(K, portion rows, portion cols)` each.
+    /// Per-image psum banks for the current portion, pixel-major
+    /// `(portion rows, portion cols, K)` each — the layout the PWC portion
+    /// kernel accumulates into.
     pub(crate) psums: Vec<Tensor3<i32>>,
+    /// One psum bank transposed to channel-major `(K, portion rows,
+    /// portion cols)` for the output-side Non-Conv drain.
+    pub(crate) drain: Tensor3<i32>,
     /// The `(K, portion rows, portion cols)` residual window fetched at
     /// the drain of an inverted-residual add stage (unused otherwise).
     pub(crate) res_tile: Tensor3<i8>,
@@ -65,9 +66,8 @@ impl TileScratch {
         Self {
             window: Tensor3::zeros(1, 1, 1),
             dwc_acc: Tensor3::zeros(1, 1, 1),
-            mid_tile: Tensor3::zeros(1, 1, 1),
-            pwc_partial: Tensor3::zeros(1, 1, 1),
             psums: Vec::new(),
+            drain: Tensor3::zeros(1, 1, 1),
             res_tile: Tensor3::zeros(1, 1, 1),
             lanes: Vec::new(),
             portion_mids: Vec::new(),
@@ -76,23 +76,20 @@ impl TileScratch {
     }
 
     /// Grows every buffer so a run of layer `s` with `n_images` in-flight
-    /// images never allocates in the tile loop. Only the window is
-    /// *shaped* here (its shape defines the extraction extent; its
-    /// contents are fully overwritten per tile) — every other buffer gets
-    /// capacity only, since its consumer reshapes it with
-    /// [`Tensor3::resize_zeroed`] before use. Capacity only ever grows —
-    /// reserving for a smaller layer after a larger one is free.
+    /// images never allocates in the portion loop. Buffers get capacity
+    /// only, sized for the layer's largest portion, since every consumer
+    /// reshapes its buffer to the current portion before use. Capacity
+    /// only ever grows — reserving for a smaller layer after a larger one
+    /// is free.
     pub fn reserve(&mut self, s: &LayerShape, cfg: &EdeaConfig, n_images: usize) {
         let t = &cfg.tile;
-        let tr = (t.tn - 1) * s.stride + s.kernel;
-        let tc = (t.tm - 1) * s.stride + s.kernel;
-        self.window.resize_zeroed(t.td, tr, tc);
-        self.dwc_acc.reserve_capacity(t.td * t.tn * t.tm);
-        self.mid_tile.reserve_capacity(t.td * t.tn * t.tm);
-        self.pwc_partial.reserve_capacity(t.tk * t.tn * t.tm);
         // The largest portion is bounded by the portion limit and the map.
         let pmax = s.out_spatial().min(cfg.portion_limit).max(1);
+        let region = (pmax - 1) * s.stride + s.kernel;
+        self.window.reserve_capacity(t.td * region * region);
+        self.dwc_acc.reserve_capacity(t.td * pmax * pmax);
         let bank = s.k_out * pmax * pmax;
+        self.drain.reserve_capacity(bank);
         while self.psums.len() < n_images {
             self.psums.push(Tensor3::zeros(1, 1, 1));
         }
@@ -131,7 +128,7 @@ impl TileScratch {
 
     /// Grows the lane-private sub-scratch pool to `extra` entries (for
     /// lanes `1..=extra`; lane 0 reuses this scratch) and reserves each
-    /// for layer `s`, so the parallel tile loops stay allocation-free in
+    /// for layer `s`, so the parallel portion loops stay allocation-free in
     /// steady state.
     pub(crate) fn ensure_lanes(
         &mut self,
@@ -160,20 +157,22 @@ mod tests {
         let mut scratch = TileScratch::new();
         let layers = mobilenet_v1_cifar10();
         scratch.reserve(&layers[0], &cfg, 2);
-        // The stride-1 window is shaped (its shape drives window
-        // extraction); the rest get capacity for their steady-state
-        // shapes, so the resizes their consumers perform cannot allocate.
-        assert_eq!(scratch.window.shape(), (8, 4, 4));
+        // Every buffer gets capacity for its largest steady-state shape —
+        // the 8×8 portion's 10×10 stride-1 input region, its accumulators
+        // and psum banks — so the reshapes its consumers perform cannot
+        // allocate.
         assert_eq!(scratch.psums.len(), 2);
         let bank = layers[0].k_out * 8 * 8;
-        scratch.psums[0].resize_zeroed(layers[0].k_out, 8, 8);
+        scratch.psums[0].resize_zeroed(8, 8, layers[0].k_out);
         assert_eq!(scratch.psums[0].len(), bank);
-        scratch.dwc_acc.resize_zeroed(8, 2, 2);
-        scratch.pwc_partial.resize_zeroed(16, 2, 2);
-        // A stride-2 layer widens the window to 5×5.
+        scratch.window.resize_zeroed(8, 10, 10);
+        scratch.dwc_acc.resize_zeroed(8, 8, 8);
+        scratch.drain.resize_zeroed(layers[0].k_out, 8, 8);
+        // A stride-2 layer widens the region to 17×17.
         let stride2 = layers.iter().find(|l| l.stride == 2).unwrap();
         scratch.reserve(stride2, &cfg, 1);
-        assert_eq!(scratch.window.shape(), (8, 5, 5));
+        scratch.window.resize_zeroed(8, 17, 17);
+        assert_eq!(scratch.window.shape(), (8, 17, 17));
         // Extra psum banks from the previous reserve are kept, not freed.
         assert_eq!(scratch.psums.len(), 2);
     }

@@ -22,7 +22,7 @@ use edea_core::scratch::TileScratch;
 use edea_core::serve::{arrivals, AnalyticBackend, Backend, Policy};
 use edea_core::EdeaConfig;
 use edea_core::{
-    engine::{DwcEngine, LaneOccupancy, PwcEngine},
+    engine::{DwcEngine, PwcEngine, WeightSlice},
     nonconv::NonConvUnit,
     Edea,
 };
@@ -61,6 +61,13 @@ fn steady_state_tile_pipeline_does_not_allocate() {
         .values()
         .channel_slice(0, 8)
         .kernel_slice(0, 16);
+    // The pointwise tile input-channel-major, as the plan lays it out.
+    let mut pw_t = vec![0i8; 8 * 16];
+    for k in 0..16 {
+        for c in 0..8 {
+            pw_t[c * 16 + k] = pw[(k, c, 0, 0)];
+        }
+    }
     let mut window = Tensor3::<i8>::zeros(8, 4, 4);
     let mut acc = Tensor3::<i32>::zeros(1, 1, 1);
     let mut mid = Tensor3::<i8>::zeros(1, 1, 1);
@@ -76,7 +83,8 @@ fn steady_state_tile_pipeline_does_not_allocate() {
         nonconv
             .apply_tile_into(acc, d.qnet.layers()[0].nonconv1(), mid)
             .unwrap();
-        pwc.compute_tile_into(mid, &pw, partial).unwrap();
+        pwc.compute_tile_into(mid, WeightSlice::new(&pw_t), partial)
+            .unwrap();
     };
     // Warm-up grows every buffer to its steady-state shape.
     tile(0, 0, &mut window, &mut acc, &mut mid, &mut partial);
@@ -91,49 +99,60 @@ fn steady_state_tile_pipeline_does_not_allocate() {
         "steady-state tile pipeline allocated {per_tile} times over 256 tiles"
     );
 
-    // --- Part 1b: the zero-skipping path is just as allocation-free. ---
-    // Sparse activations route the engines through the occupancy-masked
-    // kernels (stack-resident masks and accumulators) and the plan-time
-    // LaneOccupancy is built outside the loop, so a ~90 %-zero input must
-    // still run the whole chain with zero per-tile allocations.
+    // --- Part 1b: the portion pipeline — the accelerator's hot path —
+    // is just as allocation-free, dense and ~90 %-zero. ---
+    // One 8×8 portion's channel pass per step: the input-region copy, the
+    // DWC portion kernel, Non-Conv #1 into the mid slab and the PWC
+    // accumulate over the input-channel-major weights, exactly as
+    // run_portion drives them.
     let mut sparse_padded = padded.clone();
     for (i, v) in sparse_padded.as_mut_slice().iter_mut().enumerate() {
         if i % 8 != 0 {
             *v = 0;
         }
     }
-    let mut pw_sparse = pw.clone();
-    for (i, v) in pw_sparse.as_mut_slice().iter_mut().enumerate() {
+    let mut pw_sparse = pw_t.clone();
+    for (i, v) in pw_sparse.iter_mut().enumerate() {
         if i % 3 == 0 {
             *v = 0;
         }
     }
-    let occ = LaneOccupancy::of_weights(&pw_sparse).expect("Td = 8 fits the mask word");
-    let sparse_tile = |row0: usize,
-                       col0: usize,
-                       window: &mut Tensor3<i8>,
-                       acc: &mut Tensor3<i32>,
-                       mid: &mut Tensor3<i8>,
-                       partial: &mut Tensor3<i32>| {
-        sparse_padded.copy_window_into(0, row0, col0, window);
-        dwc.compute_tile_into(window, &dw, 1, acc).unwrap();
-        nonconv
-            .apply_tile_into(acc, d.qnet.layers()[0].nonconv1(), mid)
+    let mut region = Tensor3::<i8>::zeros(8, 10, 10);
+    let mut portion_acc = Tensor3::<i32>::zeros(1, 1, 1);
+    let mut mid_slab = vec![0i8; 8 * 64];
+    let mut psum = vec![0i32; 64 * 16];
+    for (name, src) in [("dense", &padded), ("zero-skipping", &sparse_padded)] {
+        let mut step = |row0: usize, col0: usize| {
+            src.copy_window_into(0, row0, col0, &mut region);
+            dwc.compute_portion_into(
+                &region,
+                WeightSlice::new(dw.as_slice()),
+                1,
+                &mut portion_acc,
+            )
             .unwrap();
-        pwc.compute_tile_gated_into(mid, &pw_sparse, Some(&occ), partial)
-            .unwrap();
-    };
-    sparse_tile(0, 0, &mut window, &mut acc, &mut mid, &mut partial);
-    let before = CountingAllocator::allocations();
-    for i in 0..256usize {
-        let (r, c) = ((i / 16) * 2, (i % 16) * 2);
-        sparse_tile(r, c, &mut window, &mut acc, &mut mid, &mut partial);
+            nonconv
+                .apply_into_slice(
+                    &portion_acc,
+                    d.qnet.layers()[0].nonconv1(),
+                    0,
+                    &mut mid_slab,
+                )
+                .unwrap();
+            pwc.accumulate_portion(&mid_slab, WeightSlice::new(&pw_sparse), &mut psum)
+                .unwrap();
+        };
+        step(0, 0);
+        let before = CountingAllocator::allocations();
+        for i in 0..256usize {
+            step((i / 4 % 4) * 8, (i % 4) * 8);
+        }
+        let per_portion = CountingAllocator::allocations() - before;
+        assert_eq!(
+            per_portion, 0,
+            "{name} portion pipeline allocated {per_portion} times over 256 portion steps"
+        );
     }
-    let per_tile = CountingAllocator::allocations() - before;
-    assert_eq!(
-        per_tile, 0,
-        "zero-skipping tile pipeline allocated {per_tile} times over 256 tiles"
-    );
 
     // --- Part 2: a warm planned layer run allocates only a small, stable,
     // per-image set of output structures — not one per tile. ---
@@ -166,11 +185,12 @@ fn steady_state_tile_pipeline_does_not_allocate() {
         one_a, one_b,
         "warm runs must have a stable allocation count"
     );
-    // Layer 0 at width 0.25 runs 256 spatial tiles per image: if even one
-    // allocation per tile slipped back in, the count would exceed 256.
+    // Layer 0 at width 0.25 runs 16 portions (256 spatial tiles) per
+    // image: if even one allocation per portion slipped back in, the
+    // count would reach 16.
     assert!(
-        one_a < 64,
-        "warm single-image layer run allocated {one_a} times (256 tiles)"
+        one_a < 16,
+        "warm single-image layer run allocated {one_a} times (16 portions)"
     );
     // Doubling the batch doubles the tile work; the allocation count may
     // grow only by the per-image output set.

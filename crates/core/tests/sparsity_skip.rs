@@ -10,16 +10,22 @@
 //! 1. skip-path outputs equal a per-slot dense reference on tiles at every
 //!    sparsity level, including the shaped Fig.-11 profile end to end;
 //! 2. skip-path activity counts equal a brute-force per-slot count that
-//!    never skips anything.
+//!    never skips anything;
+//! 3. the portion kernels — one call per (portion, channel pass) covering
+//!    many modeled engine cycles — equal the sum of the per-tile
+//!    `compute_tile*` calls on the same data, in outputs *and* activity.
 
-use edea_core::engine::{DwcEngine, EngineActivity, LaneOccupancy, PwcEngine};
+use edea_core::engine::{DwcEngine, EngineActivity, PwcEngine, WeightSlice};
+use edea_core::nonconv::NonConvUnit;
 use edea_core::plan::NetworkPlan;
 use edea_core::EdeaConfig;
 use edea_nn::executor;
+use edea_nn::fold::FoldedAffine;
 use edea_tensor::conv::{depthwise_conv2d_i8, pointwise_conv2d_i8};
 use edea_tensor::rng;
 use edea_tensor::{Tensor3, Tensor4};
 use edea_testutil::{deploy, paper_edea};
+use proptest::prelude::*;
 
 /// Zeroes roughly `z` of a tensor's values, deterministically (an LCG on
 /// the flat index — independent of the vendored RNG streams).
@@ -163,14 +169,11 @@ fn pwc_gated_and_ungated_match_per_slot_reference_at_every_sparsity() {
         let out = engine.compute_tile(&ifmap, &weights).unwrap();
         assert_eq!(out.partial, reference, "z={z} ungated");
         assert_eq!(out.activity, activity, "z={z} ungated");
-        // Gated by the plan-time weight occupancy.
-        let occ = LaneOccupancy::of_weights(&weights).expect("td=8 fits the mask");
-        let mut partial = Tensor3::<i32>::zeros(1, 1, 1);
-        let act = engine
-            .compute_tile_gated_into(&ifmap, &weights, Some(&occ), &mut partial)
-            .unwrap();
-        assert_eq!(partial, reference, "z={z} gated");
-        assert_eq!(act, activity, "z={z} gated");
+        // The portion kernel on the plan's input-channel-major layout,
+        // with the plan-time zero-weight count.
+        let (partial, act) = pwc_portion(&engine, &ifmap, &weights);
+        assert_eq!(partial, reference, "z={z} portion");
+        assert_eq!(act, activity, "z={z} portion");
         assert_eq!(partial, pointwise_conv2d_i8(&ifmap, &weights));
     }
 }
@@ -197,25 +200,31 @@ fn activity_reports_modeled_slots_even_when_all_compute_is_skipped() {
 }
 
 #[test]
-fn lane_occupancy_recognizes_dense_and_sparse_tiles() {
+fn portion_pwc_handles_dense_and_sparse_weight_tiles() {
+    let cfg = EdeaConfig::paper();
+    let engine = PwcEngine::new(&cfg);
+    let ifmap = rng::uniform_i8_tensor3(8, 2, 2, 1, 127, 701);
     let dense = rng::uniform_i8_tensor4(16, 8, 1, 1, 1, 127, 700);
-    let occ = LaneOccupancy::of_weights(&dense).unwrap();
-    assert!(occ.all_full());
-    for k in 0..16 {
-        assert_eq!(occ.lane(k), 0xff);
-    }
+    let (out, act) = pwc_portion(&engine, &ifmap, &dense);
+    assert_eq!(out, pointwise_conv2d_i8(&ifmap, &dense));
+    assert_eq!(act.zero_weight_slots, 0);
     let mut sparse = dense.clone();
     sparse.as_mut_slice()[3] = 0; // lane 0, channel 3
-    let occ = LaneOccupancy::of_weights(&sparse).unwrap();
-    assert!(!occ.all_full());
-    assert_eq!(occ.lane(0), 0xff & !(1 << 3));
-    assert_eq!(occ.lane(1), 0xff);
-    // Depth beyond the mask word: no occupancy, engine runs unmasked.
-    let deep = Tensor4::<i8>::zeros(2, 65, 1, 1);
-    assert!(LaneOccupancy::of_weights(&deep).is_none());
-    // More lanes than the inline mask array: same fallback.
-    let wide = Tensor4::<i8>::zeros(LaneOccupancy::MAX_LANES + 1, 8, 1, 1);
-    assert!(LaneOccupancy::of_weights(&wide).is_none());
+    let (out, act) = pwc_portion(&engine, &ifmap, &sparse);
+    assert_eq!(out, pointwise_conv2d_i8(&ifmap, &sparse));
+    assert_eq!(act, pwc_reference(&ifmap, &sparse).1);
+    assert_eq!(act.zero_weight_slots, 4); // one zero weight × 4 pixels
+                                          // Depth beyond a 64-bit channel mask and more lanes than a 16-wide
+                                          // tile: the portion kernel has no mask word to outgrow.
+    let mut deep_cfg = cfg.clone();
+    deep_cfg.tile.td = 72;
+    let deep_engine = PwcEngine::new(&deep_cfg);
+    let mut deep_in = rng::uniform_i8_tensor3(72, 2, 2, -128, 127, 702);
+    sparsify3(&mut deep_in, 0.6, 3);
+    let wide = rng::uniform_i8_tensor4(17, 72, 1, 1, -128, 127, 703);
+    let (out, act) = pwc_portion(&deep_engine, &deep_in, &wide);
+    assert_eq!(out, pointwise_conv2d_i8(&deep_in, &wide));
+    assert_eq!(act, pwc_reference(&deep_in, &wide).1);
 }
 
 #[test]
@@ -246,4 +255,245 @@ fn shaped_network_outputs_and_activity_are_bit_identical_across_paths() {
             p.shape.index
         );
     }
+}
+
+/// `weights` `(K, Td, 1, 1)` transposed to the plan's input-channel-major
+/// `Td × K` layout.
+fn channel_major(weights: &Tensor4<i8>) -> Vec<i8> {
+    let (k, td, _, _) = weights.shape();
+    let mut out = vec![0i8; td * k];
+    for ki in 0..k {
+        for c in 0..td {
+            out[c * k + ki] = weights[(ki, c, 0, 0)];
+        }
+    }
+    out
+}
+
+/// A pixel-major `(rows, cols, K)` psum bank back to `(K, rows, cols)`.
+fn channel_planes(psum: &[i32], k: usize, rows: usize, cols: usize) -> Tensor3<i32> {
+    Tensor3::from_fn(k, rows, cols, |ki, r, c| psum[(r * cols + c) * k + ki])
+}
+
+/// One PWC portion-kernel call over `mid` `(Td, rows, cols)` with every
+/// output channel of `weights`, returned channel-major.
+fn pwc_portion(
+    engine: &PwcEngine,
+    mid: &Tensor3<i8>,
+    weights: &Tensor4<i8>,
+) -> (Tensor3<i32>, EngineActivity) {
+    let (_, rows, cols) = mid.shape();
+    let k = weights.shape().0;
+    let wt = channel_major(weights);
+    let mut psum = vec![0i32; rows * cols * k];
+    let act = engine
+        .accumulate_portion(mid.as_slice(), WeightSlice::new(&wt), &mut psum)
+        .unwrap();
+    (channel_planes(&psum, k, rows, cols), act)
+}
+
+/// The same work tile by tile: one `compute_tile` per `Tn×Tm` spatial
+/// tile × `Tk` kernel tile, each partial pasted into its place.
+fn pwc_by_tiles(
+    engine: &PwcEngine,
+    mid: &Tensor3<i8>,
+    weights: &Tensor4<i8>,
+) -> (Tensor3<i32>, EngineActivity) {
+    let (td, rows, cols) = mid.shape();
+    let k = weights.shape().0;
+    let mut out = Tensor3::<i32>::zeros(k, rows, cols);
+    let mut act = EngineActivity::default();
+    let mut tile = Tensor3::<i8>::zeros(td, 2, 2);
+    for r in (0..rows).step_by(2) {
+        for c in (0..cols).step_by(2) {
+            mid.copy_window_into(0, r, c, &mut tile);
+            for kt in (0..k).step_by(16) {
+                let t = engine
+                    .compute_tile(&tile, &weights.kernel_slice(kt, 16))
+                    .unwrap();
+                out.paste_window(kt, r, c, &t.partial);
+                act.merge(&t.activity);
+            }
+        }
+    }
+    (out, act)
+}
+
+/// One DWC portion-kernel call over a `(Td, Hr, Hc)` input region.
+fn dwc_portion(
+    engine: &DwcEngine,
+    window: &Tensor3<i8>,
+    weights: &Tensor4<i8>,
+    stride: usize,
+) -> (Tensor3<i32>, EngineActivity) {
+    let mut acc = Tensor3::<i32>::zeros(1, 1, 1);
+    let act = engine
+        .compute_portion_into(
+            window,
+            WeightSlice::new(weights.as_slice()),
+            stride,
+            &mut acc,
+        )
+        .unwrap();
+    (acc, act)
+}
+
+/// The same region tile by tile: one `compute_tile` per `Tn×Tm` output
+/// tile, on its `(Td, Tr, Tc)` window.
+fn dwc_by_tiles(
+    engine: &DwcEngine,
+    window: &Tensor3<i8>,
+    weights: &Tensor4<i8>,
+    stride: usize,
+    (rows, cols): (usize, usize),
+) -> (Tensor3<i32>, EngineActivity) {
+    let side = stride + 3;
+    let mut out = Tensor3::<i32>::zeros(8, rows, cols);
+    let mut act = EngineActivity::default();
+    let mut tile = Tensor3::<i8>::zeros(8, side, side);
+    for r in (0..rows).step_by(2) {
+        for c in (0..cols).step_by(2) {
+            window.copy_window_into(0, r * stride, c * stride, &mut tile);
+            let t = engine.compute_tile(&tile, weights, stride).unwrap();
+            out.paste_window(0, r, c, &t.acc);
+            act.merge(&t.activity);
+        }
+    }
+    (out, act)
+}
+
+/// Activation sparsities the portion cases draw from: dense, mid, the
+/// Fig.-11 late-layer levels and all-zero.
+const ACT_SPARSITY: [f64; 5] = [0.0, 0.5, 0.9, 0.97, 1.0];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// A `Dsc` stage's channel pass: DWC → Non-Conv #1 → PWC over a whole
+    /// portion in three kernel calls equals the per-tile chain, in the
+    /// accumulators, the intermediate slab, the psums and every activity
+    /// count — for portion extents 2..=8, stride 1 and 2, activation
+    /// sparsity up to all-zero and sparse weights.
+    #[test]
+    fn dsc_portion_kernels_equal_sum_of_tiles(
+        extent in (1usize..=4, 1usize..=4),
+        stride in 1usize..=2,
+        sparsity in (0usize..5, 0usize..3),
+        k_tiles in 1usize..=4,
+        seed in any::<u64>(),
+    ) {
+        let cfg = EdeaConfig::paper();
+        let (dwc, pwc, nonconv) = (DwcEngine::new(&cfg), PwcEngine::new(&cfg), NonConvUnit::new(&cfg));
+        let (rows, cols) = (2 * extent.0, 2 * extent.1);
+        let (z, wz) = (ACT_SPARSITY[sparsity.0], [0.0, 0.3, 0.7][sparsity.1]);
+        let (hr, hc) = ((rows - 1) * stride + 3, (cols - 1) * stride + 3);
+        let mut window = rng::uniform_i8_tensor3(8, hr, hc, -128, 127, seed);
+        sparsify3(&mut window, z, seed);
+        let mut dw = rng::uniform_i8_tensor4(8, 1, 3, 3, -128, 127, seed ^ 1);
+        sparsify4(&mut dw, wz, seed ^ 2);
+        let mut pw = rng::uniform_i8_tensor4(16 * k_tiles, 8, 1, 1, -128, 127, seed ^ 3);
+        sparsify4(&mut pw, wz, seed ^ 4);
+        let params: Vec<FoldedAffine> = (0..8)
+            .map(|c| FoldedAffine::fold(0.5 + c as f64 * 0.1, c as f64 - 4.0, 0.05, 0.05, 0.1))
+            .collect();
+
+        let (acc, dwc_act) = dwc_portion(&dwc, &window, &dw, stride);
+        let (tile_acc, tile_dwc_act) = dwc_by_tiles(&dwc, &window, &dw, stride, (rows, cols));
+        prop_assert_eq!(&acc, &tile_acc);
+        prop_assert_eq!(dwc_act, tile_dwc_act);
+        prop_assert_eq!(&acc, &depthwise_conv2d_i8(&window, &dw, stride, 0));
+
+        // Non-Conv #1 straight into a mid slab vs tile by tile.
+        let mut mid = Tensor3::<i8>::zeros(8, rows, cols);
+        let nc = nonconv.apply_into_slice(&acc, &params, 0, mid.as_mut_slice()).unwrap();
+        let mut tile_mid = Tensor3::<i8>::zeros(8, rows, cols);
+        let mut tile_ops = 0;
+        let mut acc_tile = Tensor3::<i32>::zeros(8, 2, 2);
+        for r in (0..rows).step_by(2) {
+            for c in (0..cols).step_by(2) {
+                tile_acc.copy_window_into(0, r, c, &mut acc_tile);
+                let (t, a) = nonconv.apply_tile(&acc_tile, &params).unwrap();
+                tile_mid.paste_window(0, r, c, &t);
+                tile_ops += a.ops;
+            }
+        }
+        prop_assert_eq!(&mid, &tile_mid);
+        prop_assert_eq!(nc.ops, tile_ops);
+
+        let (psum, pwc_act) = pwc_portion(&pwc, &mid, &pw);
+        let (tile_psum, tile_pwc_act) = pwc_by_tiles(&pwc, &mid, &pw);
+        prop_assert_eq!(&psum, &tile_psum);
+        prop_assert_eq!(pwc_act, tile_pwc_act);
+        prop_assert_eq!(&psum, &pointwise_conv2d_i8(&mid, &pw));
+    }
+
+    /// A `PwcOnly` stage's channel pass: the PWC portion kernel fed
+    /// straight from the input region equals the per-tile engine.
+    #[test]
+    fn pwc_only_portion_kernel_equals_sum_of_tiles(
+        extent in (1usize..=4, 1usize..=4),
+        sparsity in (0usize..5, 0usize..3),
+        k_tiles in 1usize..=4,
+        seed in any::<u64>(),
+    ) {
+        let pwc = PwcEngine::new(&EdeaConfig::paper());
+        let (rows, cols) = (2 * extent.0, 2 * extent.1);
+        let mut input = rng::uniform_i8_tensor3(8, rows, cols, -128, 127, seed);
+        sparsify3(&mut input, ACT_SPARSITY[sparsity.0], seed);
+        let mut pw = rng::uniform_i8_tensor4(16 * k_tiles, 8, 1, 1, -128, 127, seed ^ 5);
+        sparsify4(&mut pw, [0.0, 0.3, 0.7][sparsity.1], seed ^ 6);
+        let (psum, act) = pwc_portion(&pwc, &input, &pw);
+        let (tile_psum, tile_act) = pwc_by_tiles(&pwc, &input, &pw);
+        prop_assert_eq!(&psum, &tile_psum);
+        prop_assert_eq!(act, tile_act);
+        prop_assert_eq!(act, pwc_reference(&input, &pw).1);
+    }
+
+    /// The last layers' shape: a one-tile portion (2×2 pixels) against
+    /// K = 1024 output channels, 64 kernel tiles per call.
+    #[test]
+    fn one_tile_k1024_portion_equals_sum_of_tiles(
+        sparsity in (0usize..5, 0usize..3),
+        seed in any::<u64>(),
+    ) {
+        let pwc = PwcEngine::new(&EdeaConfig::paper());
+        let mut mid = rng::uniform_i8_tensor3(8, 2, 2, -128, 127, seed);
+        sparsify3(&mut mid, ACT_SPARSITY[sparsity.0], seed);
+        let mut pw = rng::uniform_i8_tensor4(1024, 8, 1, 1, -128, 127, seed ^ 7);
+        sparsify4(&mut pw, [0.0, 0.3, 0.7][sparsity.1], seed ^ 8);
+        let (psum, act) = pwc_portion(&pwc, &mid, &pw);
+        let (tile_psum, tile_act) = pwc_by_tiles(&pwc, &mid, &pw);
+        prop_assert_eq!(&psum, &tile_psum);
+        prop_assert_eq!(act, tile_act);
+        prop_assert_eq!(act.mac_slots, 64 * 512);
+    }
+}
+
+#[test]
+fn portion_kernels_reject_partial_tiles() {
+    let cfg = EdeaConfig::paper();
+    let (dwc, pwc) = (DwcEngine::new(&cfg), PwcEngine::new(&cfg));
+    let w = [1i8; 72];
+    let mut acc = Tensor3::<i32>::zeros(1, 1, 1);
+    // 3 output rows at stride 1 is not a whole number of 2-row tiles.
+    let odd = Tensor3::<i8>::zeros(8, 5, 4);
+    assert!(dwc
+        .compute_portion_into(&odd, WeightSlice::new(&w), 1, &mut acc)
+        .is_err());
+    // A 6×6 region is no whole number of output rows at stride 2.
+    let ragged = Tensor3::<i8>::zeros(8, 6, 6);
+    assert!(dwc
+        .compute_portion_into(&ragged, WeightSlice::new(&w), 2, &mut acc)
+        .is_err());
+    // Six pixels are not a whole number of 4-pixel tiles; a psum bank
+    // of the wrong size is refused.
+    let pw = [1i8; 8 * 16];
+    let mut psum = vec![0i32; 6 * 16];
+    assert!(pwc
+        .accumulate_portion(&[1i8; 8 * 6], WeightSlice::new(&pw), &mut psum)
+        .is_err());
+    let mut short = vec![0i32; 4 * 16 - 1];
+    assert!(pwc
+        .accumulate_portion(&[1i8; 8 * 4], WeightSlice::new(&pw), &mut short)
+        .is_err());
 }

@@ -171,17 +171,35 @@ impl<T: Copy + Default> Tensor3<T> {
     ///
     /// Panics if the window exceeds this tensor's bounds.
     pub fn copy_window_into(&self, c0: usize, h0: usize, w0: usize, out: &mut Self) {
-        let (cn, hn, wn) = out.shape();
+        let shape = out.shape();
+        self.copy_window_to_slice((c0, h0, w0), shape, &mut out.data);
+    }
+
+    /// [`Tensor3::copy_window_into`] into a plain slice holding a window of
+    /// `shape = (cn, hn, wn)` in channel-major order — for writing a window
+    /// straight into a channel slab of a larger tensor.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the window exceeds this tensor's bounds or `out` is not
+    /// exactly `cn·hn·wn` long.
+    pub fn copy_window_to_slice(
+        &self,
+        (c0, h0, w0): (usize, usize, usize),
+        (cn, hn, wn): (usize, usize, usize),
+        out: &mut [T],
+    ) {
         assert!(
             c0 + cn <= self.c && h0 + hn <= self.h && w0 + wn <= self.w,
             "window ({cn}, {hn}, {wn}) at ({c0}, {h0}, {w0}) exceeds shape {:?}",
             self.shape()
         );
+        assert_eq!(out.len(), cn * hn * wn, "window slice length");
         for c in 0..cn {
             for h in 0..hn {
                 let src = ((c0 + c) * self.h + (h0 + h)) * self.w + w0;
                 let dst = (c * hn + h) * wn;
-                out.data[dst..dst + wn].copy_from_slice(&self.data[src..src + wn]);
+                out[dst..dst + wn].copy_from_slice(&self.data[src..src + wn]);
             }
         }
     }
