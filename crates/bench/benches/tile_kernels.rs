@@ -134,23 +134,18 @@ fn bench_tile_kernels(c: &mut Criterion) {
     });
 
     let mut partial = Tensor3::<i32>::zeros(2, 2, 16);
+    let pw_tile = WeightSlice::new(&pw_weights);
     g.bench_function("pwc_dense_256_tiles", |b| {
         b.iter(|| {
             for t in &pw_dense {
-                black_box(
-                    pwc.compute_tile_into(t, WeightSlice::new(&pw_weights), &mut partial)
-                        .unwrap(),
-                );
+                black_box(pwc.compute_tile_into(t, pw_tile, &mut partial).unwrap());
             }
         });
     });
     g.bench_function("pwc_sparse_256_tiles", |b| {
         b.iter(|| {
             for t in &pw_sparse {
-                black_box(
-                    pwc.compute_tile_into(t, WeightSlice::new(&pw_weights), &mut partial)
-                        .unwrap(),
-                );
+                black_box(pwc.compute_tile_into(t, pw_tile, &mut partial).unwrap());
             }
         });
     });
@@ -163,26 +158,25 @@ fn bench_tile_kernels(c: &mut Criterion) {
         let pix = side * side;
         let mut psum = vec![0i32; pix * k];
         let mut region = case.region.clone();
+        // Zero counts are taken once, as the plan does.
+        let dw_slice = WeightSlice::new(case.dw.as_slice());
+        let pw_slice = WeightSlice::new(&case.pw_t);
+        let tile_slices: Vec<WeightSlice<'_>> = case
+            .kernel_tiles
+            .iter()
+            .map(|w| WeightSlice::new(w))
+            .collect();
         g.bench_function(&format!("portion_{name}"), |b| {
             b.iter(|| {
                 case.region.copy_window_into(0, 0, 0, &mut region);
                 black_box(
-                    dwc.compute_portion_into(
-                        &region,
-                        WeightSlice::new(case.dw.as_slice()),
-                        1,
-                        &mut acc,
-                    )
-                    .unwrap(),
+                    dwc.compute_portion_into(&region, dw_slice, 1, &mut acc)
+                        .unwrap(),
                 );
                 psum.fill(0);
                 black_box(
-                    pwc.accumulate_portion(
-                        case.mid.as_slice(),
-                        WeightSlice::new(&case.pw_t),
-                        &mut psum,
-                    )
-                    .unwrap(),
+                    pwc.accumulate_portion(case.mid.as_slice(), pw_slice, &mut psum)
+                        .unwrap(),
                 );
             });
         });
@@ -199,11 +193,8 @@ fn bench_tile_kernels(c: &mut Criterion) {
                                 .unwrap(),
                         );
                         case.mid.copy_window_into(0, r, col, &mut mid_tile);
-                        for (kt, w) in case.kernel_tiles.iter().enumerate() {
-                            black_box(
-                                pwc.compute_tile_into(&mid_tile, WeightSlice::new(w), &mut partial)
-                                    .unwrap(),
-                            );
+                        for (kt, &w) in tile_slices.iter().enumerate() {
+                            black_box(pwc.compute_tile_into(&mid_tile, w, &mut partial).unwrap());
                             for (p, sums) in partial.as_slice().chunks_exact(16).enumerate() {
                                 let at = ((r + p / 2) * side + col + p % 2) * k + kt * 16;
                                 for (dst, &v) in psum[at..at + 16].iter_mut().zip(sums) {
