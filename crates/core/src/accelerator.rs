@@ -1,10 +1,11 @@
 //! The functional accelerator simulator.
 //!
-//! [`Edea::run_layer`] executes one quantized DSC layer exactly as the
-//! silicon would: portion by portion, channel pass by channel pass, tile by
-//! tile through the DWC engine, Non-Conv unit, intermediate buffer, PWC
-//! engine and psum SRAM — counting every buffer and external-memory access
-//! on the way. Its outputs are **bit-exact** with `edea-nn`'s golden
+//! [`Edea::run_layer`] executes one quantized DSC layer on the silicon's
+//! schedule: portion by portion, channel pass by channel pass through the
+//! DWC engine, Non-Conv unit, intermediate buffer, PWC engine and psum
+//! SRAM — counting every engine cycle, buffer and external-memory access
+//! of the tile-by-tile hardware on the way, while the host runs each
+//! `(portion, channel pass, image)` step as one kernel call per unit. Its outputs are **bit-exact** with `edea-nn`'s golden
 //! executor (checked in tests and again in the integration suite), and its
 //! cycle accounting is cross-checked against the analytic model of
 //! [`crate::timing`].
@@ -162,7 +163,7 @@ impl Edea {
         &self.cfg
     }
 
-    /// The host-parallelism knob for the per-portion tile loop.
+    /// The host-parallelism knob for the portion loop.
     #[must_use]
     pub fn parallelism(&self) -> Parallelism {
         self.par
@@ -177,7 +178,7 @@ impl Edea {
         self.par_warning.as_deref()
     }
 
-    /// Sets the host thread count for the per-portion tile loop. This is a
+    /// Sets the host thread count for the portion loop. This is a
     /// host-simulation knob, not an architecture parameter: any setting
     /// produces bit-identical outputs, statistics and traffic counters
     /// (see [`crate::par`] for the contract).
@@ -565,9 +566,10 @@ impl Edea {
     /// baseline accounting exactly (every image re-fetches all weights);
     /// `PerBatch` fetches each weight tile once for the whole batch.
     ///
-    /// The tile loop works entirely in `scratch`'s reusable buffers —
+    /// The portion loop works entirely in `scratch`'s reusable buffers —
     /// reserved once up front, so the steady state performs zero heap
-    /// allocations per tile (guarded by the allocation-regression test).
+    /// allocations per portion (guarded by the allocation-regression
+    /// test).
     ///
     /// With [`Edea::parallelism`] above one thread, portions are statically
     /// partitioned into contiguous lanes ([`par::chunk_ranges`]) and run

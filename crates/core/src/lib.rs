@@ -23,10 +23,11 @@
 //!   holds weight tiles resident across a batch of images, cutting external
 //!   weight traffic per image to `1/N` at the cost of one psum bank per
 //!   in-flight image.
-//! * [`plan`] / [`scratch`] — the hot-path support structures: pre-sliced
-//!   weight plans ([`plan::NetworkPlan`], cached by long-lived sessions)
-//!   and the reusable tile-buffer arena ([`scratch::TileScratch`]) that
-//!   makes the steady-state tile loop allocation-free.
+//! * [`plan`] / [`scratch`] — the hot-path support structures: weight
+//!   plans laid out for the portion kernels ([`plan::NetworkPlan`], cached
+//!   by long-lived sessions) and the reusable buffer arena
+//!   ([`scratch::TileScratch`]) that makes the steady-state portion loop
+//!   allocation-free.
 //! * [`timing`] — the analytic latency model (Eq. 1/Eq. 2) reproducing the
 //!   paper's per-layer latency and throughput (Figs. 10, 13).
 //! * [`pipeline`] — a cycle-accurate pipeline simulation (Fig. 7),
@@ -45,7 +46,7 @@
 //!   aggregate throughput/SLO statistics.
 //! * [`par`] — the deterministic scoped thread pool: a host-`Parallelism`
 //!   knob (default serial, `EDEA_THREADS` overridable) that fans
-//!   independent portions of the tile loop and independent pool workers
+//!   independent portions of a layer and independent pool workers
 //!   across `std::thread::scope` lanes under a strict static-partition /
 //!   one-writer / fixed-order-reduction contract, so every simulated
 //!   number stays bit-identical at every thread count.

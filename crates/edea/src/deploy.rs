@@ -158,7 +158,7 @@ impl DeploymentBuilder {
     /// Number of host threads the simulation may use (default: the
     /// `EDEA_THREADS` environment variable, falling back to 1). `1` is the
     /// serial reference path; any `n` produces bit-identical results — the
-    /// thread pool only parallelizes independent portions of the tile loop
+    /// thread pool only parallelizes independent portions of a layer
     /// and independent pool workers, never the simulated clock (see the
     /// `edea_core::par` module docs for the determinism contract).
     #[must_use]

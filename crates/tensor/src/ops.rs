@@ -251,9 +251,8 @@ pub fn all_zero_i8(values: &[i8]) -> bool {
 /// partial row (when `values.len()` is not a multiple of `row_len`) counts
 /// as a row of its own.
 ///
-/// The engines use this on a `(channels × pixels)` activation tile to find
-/// the channels a dot-product lane can skip entirely; the weight-side twin
-/// is precomputed per layer in the slicing plan.
+/// On a `(channels × pixels)` activation tile this finds the channels a
+/// dot-product lane can skip entirely.
 ///
 /// # Panics
 ///
