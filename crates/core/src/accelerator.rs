@@ -22,7 +22,7 @@ use edea_tensor::{Batch, Tensor3};
 
 use crate::buffer::BufferSet;
 use crate::config::EdeaConfig;
-use crate::engine::{DwcEngine, EngineActivity, PwcEngine};
+use crate::engine::{transpose_into, DwcEngine, EngineActivity, PwcEngine};
 use crate::nonconv::NonConvUnit;
 use crate::par::{self, Parallelism};
 use crate::plan::{LayerPlan, NetworkPlan};
@@ -520,12 +520,7 @@ impl Edea {
             scratch
                 .drain
                 .resize_for_overwrite(s.k_out, portion.rows, portion.cols);
-            let drain = scratch.drain.as_mut_slice();
-            for (p, sums) in psum.as_slice().chunks_exact(s.k_out).enumerate() {
-                for (k, &v) in sums.iter().enumerate() {
-                    drain[k * pix + p] = v;
-                }
-            }
+            transpose_into(psum.as_slice(), pix, s.k_out, scratch.drain.as_mut_slice());
             let nc = if let Some(res_imgs) = residuals {
                 let r = layer
                     .residual_scale()

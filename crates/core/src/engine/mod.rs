@@ -63,6 +63,26 @@ pub(crate) fn count_zeros(values: &[i8]) -> u64 {
     values.iter().map(|&v| u64::from(v == 0)).sum()
 }
 
+/// Writes the `cols × rows` transpose of the row-major `rows × cols`
+/// matrix `src` into `out`, in square blocks so both sides stay
+/// cache-resident — the layout changes between a layer's output-channel-
+/// major pointwise weights and the kernels' input-channel-major ones, and
+/// between a pixel-major psum bank and channel planes.
+pub(crate) fn transpose_into<T: Copy>(src: &[T], rows: usize, cols: usize, out: &mut [T]) {
+    const BLOCK: usize = 32;
+    debug_assert_eq!(src.len(), rows * cols);
+    debug_assert_eq!(out.len(), rows * cols);
+    for r0 in (0..rows).step_by(BLOCK) {
+        for c0 in (0..cols).step_by(BLOCK) {
+            for r in r0..(r0 + BLOCK).min(rows) {
+                for c in c0..(c0 + BLOCK).min(cols) {
+                    out[c * rows + r] = src[r * cols + c];
+                }
+            }
+        }
+    }
+}
+
 /// Activity statistics of one engine invocation.
 ///
 /// `mac_slots` counts every multiplier slot exercised (the engines always

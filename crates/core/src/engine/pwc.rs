@@ -15,7 +15,7 @@
 use edea_tensor::{Tensor3, Tensor4};
 
 use crate::config::EdeaConfig;
-use crate::engine::{EngineActivity, WeightSlice};
+use crate::engine::{transpose_into, EngineActivity, WeightSlice};
 use crate::CoreError;
 
 /// Output of one PWC engine cycle.
@@ -81,14 +81,16 @@ impl PwcEngine {
             });
         }
         let mut by_channel = vec![0i8; self.td * self.tk];
-        for (k, lane) in weights.as_slice().chunks_exact(self.td).enumerate() {
-            for (c, &w) in lane.iter().enumerate() {
-                by_channel[c * self.tk + k] = w;
-            }
-        }
+        transpose_into(weights.as_slice(), self.tk, self.td, &mut by_channel);
         let mut sums = Tensor3::<i32>::zeros(self.tn, self.tm, self.tk);
         let activity = self.compute_tile_into(ifmap, WeightSlice::new(&by_channel), &mut sums)?;
-        let partial = Tensor3::from_fn(self.tk, self.tn, self.tm, |k, n, m| sums[(n, m, k)]);
+        let mut partial = Tensor3::<i32>::zeros(self.tk, self.tn, self.tm);
+        transpose_into(
+            sums.as_slice(),
+            self.tn * self.tm,
+            self.tk,
+            partial.as_mut_slice(),
+        );
         Ok(PwcTileOutput { partial, activity })
     }
 
