@@ -3,12 +3,18 @@
 //! [`Edea::run_layer`] executes one quantized DSC layer on the silicon's
 //! schedule: portion by portion, channel pass by channel pass through the
 //! DWC engine, Non-Conv unit, intermediate buffer, PWC engine and psum
-//! SRAM — counting every engine cycle, buffer and external-memory access
-//! of the tile-by-tile hardware on the way, while the host runs each
-//! `(portion, channel pass, image)` step as one kernel call per unit. Its outputs are **bit-exact** with `edea-nn`'s golden
-//! executor (checked in tests and again in the integration suite), and its
-//! cycle accounting is cross-checked against the analytic model of
-//! [`crate::timing`].
+//! SRAM, with the host running each `(portion, channel pass, image)` step
+//! as one kernel call per unit. Its outputs are **bit-exact** with
+//! `edea-nn`'s golden executor (checked in tests and again in the
+//! integration suite).
+//!
+//! What the run counts is only what depends on the data: the engines'
+//! MAC, zero-activation and zero-weight slots, and the zero fractions of
+//! the input, intermediate and output maps. Every cycle and byte count of
+//! the tile-by-tile hardware depends only on the layer shape and comes
+//! from the traffic ledger ([`crate::stats::layer_ledger`]); whether the
+//! buffers can hold the schedule is checked once per layer, before the
+//! portion loop ([`crate::buffer::check_capacity`]).
 //!
 //! [`Edea::run_batch`] runs a whole batch of images through the batched
 //! loop nest of [`crate::schedule`]: weight tiles are fetched from
@@ -20,7 +26,7 @@ use edea_nn::quantize::{QuantizedDscLayer, QuantizedDscNetwork};
 use edea_nn::workload::StageOp;
 use edea_tensor::{Batch, Tensor3};
 
-use crate::buffer::BufferSet;
+use crate::buffer::check_capacity;
 use crate::config::EdeaConfig;
 use crate::engine::{transpose_into, DwcEngine, EngineActivity, PwcEngine};
 use crate::nonconv::NonConvUnit;
@@ -28,8 +34,7 @@ use crate::par::{self, Parallelism};
 use crate::plan::{LayerPlan, NetworkPlan};
 use crate::schedule::{portions, Portion, WeightResidency};
 use crate::scratch::TileScratch;
-use crate::stats::{BatchLayerStats, BatchNetworkStats, BufferTraffic, LayerStats, NetworkStats};
-use crate::timing;
+use crate::stats::{layer_ledger, BatchLayerStats, BatchNetworkStats, LayerStats, NetworkStats};
 use crate::CoreError;
 
 /// Result of running one layer.
@@ -92,26 +97,20 @@ fn split_slots<'a, T>(
     out
 }
 
-/// Per-portion activity counters, accumulated lane-locally by the portion
+/// Per-portion engine activity, accumulated lane-locally by the portion
 /// loop and merged in lane order afterwards. Every field is an exact
-/// (`u64` or counter-struct) sum, so the fixed-order merge reproduces the
-/// serial totals bit for bit.
+/// counter sum, so the fixed-order merge reproduces the serial totals bit
+/// for bit.
 #[derive(Debug, Default)]
 struct PortionTally {
     dwc_activity: EngineActivity,
     pwc_activity: EngineActivity,
-    nonconv_ops: u64,
-    dwc_invocations: u64,
-    pwc_invocations: u64,
 }
 
 impl PortionTally {
     fn merge(&mut self, other: &Self) {
         self.dwc_activity.merge(&other.dwc_activity);
         self.pwc_activity.merge(&other.pwc_activity);
-        self.nonconv_ops += other.nonconv_ops;
-        self.dwc_invocations += other.dwc_invocations;
-        self.pwc_invocations += other.pwc_invocations;
     }
 }
 
@@ -180,8 +179,8 @@ impl Edea {
 
     /// Sets the host thread count for the portion loop. This is a
     /// host-simulation knob, not an architecture parameter: any setting
-    /// produces bit-identical outputs, statistics and traffic counters
-    /// (see [`crate::par`] for the contract).
+    /// produces bit-identical outputs and statistics (see [`crate::par`]
+    /// for the contract).
     #[must_use]
     pub fn with_parallelism(mut self, par: Parallelism) -> Self {
         self.set_parallelism(par);
@@ -230,8 +229,8 @@ impl Edea {
     /// disjointness across lanes, exact ofmap coverage, the per-lane slot
     /// partition and all buffer-capacity bounds, at this accelerator's
     /// [`Edea::parallelism`]. A long-lived deployment calls this once up
-    /// front; debug builds additionally re-prove the same facts inside
-    /// every layer execution.
+    /// front; every layer execution re-runs the capacity check, and debug
+    /// builds additionally re-prove the race proofs.
     ///
     /// # Errors
     ///
@@ -339,25 +338,26 @@ impl Edea {
         self.execute_layer(layer, plan, inputs, None, residency, scratch)
     }
 
-    /// One portion of the layer schedule: psum residency, the channel-pass
-    /// × image loop, and the drain — writing **portion-local**
-    /// intermediate (`mids`) and output (`outs`) maps (one slot per image)
-    /// and counting traffic into the caller's `buffers`/`tally`.
+    /// One portion of the layer schedule: psum banks, the channel-pass ×
+    /// image loop, and the drain — writing **portion-local** intermediate
+    /// (`mids`) and output (`outs`) maps (one slot per image) and summing
+    /// engine activity into the caller's `tally`.
     ///
     /// Each `(channel pass, image)` step is four host calls whatever the
     /// portion's size: one copy of the input region, one DWC portion
     /// kernel, one Non-Conv #1 straight into the mid slot's channel slab,
     /// and one PWC accumulate over every kernel tile. One modeled engine
     /// cycle is one spatial tile (DWC) or one spatial tile × kernel tile
-    /// (PWC); the kernels cover all of the step's cycles at once, their
-    /// activity is the exact per-cycle sum, and the buffer counters move
-    /// by `cycles × per-cycle bytes` here.
+    /// (PWC); the kernels cover all of the step's cycles at once and their
+    /// activity is the exact per-cycle sum. The step's weight and ifmap
+    /// loads, buffer transfers and psum read-modify-writes are not counted
+    /// here: they depend only on the shape and come from the ledger.
     ///
     /// This is the unit the parallel portion loop distributes across
     /// lanes: a portion touches only its own output rectangle, its lane's
-    /// scratch and its lane's counters, so any static partition of
-    /// portions is race-free by construction, and every count it produces
-    /// is a pure function of the portion alone (identical in any lane).
+    /// scratch and its lane's tally, so any static partition of portions
+    /// is race-free by construction, and every count it produces is a
+    /// pure function of the portion alone (identical in any lane).
     #[allow(clippy::too_many_arguments)]
     fn run_portion(
         &self,
@@ -365,32 +365,18 @@ impl Edea {
         plan: &LayerPlan,
         padded: &[Tensor3<i8>],
         residuals: Option<&[Tensor3<i8>]>,
-        residency: WeightResidency,
         portion: &Portion,
-        buffers: &mut BufferSet,
         scratch: &mut TileScratch,
         mids: &mut [Tensor3<i8>],
         outs: &mut [Tensor3<i8>],
         tally: &mut PortionTally,
     ) -> Result<(), CoreError> {
         let s = layer.shape();
-        let t = self.cfg.tile;
-        let (td, tk, tn, tm) = (t.td, t.tk, t.tn, t.tm);
-        let pad = s.pad();
+        let td = self.cfg.tile.td;
         let n_images = padded.len();
-        let channel_passes = s.d_in / td;
-        let kernel_tiles = s.k_out / tk;
-        let tr = (tn - 1) * s.stride + s.kernel;
-        let tc = (tm - 1) * s.stride + s.kernel;
         let pix = portion.pixels();
-        // Modeled engine cycles per (channel pass, image).
-        let dwc_cycles = portion.rows.div_ceil(tn) * portion.cols.div_ceil(tm);
-        let pwc_cycles = dwc_cycles * kernel_tiles;
 
-        // Per-portion psum SRAM residency, one bank per in-flight image
-        // (write traffic is counted per PWC invocation in execute_layer).
-        let psum_bytes = pix * s.k_out * 4;
-        buffers.psum.reserve(n_images * psum_bytes)?;
+        // One psum bank per in-flight image.
         for psum in scratch.psums.iter_mut().take(n_images) {
             psum.resize_zeroed(portion.rows, portion.cols, s.k_out);
         }
@@ -405,39 +391,9 @@ impl Edea {
                 (portion.cols - 1) * s.stride + s.kernel,
             );
         }
-        let (_, _, rows, cols) = portion.input_region(s.stride, s.kernel, pad, s.in_spatial);
-        let slice_bytes = rows * cols * td;
-        let pw_bytes = td * s.k_out;
 
-        for ct in 0..channel_passes {
-            // Weight-side initiation: the weight-slice registers, the
-            // offline parameters and the PWC weight slice for this
-            // channel window × all kernels. With resident weights this
-            // happens once and serves every image of the batch. A PwcOnly
-            // stage has no DWC weights and no DWC-side Non-Conv
-            // parameters, so only the PWC slice moves.
-            let load_weight_slices = |buffers: &mut BufferSet| -> Result<(), CoreError> {
-                if s.op == StageOp::Dsc {
-                    buffers.dwc_weight.read(s.kernel * s.kernel * td);
-                    buffers.offline.read(6 * td);
-                }
-                buffers.external.read_weights(pw_bytes);
-                buffers.pwc_weight.fill(pw_bytes)
-            };
-            if residency == WeightResidency::PerBatch {
-                load_weight_slices(buffers)?;
-            }
-
+        for ct in 0..s.d_in / td {
             for (img, padded_img) in padded.iter().enumerate() {
-                if residency == WeightResidency::PerImage {
-                    load_weight_slices(buffers)?;
-                }
-                // Ifmap-side initiation: this image's slice for the
-                // portion's channel window (with halo) — inherently
-                // per-image. Every DWC cycle then reads its tile window.
-                buffers.external.read_ifmap(slice_bytes);
-                buffers.ifmap.fill(slice_bytes)?;
-                buffers.ifmap.read(dwc_cycles * tr * tc * td);
                 let slab = &mut mids[img].as_mut_slice()[ct * td * pix..(ct + 1) * td * pix];
                 match s.op {
                     StageOp::Dsc => {
@@ -454,50 +410,37 @@ impl Edea {
                             &mut scratch.dwc_acc,
                         )?;
                         tally.dwc_activity.merge(&act);
-                        tally.dwc_invocations += dwc_cycles as u64;
                         // Non-Conv: fold to int8 and stream to the
                         // intermediate buffer (direct data transfer — no
                         // external round trip), here straight into the
                         // portion's mid slab.
-                        let nc = self.nonconv.apply_into_slice(
+                        self.nonconv.apply_into_slice(
                             &scratch.dwc_acc,
                             &layer.nonconv1()[ct * td..],
                             0,
                             slab,
                         )?;
-                        tally.nonconv_ops += nc.ops;
-                        buffers.intermediate.fill_times(tn * tm * td, dwc_cycles)?;
-                        buffers.intermediate.read(pwc_cycles * tn * tm * td);
                     }
                     // PwcOnly: the DWC engine, Non-Conv #1 and the
                     // intermediate buffer are bypassed — the PWC is fed
-                    // straight from the ifmap buffer, re-reading each
-                    // tile once per kernel tile.
+                    // straight from the ifmap buffer.
                     StageOp::PwcOnly => {
                         padded_img.copy_window_to_slice(
                             (ct * td, portion.row0, portion.col0),
                             (td, portion.rows, portion.cols),
                             slab,
                         );
-                        buffers.ifmap.read(pwc_cycles * tn * tm * td);
                     }
                 }
 
                 // PWC: every kernel tile of every spatial tile,
                 // accumulating into this image's psum bank.
-                buffers.pwc_weight.read(pwc_cycles * td * tk);
                 let act = self.pwc.accumulate_portion(
                     slab,
                     plan.pw_slice(ct),
                     scratch.psums[img].as_mut_slice(),
                 )?;
                 tally.pwc_activity.merge(&act);
-                tally.pwc_invocations += pwc_cycles as u64;
-                // Read-modify-write: the first pass writes fresh values,
-                // later passes read the running sums first.
-                if ct > 0 {
-                    buffers.psum.read(pwc_cycles * tk * tn * tm * 4);
-                }
             }
         }
 
@@ -515,19 +458,17 @@ impl Edea {
             .zip(outs.iter_mut())
             .enumerate()
         {
-            buffers.psum.read(psum_bytes);
             // The bank is pixel-major; the Non-Conv drains channel planes.
             scratch
                 .drain
                 .resize_for_overwrite(s.k_out, portion.rows, portion.cols);
             transpose_into(psum.as_slice(), pix, s.k_out, scratch.drain.as_mut_slice());
-            let nc = if let Some(res_imgs) = residuals {
+            if let Some(res_imgs) = residuals {
                 let r = layer
                     .residual_scale()
                     .ok_or_else(|| CoreError::UnsupportedShape {
                         detail: format!("layer {}: residual add without a residual scale", s.index),
                     })?;
-                buffers.external.read_ifmap(pix * s.k_out);
                 scratch
                     .res_tile
                     .resize_zeroed(s.k_out, portion.rows, portion.cols);
@@ -544,15 +485,12 @@ impl Edea {
                     r,
                     lo,
                     out,
-                )?
+                )?;
             } else {
                 self.nonconv
-                    .apply_tile_into_clipped(&scratch.drain, layer.nonconv2(), lo, out)?
-            };
-            tally.nonconv_ops += nc.ops;
-            buffers.external.write(pix * s.k_out);
+                    .apply_tile_into_clipped(&scratch.drain, layer.nonconv2(), lo, out)?;
+            }
         }
-        buffers.psum.clear();
         Ok(())
     }
 
@@ -566,14 +504,19 @@ impl Edea {
     /// allocations per portion (guarded by the allocation-regression
     /// test).
     ///
+    /// Before the portion loop the layer's buffer residencies are checked
+    /// against their capacities ([`check_capacity`]); after it the
+    /// statistics are the layer's [`layer_ledger`] plus the measured engine
+    /// activity and zero fractions.
+    ///
     /// With [`Edea::parallelism`] above one thread, portions are statically
     /// partitioned into contiguous lanes ([`par::chunk_ranges`]) and run
     /// concurrently: each lane owns a private [`TileScratch`], a private
-    /// [`BufferSet`] for counting and its own portion-local output slots,
-    /// then lanes are reduced **in lane order** (exact `u64` counter sums,
-    /// first error in portion order) and the portion outputs pasted in
-    /// portion order — bit-identical to the serial run by construction
-    /// (see [`crate::par`]) and enforced by the `parallel_identity` suite.
+    /// activity tally and its own portion-local output slots, then lanes
+    /// are reduced **in lane order** (exact counter sums, first error in
+    /// portion order) and the portion outputs pasted in portion order —
+    /// bit-identical to the serial run by construction (see [`crate::par`])
+    /// and enforced by the `parallel_identity` suite.
     fn execute_layer(
         &self,
         layer: &QuantizedDscLayer,
@@ -636,36 +579,12 @@ impl Edea {
                 });
             }
         }
-        let t = self.cfg.tile;
-        let (tk, tn, tm) = (t.tk, t.tn, t.tm);
         let out = s.out_spatial();
-        let pad = s.pad();
         let n_images = inputs.len();
-        let padded: Vec<Tensor3<i8>> = inputs.iter().map(|i| i.zero_padded(pad)).collect();
+        let ports = portions(out, self.cfg.portion_limit);
+        check_capacity(&s, &self.cfg, &ports, n_images)?;
+        let padded: Vec<Tensor3<i8>> = inputs.iter().map(|i| i.zero_padded(s.pad())).collect();
         scratch.reserve(&s, &self.cfg, n_images);
-
-        let mut buffers = BufferSet::for_batch(&self.cfg, n_images);
-        // Layer-setup transfers: all DWC weights and the Non-Conv
-        // parameter sets the stage actually uses — once per batch with
-        // resident weights, once per image in the baseline. PwcOnly
-        // stages have neither DWC weights nor a DWC-side parameter set.
-        let weight_loads = match residency {
-            WeightResidency::PerImage => n_images,
-            WeightResidency::PerBatch => 1,
-        };
-        let dwc_weight_bytes = s.dwc_params() as usize;
-        let offline_bytes = match s.op {
-            StageOp::Dsc => 6 * (s.dwc_out_channels() + s.k_out), // 2×24-bit words per channel
-            StageOp::PwcOnly => 6 * s.k_out,
-        };
-        for _ in 0..weight_loads {
-            if dwc_weight_bytes > 0 {
-                buffers.external.read_weights(dwc_weight_bytes);
-                buffers.dwc_weight.fill(dwc_weight_bytes)?;
-            }
-            buffers.external.read_params(offline_bytes);
-            buffers.offline.fill(offline_bytes)?;
-        }
 
         let mut mid_maps: Vec<Tensor3<i8>> = (0..n_images)
             .map(|_| Tensor3::<i8>::zeros(s.d_in, out, out))
@@ -675,7 +594,6 @@ impl Edea {
             .collect();
         let mut tally = PortionTally::default();
 
-        let ports = portions(out, self.cfg.portion_limit);
         let n_slots = ports.len() * n_images;
         scratch.reserve_portion_slots(&s, &self.cfg, n_slots);
         let lanes = self.par.threads().min(ports.len()).max(1);
@@ -692,8 +610,8 @@ impl Edea {
         let mut portion_outs = std::mem::take(&mut scratch.portion_outs);
 
         let run_result = if lanes <= 1 {
-            // Serial base case: one lane over all portions, main buffers,
-            // the caller's scratch — the historical code path.
+            // Serial base case: one lane over all portions and the
+            // caller's scratch.
             let mut result = Ok(());
             for (p, portion) in ports.iter().enumerate() {
                 let slots = p * n_images..(p + 1) * n_images;
@@ -702,9 +620,7 @@ impl Edea {
                     plan,
                     &padded,
                     residuals,
-                    residency,
                     portion,
-                    &mut buffers,
                     &mut *scratch,
                     &mut portion_mids[slots.clone()],
                     &mut portion_outs[slots],
@@ -717,8 +633,8 @@ impl Edea {
             result
         } else {
             // Parallel lanes: contiguous portion ranges, lane-private
-            // scratches (lane 0 reuses the caller's), lane-private
-            // counting buffers, disjoint output slots.
+            // scratches (lane 0 reuses the caller's) and tallies, disjoint
+            // output slots.
             scratch.ensure_lanes(lanes - 1, &s, &self.cfg, n_images);
             let mut lane_scratches = std::mem::take(&mut scratch.lanes);
             let ranges = par::chunk_ranges(ports.len(), lanes);
@@ -745,7 +661,6 @@ impl Edea {
                 .collect();
 
             let lane_results = par::map_lanes(ctxs, |_, ctx| {
-                let mut buffers = BufferSet::for_batch(&self.cfg, n_images);
                 let mut tally = PortionTally::default();
                 let mut result = Ok(());
                 for (i, p) in ctx.range.clone().enumerate() {
@@ -755,9 +670,7 @@ impl Edea {
                         plan,
                         &padded,
                         residuals,
-                        residency,
                         &ports[p],
-                        &mut buffers,
                         ctx.scratch,
                         &mut ctx.mids[slots.clone()],
                         &mut ctx.outs[slots],
@@ -770,14 +683,13 @@ impl Edea {
                         break;
                     }
                 }
-                (buffers, tally, result)
+                (tally, result)
             });
             scratch.lanes = lane_scratches;
 
             // Fixed-order reduction: lane order == portion order.
             let mut first_err = Ok(());
-            for (lane_buffers, lane_tally, lane_result) in lane_results {
-                buffers.absorb(&lane_buffers);
+            for (lane_tally, lane_result) in lane_results {
                 tally.merge(&lane_tally);
                 if first_err.is_ok() {
                     first_err = lane_result;
@@ -802,53 +714,18 @@ impl Edea {
         scratch.portion_outs = portion_outs;
         run_result?;
 
-        // psum write traffic: one word per PWC invocation.
-        // (Recorded here in bulk — the loop above tracked reads.)
-        let psum_write_bytes = tally.pwc_invocations * (tk * tn * tm * 4) as u64;
-
-        let breakdown = timing::layer_cycles(&s, &self.cfg);
-        let nb = n_images as u64;
-        debug_assert_eq!(
-            tally.dwc_invocations,
-            nb * breakdown.dwc_busy,
-            "DWC cycle accounting"
-        );
-        debug_assert_eq!(
-            tally.pwc_invocations,
-            nb * breakdown.pwc_busy,
-            "PWC cycle accounting"
-        );
-
         let zero_frac = |t: &Tensor3<i8>| {
             t.as_slice().iter().filter(|&&v| v == 0).count() as f64 / t.len() as f64
         };
         let mean_zero =
             |ts: &[Tensor3<i8>]| ts.iter().map(zero_frac).sum::<f64>() / ts.len() as f64;
         let stats = BatchLayerStats {
-            shape: s,
-            batch: n_images,
-            residency,
-            breakdown,
-            cycles: nb * breakdown.total(),
             dwc_activity: tally.dwc_activity,
             pwc_activity: tally.pwc_activity,
-            nonconv_ops: tally.nonconv_ops,
             input_zero: mean_zero(inputs),
             mid_zero: mean_zero(&mid_maps),
             out_zero: mean_zero(&out_maps),
-            external: buffers.external,
-            onchip: BufferTraffic {
-                reads: buffers.onchip_reads(),
-                writes: buffers.onchip_writes() + psum_write_bytes,
-            },
-            intermediate: BufferTraffic {
-                reads: buffers.intermediate.reads(),
-                writes: buffers.intermediate.writes(),
-            },
-            psum: BufferTraffic {
-                reads: buffers.psum.reads(),
-                writes: psum_write_bytes,
-            },
+            ..layer_ledger(&s, &self.cfg, n_images, residency)
         };
         Ok(BatchLayerRun {
             outputs: out_maps,
@@ -954,7 +831,7 @@ impl Edea {
     /// [`Edea::run_network`]; what changes is the external-memory traffic
     /// ([`BatchNetworkStats::weight_bytes_per_image`] falls as `1/N`) and
     /// the psum SRAM provisioning (`N` banks, see
-    /// [`crate::buffer::BufferSet::for_batch`]).
+    /// [`crate::buffer::check_capacity`]).
     ///
     /// # Errors
     ///
@@ -1071,6 +948,8 @@ mod tests {
     use edea_nn::sparsity::SparsityProfile;
     use edea_tensor::rng;
 
+    use crate::timing;
+
     fn setup() -> (MobileNetV1, QuantizedDscNetwork, Tensor3<i8>) {
         let mut model = MobileNetV1::synthetic(0.25, 31);
         let calib = rng::synthetic_batch(2, 3, 32, 32, 32);
@@ -1168,45 +1047,52 @@ mod tests {
         ));
     }
 
+    /// One layer's measured figures: shape, batch, cycles and the DWC
+    /// and PWC activity.
+    type Measured = (
+        edea_nn::workload::LayerShape,
+        usize,
+        u64,
+        EngineActivity,
+        EngineActivity,
+    );
+
+    /// The figures a run still measures — the engines' MAC slots, summed
+    /// from the kernels — must agree with the analytic constructor, and
+    /// the cycles with the timing model. Traffic needs no comparison: the
+    /// run and the constructor both read it from the one ledger.
+    fn assert_measured_match_synthetic(cfg: &EdeaConfig, runs: impl Iterator<Item = Measured>) {
+        for (shape, batch, cycles, dwc, pwc) in runs {
+            let i = shape.index;
+            let synth = crate::stats::synthetic_batch_layer_stats(
+                &shape,
+                cfg,
+                batch,
+                WeightResidency::PerImage,
+                0.0,
+                0.0,
+                0.0,
+            );
+            let analytic = timing::layer_cycles(&shape, cfg).total();
+            assert_eq!(cycles, batch as u64 * analytic, "layer {i}");
+            assert_eq!(cycles, synth.cycles, "layer {i}");
+            assert_eq!(dwc.mac_slots, synth.dwc_activity.mac_slots, "layer {i}");
+            assert_eq!(pwc.mac_slots, synth.pwc_activity.mac_slots, "layer {i}");
+        }
+    }
+
     #[test]
     fn synthetic_stats_match_simulated_traffic() {
-        // The analytic stats constructor must reproduce the simulator's
-        // accounting exactly (cycles, MAC slots, every traffic category).
         let (_, qnet, input) = setup();
         let edea = Edea::new(EdeaConfig::paper()).unwrap();
         let run = edea.run_network(&qnet, &input).unwrap();
-        for stats in &run.stats.layers {
-            let synth = crate::stats::synthetic_layer_stats(
-                &stats.shape,
-                edea.config(),
-                stats.input_zero,
-                stats.mid_zero,
-                stats.out_zero,
-            );
-            assert_eq!(stats.cycles, synth.cycles, "layer {}", stats.shape.index);
-            assert_eq!(
-                stats.external, synth.external,
-                "layer {}",
-                stats.shape.index
-            );
-            assert_eq!(stats.onchip, synth.onchip, "layer {}", stats.shape.index);
-            assert_eq!(
-                stats.intermediate, synth.intermediate,
-                "layer {}",
-                stats.shape.index
-            );
-            assert_eq!(stats.psum, synth.psum, "layer {}", stats.shape.index);
-            assert_eq!(
-                stats.nonconv_ops, synth.nonconv_ops,
-                "layer {}",
-                stats.shape.index
-            );
-            assert_eq!(
-                stats.dwc_activity.mac_slots, synth.dwc_activity.mac_slots,
-                "layer {}",
-                stats.shape.index
-            );
-        }
+        assert_measured_match_synthetic(
+            edea.config(),
+            run.stats
+                .layers
+                .iter()
+                .map(|l| (l.shape, 1, l.cycles, l.dwc_activity, l.pwc_activity)),
+        );
     }
 
     fn setup_batch(n: usize) -> (QuantizedDscNetwork, Batch<i8>) {
@@ -1286,35 +1172,14 @@ mod tests {
         let (qnet, inputs) = setup_batch(2);
         let edea = Edea::new(EdeaConfig::paper()).unwrap();
         let batch = edea.run_batch(&qnet, &inputs).unwrap();
-        for stats in &batch.stats.layers {
-            let synth = crate::stats::synthetic_batch_layer_stats(
-                &stats.shape,
-                edea.config(),
-                2,
-                WeightResidency::PerBatch,
-                stats.input_zero,
-                stats.mid_zero,
-                stats.out_zero,
-            );
-            assert_eq!(stats.cycles, synth.cycles, "layer {}", stats.shape.index);
-            assert_eq!(
-                stats.external, synth.external,
-                "layer {}",
-                stats.shape.index
-            );
-            assert_eq!(stats.onchip, synth.onchip, "layer {}", stats.shape.index);
-            assert_eq!(
-                stats.intermediate, synth.intermediate,
-                "layer {}",
-                stats.shape.index
-            );
-            assert_eq!(stats.psum, synth.psum, "layer {}", stats.shape.index);
-            assert_eq!(
-                stats.nonconv_ops, synth.nonconv_ops,
-                "layer {}",
-                stats.shape.index
-            );
-        }
+        assert_measured_match_synthetic(
+            edea.config(),
+            batch
+                .stats
+                .layers
+                .iter()
+                .map(|l| (l.shape, l.batch, l.cycles, l.dwc_activity, l.pwc_activity)),
+        );
     }
 
     #[test]
@@ -1331,6 +1196,52 @@ mod tests {
             .run_layer_batch(&qnet.layers()[0], inputs.images())
             .unwrap_err();
         assert!(matches!(err, CoreError::BufferOverflow { .. }), "{err:?}");
+    }
+
+    #[test]
+    fn every_capacity_violation_surfaces_identically() {
+        // Shrinking any one buffer below layer 0's residency (width 0.25:
+        // d_in 8, k_out 16, 8×8 portions) must fail the run with exactly
+        // the error the plan-time audit predicts.
+        let (qnet, inputs) = setup_batch(2);
+        let layer = &qnet.layers()[0];
+        type Shrink = fn(&mut EdeaConfig);
+        let shrink: [(&str, Shrink); 5] = [
+            ("psum", |c| c.psum_buf_bytes = 8 * 8 * 16 * 4 - 4),
+            ("dwc_ifmap", |c| c.ifmap_buf_bytes = 9 * 9 * 8),
+            ("dwc_weight", |c| c.dwc_weight_buf_bytes = 9 * 8 - 1),
+            ("offline", |c| c.offline_buf_bytes = 6 * (8 + 16) - 1),
+            ("pwc_weight", |c| c.pwc_weight_buf_bytes = 8 * 16 - 1),
+        ];
+        for (name, shrink) in shrink {
+            let mut cfg = EdeaConfig::paper();
+            shrink(&mut cfg);
+            let edea = Edea::new(cfg).unwrap();
+            let plan = LayerPlan::new(layer, edea.config()).unwrap();
+            for n in [1, 2] {
+                let run = edea
+                    .run_layer_planned(
+                        layer,
+                        &plan,
+                        &inputs.images()[..n],
+                        WeightResidency::PerBatch,
+                        &mut TileScratch::new(),
+                    )
+                    .unwrap_err();
+                let audit = crate::plan::audit::audit_layer(
+                    &layer.shape(),
+                    edea.config(),
+                    edea.parallelism(),
+                    n,
+                )
+                .unwrap_err();
+                assert!(
+                    matches!(run, CoreError::BufferOverflow { buffer, .. } if buffer == name),
+                    "{name}, batch {n}: {run:?}"
+                );
+                assert_eq!(run, audit, "{name}, batch {n}");
+            }
+        }
     }
 
     #[test]
@@ -1412,39 +1323,18 @@ mod tests {
 
     #[test]
     fn v2_synthetic_stats_match_simulated_traffic() {
-        // The analytic mirror must track the generalized datapath exactly:
-        // PwcOnly stages (no DWC/intermediate traffic, ifmap-side kernel
-        // re-reads) and residual-add stages (external residual stream).
+        // The generalized datapath: PwcOnly stages (no DWC MACs) and
+        // residual-add stages.
         let (_, qnet, input) = setup_v2();
         let edea = Edea::new(EdeaConfig::paper()).unwrap();
         let run = edea.run_network(&qnet, &input).unwrap();
-        for stats in &run.stats.layers {
-            let synth = crate::stats::synthetic_layer_stats(
-                &stats.shape,
-                edea.config(),
-                stats.input_zero,
-                stats.mid_zero,
-                stats.out_zero,
-            );
-            assert_eq!(stats.cycles, synth.cycles, "layer {}", stats.shape.index);
-            assert_eq!(
-                stats.external, synth.external,
-                "layer {}",
-                stats.shape.index
-            );
-            assert_eq!(stats.onchip, synth.onchip, "layer {}", stats.shape.index);
-            assert_eq!(
-                stats.intermediate, synth.intermediate,
-                "layer {}",
-                stats.shape.index
-            );
-            assert_eq!(stats.psum, synth.psum, "layer {}", stats.shape.index);
-            assert_eq!(
-                stats.nonconv_ops, synth.nonconv_ops,
-                "layer {}",
-                stats.shape.index
-            );
-        }
+        assert_measured_match_synthetic(
+            edea.config(),
+            run.stats
+                .layers
+                .iter()
+                .map(|l| (l.shape, 1, l.cycles, l.dwc_activity, l.pwc_activity)),
+        );
     }
 
     #[test]

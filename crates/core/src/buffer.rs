@@ -1,173 +1,24 @@
-//! On-chip buffers and the external-memory interface, with access counting.
+//! The on-chip buffer set's capacity check and the external-memory
+//! interface.
 //!
 //! Fig. 4's buffer set: DWC ifmap buffer, DWC weight buffer, offline
 //! (Non-Conv parameter) buffer, intermediate buffer, PWC weight buffer —
 //! plus the psum SRAM the portion-wise PWC accumulation requires (not
-//! detailed in the paper; see ARCHITECTURE.md). Every transfer in the
-//! functional simulator goes through these objects so the energy model and
-//! the DSE cross-checks read real counts, not estimates.
+//! detailed in the paper; see ARCHITECTURE.md). Their sizes are
+//! [`EdeaConfig`] fields. What a layer's schedule holds in them and moves
+//! through them depends only on the layer shape, so neither is counted at
+//! run time: [`check_capacity`] is the one check that a layer's residencies
+//! fit, and [`crate::stats::layer_ledger`] is the one source of the byte
+//! counts, reported per stream in [`ExternalMemory`] and per buffer in
+//! [`crate::stats::BufferTraffic`].
 
+use edea_nn::workload::LayerShape;
+
+use crate::config::EdeaConfig;
+use crate::schedule::{layer_param_fetch_bytes, Portion};
 use crate::CoreError;
 
-/// A capacity-checked buffer that counts bytes read/written and tracks the
-/// peak occupancy a schedule actually required.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TrackedBuffer {
-    name: &'static str,
-    capacity: usize,
-    reads: u64,
-    writes: u64,
-    occupancy: usize,
-    peak: usize,
-}
-
-impl TrackedBuffer {
-    /// Creates an empty buffer.
-    #[must_use]
-    pub fn new(name: &'static str, capacity: usize) -> Self {
-        Self {
-            name,
-            capacity,
-            reads: 0,
-            writes: 0,
-            occupancy: 0,
-            peak: 0,
-        }
-    }
-
-    /// Buffer name.
-    #[must_use]
-    pub fn name(&self) -> &'static str {
-        self.name
-    }
-
-    /// Configured capacity in bytes.
-    #[must_use]
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Bytes read so far.
-    #[must_use]
-    pub fn reads(&self) -> u64 {
-        self.reads
-    }
-
-    /// Bytes written so far.
-    #[must_use]
-    pub fn writes(&self) -> u64 {
-        self.writes
-    }
-
-    /// Peak occupancy observed.
-    #[must_use]
-    pub fn peak(&self) -> usize {
-        self.peak
-    }
-
-    /// Records a read of `bytes`.
-    pub fn read(&mut self, bytes: usize) {
-        self.reads += bytes as u64;
-    }
-
-    /// Declares the live contents to be `bytes` (e.g. after loading a tile),
-    /// checking capacity, and counts the fill as writes.
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::BufferOverflow`] if `bytes` exceeds the capacity.
-    pub fn fill(&mut self, bytes: usize) -> Result<(), CoreError> {
-        if bytes > self.capacity {
-            return Err(CoreError::BufferOverflow {
-                buffer: self.name,
-                required: bytes,
-                capacity: self.capacity,
-            });
-        }
-        self.writes += bytes as u64;
-        self.occupancy = bytes;
-        self.peak = self.peak.max(bytes);
-        Ok(())
-    }
-
-    /// Records `times` successive [`TrackedBuffer::fill`]s of `bytes`
-    /// each — a run of identical per-tile fills counted in one call.
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::BufferOverflow`] if `bytes` exceeds the capacity.
-    pub fn fill_times(&mut self, bytes: usize, times: usize) -> Result<(), CoreError> {
-        if times == 0 {
-            return Ok(());
-        }
-        self.fill(bytes)?;
-        self.writes += (bytes * (times - 1)) as u64;
-        Ok(())
-    }
-
-    /// Declares `bytes` of live contents *without* counting write traffic —
-    /// used to capacity-check a residency whose fill traffic is accounted
-    /// separately (e.g. psum write-backs counted per engine invocation).
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::BufferOverflow`] if `bytes` exceeds the capacity.
-    pub fn reserve(&mut self, bytes: usize) -> Result<(), CoreError> {
-        if bytes > self.capacity {
-            return Err(CoreError::BufferOverflow {
-                buffer: self.name,
-                required: bytes,
-                capacity: self.capacity,
-            });
-        }
-        self.occupancy = bytes;
-        self.peak = self.peak.max(bytes);
-        Ok(())
-    }
-
-    /// Records a write of `bytes` on top of the current occupancy.
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::BufferOverflow`] if the occupancy would exceed capacity.
-    pub fn append(&mut self, bytes: usize) -> Result<(), CoreError> {
-        let new = self.occupancy + bytes;
-        if new > self.capacity {
-            return Err(CoreError::BufferOverflow {
-                buffer: self.name,
-                required: new,
-                capacity: self.capacity,
-            });
-        }
-        self.writes += bytes as u64;
-        self.occupancy = new;
-        self.peak = self.peak.max(new);
-        Ok(())
-    }
-
-    /// Empties the buffer (occupancy only; counters persist).
-    pub fn clear(&mut self) {
-        self.occupancy = 0;
-    }
-
-    /// Folds another buffer's traffic counters into this one — the
-    /// fixed-order reduction step of the parallel portion loop, where each
-    /// lane counts its traffic into a private [`BufferSet`] and the lanes
-    /// are merged in lane order afterwards. Byte counters are exact sums
-    /// (`u64` addition is associative), so the merged totals are
-    /// bit-identical to the serial run; peak occupancy takes the max over
-    /// lanes.
-    pub(crate) fn absorb(&mut self, other: &Self) {
-        debug_assert_eq!(self.name, other.name);
-        debug_assert_eq!(self.capacity, other.capacity);
-        self.reads += other.reads;
-        self.writes += other.writes;
-        self.peak = self.peak.max(other.peak);
-    }
-}
-
-/// External (off-chip) memory interface counters, in bytes, split by
-/// stream.
+/// External (off-chip) memory traffic, in bytes, split by stream.
 ///
 /// The split matters for batching: weight and offline-parameter fetches
 /// depend only on the layer, so a batched schedule pays them **once per
@@ -185,26 +36,6 @@ pub struct ExternalMemory {
 }
 
 impl ExternalMemory {
-    /// Records a weight fetch.
-    pub fn read_weights(&mut self, bytes: usize) {
-        self.weight_reads += bytes as u64;
-    }
-
-    /// Records an offline-parameter fetch.
-    pub fn read_params(&mut self, bytes: usize) {
-        self.param_reads += bytes as u64;
-    }
-
-    /// Records an ifmap-slice fetch.
-    pub fn read_ifmap(&mut self, bytes: usize) {
-        self.ifmap_reads += bytes as u64;
-    }
-
-    /// Records a write.
-    pub fn write(&mut self, bytes: usize) {
-        self.writes += bytes as u64;
-    }
-
     /// Total bytes read, over all streams.
     #[must_use]
     pub fn reads(&self) -> u64 {
@@ -216,199 +47,176 @@ impl ExternalMemory {
     pub fn total(&self) -> u64 {
         self.reads() + self.writes
     }
-
-    /// Folds another interface's counters into this one (exact `u64`
-    /// sums; see [`TrackedBuffer::absorb`]).
-    pub(crate) fn absorb(&mut self, other: &Self) {
-        self.weight_reads += other.weight_reads;
-        self.param_reads += other.param_reads;
-        self.ifmap_reads += other.ifmap_reads;
-        self.writes += other.writes;
-    }
 }
 
-/// The complete buffer set of Fig. 4 (plus the psum SRAM).
-#[derive(Debug, Clone)]
-pub struct BufferSet {
-    /// DWC ifmap buffer.
-    pub ifmap: TrackedBuffer,
-    /// DWC weight buffer.
-    pub dwc_weight: TrackedBuffer,
-    /// Offline buffer (Non-Conv `k`, `b` parameters).
-    pub offline: TrackedBuffer,
-    /// Intermediate buffer (direct DWC→PWC transfer).
-    pub intermediate: TrackedBuffer,
-    /// PWC weight buffer.
-    pub pwc_weight: TrackedBuffer,
-    /// PWC partial-sum SRAM.
-    pub psum: TrackedBuffer,
-    /// External memory interface.
-    pub external: ExternalMemory,
-}
-
-impl BufferSet {
-    /// Builds the buffer set from an [`crate::EdeaConfig`].
-    #[must_use]
-    pub fn new(cfg: &crate::EdeaConfig) -> Self {
-        Self::for_batch(cfg, 1)
-    }
-
-    /// Builds the buffer set for a batched schedule keeping `batch` images
-    /// in flight per portion.
-    ///
-    /// The batched loop nest (portion → channel pass → image) holds one
-    /// psum residency *per in-flight image*, so the psum SRAM must be
-    /// provisioned `batch×` — that is the silicon cost of weight-residency
-    /// amortization, and the capacity check here is what surfaces it. All
-    /// other buffers hold one image's (or one layer's) working set at a
-    /// time regardless of batch size.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `batch` is zero.
-    #[must_use]
-    pub fn for_batch(cfg: &crate::EdeaConfig, batch: usize) -> Self {
-        assert!(batch > 0, "batch must be non-empty");
-        Self {
-            ifmap: TrackedBuffer::new("dwc_ifmap", cfg.ifmap_buf_bytes),
-            dwc_weight: TrackedBuffer::new("dwc_weight", cfg.dwc_weight_buf_bytes),
-            offline: TrackedBuffer::new("offline", cfg.offline_buf_bytes),
-            intermediate: TrackedBuffer::new("intermediate", cfg.intermediate_buf_bytes),
-            pwc_weight: TrackedBuffer::new("pwc_weight", cfg.pwc_weight_buf_bytes),
-            psum: TrackedBuffer::new("psum", cfg.psum_buf_bytes * batch),
-            external: ExternalMemory::default(),
+/// Checks that every buffer residency a layer's portion loop holds fits
+/// its configured capacity, for the portion list `ports` with `n_images`
+/// images in flight:
+///
+/// * `psum` — one bank per in-flight image, each holding the largest
+///   portion's `pixels × K` 4-byte sums, against `n_images ×` the
+///   configured bank (the silicon cost of weight residency);
+/// * `dwc_ifmap` — the largest halo'd ifmap slice (`rows × cols × Td`);
+/// * `dwc_weight` — the layer's DWC kernels (none on a PwcOnly stage);
+/// * `offline` — the Non-Conv parameter sets the stage uses (no DWC-side
+///   set on a PwcOnly stage);
+/// * `pwc_weight` — one PWC weight slice (`Td × K`).
+///
+/// The intermediate buffer is not checked: [`EdeaConfig::validate`]
+/// already requires it to hold a double-buffered tile, which is all it
+/// ever holds.
+///
+/// This is the one capacity check: the accelerator runs it before every
+/// layer's portion loop, and [`crate::plan::audit::audit_portions`] runs
+/// it ahead of time. Returns the psum bytes reserved over all banks.
+///
+/// # Errors
+///
+/// [`CoreError::BufferOverflow`] naming the first buffer, in the order
+/// above, whose residency exceeds its capacity.
+pub fn check_capacity(
+    shape: &LayerShape,
+    cfg: &EdeaConfig,
+    ports: &[Portion],
+    n_images: usize,
+) -> Result<usize, CoreError> {
+    let fits = |buffer: &'static str, required: usize, capacity: usize| {
+        if required > capacity {
+            return Err(CoreError::BufferOverflow {
+                buffer,
+                required,
+                capacity,
+            });
         }
+        Ok(())
+    };
+    let td = cfg.tile.td;
+    let mut psum_peak = 0usize;
+    let mut ifmap_peak = 0usize;
+    for portion in ports {
+        psum_peak = psum_peak.max(portion.pixels() * shape.k_out * 4);
+        let (_, _, rows, cols) =
+            portion.input_region(shape.stride, shape.kernel, shape.pad(), shape.in_spatial);
+        ifmap_peak = ifmap_peak.max(rows * cols * td);
     }
-
-    /// Total on-chip SRAM bytes read.
-    #[must_use]
-    pub fn onchip_reads(&self) -> u64 {
-        self.ifmap.reads()
-            + self.dwc_weight.reads()
-            + self.offline.reads()
-            + self.intermediate.reads()
-            + self.pwc_weight.reads()
-            + self.psum.reads()
-    }
-
-    /// Total on-chip SRAM bytes written.
-    #[must_use]
-    pub fn onchip_writes(&self) -> u64 {
-        self.ifmap.writes()
-            + self.dwc_weight.writes()
-            + self.offline.writes()
-            + self.intermediate.writes()
-            + self.pwc_weight.writes()
-            + self.psum.writes()
-    }
-
-    /// Folds a lane-private buffer set's counters into this one, in the
-    /// caller's (lane) order — the parallel portion loop's reduction.
-    pub(crate) fn absorb(&mut self, other: &Self) {
-        self.ifmap.absorb(&other.ifmap);
-        self.dwc_weight.absorb(&other.dwc_weight);
-        self.offline.absorb(&other.offline);
-        self.intermediate.absorb(&other.intermediate);
-        self.pwc_weight.absorb(&other.pwc_weight);
-        self.psum.absorb(&other.psum);
-        self.external.absorb(&other.external);
-    }
+    let psum_required = n_images * psum_peak;
+    fits("psum", psum_required, cfg.psum_buf_bytes * n_images)?;
+    fits("dwc_ifmap", ifmap_peak, cfg.ifmap_buf_bytes)?;
+    fits(
+        "dwc_weight",
+        usize::try_from(shape.dwc_params()).unwrap_or(usize::MAX),
+        cfg.dwc_weight_buf_bytes,
+    )?;
+    fits(
+        "offline",
+        usize::try_from(layer_param_fetch_bytes(shape)).unwrap_or(usize::MAX),
+        cfg.offline_buf_bytes,
+    )?;
+    fits("pwc_weight", td * shape.k_out, cfg.pwc_weight_buf_bytes)?;
+    Ok(psum_required)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::EdeaConfig;
+    use crate::schedule::{portions, WeightResidency};
+    use crate::stats::layer_ledger;
+    use edea_nn::workload::{mobilenet_v1_cifar10, mobilenet_v2_cifar10, scale_width};
+
+    /// Layer 3 at width 1.0: one 8×8 portion of 256 kernels, whose psums
+    /// fill the paper's 64 KiB bank exactly.
+    fn psum_worst() -> (LayerShape, Vec<Portion>) {
+        let shape = mobilenet_v1_cifar10()[3];
+        let ports = portions(shape.out_spatial(), EdeaConfig::paper().portion_limit);
+        (shape, ports)
+    }
 
     #[test]
     fn fill_checks_capacity() {
-        let mut b = TrackedBuffer::new("test", 100);
-        b.fill(100).unwrap();
-        assert_eq!(b.peak(), 100);
-        let err = b.fill(101).unwrap_err();
-        assert!(matches!(
-            err,
-            CoreError::BufferOverflow { buffer: "test", .. }
-        ));
-    }
-
-    #[test]
-    fn fill_times_equals_repeated_fills() {
-        let mut bulk = TrackedBuffer::new("test", 100);
-        let mut each = bulk.clone();
-        bulk.fill_times(40, 3).unwrap();
-        for _ in 0..3 {
-            each.fill(40).unwrap();
-        }
-        assert_eq!(bulk, each);
-        bulk.fill_times(0, 0).unwrap();
-        assert_eq!(bulk, each);
-        assert!(bulk.fill_times(101, 2).is_err());
-    }
-
-    #[test]
-    fn append_accumulates_and_overflows() {
-        let mut b = TrackedBuffer::new("test", 10);
-        b.append(6).unwrap();
-        b.append(4).unwrap();
-        assert!(b.append(1).is_err());
-        b.clear();
-        b.append(10).unwrap();
-        assert_eq!(b.writes(), 20);
-        assert_eq!(b.peak(), 10);
-    }
-
-    #[test]
-    fn counters_accumulate() {
-        let mut b = TrackedBuffer::new("test", 1000);
-        b.read(10);
-        b.read(20);
-        b.fill(500).unwrap();
-        assert_eq!(b.reads(), 30);
-        assert_eq!(b.writes(), 500);
+        let (shape, ports) = psum_worst();
+        let mut cfg = EdeaConfig::paper();
+        assert_eq!(check_capacity(&shape, &cfg, &ports, 1), Ok(8 * 8 * 256 * 4));
+        cfg.psum_buf_bytes -= 1;
+        assert_eq!(
+            check_capacity(&shape, &cfg, &ports, 1),
+            Err(CoreError::BufferOverflow {
+                buffer: "psum",
+                required: 8 * 8 * 256 * 4,
+                capacity: 8 * 8 * 256 * 4 - 1,
+            })
+        );
     }
 
     #[test]
     fn external_memory_totals() {
-        let mut e = ExternalMemory::default();
-        e.read_weights(60);
-        e.read_params(30);
-        e.read_ifmap(10);
-        e.write(50);
+        let e = ExternalMemory {
+            weight_reads: 60,
+            param_reads: 30,
+            ifmap_reads: 10,
+            writes: 50,
+        };
         assert_eq!(e.reads(), 100);
         assert_eq!(e.total(), 150);
     }
 
     #[test]
     fn batched_set_scales_only_the_psum_banks() {
-        let cfg = EdeaConfig::paper();
-        let one = BufferSet::new(&cfg);
-        let four = BufferSet::for_batch(&cfg, 4);
-        assert_eq!(four.psum.capacity(), 4 * one.psum.capacity());
-        assert_eq!(four.ifmap.capacity(), one.ifmap.capacity());
-        assert_eq!(four.pwc_weight.capacity(), one.pwc_weight.capacity());
-        assert_eq!(four.intermediate.capacity(), one.intermediate.capacity());
+        let (shape, ports) = psum_worst();
+        // Every non-psum buffer cut to exactly one image's residency still
+        // holds a batch of four: only the psum banks scale with the batch.
+        let mut cfg = EdeaConfig::paper();
+        cfg.dwc_weight_buf_bytes = shape.dwc_params() as usize;
+        cfg.offline_buf_bytes = layer_param_fetch_bytes(&shape) as usize;
+        cfg.pwc_weight_buf_bytes = cfg.tile.td * shape.k_out;
+        let one = check_capacity(&shape, &cfg, &ports, 1).unwrap();
+        assert_eq!(check_capacity(&shape, &cfg, &ports, 4), Ok(4 * one));
+        // A bank one word short fails at any batch size.
+        cfg.psum_buf_bytes = one - 4;
+        for n in [1, 4] {
+            assert!(matches!(
+                check_capacity(&shape, &cfg, &ports, n),
+                Err(CoreError::BufferOverflow { buffer: "psum", .. })
+            ));
+        }
     }
 
     #[test]
     fn buffer_set_aggregates() {
-        let mut set = BufferSet::new(&EdeaConfig::paper());
-        set.ifmap.read(5);
-        set.psum.fill(7).unwrap();
-        assert_eq!(set.onchip_reads(), 5);
-        assert_eq!(set.onchip_writes(), 7);
+        // On-chip traffic covers the whole buffer set: the intermediate
+        // buffer and the psum SRAM are parts of it, and every external
+        // weight and parameter fetch also fills an on-chip buffer.
+        let cfg = EdeaConfig::paper();
+        let v2 = scale_width(&mobilenet_v2_cifar10(), 0.25, 16).unwrap();
+        for shape in mobilenet_v1_cifar10().iter().chain(&v2) {
+            for residency in [WeightResidency::PerImage, WeightResidency::PerBatch] {
+                let l = layer_ledger(shape, &cfg, 2, residency);
+                assert!(l.onchip.reads > l.intermediate.reads + l.psum.reads);
+                assert!(
+                    l.onchip.writes
+                        > l.intermediate.writes
+                            + l.psum.writes
+                            + l.external.weight_reads
+                            + l.external.param_reads
+                );
+            }
+        }
     }
 
     #[test]
     fn paper_capacities_hold_worst_layers() {
-        let set = BufferSet::new(&EdeaConfig::paper());
+        let cfg = EdeaConfig::paper();
         // Layer-3 psums: 8×8 portion × 256 kernels × 4 B.
-        assert!(set.psum.capacity() >= 8 * 8 * 256 * 4);
+        assert!(cfg.psum_buf_bytes >= 8 * 8 * 256 * 4);
         // Deepest DWC weights: 3·3·1024.
-        assert!(set.dwc_weight.capacity() >= 9 * 1024);
+        assert!(cfg.dwc_weight_buf_bytes >= 9 * 1024);
         // Widest PWC weight slice: 8 × 1024, double-buffered.
-        assert!(set.pwc_weight.capacity() >= 2 * 8 * 1024);
+        assert!(cfg.pwc_weight_buf_bytes >= 2 * 8 * 1024);
         // Stride-2 portion window: 17×17×8, double-buffered.
-        assert!(set.ifmap.capacity() >= 2 * 17 * 17 * 8);
+        assert!(cfg.ifmap_buf_bytes >= 2 * 17 * 17 * 8);
+        for shape in mobilenet_v1_cifar10() {
+            let ports = portions(shape.out_spatial(), cfg.portion_limit);
+            check_capacity(&shape, &cfg, &ports, 1)
+                .unwrap_or_else(|e| panic!("layer {}: {e}", shape.index));
+        }
     }
 }

@@ -14,7 +14,10 @@
 //!   9-cycle initiation, 1 GHz @ 0.8 V).
 //! * [`engine`] — bit-exact models of both PE arrays and their adder trees.
 //! * [`nonconv`] — the Non-Conv unit (Fig. 6).
-//! * [`buffer`] — the on-chip buffer set with access counting (Fig. 4).
+//! * [`buffer`] — the on-chip buffer set's capacity check and the
+//!   external-traffic record (Fig. 4).
+//! * [`stats`] — execution statistics and the traffic ledger, the one
+//!   source of every shape-determined cycle and byte count.
 //! * [`schedule`] — the tile/portion iteration of the chosen `La` dataflow,
 //!   including the batched loop nest and its
 //!   [`WeightResidency`](schedule::WeightResidency) accounting.

@@ -5,7 +5,7 @@
 //! construction: portions tile the ofmap disjointly, each lane owns a
 //! contiguous portion range ([`par::chunk_ranges`]) and with it a disjoint
 //! window of the per-`(portion, image)` mid/out slot arrays, and every
-//! lane counts traffic into private scratch. PR 7 *states* that contract
+//! lane works in private scratch. The `par` module *states* that contract
 //! and the `parallel_identity` suite observes it after the fact; this
 //! module proves it ahead of time, the same way the paper's schedule makes
 //! buffer conflicts impossible by construction rather than detected at
@@ -20,15 +20,16 @@
 //!    `(portion, image)` slot arrays are contiguous, disjoint and cover
 //!    every slot, so the `split_slots` borrow split cannot panic or
 //!    misattribute a slot.
-//! 4. **Capacity bounds** — every buffer residency the portion loop will
-//!    reserve (psum banks per in-flight image, the halo'd ifmap slice,
-//!    weight and parameter slices, the intermediate tile) fits its
-//!    configured capacity.
+//! 4. **Capacity bounds** — every buffer residency the portion loop holds
+//!    (psum banks per in-flight image, the halo'd ifmap slice, weight and
+//!    parameter slices) fits its configured capacity. This proof is
+//!    [`crate::buffer::check_capacity`], the same function `execute_layer`
+//!    runs before every portion loop, so the audit and a run raise the
+//!    identical error.
 //!
 //! Race and coverage violations surface as [`CoreError::InvalidConfig`]
 //! naming the offending `(layer, portion, lane)` triple; capacity
-//! violations surface as [`CoreError::BufferOverflow`] with the same
-//! buffer names the runtime's [`crate::buffer::TrackedBuffer`]s carry.
+//! violations surface as [`CoreError::BufferOverflow`] naming the buffer.
 //! `execute_layer` runs the audit under `debug_assertions` on the exact
 //! portion list and lane count it is about to fork; release builds and
 //! long-lived deployments run it once up front via `Edea::audit_plan`.
@@ -62,19 +63,6 @@ fn violation(layer: usize, portion: usize, lane: usize, what: &str) -> CoreError
     CoreError::InvalidConfig {
         detail: format!("plan audit: layer {layer}, portion {portion}, lane {lane}: {what}"),
     }
-}
-
-/// A capacity violation, with the runtime buffer's name so the error is
-/// indistinguishable from the one the portion loop itself would raise.
-fn overflow(buffer: &'static str, required: usize, capacity: usize) -> Result<(), CoreError> {
-    if required > capacity {
-        return Err(CoreError::BufferOverflow {
-            buffer,
-            required,
-            capacity,
-        });
-    }
-    Ok(())
 }
 
 /// Audits an explicit portion list against `lanes` lanes and `n_images`
@@ -211,39 +199,9 @@ pub fn audit_portions(
         return Err(violation(layer, p, lane_of[p], &what));
     }
 
-    // Proof 4 — capacity bounds, exactly the residencies the portion loop
-    // will reserve (buffer names match `BufferSet::for_batch`).
-    let t = cfg.tile;
-    let mut psum_peak = 0usize;
-    let mut ifmap_peak = 0usize;
-    for portion in ports {
-        psum_peak = psum_peak.max(portion.pixels() * shape.k_out * 4);
-        let (_, _, rows, cols) =
-            portion.input_region(shape.stride, shape.kernel, shape.pad(), shape.in_spatial);
-        ifmap_peak = ifmap_peak.max(rows * cols * t.td);
-    }
-    let psum_required = n_images * psum_peak;
-    overflow("psum", psum_required, cfg.psum_buf_bytes * n_images)?;
-    overflow("dwc_ifmap", ifmap_peak, cfg.ifmap_buf_bytes)?;
-    // Op-aware residencies, exactly as `execute_layer` reserves them: a
-    // PwcOnly stage fills neither the DWC weight registers nor a DWC-side
-    // offline-parameter set.
-    overflow(
-        "dwc_weight",
-        usize::try_from(shape.dwc_params()).unwrap_or(usize::MAX),
-        cfg.dwc_weight_buf_bytes,
-    )?;
-    overflow(
-        "offline",
-        usize::try_from(crate::schedule::layer_param_fetch_bytes(shape)).unwrap_or(usize::MAX),
-        cfg.offline_buf_bytes,
-    )?;
-    overflow("pwc_weight", t.td * shape.k_out, cfg.pwc_weight_buf_bytes)?;
-    overflow(
-        "intermediate",
-        t.tn * t.tm * t.td,
-        cfg.intermediate_buf_bytes,
-    )?;
+    // Proof 4 — capacity bounds: the same check `execute_layer` runs
+    // before its portion loop.
+    let psum_required = crate::buffer::check_capacity(shape, cfg, ports, n_images)?;
 
     Ok(LayerAudit {
         layer,

@@ -539,7 +539,7 @@ fn route(
 
 /// One dispatched-but-not-yet-executed batch in the oracle-mode event
 /// loop: the scheduling decision (who, when, how long) is final; only the
-/// execution — outputs and measured traffic — is deferred to a worker
+/// execution — outputs and measured activity — is deferred to a worker
 /// thread.
 struct PlannedBatch {
     worker: usize,

@@ -36,8 +36,7 @@
 //!
 //! Ifmap reads and ofmap writes remain per-image; weight traffic is paid
 //! once per batch. The cost is psum SRAM: each in-flight image holds its
-//! own psum residency per portion (see
-//! [`crate::buffer::BufferSet::for_batch`]).
+//! own psum residency per portion (see [`crate::buffer::check_capacity`]).
 
 use crate::config::EdeaConfig;
 use crate::CoreError;
@@ -148,15 +147,6 @@ pub enum WeightResidency {
     PerBatch,
 }
 
-/// External weight bytes one image's layer execution fetches: the DWC
-/// kernels (once per layer) plus the PWC weight slice re-fetched for every
-/// portion × channel pass (`P·⌈D/Td⌉·Td·K`).
-#[must_use]
-pub fn layer_weight_fetch_bytes(shape: &LayerShape, cfg: &EdeaConfig) -> u64 {
-    let b = crate::timing::layer_cycles(shape, cfg);
-    shape.dwc_params() + b.portions * b.channel_passes * (cfg.tile.td * shape.k_out) as u64
-}
-
 /// External offline-parameter bytes one image's layer execution fetches:
 /// two 24-bit `(k, b)` words per channel at each Non-Conv boundary the
 /// stage actually crosses. A `Dsc` stage pays both boundaries (the
@@ -168,28 +158,6 @@ pub fn layer_param_fetch_bytes(shape: &LayerShape) -> u64 {
     match shape.op {
         StageOp::Dsc => 6 * (shape.dwc_out_channels() + shape.k_out) as u64,
         StageOp::PwcOnly => 6 * shape.k_out as u64,
-    }
-}
-
-/// External weight + offline-parameter bytes a batch of `n` images fetches
-/// under the given residency: `n×` the per-image figure when every image
-/// reloads, `1×` when tiles stay resident.
-///
-/// # Panics
-///
-/// Panics if `n` is zero.
-#[must_use]
-pub fn batch_weight_fetch_bytes(
-    shape: &LayerShape,
-    cfg: &EdeaConfig,
-    n: usize,
-    residency: WeightResidency,
-) -> u64 {
-    assert!(n > 0, "batch must be non-empty");
-    let per_image = layer_weight_fetch_bytes(shape, cfg) + layer_param_fetch_bytes(shape);
-    match residency {
-        WeightResidency::PerImage => n as u64 * per_image,
-        WeightResidency::PerBatch => per_image,
     }
 }
 
@@ -275,23 +243,20 @@ pub struct SpatialTile {
 /// `limit × limit` pixels (row-major).
 #[must_use]
 pub fn portions(out_spatial: usize, limit: usize) -> Vec<Portion> {
-    let edges = crate::timing::portion_edges(out_spatial, limit);
-    let mut out = Vec::new();
-    let mut row0 = 0;
-    for &rows in &edges {
-        let mut col0 = 0;
-        for &cols in &edges {
-            out.push(Portion {
-                row0,
-                col0,
-                rows,
-                cols,
-            });
-            col0 += cols;
-        }
-        row0 += rows;
-    }
-    out
+    portion_iter(out_spatial, limit).collect()
+}
+
+/// [`portions`] without the allocation.
+pub(crate) fn portion_iter(out_spatial: usize, limit: usize) -> impl Iterator<Item = Portion> {
+    let spans = crate::timing::portion_spans(out_spatial, limit);
+    spans.clone().flat_map(move |(row0, rows)| {
+        spans.clone().map(move |(col0, cols)| Portion {
+            row0,
+            col0,
+            rows,
+            cols,
+        })
+    })
 }
 
 /// Spatial tiles of a portion, row-major, each anchored at a multiple of
@@ -471,18 +436,22 @@ mod tests {
     fn batched_weight_fetches_amortize_exactly() {
         use edea_nn::workload::mobilenet_v1_cifar10;
         for l in mobilenet_v1_cifar10() {
-            let one = batch_weight_fetch_bytes(&l, &cfg(), 1, WeightResidency::PerBatch);
+            let fetched = |n, residency| {
+                let e = crate::stats::layer_ledger(&l, &cfg(), n, residency).external;
+                e.weight_reads + e.param_reads
+            };
+            let one = fetched(1, WeightResidency::PerBatch);
             for n in [1usize, 2, 4, 8, 16] {
                 // Resident weights: independent of N.
                 assert_eq!(
-                    batch_weight_fetch_bytes(&l, &cfg(), n, WeightResidency::PerBatch),
+                    fetched(n, WeightResidency::PerBatch),
                     one,
                     "layer {} n={n}",
                     l.index
                 );
                 // Baseline: exactly N×.
                 assert_eq!(
-                    batch_weight_fetch_bytes(&l, &cfg(), n, WeightResidency::PerImage),
+                    fetched(n, WeightResidency::PerImage),
                     n as u64 * one,
                     "layer {} n={n}",
                     l.index

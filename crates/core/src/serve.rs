@@ -59,7 +59,7 @@ use crate::config::EdeaConfig;
 use crate::plan::NetworkPlan;
 use crate::schedule::WeightResidency;
 use crate::scratch::TileScratch;
-use crate::stats::synthetic_batch_layer_stats;
+use crate::stats::layer_ledger;
 use crate::CoreError;
 
 /// Checks that every layer of a network maps onto the engine geometry,
@@ -122,9 +122,8 @@ fn validate_network(shapes: &[LayerShape], cfg: &EdeaConfig) -> Result<(), CoreE
     Ok(())
 }
 
-/// Analytic service-cost model of a network on a configuration, derived
-/// from the same accounting as the functional simulator
-/// ([`synthetic_batch_layer_stats`], equality-tested against it).
+/// Analytic service-cost model of a network on a configuration, read from
+/// the same traffic ledger as the functional simulator ([`layer_ledger`]).
 ///
 /// Under [`WeightResidency::PerBatch`] a dispatch of `N` images costs
 /// `N ×` the per-image cycles (the 9-cycle initiation is bound by the
@@ -151,8 +150,7 @@ impl CostModel {
         let mut weight_bytes = 0u64;
         let mut stream_bytes = 0u64;
         for s in shapes {
-            let one =
-                synthetic_batch_layer_stats(s, cfg, 1, WeightResidency::PerBatch, 0.0, 0.0, 0.0);
+            let one = layer_ledger(s, cfg, 1, WeightResidency::PerBatch);
             per_image_cycles += one.cycles;
             weight_bytes += one.external.weight_reads + one.external.param_reads;
             stream_bytes += one.external.ifmap_reads + one.external.writes;

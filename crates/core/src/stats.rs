@@ -1,4 +1,5 @@
-//! Execution statistics collected by the functional simulator.
+//! Execution statistics of the accelerator, and the traffic ledger they are
+//! built from.
 //!
 //! [`LayerStats`] describes one image's layer execution; [`BatchLayerStats`]
 //! / [`BatchNetworkStats`] describe a whole batch run under a
@@ -7,6 +8,13 @@
 //! split by stream ([`crate::buffer::ExternalMemory`]) precisely so the
 //! amortizable part (weights + offline parameters) is visible separately
 //! from the inherently per-image part (ifmap reads, ofmap writes).
+//!
+//! Every cycle and byte count depends only on the layer shape, the
+//! configuration, the batch size and the residency, so one pure function,
+//! [`layer_ledger`], computes them all. The functional simulator adds what
+//! depends on the data — engine zero-slot counts and zero fractions — and
+//! [`synthetic_layer_stats`] / [`synthetic_batch_layer_stats`] estimate
+//! those from given zero fractions instead.
 
 use edea_nn::workload::{LayerShape, StageOp};
 
@@ -38,8 +46,7 @@ impl BufferTraffic {
 pub struct LayerStats {
     /// The layer executed.
     pub shape: LayerShape,
-    /// Cycle breakdown from the timing model (the functional schedule is
-    /// cross-checked against it).
+    /// Cycle breakdown from the timing model.
     pub breakdown: CycleBreakdown,
     /// Total cycles.
     pub cycles: u64,
@@ -270,10 +277,10 @@ impl BatchNetworkStats {
     }
 }
 
-/// Builds a [`LayerStats`] analytically — same accounting as the functional
-/// simulator (verified by equality tests), but without executing the layer.
-/// Zero *fractions* are taken from the caller (e.g. the sparsity profile or
-/// a previous run); engine zero-slot counts are estimated from them.
+/// Builds a [`LayerStats`] analytically — the [`layer_ledger`] the
+/// functional simulator also reads, without executing the layer. Zero
+/// *fractions* are taken from the caller (e.g. the sparsity profile or a
+/// previous run); engine zero-slot counts are estimated from them.
 ///
 /// Used by the power-model calibration, which needs full-size statistics
 /// that would otherwise require a width-1.0 simulation per tweak.
@@ -302,14 +309,9 @@ pub fn synthetic_layer_stats(
     .into_layer_stats()
 }
 
-/// Builds a [`BatchLayerStats`] analytically for a batch of `n` images —
-/// the same accounting as [`crate::Edea::run_batch`]'s functional schedule
-/// (verified by equality tests) without executing anything.
-///
-/// Engine streaming traffic (ifmap reads, intermediate transfers, psum
-/// accumulation, ofmap writes) scales with `n`; external weight and
-/// offline-parameter fetches — and the register loads they fill — are paid
-/// once per batch under [`WeightResidency::PerBatch`].
+/// Builds a [`BatchLayerStats`] analytically for a batch of `n` images:
+/// the [`layer_ledger`] plus zero-slot counts estimated from the caller's
+/// zero fractions, without executing anything.
 ///
 /// # Panics
 ///
@@ -324,40 +326,82 @@ pub fn synthetic_batch_layer_stats(
     mid_zero: f64,
     out_zero: f64,
 ) -> BatchLayerStats {
+    let est = |slots: u64, z: f64| (slots as f64 * z).round() as u64;
+    let mut stats = layer_ledger(shape, cfg, n, residency);
+    stats.dwc_activity.zero_act_slots = est(stats.dwc_activity.mac_slots, input_zero);
+    stats.pwc_activity.zero_act_slots = est(stats.pwc_activity.mac_slots, mid_zero);
+    stats.input_zero = input_zero;
+    stats.mid_zero = mid_zero;
+    stats.out_zero = out_zero;
+    stats
+}
+
+/// The traffic ledger of one layer over a batch of `n` images: every
+/// statistic that depends only on the layer shape, the configuration and
+/// the residency — the cycle breakdown, every external and on-chip traffic
+/// category, the Non-Conv operation count and the engines' MAC slots. It
+/// is the one source of these figures: [`crate::Edea`]'s functional
+/// schedule, [`synthetic_batch_layer_stats`] and
+/// [`crate::serve::CostModel`] all build their statistics from it.
+///
+/// The data-dependent fields — the zero fractions and the engines'
+/// zero-activation and zero-weight slot counts — are left at zero for the
+/// caller to fill in.
+///
+/// Engine streaming traffic (ifmap reads, intermediate transfers, psum
+/// accumulation, ofmap writes) scales with `n`; external weight and
+/// offline-parameter fetches — and the register loads they fill — are paid
+/// once per batch under [`WeightResidency::PerBatch`].
+///
+/// # Panics
+///
+/// Panics if `n` is zero or the layer does not map onto the configuration.
+#[must_use]
+pub fn layer_ledger(
+    shape: &LayerShape,
+    cfg: &EdeaConfig,
+    n: usize,
+    residency: WeightResidency,
+) -> BatchLayerStats {
     assert!(n > 0, "batch must be non-empty");
     let t = cfg.tile;
     assert_eq!(shape.d_in % t.td, 0, "d_in must be a multiple of Td");
     assert_eq!(shape.k_out % t.tk, 0, "k_out must be a multiple of Tk");
     let breakdown = crate::timing::layer_cycles(shape, cfg);
-    let out = shape.out_spatial();
     let nb = n as u64;
     // Weight fetches amortize; everything per-image scales with n.
     let fetches = match residency {
         WeightResidency::PerImage => nb,
         WeightResidency::PerBatch => 1,
     };
-    let passes = (shape.d_in / t.td) as u64;
-    let kernel_tiles = (shape.k_out / t.tk) as u64;
+    let passes = breakdown.channel_passes;
     let tr = (t.tn - 1) * shape.stride + shape.kernel;
     let tc = (t.tm - 1) * shape.stride + shape.kernel;
 
-    // External traffic (mirrors accelerator.rs):
-    let weight_reads = fetches * crate::schedule::layer_weight_fetch_bytes(shape, cfg);
+    // External traffic. Per weight load: all DWC kernels and the offline
+    // parameter sets the stage uses, plus the PWC weight slice (`Td × K`)
+    // of every portion × channel pass.
+    let pw_slices = breakdown.portions * passes * (t.td * shape.k_out) as u64;
+    let weight_reads = fetches * (shape.dwc_params() + pw_slices);
     let param_reads = fetches * crate::schedule::layer_param_fetch_bytes(shape);
-    let mut ifmap_reads = 0u64;
-    let mut ifmap_slice_writes = 0u64;
-    for portion in crate::schedule::portions(out, cfg.portion_limit) {
-        let (_, _, rows, cols) =
-            portion.input_region(shape.stride, shape.kernel, shape.pad(), shape.in_spatial);
-        let slice = (rows * cols * t.td) as u64;
-        ifmap_reads += nb * passes * slice;
-        ifmap_slice_writes += nb * passes * slice;
-    }
+    // One halo'd ifmap slice per (portion, channel pass, image).
+    let ifmap_slices = nb
+        * passes
+        * crate::schedule::portion_iter(shape.out_spatial(), cfg.portion_limit)
+            .map(|portion| {
+                let (_, _, rows, cols) =
+                    portion.input_region(shape.stride, shape.kernel, shape.pad(), shape.in_spatial);
+                (rows * cols * t.td) as u64
+            })
+            .sum::<u64>();
     // A residual-add stage streams the saved block input (one ofmap-sized
     // map per image) in from external memory at the drain.
-    if shape.residual_add {
-        ifmap_reads += nb * shape.ofmap_elems();
-    }
+    let ifmap_reads = ifmap_slices
+        + if shape.residual_add {
+            nb * shape.ofmap_elems()
+        } else {
+            0
+        };
     let writes = nb * shape.ofmap_elems();
 
     // On-chip traffic:
@@ -394,17 +438,14 @@ pub fn synthetic_batch_layer_stats(
     };
     let pwcw_reads = pwc_inv * (t.td * t.tk) as u64;
     // psum: read-modify-write except the first pass; plus the drain read.
-    let psum_reads = pwc_inv.saturating_sub(nb * breakdown.spatial_tiles * kernel_tiles)
+    let psum_reads = pwc_inv.saturating_sub(nb * breakdown.spatial_tiles * breakdown.kernel_tiles)
         * psum_word
         + nb * shape.ofmap_elems() * 4;
     let psum_writes = pwc_inv * psum_word;
-    let onchip_fills = fetches
-        * (shape.dwc_params() // dwc weight fill (zero for PwcOnly)
-            + crate::schedule::layer_param_fetch_bytes(shape) // offline fill
-            + breakdown.portions * passes * (t.td * shape.k_out) as u64) // pwc weight fills
-        + ifmap_slice_writes;
+    // Every external fetch lands in its on-chip buffer: the DWC weight,
+    // offline and PWC weight buffers and the ifmap buffer.
+    let onchip_fills = weight_reads + param_reads + ifmap_slices;
 
-    let est = |slots: u64, z: f64| (slots as f64 * z).round() as u64;
     BatchLayerStats {
         shape: *shape,
         batch: n,
@@ -413,20 +454,18 @@ pub fn synthetic_batch_layer_stats(
         cycles: nb * breakdown.total(),
         dwc_activity: EngineActivity {
             mac_slots: nb * shape.dwc_macs(),
-            zero_act_slots: est(nb * shape.dwc_macs(), input_zero),
-            zero_weight_slots: 0,
+            ..EngineActivity::default()
         },
         pwc_activity: EngineActivity {
             mac_slots: nb * shape.pwc_macs(),
-            zero_act_slots: est(nb * shape.pwc_macs(), mid_zero),
-            zero_weight_slots: 0,
+            ..EngineActivity::default()
         },
         // Every intermediate element passes the Non-Conv once, every output
         // element once at the drain.
         nonconv_ops: nb * (shape.intermediate_elems() + shape.ofmap_elems()),
-        input_zero,
-        mid_zero,
-        out_zero,
+        input_zero: 0.0,
+        mid_zero: 0.0,
+        out_zero: 0.0,
         external: ExternalMemory {
             weight_reads,
             param_reads,

@@ -23,15 +23,20 @@ use crate::config::EdeaConfig;
 /// most `limit` pixels.
 #[must_use]
 pub fn portion_edges(out_spatial: usize, limit: usize) -> Vec<usize> {
+    portion_spans(out_spatial, limit)
+        .map(|(_, len)| len)
+        .collect()
+}
+
+/// `(offset, size)` of each portion edge along one ofmap dimension —
+/// [`portion_edges`] without the allocation, so per-layer accounting on
+/// the hot path stays allocation-free.
+pub(crate) fn portion_spans(
+    out_spatial: usize,
+    limit: usize,
+) -> impl Iterator<Item = (usize, usize)> + Clone {
     assert!(limit > 0, "portion limit must be positive");
-    let mut edges = Vec::new();
-    let mut remaining = out_spatial;
-    while remaining > 0 {
-        let chunk = remaining.min(limit);
-        edges.push(chunk);
-        remaining -= chunk;
-    }
-    edges
+    (0..out_spatial.div_ceil(limit)).map(move |i| (i * limit, limit.min(out_spatial - i * limit)))
 }
 
 /// Cycle-level breakdown of one layer's execution.
@@ -101,13 +106,13 @@ pub fn layer_cycles(shape: &LayerShape, cfg: &EdeaConfig) -> CycleBreakdown {
         StageOp::PwcOnly => assert_eq!(shape.kernel, 1, "PwcOnly stages are 1x1"),
     }
     let n = shape.out_spatial();
-    let edges = portion_edges(n, cfg.portion_limit);
+    let spans = portion_spans(n, cfg.portion_limit);
     let kernel_tiles = shape.k_out.div_ceil(cfg.tile.tk) as u64;
     let channel_passes = shape.d_in.div_ceil(cfg.tile.td) as u64;
     let mut portions = 0u64;
     let mut spatial_tiles = 0u64;
-    for &rows in &edges {
-        for &cols in &edges {
+    for (_, rows) in spans.clone() {
+        for (_, cols) in spans.clone() {
             portions += 1;
             spatial_tiles += (rows.div_ceil(cfg.tile.tn) * cols.div_ceil(cfg.tile.tm)) as u64;
         }
@@ -189,7 +194,7 @@ pub fn network_timing(layers: &[LayerShape], cfg: &EdeaConfig) -> NetworkTiming 
 /// initiation is bound by fetching the portion's ifmap slice, which every
 /// image needs, so weight residency removes DRAM *traffic* (and interface
 /// energy), not pipeline time. What batching buys in time terms is covered
-/// by [`crate::schedule::batch_weight_fetch_bytes`]'s traffic model and
+/// by the traffic ledger ([`crate::stats::layer_ledger`]) and
 /// the power model's lower interface energy.
 ///
 /// # Panics

@@ -291,8 +291,8 @@ fn steady_state_tile_pipeline_does_not_allocate() {
         "warm 2-lane runs must have a stable allocation count"
     );
     // 2 images × 256 tiles each: a single per-tile allocation in the lane
-    // loop would cost 512+. The steady-state budget is the scoped spawn,
-    // two lane-local BufferSets and the per-image outputs.
+    // loop would cost 512+. The steady-state budget is the scoped spawn
+    // and the per-image outputs.
     assert!(
         warm_a < 128,
         "warm 2-lane batch run allocated {warm_a} times (512 tiles)"

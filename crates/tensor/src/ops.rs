@@ -246,60 +246,6 @@ pub fn all_zero_i8(values: &[i8]) -> bool {
     words.remainder().iter().all(|&v| v == 0)
 }
 
-/// Occupancy bitmask of an int8 run viewed as rows of `row_len` elements:
-/// bit `r` is set iff row `r` contains any nonzero value. A trailing
-/// partial row (when `values.len()` is not a multiple of `row_len`) counts
-/// as a row of its own.
-///
-/// On a `(channels × pixels)` activation tile this finds the channels a
-/// dot-product lane can skip entirely.
-///
-/// # Panics
-///
-/// Panics if `row_len` is zero or the mask would need more than 64 rows.
-#[must_use]
-pub fn nonzero_row_mask_i8(values: &[i8], row_len: usize) -> u64 {
-    assert!(row_len > 0, "row length must be non-zero");
-    assert!(
-        values.len().div_ceil(row_len) <= 64,
-        "occupancy mask supports at most 64 rows"
-    );
-    let mut mask = 0u64;
-    let mut r = 0;
-    let mut rest = values;
-    // Word-at-a-time fast paths for the engine tile rows (Tn·Tm = 4 or 8
-    // pixels): one u64 load tests two rows (or one), keeping the per-tile
-    // occupancy scan a small fraction of the tile's MAC work.
-    if row_len == 4 || row_len == 8 {
-        let mut words = rest.chunks_exact(8);
-        for word in &mut words {
-            let mut bytes = [0u8; 8];
-            for (dst, &src) in bytes.iter_mut().zip(word) {
-                *dst = src as u8;
-            }
-            // Low word half = first row half (from_le_bytes pins byte
-            // order regardless of host endianness).
-            let x = u64::from_le_bytes(bytes);
-            if row_len == 4 {
-                mask |= u64::from(x & 0xFFFF_FFFF != 0) << r;
-                mask |= u64::from(x >> 32 != 0) << (r + 1);
-                r += 2;
-            } else {
-                mask |= u64::from(x != 0) << r;
-                r += 1;
-            }
-        }
-        rest = words.remainder();
-    }
-    for row in rest.chunks(row_len) {
-        if !all_zero_i8(row) {
-            mask |= 1 << r;
-        }
-        r += 1;
-    }
-    mask
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -423,56 +369,6 @@ mod tests {
                 let mut v = zeros.clone();
                 v[hot] = -1;
                 assert!(!all_zero_i8(&v), "len {len} hot {hot}");
-            }
-        }
-    }
-
-    #[test]
-    fn nonzero_row_mask_flags_occupied_rows() {
-        // 4 rows of 4: rows 1 and 3 occupied.
-        let mut v = vec![0i8; 16];
-        v[4] = 3;
-        v[15] = -7;
-        assert_eq!(nonzero_row_mask_i8(&v, 4), 0b1010);
-        assert_eq!(nonzero_row_mask_i8(&[0i8; 16], 4), 0);
-        // A trailing partial row gets its own bit.
-        let mut v = vec![0i8; 10];
-        v[9] = 1;
-        assert_eq!(nonzero_row_mask_i8(&v, 4), 0b100);
-    }
-
-    #[test]
-    #[should_panic(expected = "at most 64 rows")]
-    fn nonzero_row_mask_rejects_too_many_rows() {
-        let _ = nonzero_row_mask_i8(&[0i8; 65], 1);
-    }
-
-    #[test]
-    fn nonzero_row_mask_word_paths_match_naive_reference() {
-        // Sweep lengths around the word boundaries and every hot position,
-        // for the specialized row lengths (4, 8) and generic ones.
-        let naive = |values: &[i8], row_len: usize| -> u64 {
-            let mut mask = 0u64;
-            for (r, row) in values.chunks(row_len).enumerate() {
-                if row.iter().any(|&v| v != 0) {
-                    mask |= 1 << r;
-                }
-            }
-            mask
-        };
-        for row_len in [1usize, 3, 4, 5, 8] {
-            for len in 0..=40 {
-                let mut v = vec![0i8; len];
-                assert_eq!(nonzero_row_mask_i8(&v, row_len), 0, "zeros len={len}");
-                for hot in 0..len {
-                    v[hot] = -1;
-                    assert_eq!(
-                        nonzero_row_mask_i8(&v, row_len),
-                        naive(&v, row_len),
-                        "row_len={row_len} len={len} hot={hot}"
-                    );
-                    v[hot] = 0;
-                }
             }
         }
     }
