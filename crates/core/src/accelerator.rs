@@ -20,8 +20,12 @@
 //! loop nest of [`crate::schedule`]: weight tiles are fetched from
 //! external memory once per batch instead of once per image, so the
 //! external weight traffic per image falls as `1/N` while outputs stay
-//! bit-identical to the per-image path.
+//! bit-identical to the per-image path. [`Edea::run_network`] is the
+//! batch-of-one, per-image-residency case of the same network loop, which
+//! the serving session ([`crate::serve::SimulatorBackend`]) runs through
+//! its cached plan and scratch.
 
+use edea_fixed::Q8x16;
 use edea_nn::quantize::{QuantizedDscLayer, QuantizedDscNetwork};
 use edea_nn::workload::StageOp;
 use edea_tensor::{Batch, Tensor3};
@@ -214,7 +218,7 @@ impl Edea {
     /// Builds the pre-sliced weight plan of a whole network on this
     /// accelerator's tile geometry — the cache a long-lived session builds
     /// once so repeated requests stop re-slicing weights (see
-    /// [`Edea::run_batch_planned`]).
+    /// [`crate::serve::SimulatorBackend`]).
     ///
     /// # Errors
     ///
@@ -284,46 +288,23 @@ impl Edea {
         })
     }
 
-    /// Runs one quantized DSC layer over a batch of images with weight
-    /// tiles held resident across the batch (the batched loop nest of
-    /// [`crate::schedule`]): external weight and offline-parameter fetches
-    /// are paid once, ifmap reads and ofmap writes once per image, and the
-    /// psum SRAM holds one residency per in-flight image.
+    /// Runs one layer over a batch of images through a caller-held
+    /// [`LayerPlan`] and [`TileScratch`] — the zero-setup-cost variant the
+    /// per-layer benchmarks and the allocation-regression tests use.
     ///
-    /// Per-image outputs are **bit-identical** to [`Edea::run_layer`] —
+    /// Under [`WeightResidency::PerBatch`] weight tiles stay resident
+    /// across the batch (the batched loop nest of [`crate::schedule`]):
+    /// external weight and offline-parameter fetches are paid once, ifmap
+    /// reads and ofmap writes once per image, and the psum SRAM holds one
+    /// residency per in-flight image. Per-image outputs are
+    /// **bit-identical** to [`Edea::run_layer`] under either residency —
     /// batching changes when weights are fetched, never what is computed.
     ///
     /// # Errors
     ///
-    /// As [`Edea::run_layer`], checked per image; additionally
+    /// As [`Edea::run_layer`], checked per image, and for an empty batch;
     /// [`CoreError::BufferOverflow`] if the `batch×`-provisioned psum SRAM
-    /// cannot hold every in-flight image's portion psums.
-    pub fn run_layer_batch(
-        &self,
-        layer: &QuantizedDscLayer,
-        inputs: &[Tensor3<i8>],
-    ) -> Result<BatchLayerRun, CoreError> {
-        let plan = LayerPlan::new(layer, &self.cfg)?;
-        let mut scratch = TileScratch::new();
-        self.execute_layer(
-            layer,
-            &plan,
-            inputs,
-            None,
-            WeightResidency::PerBatch,
-            &mut scratch,
-        )
-    }
-
-    /// Runs one layer through a caller-held [`LayerPlan`] and
-    /// [`TileScratch`] — the zero-setup-cost variant the planned network
-    /// runs and the allocation-regression tests use. Outputs are
-    /// bit-identical to [`Edea::run_layer_batch`] (and, per image, to
-    /// [`Edea::run_layer`] under [`WeightResidency::PerImage`]).
-    ///
-    /// # Errors
-    ///
-    /// As [`Edea::run_layer_batch`]; additionally
+    /// cannot hold every in-flight image's portion psums;
     /// [`CoreError::UnsupportedShape`] if `plan` was built for a different
     /// layer.
     pub fn run_layer_planned(
@@ -341,7 +322,8 @@ impl Edea {
     /// One portion of the layer schedule: psum banks, the channel-pass ×
     /// image loop, and the drain — writing **portion-local** intermediate
     /// (`mids`) and output (`outs`) maps (one slot per image) and summing
-    /// engine activity into the caller's `tally`.
+    /// engine activity into the caller's `tally`. A residual-add stage
+    /// passes its saved block inputs with the already-checked rescale.
     ///
     /// Each `(channel pass, image)` step is four host calls whatever the
     /// portion's size: one copy of the input region, one DWC portion
@@ -364,7 +346,7 @@ impl Edea {
         layer: &QuantizedDscLayer,
         plan: &LayerPlan,
         padded: &[Tensor3<i8>],
-        residuals: Option<&[Tensor3<i8>]>,
+        residual: Option<(&[Tensor3<i8>], Q8x16)>,
         portion: &Portion,
         scratch: &mut TileScratch,
         mids: &mut [Tensor3<i8>],
@@ -463,12 +445,7 @@ impl Edea {
                 .drain
                 .resize_for_overwrite(s.k_out, portion.rows, portion.cols);
             transpose_into(psum.as_slice(), pix, s.k_out, scratch.drain.as_mut_slice());
-            if let Some(res_imgs) = residuals {
-                let r = layer
-                    .residual_scale()
-                    .ok_or_else(|| CoreError::UnsupportedShape {
-                        detail: format!("layer {}: residual add without a residual scale", s.index),
-                    })?;
+            if let Some((res_imgs, r)) = residual {
                 scratch
                     .res_tile
                     .resize_zeroed(s.k_out, portion.rows, portion.cols);
@@ -549,41 +526,43 @@ impl Edea {
                 ),
             });
         }
-        if let Some(res) = residuals {
-            if res.len() != inputs.len() {
-                return Err(CoreError::UnsupportedShape {
-                    detail: format!(
-                        "layer {}: {} residual maps for {} images",
-                        s.index,
-                        res.len(),
-                        inputs.len()
-                    ),
-                });
-            }
-            let out = s.out_spatial();
-            for r in res {
-                if r.shape() != (s.k_out, out, out) {
+        let residual = match residuals {
+            None => None,
+            Some(res) => {
+                if res.len() != inputs.len() {
+                    return Err(CoreError::UnsupportedShape {
+                        detail: format!(
+                            "layer {}: {} residual maps for {} images",
+                            s.index,
+                            res.len(),
+                            inputs.len()
+                        ),
+                    });
+                }
+                let out = s.out_spatial();
+                if let Some(bad) = res.iter().find(|r| r.shape() != (s.k_out, out, out)) {
                     return Err(CoreError::UnsupportedShape {
                         detail: format!(
                             "layer {}: residual map {:?} does not match ofmap ({}, {out}, {out})",
                             s.index,
-                            r.shape(),
+                            bad.shape(),
                             s.k_out
                         ),
                     });
                 }
+                let r = layer
+                    .residual_scale()
+                    .ok_or_else(|| CoreError::UnsupportedShape {
+                        detail: format!("layer {}: residual add without a residual scale", s.index),
+                    })?;
+                Some((res, r))
             }
-            if layer.residual_scale().is_none() {
-                return Err(CoreError::UnsupportedShape {
-                    detail: format!("layer {}: residual add without a residual scale", s.index),
-                });
-            }
-        }
+        };
         let out = s.out_spatial();
         let n_images = inputs.len();
         let ports = portions(out, self.cfg.portion_limit);
         check_capacity(&s, &self.cfg, &ports, n_images)?;
-        let padded: Vec<Tensor3<i8>> = inputs.iter().map(|i| i.zero_padded(s.pad())).collect();
+        let padded: Vec<Tensor3<i8>> = inputs.iter().map(|i| i.zero_padded(s.pad)).collect();
         scratch.reserve(&s, &self.cfg, n_images);
 
         let mut mid_maps: Vec<Tensor3<i8>> = (0..n_images)
@@ -619,7 +598,7 @@ impl Edea {
                     layer,
                     plan,
                     &padded,
-                    residuals,
+                    residual,
                     portion,
                     &mut *scratch,
                     &mut portion_mids[slots.clone()],
@@ -669,7 +648,7 @@ impl Edea {
                         layer,
                         plan,
                         &padded,
-                        residuals,
+                        residual,
                         &ports[p],
                         ctx.scratch,
                         &mut ctx.mids[slots.clone()],
@@ -734,11 +713,11 @@ impl Edea {
         })
     }
 
-    /// Runs the whole quantized DSC stack.
+    /// Runs the whole quantized DSC stack on one image.
     ///
-    /// Thin wrapper over [`Edea::run_network_planned`] with a throwaway
-    /// [`NetworkPlan`]; long-lived sessions should build the plan once with
-    /// [`Edea::plan_network`] instead.
+    /// Thin wrapper over the network loop with a throwaway [`NetworkPlan`]
+    /// and [`TileScratch`]; a long-lived session holds both instead (see
+    /// [`crate::serve::SimulatorBackend`]).
     ///
     /// # Errors
     ///
@@ -748,80 +727,15 @@ impl Edea {
         net: &QuantizedDscNetwork,
         input: &Tensor3<i8>,
     ) -> Result<NetworkRun, CoreError> {
-        // The plan was just built from this very network — skip the
-        // identity check (it would re-hash every weight byte).
         let plan = NetworkPlan::new(net, &self.cfg)?;
-        let mut scratch = TileScratch::new();
-        self.run_network_planned_unchecked(net, &plan, input, &mut scratch)
-    }
-
-    /// Runs the whole quantized DSC stack through a pre-built
-    /// [`NetworkPlan`], threading one [`TileScratch`] through every layer.
-    /// The input is borrowed, not copied: the first layer reads it in
-    /// place, and each subsequent layer consumes the previous output by
-    /// move. Bit-identical to [`Edea::run_network`].
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::UnsupportedShape`] if `plan` was built for a different
-    /// network; otherwise the first per-layer error.
-    pub fn run_network_planned(
-        &self,
-        net: &QuantizedDscNetwork,
-        plan: &NetworkPlan,
-        input: &Tensor3<i8>,
-    ) -> Result<NetworkRun, CoreError> {
-        plan.check_network(net)?;
-        let mut scratch = TileScratch::new();
-        self.run_network_planned_unchecked(net, plan, input, &mut scratch)
-    }
-
-    /// [`Edea::run_network_planned`] without the plan-identity check, for
-    /// callers that constructed plan and network together (the wrappers,
-    /// [`crate::serve::SimulatorBackend`]).
-    pub(crate) fn run_network_planned_unchecked(
-        &self,
-        net: &QuantizedDscNetwork,
-        plan: &NetworkPlan,
-        input: &Tensor3<i8>,
-        scratch: &mut TileScratch,
-    ) -> Result<NetworkRun, CoreError> {
-        debug_assert_eq!(plan.layers().len(), net.layers().len());
-        let mut layers = Vec::with_capacity(net.layers().len());
-        let mut x: Option<Tensor3<i8>> = None;
-        // The saved int8 block input of an inverted-residual skip, held
-        // between the `residual_save` stage and the `residual_add` stage
-        // that consumes it (same order as the golden executor).
-        let mut saved: Option<Tensor3<i8>> = None;
-        for (layer, lp) in net.layers().iter().zip(plan.layers()) {
-            let s = layer.shape();
-            if s.residual_save {
-                saved = Some(x.as_ref().unwrap_or(input).clone());
-            }
-            let residual = if s.residual_add {
-                Some(saved.take().ok_or_else(|| CoreError::UnsupportedShape {
-                    detail: format!("layer {}: residual add without a preceding save", s.index),
-                })?)
-            } else {
-                None
-            };
-            let cur = x.as_ref().unwrap_or(input);
-            let mut run = self.execute_layer(
-                layer,
-                lp,
-                std::slice::from_ref(cur),
-                residual.as_ref().map(std::slice::from_ref),
-                WeightResidency::PerImage,
-                &mut *scratch,
-            )?;
-            // edea-lint: allow(panic-in-lib): from_ref put exactly one image in
-            x = Some(run.outputs.pop().expect("one image in, one image out"));
-            layers.push(run.stats.into_layer_stats());
-        }
-        Ok(NetworkRun {
-            output: x.unwrap_or_else(|| input.clone()),
-            stats: NetworkStats { layers },
-        })
+        let run = self.run_planned(
+            net,
+            &plan,
+            std::slice::from_ref(input),
+            WeightResidency::PerImage,
+            &mut TileScratch::new(),
+        )?;
+        Ok(run.into_single())
     }
 
     /// Runs the whole quantized DSC stack over a batch of images, holding
@@ -841,72 +755,43 @@ impl Edea {
         net: &QuantizedDscNetwork,
         inputs: &Batch<i8>,
     ) -> Result<BatchRun, CoreError> {
-        // The plan was just built from this very network — skip the
-        // identity check (it would re-hash every weight byte).
         let plan = NetworkPlan::new(net, &self.cfg)?;
-        let mut scratch = TileScratch::new();
-        self.run_batch_planned_unchecked(net, &plan, inputs, &mut scratch)
+        self.run_planned(
+            net,
+            &plan,
+            inputs.images(),
+            WeightResidency::PerBatch,
+            &mut TileScratch::new(),
+        )
     }
 
-    /// Runs a whole batch through a pre-built [`NetworkPlan`] — the serving
-    /// hot path: no weight re-slicing, one [`TileScratch`] threaded through
-    /// every layer, and the input batch borrowed rather than deep-copied
-    /// (the first layer reads the images in place; later layers consume
-    /// the previous outputs by move). Bit-identical to [`Edea::run_batch`].
+    /// The network loop — the one place that walks a network's layers.
+    /// One [`TileScratch`] is threaded through every layer; the inputs are
+    /// borrowed, not copied (the first layer reads them in place, each
+    /// later layer consumes the previous outputs by move). An
+    /// inverted-residual skip saves the int8 block inputs at its
+    /// `residual_save` stage and hands them to the `residual_add` stage
+    /// that consumes them, in the golden executor's order.
     ///
-    /// # Errors
-    ///
-    /// [`CoreError::UnsupportedShape`] if `plan` was built for a different
-    /// network; otherwise the first per-layer error.
-    pub fn run_batch_planned(
+    /// `plan` must have been built from `net` (the wrappers build both
+    /// together; a session builds both once); it is not re-checked here.
+    pub(crate) fn run_planned(
         &self,
         net: &QuantizedDscNetwork,
         plan: &NetworkPlan,
-        inputs: &Batch<i8>,
-    ) -> Result<BatchRun, CoreError> {
-        let mut scratch = TileScratch::new();
-        self.run_batch_planned_with(net, plan, inputs, &mut scratch)
-    }
-
-    /// [`Edea::run_batch_planned`] with a caller-held [`TileScratch`], so
-    /// a serving session can reuse one scratch across requests (see
-    /// [`crate::serve::SimulatorBackend`]) instead of re-growing the
-    /// buffers per dispatch.
-    ///
-    /// # Errors
-    ///
-    /// As [`Edea::run_batch_planned`].
-    pub fn run_batch_planned_with(
-        &self,
-        net: &QuantizedDscNetwork,
-        plan: &NetworkPlan,
-        inputs: &Batch<i8>,
-        scratch: &mut TileScratch,
-    ) -> Result<BatchRun, CoreError> {
-        plan.check_network(net)?;
-        self.run_batch_planned_unchecked(net, plan, inputs, scratch)
-    }
-
-    /// [`Edea::run_batch_planned_with`] without the plan-identity check,
-    /// for callers that constructed plan and network together (the
-    /// wrappers, [`crate::serve::SimulatorBackend`]).
-    pub(crate) fn run_batch_planned_unchecked(
-        &self,
-        net: &QuantizedDscNetwork,
-        plan: &NetworkPlan,
-        inputs: &Batch<i8>,
+        inputs: &[Tensor3<i8>],
+        residency: WeightResidency,
         scratch: &mut TileScratch,
     ) -> Result<BatchRun, CoreError> {
         debug_assert_eq!(plan.layers().len(), net.layers().len());
         let mut layers = Vec::with_capacity(net.layers().len());
         let mut xs: Option<Vec<Tensor3<i8>>> = None;
-        // Per-image saved block inputs for inverted-residual skips (same
-        // save-then-add order as the golden executor).
         let mut saved: Option<Vec<Tensor3<i8>>> = None;
         for (layer, lp) in net.layers().iter().zip(plan.layers()) {
             let s = layer.shape();
+            let cur = xs.as_deref().unwrap_or(inputs);
             if s.residual_save {
-                saved = Some(xs.as_deref().unwrap_or(inputs.images()).to_vec());
+                saved = Some(cur.to_vec());
             }
             let residual = if s.residual_add {
                 Some(saved.take().ok_or_else(|| CoreError::UnsupportedShape {
@@ -915,20 +800,19 @@ impl Edea {
             } else {
                 None
             };
-            let cur: &[Tensor3<i8>] = xs.as_deref().unwrap_or(inputs.images());
             let run = self.execute_layer(
                 layer,
                 lp,
                 cur,
                 residual.as_deref(),
-                WeightResidency::PerBatch,
+                residency,
                 &mut *scratch,
             )?;
             xs = Some(run.outputs);
             layers.push(run.stats);
         }
         Ok(BatchRun {
-            outputs: Batch::new(xs.unwrap_or_else(|| inputs.images().to_vec()))
+            outputs: Batch::new(xs.unwrap_or_else(|| inputs.to_vec()))
                 // edea-lint: allow(panic-in-lib): every output of one layer has the layer's shape
                 .expect("uniform layer outputs"),
             stats: BatchNetworkStats {
@@ -936,6 +820,26 @@ impl Edea {
                 layers,
             },
         })
+    }
+}
+
+impl BatchRun {
+    /// A batch-of-one run as the single-image [`NetworkRun`].
+    pub(crate) fn into_single(self) -> NetworkRun {
+        let mut outputs = self.outputs.into_images();
+        debug_assert_eq!(outputs.len(), 1);
+        NetworkRun {
+            // edea-lint: allow(panic-in-lib): a batch holds at least one image
+            output: outputs.pop().expect("one image in, one image out"),
+            stats: NetworkStats {
+                layers: self
+                    .stats
+                    .layers
+                    .into_iter()
+                    .map(BatchLayerStats::into_layer_stats)
+                    .collect(),
+            },
+        }
     }
 }
 
@@ -1192,8 +1096,15 @@ mod tests {
         // Layer 0 at width 0.25: one portion's psums are 8×8×16×4 bytes.
         cfg.psum_buf_bytes = 8 * 8 * 16 * 4 - 4; // one word short per bank
         let edea = Edea::new(cfg).unwrap();
+        let layer = &qnet.layers()[0];
         let err = edea
-            .run_layer_batch(&qnet.layers()[0], inputs.images())
+            .run_layer_planned(
+                layer,
+                &LayerPlan::new(layer, edea.config()).unwrap(),
+                inputs.images(),
+                WeightResidency::PerBatch,
+                &mut TileScratch::new(),
+            )
             .unwrap_err();
         assert!(matches!(err, CoreError::BufferOverflow { .. }), "{err:?}");
     }
@@ -1248,8 +1159,16 @@ mod tests {
     fn empty_batch_is_rejected() {
         let (qnet, _) = setup_batch(1);
         let edea = Edea::new(EdeaConfig::paper()).unwrap();
+        let layer = &qnet.layers()[0];
+        let plan = LayerPlan::new(layer, edea.config()).unwrap();
         assert!(matches!(
-            edea.run_layer_batch(&qnet.layers()[0], &[]),
+            edea.run_layer_planned(
+                layer,
+                &plan,
+                &[],
+                WeightResidency::PerBatch,
+                &mut TileScratch::new()
+            ),
             Err(CoreError::UnsupportedShape { .. })
         ));
     }
@@ -1292,12 +1211,15 @@ mod tests {
 
     #[test]
     fn v2_planned_path_matches_one_shot() {
+        // The session's cached plan and reused scratch against the
+        // throwaway-plan wrapper, across the residual save→add hand-off.
         let (_, qnet, input) = setup_v2();
         let edea = Edea::new(EdeaConfig::paper()).unwrap();
-        let plan = NetworkPlan::new(&qnet, edea.config()).unwrap();
-        let planned = edea.run_network_planned(&qnet, &plan, &input).unwrap();
+        let session = crate::serve::SimulatorBackend::new(edea.clone(), qnet.clone()).unwrap();
+        let planned = session.run_network(&input).unwrap();
         let oneshot = edea.run_network(&qnet, &input).unwrap();
         assert_eq!(planned.output, oneshot.output);
+        assert_eq!(planned.stats, oneshot.stats);
     }
 
     #[test]

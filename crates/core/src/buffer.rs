@@ -96,7 +96,7 @@ pub fn check_capacity(
     for portion in ports {
         psum_peak = psum_peak.max(portion.pixels() * shape.k_out * 4);
         let (_, _, rows, cols) =
-            portion.input_region(shape.stride, shape.kernel, shape.pad(), shape.in_spatial);
+            portion.input_region(shape.stride, shape.kernel, shape.pad, shape.in_spatial);
         ifmap_peak = ifmap_peak.max(rows * cols * td);
     }
     let psum_required = n_images * psum_peak;

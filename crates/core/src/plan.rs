@@ -34,9 +34,9 @@ pub struct LayerPlan {
     /// Lazily computed FNV-style digest of the plan's weight bytes, so a
     /// plan can detect being used with a same-shaped layer from a
     /// *different* network (`shape` alone identifies a layer only within
-    /// one network). Lazy because the throwaway plans the unplanned
-    /// wrappers build route through the `_unchecked` paths and never need
-    /// it.
+    /// one network). Lazy because only [`LayerPlan::check_layer`] reads
+    /// it: the throwaway plans of the unplanned wrappers, and a session's
+    /// plans, are built together with their network and never re-checked.
     fingerprint: OnceLock<u64>,
     /// The `(D, 1, K, K)` depthwise taps, flat and channel-major: channel
     /// pass `ct` is the contiguous run of its `Td` kernels.
@@ -220,27 +220,6 @@ impl NetworkPlan {
     pub fn layers(&self) -> &[LayerPlan] {
         &self.layers
     }
-
-    /// Checks that this plan was built for `net` (layer count and shapes).
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::UnsupportedShape`] on a count or shape mismatch.
-    pub fn check_network(&self, net: &QuantizedDscNetwork) -> Result<(), CoreError> {
-        if self.layers.len() != net.layers().len() {
-            return Err(CoreError::UnsupportedShape {
-                detail: format!(
-                    "network plan holds {} layers, network has {}",
-                    self.layers.len(),
-                    net.layers().len()
-                ),
-            });
-        }
-        for (plan, layer) in self.layers.iter().zip(net.layers()) {
-            plan.check_layer(layer)?;
-        }
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -280,7 +259,9 @@ mod tests {
         let cfg = EdeaConfig::paper();
         let plan = NetworkPlan::new(&d.qnet, &cfg).unwrap();
         assert_eq!(plan.layers().len(), d.qnet.layers().len());
-        plan.check_network(&d.qnet).unwrap();
+        for (lp, layer) in plan.layers().iter().zip(d.qnet.layers()) {
+            lp.check_layer(layer).unwrap();
+        }
         // A plan for one layer rejects a different layer.
         let err = plan.layers()[0]
             .check_layer(&d.qnet.layers()[1])
@@ -301,7 +282,11 @@ mod tests {
         let err = plan.check_layer(&b.qnet.layers()[0]).unwrap_err();
         assert!(matches!(err, CoreError::UnsupportedShape { .. }), "{err:?}");
         let net_plan = NetworkPlan::new(&a.qnet, &cfg).unwrap();
-        assert!(net_plan.check_network(&b.qnet).is_err());
+        assert!(net_plan
+            .layers()
+            .iter()
+            .zip(b.qnet.layers())
+            .any(|(lp, layer)| lp.check_layer(layer).is_err()));
     }
 
     #[test]

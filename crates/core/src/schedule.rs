@@ -50,12 +50,6 @@ use edea_nn::workload::{LayerShape, StageOp};
 /// accelerator's per-layer check and the serving layer's network
 /// validation both delegate here.
 ///
-/// The generalized shape axes ([`LayerShape::dilation`],
-/// [`LayerShape::depth_multiplier`], asymmetric [`LayerShape::padding`])
-/// exist for schedule-space exploration; the realized datapath executes
-/// only their degenerate settings, and this check is where the boundary is
-/// enforced with a typed error instead of silent miscomputation.
-///
 /// # Errors
 ///
 /// [`CoreError::UnsupportedShape`] naming the violated constraint.
@@ -87,22 +81,6 @@ pub fn check_layer_geometry(s: &LayerShape, cfg: &EdeaConfig) -> Result<(), Core
             ),
         });
     }
-    if s.dilation != 1 {
-        return Err(CoreError::UnsupportedShape {
-            detail: format!(
-                "layer {}: dilation {} not supported by the datapath",
-                s.index, s.dilation
-            ),
-        });
-    }
-    if s.depth_multiplier != 1 {
-        return Err(CoreError::UnsupportedShape {
-            detail: format!(
-                "layer {}: depth multiplier {} not supported by the datapath",
-                s.index, s.depth_multiplier
-            ),
-        });
-    }
     match s.op {
         StageOp::Dsc => {
             if s.kernel != t.kernel {
@@ -113,22 +91,14 @@ pub fn check_layer_geometry(s: &LayerShape, cfg: &EdeaConfig) -> Result<(), Core
                     ),
                 });
             }
-            if !s.padding.is_symmetric() {
-                return Err(CoreError::UnsupportedShape {
-                    detail: format!(
-                        "layer {}: asymmetric padding ({}, {}) not supported by the datapath",
-                        s.index, s.padding.before, s.padding.after
-                    ),
-                });
-            }
         }
         StageOp::PwcOnly => {
-            if s.kernel != 1 || s.stride != 1 || s.padding.total() != 0 {
+            if s.kernel != 1 || s.stride != 1 || s.pad != 0 {
                 return Err(CoreError::UnsupportedShape {
                     detail: format!(
                         "layer {}: PwcOnly stage must be 1x1 stride-1 unpadded \
-                         (kernel {}, stride {}, padding ({}, {}))",
-                        s.index, s.kernel, s.stride, s.padding.before, s.padding.after
+                         (kernel {}, stride {}, pad {})",
+                        s.index, s.kernel, s.stride, s.pad
                     ),
                 });
             }
@@ -150,13 +120,12 @@ pub enum WeightResidency {
 /// External offline-parameter bytes one image's layer execution fetches:
 /// two 24-bit `(k, b)` words per channel at each Non-Conv boundary the
 /// stage actually crosses. A `Dsc` stage pays both boundaries (the
-/// DWC-side set covers the depthwise output channels — `d_in ×` the depth
-/// multiplier); a `PwcOnly` stage has no DWC-side Non-Conv, so only the
-/// output-side set is fetched.
+/// DWC-side set covers its `d_in` depthwise output channels); a `PwcOnly`
+/// stage has no DWC-side Non-Conv, so only the output-side set is fetched.
 #[must_use]
 pub fn layer_param_fetch_bytes(shape: &LayerShape) -> u64 {
     match shape.op {
-        StageOp::Dsc => 6 * (shape.dwc_out_channels() + shape.k_out) as u64,
+        StageOp::Dsc => 6 * (shape.d_in + shape.k_out) as u64,
         StageOp::PwcOnly => 6 * shape.k_out as u64,
     }
 }
@@ -185,6 +154,10 @@ impl Portion {
     /// The ifmap region this portion reads (in *unpadded* ifmap
     /// coordinates, clipped to the map): returns
     /// `(row0, col0, rows, cols)` of the input window including halo.
+    /// Underflow below the map is clipped to zero, overflow to
+    /// `in_spatial`, and a window lying wholly in the padding (a pad wider
+    /// than the kernel's halo) clips to an empty region — the region never
+    /// escapes the real map (proven by the `schedule_properties` suite).
     #[must_use]
     pub fn input_region(
         &self,
@@ -193,39 +166,15 @@ impl Portion {
         pad: usize,
         in_spatial: usize,
     ) -> (usize, usize, usize, usize) {
-        self.input_region_general(stride, kernel, 1, pad, in_spatial)
-    }
-
-    /// [`Portion::input_region`] generalized over dilation and a
-    /// possibly-asymmetric leading pad: the window is computed with the
-    /// *effective* kernel extent `(kernel−1)·dilation + 1` and shifted by
-    /// `pad_before` (the trailing pad only widens the padded map, so it
-    /// never moves the window origin). Underflow below the map is clipped
-    /// to zero, overflow clipped to `in_spatial` — the region never
-    /// escapes the real map (proven over the generalized axes by the
-    /// `schedule_properties` suite).
-    #[must_use]
-    pub fn input_region_general(
-        &self,
-        stride: usize,
-        kernel: usize,
-        dilation: usize,
-        pad_before: usize,
-        in_spatial: usize,
-    ) -> (usize, usize, usize, usize) {
-        let eff = (kernel - 1) * dilation + 1;
-        // Padded-coordinate window: [row0*stride, row0*stride + (rows-1)*stride + eff)
+        // Padded-coordinate window: [row0*stride, row0*stride + (rows-1)*stride + kernel)
         let r0p = self.row0 * stride;
         let c0p = self.col0 * stride;
-        let rows_p = (self.rows - 1) * stride + eff;
-        let cols_p = (self.cols - 1) * stride + eff;
-        // Clip to real (unpadded) extent. A window lying entirely inside
-        // the trailing pad (possible with large asymmetric `after` pads)
-        // clips to an empty region rather than underflowing.
-        let r1 = (r0p + rows_p).saturating_sub(pad_before).min(in_spatial);
-        let c1 = (c0p + cols_p).saturating_sub(pad_before).min(in_spatial);
-        let r0 = r0p.saturating_sub(pad_before).min(r1);
-        let c0 = c0p.saturating_sub(pad_before).min(c1);
+        let rows_p = (self.rows - 1) * stride + kernel;
+        let cols_p = (self.cols - 1) * stride + kernel;
+        let r1 = (r0p + rows_p).saturating_sub(pad).min(in_spatial);
+        let c1 = (c0p + cols_p).saturating_sub(pad).min(in_spatial);
+        let r0 = r0p.saturating_sub(pad).min(r1);
+        let c0 = c0p.saturating_sub(pad).min(c1);
         (r0, c0, r1 - r0, c1 - c0)
     }
 }
@@ -289,15 +238,14 @@ mod tests {
 
     #[test]
     fn geometry_check_is_op_aware() {
-        use edea_nn::workload::Padding;
         // A well-formed Dsc stage and a well-formed PwcOnly stage pass.
         let dsc = LayerShape::dsc(0, 16, 8, 16, 1, 3);
         check_layer_geometry(&dsc, &cfg()).unwrap();
         let pwc = LayerShape::pwc(1, 16, 8, 16);
         check_layer_geometry(&pwc, &cfg()).unwrap();
 
-        // The generalized axes are schedule-space only: each one is
-        // rejected with a typed error naming the constraint.
+        // A malformed stage is rejected with a typed error naming the
+        // constraint.
         let reject = |s: &LayerShape, needle: &str| {
             let err = check_layer_geometry(s, &cfg()).unwrap_err();
             match err {
@@ -307,19 +255,10 @@ mod tests {
                 other => panic!("expected UnsupportedShape, got {other:?}"),
             }
         };
-        let mut dilated = dsc;
-        dilated.dilation = 2;
-        reject(&dilated, "dilation");
-        let mut multi = dsc;
-        multi.depth_multiplier = 4;
-        reject(&multi, "depth multiplier");
-        let mut lopsided = dsc;
-        lopsided.in_spatial = 15;
-        lopsided.padding = Padding {
-            before: 1,
-            after: 0,
-        };
-        reject(&lopsided, "asymmetric padding");
+        let mut wide = dsc;
+        wide.kernel = 5;
+        wide.pad = 2;
+        reject(&wide, "engine kernel");
         // A PwcOnly stage that is not 1×1 stride-1 unpadded is malformed.
         let mut strided = pwc;
         strided.in_spatial = 32;

@@ -13,8 +13,9 @@
 //! steady-state portion loop performs **zero heap allocations** (guarded
 //! by the allocation-regression test in `crates/core/tests`).
 //!
-//! A scratch outlives a layer run: `Edea::run_network_planned` and
-//! `run_batch_planned` thread one scratch through every layer, and its
+//! A scratch outlives a layer run: the network loop threads one scratch
+//! through every layer, a serving session
+//! ([`crate::serve::SimulatorBackend`]) reuses one across requests, and its
 //! capacity grows monotonically to the largest layer it has seen.
 
 use edea_nn::workload::LayerShape;

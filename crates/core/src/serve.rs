@@ -503,18 +503,12 @@ impl SimulatorBackend {
 
     /// Runs one input through the primary network on the cycle-accurate
     /// simulator, through the session's cached plan and reused scratch.
-    /// No per-call identity check is needed: plan and network were built
-    /// together in [`SimulatorBackend::new`] and are immutable.
     ///
     /// # Errors
     ///
     /// As [`Edea::run_network`].
     pub fn run_network(&self, input: &Tensor3<i8>) -> Result<NetworkRun, CoreError> {
-        let m = &self.models[0];
-        self.with_scratch(|scratch| {
-            self.edea
-                .run_network_planned_unchecked(&m.qnet, &m.plan, input, scratch)
-        })
+        self.run_network_for(NetworkId::PRIMARY, input)
     }
 
     /// [`SimulatorBackend::run_network`] on a registered network.
@@ -528,11 +522,12 @@ impl SimulatorBackend {
         network: NetworkId,
         input: &Tensor3<i8>,
     ) -> Result<NetworkRun, CoreError> {
-        let m = self.entry_or_err(network)?;
-        self.with_scratch(|scratch| {
-            self.edea
-                .run_network_planned_unchecked(&m.qnet, &m.plan, input, scratch)
-        })
+        self.run_planned(
+            network,
+            std::slice::from_ref(input),
+            WeightResidency::PerImage,
+        )
+        .map(BatchRun::into_single)
     }
 
     /// Runs a batch through the primary network's weight-residency
@@ -557,10 +552,23 @@ impl SimulatorBackend {
         network: NetworkId,
         inputs: &Batch<i8>,
     ) -> Result<BatchRun, CoreError> {
+        self.run_planned(network, inputs.images(), WeightResidency::PerBatch)
+    }
+
+    /// Runs `inputs` through `network`'s cached plan and the session
+    /// scratch — the one path every run method of the session takes. No
+    /// per-call identity check is needed: plan and network were built
+    /// together when the model was registered and are immutable.
+    fn run_planned(
+        &self,
+        network: NetworkId,
+        inputs: &[Tensor3<i8>],
+        residency: WeightResidency,
+    ) -> Result<BatchRun, CoreError> {
         let m = self.entry_or_err(network)?;
         self.with_scratch(|scratch| {
             self.edea
-                .run_batch_planned_unchecked(&m.qnet, &m.plan, inputs, scratch)
+                .run_planned(&m.qnet, &m.plan, inputs, residency, scratch)
         })
     }
 }

@@ -390,7 +390,7 @@ pub fn layer_ledger(
         * crate::schedule::portion_iter(shape.out_spatial(), cfg.portion_limit)
             .map(|portion| {
                 let (_, _, rows, cols) =
-                    portion.input_region(shape.stride, shape.kernel, shape.pad(), shape.in_spatial);
+                    portion.input_region(shape.stride, shape.kernel, shape.pad, shape.in_spatial);
                 (rows * cols * t.td) as u64
             })
             .sum::<u64>();

@@ -76,38 +76,35 @@ proptest! {
         prop_assert_eq!(last, in_spatial);
     }
 
-    /// The generalized window math: over dilation 1–2, asymmetric padding
-    /// and kernels 1/3/5, every portion's input region stays an in-bounds
-    /// (possibly empty only when it lies wholly in the trailing pad)
-    /// rectangle — no index underflow from the saturating arithmetic —
-    /// and matches the brute-force union of the dilated halo windows of
-    /// the portion's output pixels.
+    /// The window math beyond the paper's 3×3/pad-1 case: over kernels
+    /// 1/3/5, pads 0–3 (wider than the halo included) and strides 1–2,
+    /// every portion's input region stays an in-bounds (possibly empty
+    /// only when it lies wholly in the padding) rectangle — no index
+    /// underflow from the saturating arithmetic — and matches the
+    /// brute-force union of the halo windows of the portion's output
+    /// pixels.
     #[test]
     fn generalized_input_regions_never_underflow_and_are_exact(
         in_spatial in 4usize..=48,
         kernel_idx in 0usize..3,
         stride in 1usize..=2,
-        dilation in 1usize..=2,
-        before in 0usize..=3,
-        after in 0usize..=3,
+        pad in 0usize..=3,
         limit in 1usize..=8,
     ) {
         let kernel = [1usize, 3, 5][kernel_idx];
-        let eff = (kernel - 1) * dilation + 1;
-        prop_assume!(in_spatial + before + after >= eff);
-        let out = (in_spatial + before + after - eff) / stride + 1;
+        prop_assume!(in_spatial + 2 * pad >= kernel);
+        let out = out_dim(in_spatial, kernel, stride, pad);
         for p in portions(out, limit) {
-            let (r0, c0, rows, cols) =
-                p.input_region_general(stride, kernel, dilation, before, in_spatial);
+            let (r0, c0, rows, cols) = p.input_region(stride, kernel, pad, in_spatial);
             // In bounds, no wrap-around.
             prop_assert!(r0 + rows <= in_spatial, "{p:?} rows overflow");
             prop_assert!(c0 + cols <= in_spatial, "{p:?} cols overflow");
             prop_assert!(r0 <= in_spatial && c0 <= in_spatial, "{p:?} origin escapes");
-            // Brute-force the clipped union of the dilated windows.
+            // Brute-force the clipped union of the halo windows.
             let needed = |o0: usize, n: usize| {
-                let lo = (o0 * stride).saturating_sub(before).min(in_spatial);
-                let hi = ((o0 + n - 1) * stride + eff)
-                    .saturating_sub(before)
+                let lo = (o0 * stride).saturating_sub(pad).min(in_spatial);
+                let hi = ((o0 + n - 1) * stride + kernel)
+                    .saturating_sub(pad)
                     .min(in_spatial);
                 (lo, hi.max(lo))
             };
@@ -118,30 +115,26 @@ proptest! {
         }
     }
 
-    /// Portion geometry covers the generalized ofmap exactly — the portion
-    /// edges partition `out × out` for any shape the generalized
-    /// `LayerShape` can describe (dilation, depth multiplier, asymmetric
-    /// pad). Depth multiplier scales the channel axis, never the spatial
-    /// partition; the MAC/param model must scale with it linearly.
+    /// Portion geometry covers the ofmap exactly — the portion edges
+    /// partition `out × out` for any stride, kernel, pad and portion limit
+    /// `LayerShape` can describe — and the MAC/param model scales
+    /// linearly in the channel count, never in the spatial partition.
     #[test]
     fn generalized_shapes_partition_the_ofmap_and_scale_channels(
         in_spatial in 4usize..=48,
         stride in 1usize..=2,
-        dilation in 1usize..=2,
-        before in 0usize..=3,
-        after in 0usize..=3,
-        dm in 1usize..=4,
+        kernel_idx in 0usize..3,
+        pad in 0usize..=3,
+        channels in 1usize..=4,
         limit in 1usize..=8,
     ) {
-        use edea_nn::workload::{LayerShape, Padding};
-        let mut s = LayerShape::dsc(0, in_spatial, 8, 16, stride, 3);
-        s.padding = Padding { before, after };
-        s.dilation = dilation;
-        s.depth_multiplier = dm;
-        let eff = (s.kernel - 1) * dilation + 1;
-        prop_assume!(in_spatial + before + after >= eff);
+        use edea_nn::workload::LayerShape;
+        let kernel = [1usize, 3, 5][kernel_idx];
+        let mut s = LayerShape::dsc(0, in_spatial, 8 * channels, 16, stride, kernel);
+        s.pad = pad;
+        prop_assume!(in_spatial + 2 * pad >= kernel);
         let out = s.out_spatial();
-        prop_assert_eq!(out, (in_spatial + before + after - eff) / stride + 1);
+        prop_assert_eq!(out, out_dim(in_spatial, kernel, stride, pad));
         // Exact cover of the ofmap, no overlap.
         let mut covered = vec![false; out * out];
         for p in portions(out, limit) {
@@ -153,17 +146,14 @@ proptest! {
             }
         }
         prop_assert!(covered.iter().all(|&v| v), "portions miss ofmap pixels");
-        // The channel axis: depth multiplier multiplies DWC kernels,
-        // MACs and params but leaves the PWC input tiling untouched
-        // relative to dwc_out_channels.
-        prop_assert_eq!(s.dwc_out_channels(), 8 * dm);
-        let base = {
-            let mut b = s;
-            b.depth_multiplier = 1;
-            b
-        };
-        prop_assert_eq!(s.dwc_macs(), base.dwc_macs() * dm as u64);
-        prop_assert_eq!(s.dwc_params(), base.dwc_params() * dm as u64);
-        prop_assert_eq!(s.pwc_macs(), base.pwc_macs() * dm as u64);
+        // The channel axis: input channels multiply DWC kernels, MACs and
+        // params and the PWC's input depth, and nothing spatial.
+        let base = LayerShape { d_in: 8, ..s };
+        let c = channels as u64;
+        prop_assert_eq!(s.out_spatial(), base.out_spatial());
+        prop_assert_eq!(s.dwc_macs(), base.dwc_macs() * c);
+        prop_assert_eq!(s.dwc_params(), base.dwc_params() * c);
+        prop_assert_eq!(s.pwc_macs(), base.pwc_macs() * c);
+        prop_assert_eq!(s.intermediate_elems(), base.intermediate_elems() * c);
     }
 }

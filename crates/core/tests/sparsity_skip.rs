@@ -17,7 +17,7 @@
 
 use edea_core::engine::{DwcEngine, EngineActivity, PwcEngine, WeightSlice};
 use edea_core::nonconv::NonConvUnit;
-use edea_core::plan::NetworkPlan;
+use edea_core::serve::SimulatorBackend;
 use edea_core::EdeaConfig;
 use edea_nn::executor;
 use edea_nn::fold::FoldedAffine;
@@ -235,8 +235,8 @@ fn shaped_network_outputs_and_activity_are_bit_identical_across_paths() {
     // the skip machinery changes wall-clock only.
     let d = deploy(0.25, 91);
     let edea = paper_edea();
-    let plan = NetworkPlan::new(&d.qnet, edea.config()).unwrap();
-    let planned = edea.run_network_planned(&d.qnet, &plan, &d.input).unwrap();
+    let session = SimulatorBackend::new(edea.clone(), d.qnet.clone()).unwrap();
+    let planned = session.run_network(&d.input).unwrap();
     let unplanned = edea.run_network(&d.qnet, &d.input).unwrap();
     let golden = executor::run_network(&d.qnet, &d.input);
     assert_eq!(planned.output, golden.output);

@@ -12,33 +12,39 @@
 //! magic "EDEA"  | u32 version | u32 layer count | f32 input scale
 //! per layer:
 //!   u32×5 shape (in_spatial, d_in, k_out, stride, kernel)
-//!   u32×6 generalized axes (pad_before, pad_after, dilation,
-//!         depth_multiplier, op, residual flags)
+//!   u32×3 stage (pad, op, residual flags)
 //!   i32 out_lo | u32 residual-scale presence | [i32 raw Q8.16 scale]
 //!   f32×3 scales (s_in, s_mid, s_out)
-//!   f32 dw weight scale, i8[k²·D·dm] dw weights
-//!   f32 pw weight scale, i8[D·dm·K] pw weights
-//!   i32[2·D·dm] nonconv1 (k, b) raw Q8.16 words
+//!   f32 dw weight scale, i8[k²·D] dw weights
+//!   f32 pw weight scale, i8[D·K] pw weights
+//!   i32[2·D] nonconv1 (k, b) raw Q8.16 words
 //!   i32[2·K] nonconv2 (k, b) raw Q8.16 words
 //! u32 FNV-1a checksum of everything above
 //! ```
 //!
-//! Version 2 generalized the per-layer shape record (the `u32×6` axes
-//! row and the residual/out-lo words) so the MobileNetV2 inverted
-//! residual round-trips exactly; version-1 blobs predate that row and
+//! Version 3 records exactly the stage axes the datapath executes: the
+//! symmetric pad, the stage op and the residual markers, plus the
+//! residual/out-lo words that let the MobileNetV2 inverted residual
+//! round-trip exactly. Blobs of earlier versions (whose wider row also
+//! carried dilated-window, kernels-per-channel and asymmetric-pad axes)
 //! are rejected by the version check.
+//!
+//! Every size derived from header fields is computed with checked
+//! arithmetic and bounded by the blob before anything is allocated, so a
+//! malformed header yields a typed error, never a panic or an unbounded
+//! allocation.
 
 use edea_fixed::Q8x16;
 use edea_tensor::{QTensor4, QuantParams, Tensor4};
 
 use crate::fold::FoldedAffine;
 use crate::quantize::{QuantizedDscLayer, QuantizedDscNetwork};
-use crate::workload::{LayerShape, Padding, StageOp};
+use crate::workload::{LayerShape, StageOp};
 use crate::NnError;
 
 const MAGIC: &[u8; 4] = b"EDEA";
 /// Artifact format version.
-pub const ARTIFACT_VERSION: u32 = 2;
+pub const ARTIFACT_VERSION: u32 = 3;
 
 /// FNV-1a, the checksum of the artifact body.
 fn fnv1a(bytes: &[u8]) -> u32 {
@@ -76,7 +82,7 @@ struct Reader<'a> {
 
 impl<'a> Reader<'a> {
     fn take(&mut self, n: usize) -> Result<&'a [u8], NnError> {
-        if self.pos + n > self.buf.len() {
+        if n > self.buf.len() - self.pos {
             return Err(NnError::InvalidConfig {
                 detail: format!("artifact truncated at byte {}", self.pos),
             });
@@ -103,6 +109,28 @@ impl<'a> Reader<'a> {
     fn i8s(&mut self, n: usize) -> Result<Vec<i8>, NnError> {
         Ok(self.take(n)?.iter().map(|&b| b as i8).collect())
     }
+    /// `n` raw Q8.16 `(k, b)` word pairs; the bytes are taken before any
+    /// allocation, so `n` is bounded by the blob.
+    fn affines(&mut self, n: usize) -> Result<Vec<FoldedAffine>, NnError> {
+        let bytes = self.take(checked_size(&[n, 8])?)?;
+        Ok(bytes
+            .chunks_exact(8)
+            .map(|w| {
+                let word = |i: usize| i32::from_le_bytes(w[i..i + 4].try_into().expect("4 bytes"));
+                affine_from_raw(word(0), word(4))
+            })
+            .collect())
+    }
+}
+
+/// The product of header-derived sizes, or a typed error if it overflows.
+fn checked_size(factors: &[usize]) -> Result<usize, NnError> {
+    factors
+        .iter()
+        .try_fold(1usize, |acc, &f| acc.checked_mul(f))
+        .ok_or_else(|| NnError::InvalidConfig {
+            detail: format!("artifact size {factors:?} overflows"),
+        })
 }
 
 /// Serializes a quantized network into the deployment blob.
@@ -123,14 +151,7 @@ pub fn serialize(net: &QuantizedDscNetwork) -> Vec<u8> {
             StageOp::PwcOnly => 1,
         };
         let flags = u32::from(s.residual_save) | (u32::from(s.residual_add) << 1);
-        for v in [
-            s.padding.before as u32,
-            s.padding.after as u32,
-            s.dilation as u32,
-            s.depth_multiplier as u32,
-            op,
-            flags,
-        ] {
+        for v in [s.pad as u32, op, flags] {
             w.u32(v);
         }
         w.i32(i32::from(l.out_lo()));
@@ -148,11 +169,7 @@ pub fn serialize(net: &QuantizedDscNetwork) -> Vec<u8> {
         w.i8s(l.dw_weights().values().as_slice());
         w.f32(l.pw_weights().params().scale());
         w.i8s(l.pw_weights().values().as_slice());
-        for f in l.nonconv1() {
-            w.i32(f.k.raw());
-            w.i32(f.b.raw());
-        }
-        for f in l.nonconv2() {
+        for f in l.nonconv1().iter().chain(l.nonconv2()) {
             w.i32(f.k.raw());
             w.i32(f.b.raw());
         }
@@ -178,7 +195,8 @@ fn affine_from_raw(k_raw: i32, b_raw: i32) -> FoldedAffine {
 /// # Errors
 ///
 /// [`NnError::InvalidConfig`] on bad magic, unsupported version, truncation,
-/// or checksum mismatch.
+/// checksum mismatch, or a malformed layer record (including sizes that
+/// overflow).
 pub fn deserialize(bytes: &[u8]) -> Result<QuantizedDscNetwork, NnError> {
     if bytes.len() < 8 || &bytes[..4] != MAGIC {
         return Err(NnError::InvalidConfig {
@@ -221,10 +239,7 @@ pub fn deserialize(bytes: &[u8]) -> Result<QuantizedDscNetwork, NnError> {
                 detail: format!("layer {index}: zero dimension"),
             });
         }
-        let pad_before = r.u32()? as usize;
-        let pad_after = r.u32()? as usize;
-        let dilation = r.u32()? as usize;
-        let depth_multiplier = r.u32()? as usize;
+        let pad = r.u32()? as usize;
         let op = match r.u32()? {
             0 => StageOp::Dsc,
             1 => StageOp::PwcOnly,
@@ -235,9 +250,9 @@ pub fn deserialize(bytes: &[u8]) -> Result<QuantizedDscNetwork, NnError> {
             }
         };
         let flags = r.u32()?;
-        if flags > 0b11 || dilation == 0 || depth_multiplier == 0 {
+        if flags > 0b11 {
             return Err(NnError::InvalidConfig {
-                detail: format!("layer {index}: malformed generalized-axes record"),
+                detail: format!("layer {index}: bad residual flags {flags}"),
             });
         }
         let shape = LayerShape {
@@ -247,12 +262,7 @@ pub fn deserialize(bytes: &[u8]) -> Result<QuantizedDscNetwork, NnError> {
             k_out,
             stride,
             kernel,
-            padding: Padding {
-                before: pad_before,
-                after: pad_after,
-            },
-            dilation,
-            depth_multiplier,
+            pad,
             op,
             residual_save: flags & 1 != 0,
             residual_add: flags & 2 != 0,
@@ -275,33 +285,21 @@ pub fn deserialize(bytes: &[u8]) -> Result<QuantizedDscNetwork, NnError> {
                 detail: format!("layer {index}: residual scale on a non-residual stage"),
             });
         }
-        let dwc_out = shape.dwc_out_channels();
         let s_in = r.f32()?;
         let s_mid = r.f32()?;
         let s_out = r.f32()?;
         let dw_scale = r.f32()?;
-        let dw = r.i8s(kernel * kernel * dwc_out)?;
+        let dw = r.i8s(checked_size(&[kernel, kernel, d_in])?)?;
         let pw_scale = r.f32()?;
-        let pw = r.i8s(dwc_out * k_out)?;
-        let mut nonconv1 = Vec::with_capacity(dwc_out);
-        for _ in 0..dwc_out {
-            let k = r.i32()?;
-            let b = r.i32()?;
-            nonconv1.push(affine_from_raw(k, b));
-        }
-        let mut nonconv2 = Vec::with_capacity(k_out);
-        for _ in 0..k_out {
-            let k = r.i32()?;
-            let b = r.i32()?;
-            nonconv2.push(affine_from_raw(k, b));
-        }
-        let dw_t = Tensor4::from_vec(dw, dwc_out, 1, kernel, kernel).map_err(|e| {
-            NnError::InvalidConfig {
+        let pw = r.i8s(checked_size(&[d_in, k_out])?)?;
+        let nonconv1 = r.affines(d_in)?;
+        let nonconv2 = r.affines(k_out)?;
+        let dw_t =
+            Tensor4::from_vec(dw, d_in, 1, kernel, kernel).map_err(|e| NnError::InvalidConfig {
                 detail: e.to_string(),
-            }
-        })?;
+            })?;
         let pw_t =
-            Tensor4::from_vec(pw, k_out, dwc_out, 1, 1).map_err(|e| NnError::InvalidConfig {
+            Tensor4::from_vec(pw, k_out, d_in, 1, 1).map_err(|e| NnError::InvalidConfig {
                 detail: e.to_string(),
             })?;
         let dw_params = QuantParams::new(dw_scale).map_err(|e| NnError::InvalidConfig {
@@ -392,9 +390,8 @@ mod tests {
 
     #[test]
     fn v2_inverted_residuals_round_trip_bit_exactly() {
-        // The generalized record is the point of format version 2: stage
-        // ops, residual markers, out_lo and the residual rescale must all
-        // survive the blob, proven by bit-exact re-execution.
+        // Stage ops, residual markers, out_lo and the residual rescale must
+        // all survive the blob, proven by bit-exact re-execution.
         let model = MobileNetV2::synthetic(0.25, 94);
         let calib = rng::synthetic_batch(1, 3, 32, 32, 95);
         let qnet =
@@ -479,5 +476,25 @@ mod tests {
         blob[body_len..].copy_from_slice(&sum.to_le_bytes());
         let err = deserialize(&blob).unwrap_err();
         assert!(err.to_string().contains("version"));
+    }
+
+    #[test]
+    fn overflowing_layer_sizes_are_rejected() {
+        let (_, qnet) = network();
+        let mut blob = serialize(&qnet);
+        // Layer 0's record starts after magic, version, layer count and
+        // input scale; its kernel is the fifth shape word. With d_in = 2
+        // the depthwise size k²·D overflows.
+        let layer0 = 16;
+        blob[layer0 + 4..layer0 + 8].copy_from_slice(&2u32.to_le_bytes());
+        blob[layer0 + 16..layer0 + 20].copy_from_slice(&u32::MAX.to_le_bytes());
+        let body_len = blob.len() - 4;
+        let sum = super::fnv1a(&blob[..body_len]);
+        blob[body_len..].copy_from_slice(&sum.to_le_bytes());
+        let err = deserialize(&blob).unwrap_err();
+        assert!(
+            matches!(&err, NnError::InvalidConfig { detail } if detail.contains("overflows")),
+            "{err:?}"
+        );
     }
 }

@@ -133,7 +133,7 @@ pub fn try_run_layer_with(
     // ifmap itself.
     let (dwc_acc, pwc_input) = match s.op {
         StageOp::Dsc => {
-            let acc = depthwise_conv2d_i8(input, layer.dw_weights().values(), s.stride, s.pad());
+            let acc = depthwise_conv2d_i8(input, layer.dw_weights().values(), s.stride, s.pad);
             let (d, oh, ow) = acc.shape();
             let mid = Tensor3::from_fn(d, oh, ow, |c, h, w| {
                 layer.nonconv1()[c].apply_fixed(acc[(c, h, w)], 0)

@@ -229,7 +229,7 @@ impl MobileNetV1 {
             (s.d_in, s.in_spatial, s.in_spatial),
             "block {index} input shape mismatch"
         );
-        let dwc_raw = depthwise_conv2d_f32(input, &block.dw_weights, s.stride, s.pad());
+        let dwc_raw = depthwise_conv2d_f32(input, &block.dw_weights, s.stride, s.pad);
         let dwc_act = relu(&block.bn1.apply(&dwc_raw));
         let pwc_raw = pointwise_conv2d_f32(&dwc_act, &block.pw_weights);
         let pwc_act = relu(&block.bn2.apply(&pwc_raw));
@@ -526,7 +526,7 @@ impl MobileNetV2 {
             StageOp::Dsc => {
                 let dw = stage.dw_weights.as_ref().expect("validated DSC stage");
                 let bn1 = stage.bn1.as_ref().expect("validated DSC stage");
-                let dwc_raw = depthwise_conv2d_f32(input, dw, s.stride, s.pad());
+                let dwc_raw = depthwise_conv2d_f32(input, dw, s.stride, s.pad);
                 relu(&bn1.apply(&dwc_raw))
             }
             StageOp::PwcOnly => input.clone(),

@@ -119,18 +119,17 @@ impl QuantizedDscLayer {
         s_mid: f32,
         s_out: f32,
     ) -> Self {
-        let dwc_out = shape.dwc_out_channels();
         assert_eq!(
             dw_weights.values().shape(),
-            (dwc_out, 1, shape.kernel, shape.kernel),
+            (shape.d_in, 1, shape.kernel, shape.kernel),
             "dw weight shape"
         );
         assert_eq!(
             pw_weights.values().shape(),
-            (shape.k_out, dwc_out, 1, 1),
+            (shape.k_out, shape.d_in, 1, 1),
             "pw weight shape"
         );
-        assert_eq!(nonconv1.len(), dwc_out, "nonconv1 channel count");
+        assert_eq!(nonconv1.len(), shape.d_in, "nonconv1 channel count");
         assert_eq!(nonconv2.len(), shape.k_out, "nonconv2 channel count");
         Self {
             shape,
@@ -445,7 +444,7 @@ impl QuantizedDscNetwork {
             // --- DWC + Non-Conv #1 ---
             let dwc_accs: Vec<Tensor3<i32>> = xs
                 .iter()
-                .map(|x| depthwise_conv2d_i8(x, dw_q.values(), shape.stride, shape.pad()))
+                .map(|x| depthwise_conv2d_i8(x, dw_q.values(), shape.stride, shape.pad))
                 .collect();
             let pools = acc_pools(&dwc_accs, s_in * s_dw);
             shape_bn_from_pools(&mut model.blocks_mut()[i].bn1, &pools, profile.dwc_zero[i]);
@@ -604,7 +603,7 @@ impl QuantizedDscNetwork {
                     let s_dw = f64::from(dw_params.scale());
                     let dwc_accs: Vec<Tensor3<i32>> = xs
                         .iter()
-                        .map(|x| depthwise_conv2d_i8(x, dw_q.values(), shape.stride, shape.pad()))
+                        .map(|x| depthwise_conv2d_i8(x, dw_q.values(), shape.stride, shape.pad))
                         .collect();
                     let pools = acc_pools(&dwc_accs, s_in * s_dw);
                     let coeffs = bn1.affine_coefficients();

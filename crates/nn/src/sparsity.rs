@@ -246,7 +246,7 @@ pub fn shape_network_sparsity(
                     x,
                     &b.dw_weights,
                     b.shape.stride,
-                    b.shape.pad(),
+                    b.shape.pad,
                 )
             })
             .collect();

@@ -10,58 +10,18 @@
 //! stride of 2") — and 2×2 feature maps in the last two layers.
 //!
 //! The block structure is **data, not code**: a [`LayerShape`] carries
-//! explicit padding, dilation, a depth multiplier (`kernels_per_layer`),
-//! the stage operator ([`StageOp`]) and residual markers, so the same
-//! representation expresses the paper's plain DSC block (the degenerate
-//! case: depth multiplier 1, dilation 1, same-padding, no residual) and
-//! the MobileNetV2 inverted residual (expand-PWC → DWC → project-PWC with
-//! a requantized skip connection) of [`mobilenet_v2_cifar10`].
+//! the axes the dual-engine datapath executes — spatial size, channels,
+//! stride, kernel, symmetric padding, the stage operator ([`StageOp`]) and
+//! residual markers — so the same representation expresses the paper's
+//! plain DSC block (same-padding, no residual) and the MobileNetV2
+//! inverted residual (expand-PWC → DWC → project-PWC with a requantized
+//! skip connection) of [`mobilenet_v2_cifar10`]. Axes the datapath cannot
+//! run — dilated windows, several kernels per input channel, asymmetric
+//! padding — are not representable.
 
 use edea_tensor::conv::out_dim;
 
 use crate::error::NnError;
-
-/// Spatial zero-padding of a convolution, allowed to be asymmetric
-/// (`before` = top/left, `after` = bottom/right).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct Padding {
-    /// Rows/columns of zeros before the map (top and left edges).
-    pub before: usize,
-    /// Rows/columns of zeros after the map (bottom and right edges).
-    pub after: usize,
-}
-
-impl Padding {
-    /// Same-padding for an odd `kernel`: `kernel / 2` on both edges.
-    #[must_use]
-    pub fn same(kernel: usize) -> Self {
-        Self {
-            before: kernel / 2,
-            after: kernel / 2,
-        }
-    }
-
-    /// Symmetric padding of `p` on every edge.
-    #[must_use]
-    pub fn symmetric(p: usize) -> Self {
-        Self {
-            before: p,
-            after: p,
-        }
-    }
-
-    /// Total padded rows/columns added to one spatial dimension.
-    #[must_use]
-    pub fn total(&self) -> usize {
-        self.before + self.after
-    }
-
-    /// Whether both edges carry the same padding.
-    #[must_use]
-    pub fn is_symmetric(&self) -> bool {
-        self.before == self.after
-    }
-}
 
 /// The operator a stage runs on the dual-engine datapath.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -76,9 +36,9 @@ pub enum StageOp {
 }
 
 /// Shape of one accelerator stage. For [`StageOp::Dsc`] this is a DWC
-/// (`kernel×kernel`, per-input-channel, `depth_multiplier` kernels each)
-/// followed by a PWC (1×1, `d_in·depth_multiplier → k_out`); for
-/// [`StageOp::PwcOnly`] it is the PWC alone (`d_in → k_out`).
+/// (`kernel×kernel`, one kernel per input channel) followed by a PWC (1×1,
+/// `d_in → k_out`); for [`StageOp::PwcOnly`] it is the PWC alone
+/// (`d_in → k_out`).
 ///
 /// # Example
 ///
@@ -105,12 +65,8 @@ pub struct LayerShape {
     /// DWC kernel height/width (`H = W = 3` for MobileNet; 1 for
     /// [`StageOp::PwcOnly`]).
     pub kernel: usize,
-    /// Spatial zero-padding (v1: same-padding `kernel / 2`).
-    pub padding: Padding,
-    /// DWC dilation (v1/v2: 1).
-    pub dilation: usize,
-    /// Depthwise kernels per input channel (`kernels_per_layer`; v1/v2: 1).
-    pub depth_multiplier: usize,
+    /// Spatial zero-padding on every edge (v1: same-padding `kernel / 2`).
+    pub pad: usize,
     /// Which engines the stage occupies.
     pub op: StageOp,
     /// This stage's *input* is the residual source of its block (it must
@@ -123,8 +79,7 @@ pub struct LayerShape {
 }
 
 impl Default for LayerShape {
-    /// A degenerate v1-style stage: 3×3 DSC, stride 1, same-padding,
-    /// dilation 1, depth multiplier 1, no residual.
+    /// A v1-style stage: 3×3 DSC, stride 1, same-padding, no residual.
     fn default() -> Self {
         Self {
             index: 0,
@@ -133,9 +88,7 @@ impl Default for LayerShape {
             k_out: 1,
             stride: 1,
             kernel: 3,
-            padding: Padding::same(3),
-            dilation: 1,
-            depth_multiplier: 1,
+            pad: 1,
             op: StageOp::Dsc,
             residual_save: false,
             residual_add: false,
@@ -144,8 +97,7 @@ impl Default for LayerShape {
 }
 
 impl LayerShape {
-    /// A plain DSC stage with v1 defaults (same-padding, dilation 1, depth
-    /// multiplier 1, no residual).
+    /// A plain DSC stage with v1 defaults (same-padding, no residual).
     #[must_use]
     pub fn dsc(
         index: usize,
@@ -162,7 +114,7 @@ impl LayerShape {
             k_out,
             stride,
             kernel,
-            padding: Padding::same(kernel),
+            pad: kernel / 2,
             ..Self::default()
         }
     }
@@ -177,61 +129,33 @@ impl LayerShape {
             k_out,
             stride: 1,
             kernel: 1,
-            padding: Padding::symmetric(0),
+            pad: 0,
             op: StageOp::PwcOnly,
             ..Self::default()
         }
     }
 
-    /// Leading (top/left) spatial padding — what the halo math consumes.
-    /// Equals `kernel / 2` for the v1 same-padding case.
-    #[must_use]
-    pub fn pad(&self) -> usize {
-        self.padding.before
-    }
-
-    /// Effective kernel extent under dilation:
-    /// `(kernel − 1)·dilation + 1`.
-    #[must_use]
-    pub fn effective_kernel(&self) -> usize {
-        (self.kernel - 1) * self.dilation + 1
-    }
-
-    /// Output spatial size (`N = M`):
-    /// `(R + pad_before + pad_after − effective_kernel)/stride + 1`.
+    /// Output spatial size (`N = M`): `(R + 2·pad − kernel)/stride + 1`.
     #[must_use]
     pub fn out_spatial(&self) -> usize {
-        if self.dilation == 1 && self.padding.is_symmetric() {
-            return out_dim(self.in_spatial, self.kernel, self.stride, self.pad());
-        }
-        (self.in_spatial + self.padding.total() - self.effective_kernel()) / self.stride + 1
+        out_dim(self.in_spatial, self.kernel, self.stride, self.pad)
     }
 
-    /// Channels leaving the DWC stage (= entering the PWC):
-    /// `D·depth_multiplier` for a DSC stage, `D` for a lone PWC.
-    #[must_use]
-    pub fn dwc_out_channels(&self) -> usize {
-        match self.op {
-            StageOp::Dsc => self.d_in * self.depth_multiplier,
-            StageOp::PwcOnly => self.d_in,
-        }
-    }
-
-    /// MAC operations in the DWC: `N·M·D·dm·H·W` (0 for a lone PWC).
+    /// MAC operations in the DWC: `N·M·D·H·W` (0 for a lone PWC).
     #[must_use]
     pub fn dwc_macs(&self) -> u64 {
         if self.op == StageOp::PwcOnly {
             return 0;
         }
         let n = self.out_spatial() as u64;
-        n * n * self.dwc_out_channels() as u64 * (self.kernel * self.kernel) as u64
+        n * n * self.d_in as u64 * (self.kernel * self.kernel) as u64
     }
 
-    /// MAC operations in the PWC: `N·M·(D·dm)·K`.
+    /// MAC operations in the PWC: `N·M·D·K`.
     #[must_use]
     pub fn pwc_macs(&self) -> u64 {
         let n = self.out_spatial() as u64;
-        n * n * self.dwc_out_channels() as u64 * self.k_out as u64
+        n * n * self.d_in as u64 * self.k_out as u64
     }
 
     /// Total stage MACs (`dwc_macs + pwc_macs`).
@@ -247,19 +171,19 @@ impl LayerShape {
         2 * self.total_macs()
     }
 
-    /// DWC weight parameter count: `H·W·D·dm` (0 for a lone PWC).
+    /// DWC weight parameter count: `H·W·D` (0 for a lone PWC).
     #[must_use]
     pub fn dwc_params(&self) -> u64 {
         if self.op == StageOp::PwcOnly {
             return 0;
         }
-        (self.kernel * self.kernel * self.dwc_out_channels()) as u64
+        (self.kernel * self.kernel * self.d_in) as u64
     }
 
-    /// PWC weight parameter count: `(D·dm)·K`.
+    /// PWC weight parameter count: `D·K`.
     #[must_use]
     pub fn pwc_params(&self) -> u64 {
-        (self.dwc_out_channels() * self.k_out) as u64
+        (self.d_in * self.k_out) as u64
     }
 
     /// Elements in the DWC input feature map: `R·C·D`.
@@ -269,7 +193,7 @@ impl LayerShape {
     }
 
     /// Elements in the intermediate (DWC output = PWC input) map:
-    /// `N·M·D·dm` — 0 for a lone PWC, which feeds the engine straight from
+    /// `N·M·D` — 0 for a lone PWC, which feeds the engine straight from
     /// the ifmap buffer.
     #[must_use]
     pub fn intermediate_elems(&self) -> u64 {
@@ -277,7 +201,7 @@ impl LayerShape {
             return 0;
         }
         let n = self.out_spatial() as u64;
-        n * n * self.dwc_out_channels() as u64
+        n * n * self.d_in as u64
     }
 
     /// Elements in the PWC output feature map: `N·M·K`.
@@ -512,13 +436,9 @@ mod tests {
     #[test]
     fn v1_layers_are_the_degenerate_generalized_case() {
         for l in mobilenet_v1_cifar10() {
-            assert_eq!(l.padding, Padding::same(3));
-            assert_eq!(l.dilation, 1);
-            assert_eq!(l.depth_multiplier, 1);
+            assert_eq!((l.kernel, l.pad), (3, 1));
             assert_eq!(l.op, StageOp::Dsc);
             assert!(!l.residual_save && !l.residual_add);
-            assert_eq!(l.dwc_out_channels(), l.d_in);
-            assert_eq!(l.effective_kernel(), l.kernel);
         }
     }
 
@@ -672,7 +592,7 @@ mod tests {
             match l.op {
                 StageOp::Dsc => assert_eq!(l.kernel, 3),
                 StageOp::PwcOnly => {
-                    assert_eq!((l.kernel, l.stride, l.padding.total()), (1, 1, 0));
+                    assert_eq!((l.kernel, l.stride, l.pad), (1, 1, 0));
                 }
             }
         }
@@ -710,30 +630,6 @@ mod tests {
             assert_eq!(dsc.stride, 1);
             assert_eq!(expand.d_in, dsc.k_out);
         }
-    }
-
-    #[test]
-    fn effective_kernel_and_asymmetric_padding_generalize_out_spatial() {
-        // Dilation 2 over a 3-wide kernel spans 5 input columns.
-        let mut l = LayerShape::dsc(0, 16, 8, 16, 1, 3);
-        l.dilation = 2;
-        l.padding = Padding::symmetric(2);
-        assert_eq!(l.effective_kernel(), 5);
-        assert_eq!(l.out_spatial(), 16);
-        // Asymmetric padding: (16 + 1 + 0 − 3)/1 + 1 = 15 columns.
-        let mut a = LayerShape::dsc(0, 16, 8, 16, 1, 3);
-        a.padding = Padding {
-            before: 1,
-            after: 0,
-        };
-        assert_eq!(a.out_spatial(), 15);
-        // Depth multiplier scales DWC outputs, params and PWC inputs.
-        let mut m = LayerShape::dsc(0, 8, 8, 16, 1, 3);
-        m.depth_multiplier = 3;
-        assert_eq!(m.dwc_out_channels(), 24);
-        assert_eq!(m.dwc_params(), 9 * 24);
-        assert_eq!(m.pwc_params(), 24 * 16);
-        assert_eq!(m.intermediate_elems(), 64 * 24);
     }
 
     #[test]

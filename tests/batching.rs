@@ -7,20 +7,19 @@
 //! unbatched path, every batched output matches the golden executor, and
 //! external weight reads do not scale with `N`.
 
+use edea::core::accelerator::{BatchRun, NetworkRun};
 use edea::nn::executor;
-use edea_testutil::{batch_inputs, deploy, deploy_and_run_batch, paper_edea};
+use edea::tensor::Batch;
+use edea_testutil::{batch_inputs, deploy, deploy_and_run_batch, deploy_v2, paper_edea};
 
-#[test]
-fn batch_of_one_is_bit_identical_to_unbatched_path() {
-    let (d, inputs, batch) = deploy_and_run_batch(0.25, 501, 1);
-    let single = paper_edea()
-        .run_network(&d.qnet, &inputs[0])
-        .expect("network runs");
+/// A batch of one and the unbatched path agree on the output and, once
+/// collapsed, on every statistic — cycles, activities, all five traffic
+/// categories.
+fn assert_batch_of_one_matches(batch: &BatchRun, single: &NetworkRun) {
     assert_eq!(batch.outputs[0], single.output, "outputs diverged");
     assert_eq!(batch.stats.batch, 1);
     assert_eq!(batch.stats.total_cycles(), single.stats.total_cycles());
-    // Every statistic — cycles, activities, all five traffic categories —
-    // must collapse to the per-image stats exactly.
+    assert_eq!(batch.stats.layers.len(), single.stats.layers.len());
     for (b, s) in batch.stats.layers.iter().zip(&single.stats.layers) {
         assert_eq!(
             b.clone().into_layer_stats(),
@@ -29,6 +28,24 @@ fn batch_of_one_is_bit_identical_to_unbatched_path() {
             s.shape.index
         );
     }
+}
+
+#[test]
+fn batch_of_one_is_bit_identical_to_unbatched_path() {
+    let (d, inputs, batch) = deploy_and_run_batch(0.25, 501, 1);
+    let single = paper_edea()
+        .run_network(&d.qnet, &inputs[0])
+        .expect("network runs");
+    assert_batch_of_one_matches(&batch, &single);
+
+    // MobileNetV2: PwcOnly stages and the residual save→add hand-off.
+    let v2 = deploy_v2(0.25, 506);
+    let edea = paper_edea();
+    let inputs = Batch::new(vec![v2.input.clone()]).expect("one image");
+    let batch = edea.run_batch(&v2.qnet, &inputs).expect("batched v2 runs");
+    let single = edea.run_network(&v2.qnet, &v2.input).expect("v2 runs");
+    assert!(single.stats.layers.iter().any(|l| l.shape.residual_add));
+    assert_batch_of_one_matches(&batch, &single);
 }
 
 #[test]

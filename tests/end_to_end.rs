@@ -134,7 +134,7 @@ fn q8_16_nonconv_matches_float_reference_within_one_lsb() {
         &input,
         layer.dw_weights().values(),
         layer.shape().stride,
-        layer.shape().pad(),
+        layer.shape().pad,
     );
     for ((c, h, w), &a) in acc.indexed_iter() {
         let hw = layer.nonconv1()[c].apply_fixed(a, 0);
