@@ -120,7 +120,7 @@ fn main() {
 
     // Seam 2: the pool-worker fan-out — N workers serve a burst of
     // batch-of-1 requests; dispatch stays serial on the simulated clock,
-    // execution runs on the lanes (oracle mode).
+    // scheduled from declared cycles, and execution runs on the lanes.
     println!("\n-- pool serve ({pool_workers} workers, {n_requests} batch-of-1 requests) --");
     println!("{:>7}  {:>10}  {:>8}", "threads", "median ms", "speedup");
     let ticks = arrivals::uniform(n_requests, 1_000);

@@ -159,12 +159,6 @@ impl Parallelism {
     pub fn threads(&self) -> usize {
         self.threads
     }
-
-    /// Whether this knob is the serial base case.
-    #[must_use]
-    pub fn is_serial(&self) -> bool {
-        self.threads == 1
-    }
 }
 
 /// Splits `0..n` into `lanes` contiguous, in-order ranges — the static
@@ -247,7 +241,7 @@ mod tests {
     #[test]
     fn serial_is_the_default_and_displays() {
         assert_eq!(Parallelism::default(), Parallelism::serial());
-        assert!(Parallelism::serial().is_serial());
+        assert_eq!(Parallelism::serial().threads(), 1);
         assert_eq!(Parallelism::serial().to_string(), "1 thread");
         assert_eq!(Parallelism::new(4).unwrap().to_string(), "4 threads");
     }
@@ -285,7 +279,7 @@ mod tests {
         // Out-of-range counts: serial fallback, with a warning naming it.
         for bad in ["0", "999"] {
             let (par, warn) = Parallelism::parse_env_value(Some(bad));
-            assert!(par.is_serial());
+            assert_eq!(par, Parallelism::serial());
             let warn = warn.unwrap();
             assert!(warn.contains("out of range"), "{warn}");
             assert!(warn.contains(bad), "{warn}");
@@ -293,7 +287,7 @@ mod tests {
         // Unparsable garbage: serial fallback, with the raw value quoted.
         for bad in ["fourr", "", "-2", "3.5"] {
             let (par, warn) = Parallelism::parse_env_value(Some(bad));
-            assert!(par.is_serial());
+            assert_eq!(par, Parallelism::serial());
             let warn = warn.unwrap();
             assert!(warn.contains("not a thread count"), "{warn}");
             assert!(warn.contains(&format!("{bad:?}")), "{warn}");

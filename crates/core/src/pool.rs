@@ -209,8 +209,8 @@ impl<B: Backend> Pool<B> {
     /// Sets the host thread count for executing different workers' batches
     /// concurrently. A host-simulation knob, not a serving parameter: the
     /// dispatch loop stays serial on the simulated clock at any setting,
-    /// and reports are bit-identical (see [`crate::par`] and the
-    /// dispatch loop's oracle mode).
+    /// and reports are bit-identical (see [`crate::par`]): the thread
+    /// count decides only when dispatched batches execute.
     #[must_use]
     pub fn with_parallelism(mut self, par: Parallelism) -> Self {
         self.par = par;
@@ -305,7 +305,7 @@ impl Dispatcher {
 }
 
 /// Per-worker accounting of one pool serve run.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct WorkerReport {
     /// Worker index in the pool.
     pub index: usize,
@@ -428,7 +428,8 @@ impl PoolReport {
     }
 }
 
-/// One worker's run state inside the event loop.
+/// One worker's scheduling state inside the event loop (its accounting
+/// accumulates in place in the run's [`WorkerReport`]).
 struct WorkerState {
     queue: VecDeque<Request>,
     free_at: u64,
@@ -440,13 +441,6 @@ struct WorkerState {
     /// resident on the primary model; dispatching any other network pays
     /// that network's switch traffic and flips residency.
     resident: NetworkId,
-    requests: usize,
-    batches: usize,
-    busy_cycles: u64,
-    weight_bytes: u64,
-    external_bytes: u64,
-    switch_bytes: u64,
-    max_queue_depth: usize,
     /// `Σ queue-depth × ticks`, advanced whenever simulated time moves.
     depth_integral: u128,
 }
@@ -458,13 +452,6 @@ impl WorkerState {
             free_at: 0,
             in_service: 0,
             resident: NetworkId::PRIMARY,
-            requests: 0,
-            batches: 0,
-            busy_cycles: 0,
-            weight_bytes: 0,
-            external_bytes: 0,
-            switch_bytes: 0,
-            max_queue_depth: 0,
             depth_integral: 0,
         }
     }
@@ -537,10 +524,8 @@ fn route(
     }
 }
 
-/// One dispatched-but-not-yet-executed batch in the oracle-mode event
-/// loop: the scheduling decision (who, when, how long) is final; only the
-/// execution — outputs and measured activity — is deferred to a worker
-/// thread.
+/// One dispatched batch awaiting [`execute`]: the scheduling decision
+/// (who, when, how long) is final; it still owns its inputs.
 struct PlannedBatch {
     worker: usize,
     /// The network every member targets (batches are never mixed).
@@ -555,6 +540,136 @@ struct PlannedBatch {
     predicted: u64,
     /// Model-switch traffic charged at the (serial) scheduling decision.
     switch_bytes: u64,
+}
+
+impl PoolReport {
+    /// Folds one executed batch into the report — called once per batch,
+    /// in global dispatch order, so the batch index is the number of
+    /// batches completed before it. Fails on a wrong output count, or on
+    /// measured cycles that differ from the predicted ones.
+    fn complete(
+        &mut self,
+        layers: &mut Option<Vec<Vec<LayerTrace>>>,
+        backend: &str,
+        p: PlannedBatch,
+        run: BackendRun,
+    ) -> Result<(), CoreError> {
+        let size = p.timeline.len();
+        if run.outputs.len() != size {
+            return Err(CoreError::UnsupportedShape {
+                detail: format!(
+                    "backend {backend} returned {} outputs for a batch of {size}",
+                    run.outputs.len()
+                ),
+            });
+        }
+        if run.cycles != p.predicted {
+            return Err(CoreError::InvalidConfig {
+                detail: format!(
+                    "backend {backend} reported {} cycles for a batch of {size} but \
+                     declared {} at dispatch; dispatch_cycles must equal the \
+                     measured run exactly",
+                    run.cycles, p.predicted
+                ),
+            });
+        }
+        if let Some(layers) = layers {
+            layers.push(run.layers);
+        }
+        let worker = &mut self.workers[p.worker];
+        worker.weight_bytes += run.weight_bytes;
+        worker.external_bytes += run.external_bytes;
+        let index = self.serve.batches.len();
+        let completed = p.dispatched + p.predicted;
+        self.serve.batches.push(BatchRecord {
+            index,
+            size,
+            oldest_arrival: p.timeline[0].1,
+            dispatched: p.dispatched,
+            completed,
+            cycles: p.predicted,
+            network: p.network,
+            weight_bytes: run.weight_bytes,
+            external_bytes: run.external_bytes,
+            switch_bytes: p.switch_bytes,
+        });
+        for ((id, arrival), output) in p.timeline.into_iter().zip(run.outputs.into_images()) {
+            self.serve.responses.push(Response {
+                id,
+                arrival,
+                dispatched: p.dispatched,
+                completed,
+                batch: index,
+                network: p.network,
+                output,
+            });
+        }
+        Ok(())
+    }
+}
+
+/// Runs every planned batch, then completes each in global dispatch order.
+/// Batches run on by-worker lanes (`lane_of[w]` is worker `w`'s), so
+/// each worker's batches run in dispatch order. A lane stops at its first
+/// error, so the globally first error always runs and wins.
+fn execute<W: Backend + ?Sized>(
+    workers: &[&W],
+    lane_of: &[usize],
+    planned: &mut Vec<PlannedBatch>,
+    report: &mut PoolReport,
+    layers: &mut Option<Vec<Vec<LayerTrace>>>,
+) -> Result<(), CoreError> {
+    let lanes = lane_of.last().map_or(1, |&l| l + 1);
+    let mut runs = par::map_lanes(vec![(); lanes], |lane, ()| {
+        let mut runs = Vec::new();
+        for p in planned.iter().filter(|p| lane_of[p.worker] == lane) {
+            let run = workers[p.worker].run_for(p.network, &p.inputs);
+            let failed = run.is_err();
+            runs.push(run);
+            if failed {
+                break;
+            }
+        }
+        runs.into_iter()
+    });
+    for p in planned.drain(..) {
+        let run = runs[lane_of[p.worker]]
+            .next()
+            // edea-lint: allow(panic-in-lib): a lane skips batches only after its first
+            // error, which completes (and returns) before any batch it skipped
+            .expect("every batch up to the first error was executed")?;
+        report.complete(layers, workers[p.worker].name(), p, run)?;
+    }
+    Ok(())
+}
+
+/// Intake for the first request of a network: every worker must serve the
+/// network and declare its cycles, so no batch can fail mid-run for want
+/// of either.
+fn admit<W: Backend + ?Sized>(workers: &[&W], r: &Request) -> Result<(), CoreError> {
+    for (i, w) in workers.iter().enumerate() {
+        if w.input_shape_for(r.network).is_none() {
+            return Err(CoreError::InvalidRequest {
+                detail: format!(
+                    "request {}: unknown network id {} (pool worker {i}, backend {}, \
+                     does not serve it)",
+                    r.id,
+                    r.network,
+                    w.name()
+                ),
+            });
+        }
+        if w.dispatch_cycles_for(r.network, 1).is_none() {
+            return Err(CoreError::InvalidConfig {
+                detail: format!(
+                    "backend {} declares no dispatch cycles for network {}",
+                    w.name(),
+                    r.network
+                ),
+            });
+        }
+    }
+    Ok(())
 }
 
 /// One routing decision, side-recorded in the serial scheduling loop so
@@ -605,9 +720,8 @@ fn emit(
             depth: r.depth,
         });
     }
-    // Responses are pushed batch-by-batch in dispatch order in both the
-    // serial and oracle paths, so each batch's members are the next
-    // `size` responses.
+    // Responses are pushed batch-by-batch in dispatch order, so each
+    // batch's members are the next `size` responses.
     let mut member = 0usize;
     for b in batches {
         let worker = assignments.get(b.index).copied().unwrap_or(0);
@@ -689,24 +803,16 @@ fn emit(
 /// with N. With one worker every routing policy is the identity, so the
 /// single-backend path *is* the N = 1 case of this loop.
 ///
-/// # Parallel execution (oracle mode)
+/// # One scheduling rule, one execution step
 ///
-/// The scheduling decisions depend on *when* batches complete, so the
-/// event loop itself must stay serial on the simulated clock. When `par`
-/// allows more than one thread, the pool has more than one worker, and
-/// every worker pre-declares its service cycles
-/// ([`Backend::dispatch_cycles`]), the loop runs in **oracle mode**: it
-/// makes every scheduling decision serially from the predicted cycles,
-/// recording [`PlannedBatch`]es instead of executing them, then executes
-/// all batches on a scoped fork-join — partitioned **by worker** (a
-/// worker's batches stay on one lane, in dispatch order, preserving each
-/// backend's sequential self-consistency) — and assembles responses,
-/// batch records and per-worker traffic in global dispatch order. A
-/// measured run that contradicts its prediction fails the whole run
-/// (`InvalidConfig`): silently diverging clocks would un-pin the
-/// simulated schedule from the executed one. Any backend without a
-/// prediction (the default) keeps today's serial execute-at-dispatch
-/// behaviour.
+/// The loop stays serial on the simulated clock: every dispatch is
+/// scheduled from its backend's declared cycles as a [`PlannedBatch`],
+/// which [`execute`] runs and [`PoolReport::complete`] checks. The lane
+/// count, `par.threads().min(workers.len())`, decides only when
+/// [`execute`] runs: with one lane right after each dispatch, so inputs
+/// are freed as batches complete; with more, once after the loop, so
+/// different workers' batches run concurrently. Reports and the first
+/// error are the same either way.
 pub(crate) fn drive<W: Backend + ?Sized>(
     workers: &[&W],
     policy: Policy,
@@ -723,43 +829,23 @@ pub(crate) fn drive<W: Backend + ?Sized>(
     // sink none of these vectors ever allocates.
     let observe = tel.enabled();
     let mut routes: Vec<RouteRecord> = Vec::new();
-    let mut batch_layers: Vec<Vec<LayerTrace>> = Vec::new();
+    let mut layers: Option<Vec<Vec<LayerTrace>>> = observe.then(Vec::new);
     assert!(!workers.is_empty(), "pool is non-empty by construction");
-    // The distinct networks this stream targets (usually just PRIMARY).
-    let networks: Vec<NetworkId> = {
-        let mut v: Vec<NetworkId> = requests.iter().map(|r| r.network).collect();
-        v.sort_unstable_by_key(|n| n.0);
-        v.dedup();
-        v
-    };
-    // Oracle mode is all-or-nothing, decided up front: a mixed pool (some
-    // workers predicting, some not — for any network the stream targets)
-    // runs serially like any other.
-    let oracle = !par.is_serial()
-        && workers.len() > 1
-        && workers.iter().all(|w| {
-            networks
-                .iter()
-                .all(|&n| w.dispatch_cycles_for(n, 1).is_some())
-        });
+    let mut admitted: Vec<NetworkId> = Vec::new();
     for r in &requests {
-        let Some(want) = workers[0].input_shape_for(r.network) else {
+        if !admitted.contains(&r.network) {
+            admit(workers, r)?;
+            admitted.push(r.network);
+        }
+        if let Some(want) = workers[0]
+            .input_shape_for(r.network)
+            .filter(|&want| want != r.input.shape())
+        {
             return Err(CoreError::InvalidRequest {
                 detail: format!(
-                    "request {}: unknown network id {} (backend {} does not serve it)",
-                    r.id,
-                    r.network,
-                    workers[0].name()
-                ),
-            });
-        };
-        if r.input.shape() != want {
-            return Err(CoreError::InvalidRequest {
-                detail: format!(
-                    "request {}: input shape {:?} != backend input shape {:?}",
+                    "request {}: input shape {:?} != backend input shape {want:?}",
                     r.id,
                     r.input.shape(),
-                    want
                 ),
             });
         }
@@ -774,16 +860,33 @@ pub(crate) fn drive<W: Backend + ?Sized>(
         }
     }
 
-    let n_requests = requests.len();
+    let lanes = par.threads().min(workers.len());
+    let mut lane_of = vec![0usize; workers.len()];
+    for (lane, range) in (0..).zip(par::chunk_ranges(workers.len(), lanes)) {
+        lane_of[range].fill(lane);
+    }
+    let mut report = PoolReport {
+        serve: ServeReport {
+            backend: workers[0].name().to_string(),
+            policy,
+            responses: Vec::with_capacity(requests.len()),
+            batches: Vec::new(),
+        },
+        dispatch,
+        workers: (0..workers.len())
+            .map(|index| WorkerReport {
+                index,
+                ..WorkerReport::default()
+            })
+            .collect(),
+        assignments: Vec::new(),
+    };
     let mut pending: VecDeque<Request> = {
         let mut v = requests;
         v.sort_by_key(|r| (r.arrival, r.id));
         v.into()
     };
     let mut states: Vec<WorkerState> = (0..workers.len()).map(|_| WorkerState::new()).collect();
-    let mut responses = Vec::with_capacity(n_requests);
-    let mut batches: Vec<BatchRecord> = Vec::new();
-    let mut assignments: Vec<usize> = Vec::new();
     let mut planned: Vec<PlannedBatch> = Vec::new();
     let mut rr_cursor = 0usize;
     let mut now = 0u64;
@@ -821,19 +924,20 @@ pub(crate) fn drive<W: Backend + ?Sized>(
             let r = pending.pop_front().expect("checked front");
             advance(&mut states, &mut now, r.arrival);
             let w = route(&states, dispatch, &mut rr_cursor, now);
-            let s = &mut states[w];
+            let queue = &mut states[w].queue;
             if observe {
                 routes.push(RouteRecord {
                     t: r.arrival,
                     request: r.id,
                     network: r.network,
                     worker: w,
-                    depth: s.queue.len() + 1,
+                    depth: queue.len() + 1,
                 });
             }
-            s.queue.push_back(r);
-            s.requests += 1;
-            s.max_queue_depth = s.max_queue_depth.max(s.queue.len());
+            queue.push_back(r);
+            let acct = &mut report.workers[w];
+            acct.requests += 1;
+            acct.max_queue_depth = acct.max_queue_depth.max(queue.len());
             continue;
         }
 
@@ -845,6 +949,18 @@ pub(crate) fn drive<W: Backend + ?Sized>(
         // edea-lint: allow(panic-in-lib): dispatch_at returned Some, so the queue
         // head (and thus a non-empty same-network prefix) exists
         let network = state.queue.front().expect("non-empty batch").network;
+        let Some(cycles) = workers[wi].dispatch_cycles_for(network, size) else {
+            // Errors surface in dispatch order at every lane count: batches
+            // dispatched before this one run (and may fail) first.
+            execute(workers, &lane_of, &mut planned, &mut report, &mut layers)?;
+            return Err(CoreError::InvalidConfig {
+                detail: format!(
+                    "backend {} declared dispatch cycles for a batch of 1 but not for \
+                     a batch of {size}; dispatch_cycles must be all-or-nothing",
+                    workers[wi].name()
+                ),
+            });
+        };
         // Move the inputs out of the drained requests — no tensor copies
         // on the dispatch path.
         let mut timeline = Vec::with_capacity(size);
@@ -853,245 +969,56 @@ pub(crate) fn drive<W: Backend + ?Sized>(
             timeline.push((r.id, r.arrival));
             inputs.push(r.input);
         }
-        let oldest_arrival = timeline[0].1;
         // edea-lint: allow(panic-in-lib): every request shape was checked against the
         // backend at intake (InvalidRequest), so the drained batch is uniform
         let inputs = Batch::new(inputs).expect("request shapes validated above");
-        let index = assignments.len();
-        // Model-switch accounting happens here, on the serial scheduling
-        // decision, so oracle and serial runs agree exactly: a dispatch
-        // whose network differs from the worker's resident one pays the
-        // incoming network's refetch and flips residency.
+        // A dispatch whose network differs from the worker's resident one
+        // pays the incoming network's refetch and flips residency.
         let switch = if state.resident == network {
             0
         } else {
             workers[wi].switch_bytes(network)
         };
         state.resident = network;
-        state.switch_bytes += switch;
-        let cycles = if oracle {
-            // Oracle mode: every scheduling consequence of this dispatch
-            // (busy-until, responses' completion, the next batch boundary)
-            // follows from the pre-declared cycles; execution is deferred.
-            let predicted = workers[wi]
-                .dispatch_cycles_for(network, size)
-                .ok_or_else(|| CoreError::InvalidConfig {
-                    detail: format!(
-                        "backend {} declared dispatch cycles for a batch of 1 \
-                         but not for a batch of {size}; dispatch_cycles must \
-                         be all-or-nothing",
-                        workers[wi].name()
-                    ),
-                })?;
-            planned.push(PlannedBatch {
-                worker: wi,
-                network,
-                timeline,
-                inputs,
-                dispatched: now,
-                predicted,
-                switch_bytes: switch,
-            });
-            predicted
-        } else {
-            let mut run = workers[wi].run_for(network, &inputs)?;
-            if run.outputs.len() != size {
-                return Err(CoreError::UnsupportedShape {
-                    detail: format!(
-                        "backend {} returned {} outputs for a batch of {size}",
-                        workers[wi].name(),
-                        run.outputs.len()
-                    ),
-                });
-            }
-            if observe {
-                batch_layers.push(std::mem::take(&mut run.layers));
-            }
-            let completed = now + run.cycles;
-            for ((id, arrival), output) in timeline.into_iter().zip(run.outputs.into_images()) {
-                responses.push(Response {
-                    id,
-                    arrival,
-                    dispatched: now,
-                    completed,
-                    batch: index,
-                    network,
-                    output,
-                });
-            }
-            batches.push(BatchRecord {
-                index,
-                size,
-                oldest_arrival,
-                dispatched: now,
-                completed,
-                cycles: run.cycles,
-                network,
-                weight_bytes: run.weight_bytes,
-                external_bytes: run.external_bytes,
-                switch_bytes: switch,
-            });
-            state.weight_bytes += run.weight_bytes;
-            state.external_bytes += run.external_bytes;
-            run.cycles
-        };
-        assignments.push(wi);
         state.free_at = now + cycles;
         state.in_service = size;
-        state.batches += 1;
-        state.busy_cycles += cycles;
-    }
-
-    // Oracle mode, phase 2: execute every planned batch on a scoped
-    // fork-join, partitioned by worker (a worker's batches stay on one
-    // lane, in dispatch order), then assemble in global dispatch order.
-    if !planned.is_empty() {
-        let lanes_n = par.threads().min(workers.len());
-        let worker_ranges = par::chunk_ranges(workers.len(), lanes_n);
-        let mut worker_lane = vec![0usize; workers.len()];
-        for (lane, range) in worker_ranges.iter().enumerate() {
-            for w in range.clone() {
-                worker_lane[w] = lane;
-            }
-        }
-        // Per-lane job lists are ascending in global batch index.
-        let mut lane_jobs: Vec<Vec<usize>> = vec![Vec::new(); lanes_n];
-        for (j, p) in planned.iter().enumerate() {
-            lane_jobs[worker_lane[p.worker]].push(j);
-        }
-        let planned_ref = &planned;
-        let lane_results = par::map_lanes(lane_jobs, |_, jobs| {
-            let mut out: Vec<(usize, Result<BackendRun, CoreError>)> =
-                Vec::with_capacity(jobs.len());
-            for j in jobs {
-                let p = &planned_ref[j];
-                let result = workers[p.worker].run_for(p.network, &p.inputs);
-                let failed = result.is_err();
-                out.push((j, result));
-                if failed {
-                    // Stop at this lane's first error: jobs are in
-                    // dispatch order per lane, so the globally first
-                    // error is always executed and found at assembly.
-                    break;
-                }
-            }
-            out
+        let acct = &mut report.workers[wi];
+        acct.switch_bytes += switch;
+        acct.batches += 1;
+        acct.busy_cycles += cycles;
+        report.assignments.push(wi);
+        planned.push(PlannedBatch {
+            worker: wi,
+            network,
+            timeline,
+            inputs,
+            dispatched: now,
+            predicted: cycles,
+            switch_bytes: switch,
         });
-        let mut runs: Vec<Option<Result<BackendRun, CoreError>>> =
-            (0..planned.len()).map(|_| None).collect();
-        for lane in lane_results {
-            for (j, r) in lane {
-                runs[j] = Some(r);
-            }
-        }
-        // Ascending assembly reproduces the serial loop's responses,
-        // batch records, per-worker traffic and error precedence exactly
-        // (the schedule prefix up to any first error is identical, since
-        // predictions equal measured cycles for every successful run).
-        for (j, p) in planned.into_iter().enumerate() {
-            let mut run = runs[j]
-                .take()
-                // edea-lint: allow(panic-in-lib): lanes cover 0..planned.len(), and the
-                // fixed-order reduction stops this loop at the first missing run
-                .expect("every batch up to the first error was executed")?;
-            let size = p.timeline.len();
-            if run.outputs.len() != size {
-                return Err(CoreError::UnsupportedShape {
-                    detail: format!(
-                        "backend {} returned {} outputs for a batch of {size}",
-                        workers[p.worker].name(),
-                        run.outputs.len()
-                    ),
-                });
-            }
-            if run.cycles != p.predicted {
-                return Err(CoreError::InvalidConfig {
-                    detail: format!(
-                        "backend {} reported {} cycles for a batch of {size} but \
-                         declared {} at dispatch; dispatch_cycles must equal the \
-                         measured run exactly",
-                        workers[p.worker].name(),
-                        run.cycles,
-                        p.predicted
-                    ),
-                });
-            }
-            if observe {
-                batch_layers.push(std::mem::take(&mut run.layers));
-            }
-            let completed = p.dispatched + run.cycles;
-            let oldest_arrival = p.timeline[0].1;
-            states[p.worker].weight_bytes += run.weight_bytes;
-            states[p.worker].external_bytes += run.external_bytes;
-            for ((id, arrival), output) in p.timeline.into_iter().zip(run.outputs.into_images()) {
-                responses.push(Response {
-                    id,
-                    arrival,
-                    dispatched: p.dispatched,
-                    completed,
-                    batch: j,
-                    network: p.network,
-                    output,
-                });
-            }
-            batches.push(BatchRecord {
-                index: j,
-                size,
-                oldest_arrival,
-                dispatched: p.dispatched,
-                completed,
-                cycles: run.cycles,
-                network: p.network,
-                weight_bytes: run.weight_bytes,
-                external_bytes: run.external_bytes,
-                switch_bytes: p.switch_bytes,
-            });
+        if lanes == 1 {
+            execute(workers, &lane_of, &mut planned, &mut report, &mut layers)?;
         }
     }
+    execute(workers, &lane_of, &mut planned, &mut report, &mut layers)?;
 
-    if observe {
+    let makespan = report.serve.makespan();
+    for (acct, s) in report.workers.iter_mut().zip(&states) {
+        if makespan > 0 {
+            acct.mean_queue_depth = s.depth_integral as f64 / makespan as f64;
+        }
+    }
+    if let Some(layers) = &layers {
         emit(
             tel,
             &routes,
-            &responses,
-            &batches,
-            &assignments,
-            &batch_layers,
+            &report.serve.responses,
+            &report.serve.batches,
+            &report.assignments,
+            layers,
         );
     }
-
-    let makespan = batches.last().map_or(0, |b| b.completed);
-    let workers_report = states
-        .into_iter()
-        .enumerate()
-        .map(|(index, s)| WorkerReport {
-            index,
-            requests: s.requests,
-            batches: s.batches,
-            busy_cycles: s.busy_cycles,
-            weight_bytes: s.weight_bytes,
-            external_bytes: s.external_bytes,
-            switch_bytes: s.switch_bytes,
-            max_queue_depth: s.max_queue_depth,
-            mean_queue_depth: if makespan == 0 {
-                0.0
-            } else {
-                s.depth_integral as f64 / makespan as f64
-            },
-        })
-        .collect();
-
-    Ok(PoolReport {
-        serve: ServeReport {
-            backend: workers[0].name().to_string(),
-            policy,
-            responses,
-            batches,
-        },
-        dispatch,
-        workers: workers_report,
-        assignments,
-    })
+    Ok(report)
 }
 
 #[cfg(test)]
@@ -1419,13 +1346,13 @@ mod tests {
         let img =
             |n: u32| Tensor3::<i8>::from_fn(d, h, w, |c, r, col| (c + r + col + n as usize) as i8);
         let direct = b
-            .run_for(NetworkId(1), &Batch::new(vec![img(1), img(1)]).unwrap())
+            .run_batch_for(NetworkId(1), &Batch::new(vec![img(1), img(1)]).unwrap())
             .unwrap();
         assert_eq!(
             report.serve.batches[1].external_bytes,
-            direct.external_bytes
+            direct.stats.external_total()
         );
-        assert_eq!(report.serve.batches[1].cycles, direct.cycles);
+        assert_eq!(report.serve.batches[1].cycles, direct.stats.total_cycles());
         // Per-network latency accounting sees both populations.
         assert!(report.serve.mean_latency_for(NetworkId::PRIMARY).is_some());
         assert!(report.serve.mean_latency_for(NetworkId(1)).is_some());
@@ -1472,9 +1399,9 @@ mod tests {
 
     #[test]
     fn mixed_serving_is_bit_identical_across_thread_counts() {
-        // The oracle-mode event loop must reproduce the serial mixed-model
-        // schedule exactly: same batches, same networks, same switch
-        // traffic, same outputs.
+        // Deferred execution on several lanes must reproduce the one-lane
+        // mixed-model schedule exactly: same batches, same networks, same
+        // switch traffic, same outputs.
         let serve = |threads: usize| -> PoolReport {
             let b = mixed_backend(threads);
             let reqs = mixed_requests(&b, &[0, 1, 0, 1, 1, 0, 0, 1], &arrivals::uniform(8, 1_000));

@@ -259,21 +259,20 @@ pub trait Backend: Sync {
     /// execution path.
     fn run(&self, inputs: &Batch<i8>) -> Result<BackendRun, CoreError>;
 
-    /// The service cycles a dispatch of `batch` images *will* report, if
-    /// this backend can predict them without executing — the hook that
-    /// lets a parallel pool keep its dispatch loop serial on the simulated
-    /// clock while deferring the actual execution to worker threads.
+    /// The service cycles a dispatch of `batch` images *will* report,
+    /// declared without executing. The serve loop schedules every dispatch
+    /// from these cycles, so it stays serial on the simulated clock while
+    /// execution may run later, on other host threads.
     ///
-    /// The contract is all-or-nothing: return `Some` only if **every**
-    /// [`Backend::run`] on a batch of `batch` images reports exactly these
-    /// cycles (the pool enforces the equality and fails the run on a
-    /// mismatch). The default `None` opts out; the pool then executes
-    /// batches inline at dispatch time, serially. All provided backends
-    /// are paced by the equality-tested [`CostModel`] and return `Some`.
-    fn dispatch_cycles(&self, batch: usize) -> Option<u64> {
-        let _ = batch;
-        None
-    }
+    /// Every [`Backend::run`] on a batch of `batch` images must report
+    /// exactly these cycles; the serve loop fails the run with
+    /// [`CoreError::InvalidConfig`] on a mismatch, at every thread count.
+    /// The contract is all-or-nothing: a backend that returns `None` for a
+    /// batch of 1 is rejected before any batch runs, and one that declares
+    /// a batch of 1 but not a larger batch it is handed fails at that
+    /// dispatch. All provided backends are paced by the equality-tested
+    /// [`CostModel`] and always return `Some`.
+    fn dispatch_cycles(&self, batch: usize) -> Option<u64>;
 
     /// The input shape requests for `network` must have, or `None` if this
     /// backend does not serve that network. The default serves exactly
@@ -1244,10 +1243,11 @@ pub mod arrivals {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
-    /// `n` arrivals at a fixed inter-arrival `gap`: `0, gap, 2·gap, …`.
+    /// `n` arrivals at a fixed inter-arrival `gap`: `0, gap, 2·gap, …`,
+    /// saturating at `u64::MAX`.
     #[must_use]
     pub fn uniform(n: usize, gap: u64) -> Vec<u64> {
-        (0..n as u64).map(|i| i * gap).collect()
+        (0..n as u64).map(|i| i.saturating_mul(gap)).collect()
     }
 
     /// `n` arrivals with exponentially distributed inter-arrival times of
@@ -1277,11 +1277,14 @@ pub mod arrivals {
     }
 
     /// `n` arrivals in bursts of `burst` simultaneous requests, one burst
-    /// every `gap` ticks (the last burst may be partial).
+    /// every `gap` ticks (the last burst may be partial), saturating at
+    /// `u64::MAX`.
     #[must_use]
     pub fn bursts(n: usize, burst: usize, gap: u64) -> Vec<u64> {
         assert!(burst > 0, "burst size must be positive");
-        (0..n).map(|i| (i / burst) as u64 * gap).collect()
+        (0..n)
+            .map(|i| ((i / burst) as u64).saturating_mul(gap))
+            .collect()
     }
 }
 
@@ -1699,6 +1702,9 @@ mod tests {
                 run.outputs = Batch::new(images).expect("still non-empty");
                 Ok(run)
             }
+            fn dispatch_cycles(&self, batch: usize) -> Option<u64> {
+                self.0.dispatch_cycles(batch)
+            }
         }
         let b = ShortBackend(analytic());
         let reqs = zero_requests(&b.0, &[0, 0]);
@@ -1728,6 +1734,13 @@ mod tests {
         assert_ne!(p1, arrivals::poisson(32, 1000.0, 6));
         assert_eq!(arrivals::uniform(3, 10), vec![0, 10, 20]);
         assert_eq!(arrivals::bursts(5, 2, 100), vec![0, 0, 100, 100, 200]);
+        // Gaps too large for the tick range saturate, as `poisson`'s
+        // float→tick conversion does, rather than overflow or wrap.
+        assert_eq!(arrivals::uniform(3, u64::MAX), vec![0, u64::MAX, u64::MAX]);
+        assert_eq!(
+            arrivals::bursts(5, 2, u64::MAX / 2 + 1),
+            vec![0, 0, u64::MAX / 2 + 1, u64::MAX / 2 + 1, u64::MAX]
+        );
     }
 
     #[test]

@@ -116,7 +116,7 @@ fn pool_serve_is_bit_identical_at_every_thread_count() {
     let d = fixture();
     // A burst of 8 single-request batches across 3 workers: several
     // batches run on independent workers in the same simulated window, so
-    // the oracle-mode worker fan-out actually engages at threads > 1.
+    // the by-worker execution lanes actually engage at threads > 1.
     let requests = serve_requests(&d, &arrivals::uniform(8, 1_000), 507);
     let dispatcher = Dispatcher::new(
         Policy::new(1, 0).expect("valid policy"),

@@ -67,7 +67,7 @@ proptest! {
     /// Chunking arbitrary items across arbitrary lane counts and reducing
     /// the per-lane results in lane order reproduces the serial fold of a
     /// non-commutative operation bit for bit — the exact shape of every
-    /// counter merge in the parallel tile loop and the oracle pool.
+    /// counter merge in the parallel tile loop and the pool's lanes.
     #[test]
     fn fixed_order_reduction_equals_serial_fold(
         items in prop::collection::vec(0u64..u64::MAX, 0..96),
@@ -132,7 +132,7 @@ proptest! {
         if (1..=MAX_THREADS).contains(&n) {
             let p = p.expect("in range");
             prop_assert_eq!(p.threads(), n);
-            prop_assert_eq!(p.is_serial(), n == 1);
+            prop_assert_eq!(p == Parallelism::serial(), n == 1);
         } else {
             prop_assert!(p.is_err(), "{} must be rejected", n);
         }
@@ -142,7 +142,7 @@ proptest! {
 /// Join order must be lane order even when lanes complete in the
 /// *opposite* order: the last lane finishes first and the first lane
 /// finishes last, yet the results come back `[0, 1, 2, 3]`. This is the
-/// property that makes the oracle pool's batch assembly and the portion
+/// property that makes the pool's batch completion order and the portion
 /// paste phase deterministic on a real scheduler, not just on one core.
 #[test]
 fn join_order_is_lane_order_not_completion_order() {

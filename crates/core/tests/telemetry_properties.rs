@@ -38,7 +38,7 @@ fn dispatch_policy(idx: usize) -> DispatchPolicy {
     ][idx % 3]
 }
 
-/// A seeded mixed-model simulator pool serve (v1 + v2, oracle-capable),
+/// A seeded mixed-model simulator pool serve (v1 + v2, two workers),
 /// observed by a fresh recorder: returns the report and the events.
 fn observed_mixed_serve(threads: usize, n: usize) -> (edea_core::pool::PoolReport, Vec<Event>) {
     let v1 = deploy(0.5, 31);
