@@ -82,10 +82,7 @@ impl PortionCase {
 }
 
 fn bench_tile_kernels(c: &mut Criterion) {
-    let smoke = matches!(
-        std::env::var("EDEA_BENCH_SMOKE").as_deref(),
-        Ok(v) if !v.is_empty() && v != "0"
-    );
+    let smoke = edea_bench::smoke();
     let cfg = EdeaConfig::paper();
     let dwc = DwcEngine::new(&cfg);
     let pwc = PwcEngine::new(&cfg);

@@ -7,11 +7,7 @@
 //! without paying the full sweep.
 
 fn main() {
-    let smoke = matches!(
-        std::env::var("EDEA_BENCH_SMOKE").as_deref(),
-        Ok(v) if !v.is_empty() && v != "0"
-    );
-    if smoke {
+    if edea_bench::smoke() {
         println!("{}", edea_bench::experiments::pool_sweep_smoke());
     } else {
         println!("{}", edea_bench::experiments::pool_sweep());

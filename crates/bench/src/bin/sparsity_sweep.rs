@@ -8,11 +8,7 @@
 //! executing without paying the full comparison.
 
 fn main() {
-    let smoke = matches!(
-        std::env::var("EDEA_BENCH_SMOKE").as_deref(),
-        Ok(v) if !v.is_empty() && v != "0"
-    );
-    if smoke {
+    if edea_bench::smoke() {
         println!("{}", edea_bench::experiments::sparsity_sweep_smoke());
     } else {
         println!("{}", edea_bench::experiments::sparsity_sweep());

@@ -75,10 +75,7 @@ fn median_ms(reps: usize, mut f: impl FnMut()) -> f64 {
 }
 
 fn main() {
-    let smoke = matches!(
-        std::env::var("EDEA_BENCH_SMOKE").as_deref(),
-        Ok(v) if !v.is_empty() && v != "0"
-    );
+    let smoke = edea_bench::smoke();
     let (thread_counts, pool_workers, n_requests, batch, reps): (
         &[usize],
         usize,

@@ -10,11 +10,7 @@
 //! the full run.
 
 fn main() {
-    let smoke = matches!(
-        std::env::var("EDEA_BENCH_SMOKE").as_deref(),
-        Ok(v) if !v.is_empty() && v != "0"
-    );
-    if smoke {
+    if edea_bench::smoke() {
         println!("{}", edea_bench::experiments::trace_export_smoke());
     } else {
         println!("{}", edea_bench::experiments::trace_export());

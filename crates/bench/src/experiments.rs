@@ -21,7 +21,7 @@ fn cfg() -> EdeaConfig {
 }
 
 fn calibrated_energy() -> (Vec<edea::core::stats::LayerStats>, EnergyModel) {
-    let stats = paper_layer_stats(&cfg());
+    let stats = paper_layer_stats(&cfg(), 1).layers;
     let model = EnergyModel::calibrate(&stats, &cfg(), &paperdata::power_mw());
     (stats, model)
 }
@@ -569,22 +569,27 @@ pub fn portion_study() -> String {
 /// baseline — bit-for-bit the same accounting as every other experiment.
 #[must_use]
 pub fn batch_sweep() -> String {
-    use edea::core::power::{paper_batch_layer_stats, paper_layer_stats};
     use edea::core::schedule::WeightResidency;
-    use edea::core::stats::NetworkStats;
+    use edea::core::stats::{layer_ledger, NetworkStats};
 
     let c = cfg();
     let layers = mobilenet_v1_cifar10();
     let (_, model) = calibrated_energy();
 
-    // The per-image baseline this sweep amortizes against.
+    // The per-image baseline this sweep amortizes against: every layer's
+    // ledger with weights fetched per image.
     let baseline = NetworkStats {
-        layers: paper_layer_stats(&c),
+        batch: 1,
+        layers: layers
+            .iter()
+            .map(|l| layer_ledger(l, &c, 1, WeightResidency::PerImage))
+            .collect(),
     };
     let base_ext = baseline.external_total();
     let base_weights = baseline.external_weight_total();
     // Peak-efficiency point (layer 10), as in Table III.
-    let stats10 = &baseline.layers[10];
+    let one = paper_layer_stats(&c, 1);
+    let stats10 = &one.layers[10];
     let lat10_ns = stats10.cycles as f64 * c.period_ns();
     let power10 = model.layer_power_mw(stats10, &c);
     let tp10 = timing::layer_throughput_gops(&layers[10], &c);
@@ -608,8 +613,7 @@ pub fn batch_sweep() -> String {
     ]);
     let mut ee_rows = Vec::new();
     for n in [1usize, 2, 4, 8, 16] {
-        let net = paper_batch_layer_stats(&c, n, WeightResidency::PerBatch);
-        let bt = timing::batch_network_timing(&layers, &c, n);
+        let net = paper_layer_stats(&c, n);
         // Layer-10 power with the interface's weight stream amortized.
         let io_saving_mw = model.e_ext_pj_byte * weights10 * (1.0 - 1.0 / n as f64) / lat10_ns;
         let row = edea::core::compare::this_work_batched(n, power10 - io_saving_mw, tp10, 0.58);
@@ -617,14 +621,13 @@ pub fn batch_sweep() -> String {
             n.to_string(),
             fmt(net.weight_bytes_per_image(), 1),
             fmt(net.external_per_image(), 1),
-            bt.cycles_per_image.to_string(),
+            net.cycles_per_image().to_string(),
             fmt((n * bank_bytes) as f64 / 1024.0, 0),
             fmt(model.e_ext_pj_byte * net.external_per_image() / 1000.0, 2),
             fmt(row.energy_eff, 3),
         ]);
         ee_rows.push(format!("{}: {:.3} TOPS/W", row.name, row.energy_eff));
     }
-    let one = paper_batch_layer_stats(&c, 1, WeightResidency::PerBatch);
     format!(
         "== Extension: batched inference with weight residency ==\n{}\n\
          N=1 column vs per-image baseline: {} vs {} DRAM bytes \
@@ -874,8 +877,9 @@ pub fn pool_sweep() -> String {
 /// table reports, per layer, the measured intermediate-map zero fraction
 /// and the gated-slot fraction of both engines. Everything printed is
 /// deterministic (modeled slots, not wall-clock), so the output is pinned
-/// as a golden fixture; the wall-clock effect of the skip kernels on the
-/// same shaped workload is measured by `benches/sim_profile.rs` and
+/// as a golden fixture; the wall-clock effect of the skip kernels is
+/// measured by the repository benchmark's `forward_v1` workload and, per
+/// kernel against a dense control, by `benches/tile_kernels.rs`, and
 /// recorded in EXPERIMENTS.md.
 #[must_use]
 pub fn sparsity_sweep() -> String {

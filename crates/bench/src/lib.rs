@@ -21,3 +21,14 @@
 
 pub mod experiments;
 pub mod report;
+
+/// Whether `EDEA_BENCH_SMOKE` asks for a reduced smoke pass: set,
+/// non-empty and not `"0"`. CI sets it to keep the benches and sweep
+/// binaries executing without paying their full cost.
+#[must_use]
+pub fn smoke() -> bool {
+    matches!(
+        std::env::var("EDEA_BENCH_SMOKE").as_deref(),
+        Ok(v) if !v.is_empty() && v != "0"
+    )
+}

@@ -24,6 +24,12 @@
 //! batch-of-one, per-image-residency case of the same network loop, which
 //! the serving session ([`crate::serve::SimulatorBackend`]) runs through
 //! its cached plan and scratch.
+//!
+//! Every entry point reports the same statistics record: one
+//! [`LayerStats`] per layer, or a [`NetworkStats`] per network, holding
+//! batch totals plus the batch size. A single image is `batch = 1`, so
+//! single-image and batched runs differ only in how many outputs they
+//! return, never in the type of their statistics.
 
 use edea_fixed::Q8x16;
 use edea_nn::quantize::{QuantizedDscLayer, QuantizedDscNetwork};
@@ -38,7 +44,7 @@ use crate::par::{self, Parallelism};
 use crate::plan::{LayerPlan, NetworkPlan};
 use crate::schedule::{portions, Portion, WeightResidency};
 use crate::scratch::TileScratch;
-use crate::stats::{layer_ledger, BatchLayerStats, BatchNetworkStats, LayerStats, NetworkStats};
+use crate::stats::{layer_ledger, LayerStats, NetworkStats};
 use crate::CoreError;
 
 /// Result of running one layer.
@@ -70,7 +76,7 @@ pub struct BatchLayerRun {
     /// Per-image intermediate maps (PWC inputs), for verification.
     pub pwc_inputs: Vec<Tensor3<i8>>,
     /// Whole-batch execution statistics.
-    pub stats: BatchLayerStats,
+    pub stats: LayerStats,
 }
 
 /// Result of running a full network over a batch.
@@ -79,7 +85,7 @@ pub struct BatchRun {
     /// Final feature maps, one per image.
     pub outputs: Batch<i8>,
     /// Per-layer whole-batch statistics.
-    pub stats: BatchNetworkStats,
+    pub stats: NetworkStats,
 }
 
 /// Splits the flat `(portion, image)` slot array into disjoint per-lane
@@ -126,9 +132,6 @@ pub struct Edea {
     pwc: PwcEngine,
     nonconv: NonConvUnit,
     par: Parallelism,
-    /// The repair message from a malformed `EDEA_THREADS`, if construction
-    /// had to fall back to serial (see [`Parallelism::from_env_checked`]).
-    par_warning: Option<String>,
 }
 
 impl Edea {
@@ -156,7 +159,6 @@ impl Edea {
             pwc,
             nonconv,
             par,
-            par_warning,
         })
     }
 
@@ -172,15 +174,6 @@ impl Edea {
         self.par
     }
 
-    /// The warning raised if `EDEA_THREADS` was set but unusable when this
-    /// accelerator was built (the knob then silently meant "serial" — this
-    /// is how a harness notices). `None` when the variable was unset,
-    /// valid, or the parallelism was set explicitly.
-    #[must_use]
-    pub fn parallelism_warning(&self) -> Option<&str> {
-        self.par_warning.as_deref()
-    }
-
     /// Sets the host thread count for the portion loop. This is a
     /// host-simulation knob, not an architecture parameter: any setting
     /// produces bit-identical outputs and statistics (see [`crate::par`]
@@ -194,8 +187,6 @@ impl Edea {
     /// In-place variant of [`Edea::with_parallelism`].
     pub fn set_parallelism(&mut self, par: Parallelism) {
         self.par = par;
-        // An explicit setting supersedes whatever the environment said.
-        self.par_warning = None;
     }
 
     fn check_layer(&self, layer: &QuantizedDscLayer, input: &Tensor3<i8>) -> Result<(), CoreError> {
@@ -284,7 +275,7 @@ impl Edea {
             output: run.outputs.pop().expect("one image in, one image out"),
             // edea-lint: allow(panic-in-lib): from_ref put exactly one image in
             pwc_input: run.pwc_inputs.pop().expect("one image in, one image out"),
-            stats: run.stats.into_layer_stats(),
+            stats: run.stats,
         })
     }
 
@@ -698,7 +689,7 @@ impl Edea {
         };
         let mean_zero =
             |ts: &[Tensor3<i8>]| ts.iter().map(zero_frac).sum::<f64>() / ts.len() as f64;
-        let stats = BatchLayerStats {
+        let stats = LayerStats {
             dwc_activity: tally.dwc_activity,
             pwc_activity: tally.pwc_activity,
             input_zero: mean_zero(inputs),
@@ -743,7 +734,7 @@ impl Edea {
     ///
     /// Per-image outputs are bit-identical to running each image through
     /// [`Edea::run_network`]; what changes is the external-memory traffic
-    /// ([`BatchNetworkStats::weight_bytes_per_image`] falls as `1/N`) and
+    /// ([`NetworkStats::weight_bytes_per_image`] falls as `1/N`) and
     /// the psum SRAM provisioning (`N` banks, see
     /// [`crate::buffer::check_capacity`]).
     ///
@@ -815,7 +806,7 @@ impl Edea {
             outputs: Batch::new(xs.unwrap_or_else(|| inputs.to_vec()))
                 // edea-lint: allow(panic-in-lib): every output of one layer has the layer's shape
                 .expect("uniform layer outputs"),
-            stats: BatchNetworkStats {
+            stats: NetworkStats {
                 batch: inputs.len(),
                 layers,
             },
@@ -831,14 +822,7 @@ impl BatchRun {
         NetworkRun {
             // edea-lint: allow(panic-in-lib): a batch holds at least one image
             output: outputs.pop().expect("one image in, one image out"),
-            stats: NetworkStats {
-                layers: self
-                    .stats
-                    .layers
-                    .into_iter()
-                    .map(BatchLayerStats::into_layer_stats)
-                    .collect(),
-            },
+            stats: self.stats,
         }
     }
 }
@@ -968,7 +952,7 @@ mod tests {
     fn assert_measured_match_synthetic(cfg: &EdeaConfig, runs: impl Iterator<Item = Measured>) {
         for (shape, batch, cycles, dwc, pwc) in runs {
             let i = shape.index;
-            let synth = crate::stats::synthetic_batch_layer_stats(
+            let synth = crate::stats::synthetic_layer_stats(
                 &shape,
                 cfg,
                 batch,
@@ -1041,7 +1025,7 @@ mod tests {
         let single = edea.run_network(&qnet, &inputs[0]).unwrap();
         assert_eq!(batch.outputs[0], single.output);
         for (b, s) in batch.stats.layers.iter().zip(&single.stats.layers) {
-            assert_eq!(b.clone().into_layer_stats(), *s, "layer {}", s.shape.index);
+            assert_eq!(b, s, "layer {}", s.shape.index);
         }
     }
 

@@ -961,6 +961,16 @@ pub(crate) fn drive<W: Backend + ?Sized>(
                 ),
             });
         };
+        let Some(free_at) = now.checked_add(cycles) else {
+            execute(workers, &lane_of, &mut planned, &mut report, &mut layers)?;
+            return Err(CoreError::InvalidRequest {
+                detail: format!(
+                    "request {}: a batch dispatched at tick {now} for {cycles} cycles \
+                     would complete past the end of the simulated clock",
+                    state.queue[0].id
+                ),
+            });
+        };
         // Move the inputs out of the drained requests — no tensor copies
         // on the dispatch path.
         let mut timeline = Vec::with_capacity(size);
@@ -980,7 +990,7 @@ pub(crate) fn drive<W: Backend + ?Sized>(
             workers[wi].switch_bytes(network)
         };
         state.resident = network;
-        state.free_at = now + cycles;
+        state.free_at = free_at;
         state.in_service = size;
         let acct = &mut report.workers[wi];
         acct.switch_bytes += switch;
@@ -1093,6 +1103,33 @@ mod tests {
             assert_eq!(report.serve.batches, single.batches, "{dp}");
             assert_eq!(report.serve.responses, single.responses, "{dp}");
             assert_eq!(report.assignments, vec![0; single.batches.len()], "{dp}");
+        }
+    }
+
+    #[test]
+    fn a_dispatch_completing_past_the_clock_is_rejected() {
+        // The second dispatch, at tick u64::MAX, would complete past the
+        // end of the simulated clock; the first batch still runs.
+        let b = analytic();
+        let ticks = arrivals::uniform(3, u64::MAX);
+        assert_eq!(ticks, [0, u64::MAX, u64::MAX]);
+        let policy = Policy::new(1, 0).unwrap();
+        let rejected = |e: Option<CoreError>| {
+            matches!(e, Some(CoreError::InvalidRequest { detail })
+                if detail.starts_with("request 1:") && detail.contains("simulated clock"))
+        };
+        assert!(rejected(
+            Scheduler::new(policy)
+                .serve(&b, zero_requests(&b, &ticks))
+                .err()
+        ));
+        for threads in [1, 2] {
+            let pool = Pool::replicate(b.clone(), 2)
+                .unwrap()
+                .with_parallelism(Parallelism::new(threads).unwrap());
+            let report = Dispatcher::new(policy, DispatchPolicy::LeastLoaded)
+                .serve(&pool, zero_requests(&b, &ticks));
+            assert!(rejected(report.err()), "threads {threads}");
         }
     }
 

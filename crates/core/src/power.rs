@@ -17,7 +17,8 @@
 //!   (the standard way architectural models are anchored to silicon).
 
 use crate::config::EdeaConfig;
-use crate::stats::LayerStats;
+use crate::schedule::WeightResidency;
+use crate::stats::{LayerStats, NetworkStats};
 
 /// Per-action energy constants (pJ) and constant power terms (mW).
 #[derive(Debug, Clone, PartialEq)]
@@ -305,55 +306,36 @@ fn solve(a: &mut [Vec<f64>], b: &mut [f64]) -> Vec<f64> {
     x
 }
 
-/// Per-layer zero fractions `(input, mid, out)` from the paper sparsity
-/// profile — shared by the analytic layer-stats builders.
-fn paper_zero_fractions(index: usize) -> (f64, f64, f64) {
-    let profile = edea_nn::sparsity::SparsityProfile::paper();
-    let input_zero = if index == 0 {
-        0.5 // stem activation sparsity
-    } else {
-        profile.pwc_zero[index - 1]
-    };
-    (input_zero, profile.dwc_zero[index], profile.pwc_zero[index])
-}
-
 /// Builds the 13 full-size MobileNetV1 layer statistics analytically from
-/// the paper sparsity profile — the inputs for calibrating and evaluating
-/// the power model without running a full-width simulation.
-#[must_use]
-pub fn paper_layer_stats(cfg: &EdeaConfig) -> Vec<LayerStats> {
-    let layers = edea_nn::workload::mobilenet_v1_cifar10();
-    layers
-        .iter()
-        .map(|l| {
-            let (input_zero, mid_zero, out_zero) = paper_zero_fractions(l.index);
-            crate::stats::synthetic_layer_stats(l, cfg, input_zero, mid_zero, out_zero)
-        })
-        .collect()
-}
-
-/// Batched analogue of [`paper_layer_stats`]: the 13 full-size layer
-/// statistics for a batch of `n` images under the given weight residency,
-/// with the same paper-profile zero fractions applied to every image.
+/// the paper sparsity profile, for a batch of `n` images with weights
+/// resident across the batch (identical to per-image residency at `n = 1`)
+/// — the inputs for calibrating and evaluating the power model without
+/// running a full-width simulation.
 ///
 /// # Panics
 ///
 /// Panics if `n` is zero.
 #[must_use]
-pub fn paper_batch_layer_stats(
-    cfg: &EdeaConfig,
-    n: usize,
-    residency: crate::schedule::WeightResidency,
-) -> crate::stats::BatchNetworkStats {
-    let layers = edea_nn::workload::mobilenet_v1_cifar10();
-    crate::stats::BatchNetworkStats {
+pub fn paper_layer_stats(cfg: &EdeaConfig, n: usize) -> NetworkStats {
+    let profile = edea_nn::sparsity::SparsityProfile::paper();
+    NetworkStats {
         batch: n,
-        layers: layers
+        layers: edea_nn::workload::mobilenet_v1_cifar10()
             .iter()
             .map(|l| {
-                let (input_zero, mid_zero, out_zero) = paper_zero_fractions(l.index);
-                crate::stats::synthetic_batch_layer_stats(
-                    l, cfg, n, residency, input_zero, mid_zero, out_zero,
+                let input_zero = if l.index == 0 {
+                    0.5 // stem activation sparsity
+                } else {
+                    profile.pwc_zero[l.index - 1]
+                };
+                crate::stats::synthetic_layer_stats(
+                    l,
+                    cfg,
+                    n,
+                    WeightResidency::PerBatch,
+                    input_zero,
+                    profile.dwc_zero[l.index],
+                    profile.pwc_zero[l.index],
                 )
             })
             .collect(),
@@ -370,7 +352,7 @@ mod tests {
     }
 
     fn calibrated() -> (Vec<LayerStats>, EnergyModel) {
-        let stats = paper_layer_stats(&cfg());
+        let stats = paper_layer_stats(&cfg(), 1).layers;
         let model = EnergyModel::calibrate(&stats, &cfg(), &paperdata::power_mw());
         (stats, model)
     }
@@ -379,7 +361,7 @@ mod tests {
     fn physical_model_lands_in_silicon_ballpark() {
         // First-principles constants must put every layer inside 30–200 mW
         // (the paper's band is 67.7–117.7 mW) with the right ordering trend.
-        let stats = paper_layer_stats(&cfg());
+        let stats = paper_layer_stats(&cfg(), 1).layers;
         let m = EnergyModel::physical_22nm();
         for s in &stats {
             let p = m.layer_power_mw(s, &cfg());
@@ -491,7 +473,7 @@ mod tests {
 
     #[test]
     fn gating_reduces_power_monotonically() {
-        let stats = paper_layer_stats(&cfg());
+        let stats = paper_layer_stats(&cfg(), 1).layers;
         let mut low = EnergyModel::physical_22nm();
         low.gating = 0.0;
         let mut high = EnergyModel::physical_22nm();

@@ -198,7 +198,7 @@ impl CostModel {
 /// Per-layer execution summary attached to a [`BackendRun`] for telemetry.
 ///
 /// The layer cycles sum to the run's total cycles
-/// (`BatchNetworkStats::total_cycles` is exactly that sum), so telemetry
+/// (`NetworkStats::total_cycles` is exactly that sum), so telemetry
 /// layer spans tile the batch span with no gaps.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LayerTrace {

@@ -1,20 +1,24 @@
 //! Execution statistics of the accelerator, and the traffic ledger they are
 //! built from.
 //!
-//! [`LayerStats`] describes one image's layer execution; [`BatchLayerStats`]
-//! / [`BatchNetworkStats`] describe a whole batch run under a
-//! [`WeightResidency`] policy, where external weight traffic may be paid
-//! once per batch instead of once per image. External traffic is carried
-//! split by stream ([`crate::buffer::ExternalMemory`]) precisely so the
+//! [`LayerStats`] and [`NetworkStats`] describe a run over a batch of
+//! `N ≥ 1` images; a single image is the batch-of-one case. Counters are
+//! batch totals, and the per-image views (`cycles_per_image`,
+//! `external_per_image`, `weight_bytes_per_image`) divide by the batch.
+//! Under [`WeightResidency::PerBatch`] external weight traffic is paid once
+//! per batch instead of once per image. External traffic is carried split
+//! by stream ([`crate::buffer::ExternalMemory`]) precisely so the
 //! amortizable part (weights + offline parameters) is visible separately
-//! from the inherently per-image part (ifmap reads, ofmap writes).
+//! from the inherently per-image part (ifmap reads, ofmap writes). The
+//! record does not carry the residency: at `N = 1` both residencies give
+//! identical counters, so a batch-of-one record equals a single-image one.
 //!
 //! Every cycle and byte count depends only on the layer shape, the
 //! configuration, the batch size and the residency, so one pure function,
 //! [`layer_ledger`], computes them all. The functional simulator adds what
 //! depends on the data — engine zero-slot counts and zero fractions — and
-//! [`synthetic_layer_stats`] / [`synthetic_batch_layer_stats`] estimate
-//! those from given zero fractions instead.
+//! [`synthetic_layer_stats`] estimates those from given zero fractions
+//! instead.
 
 use edea_nn::workload::{LayerShape, StageOp};
 
@@ -41,14 +45,23 @@ impl BufferTraffic {
     }
 }
 
-/// Complete statistics of one layer executed on the accelerator.
+/// Complete statistics of one layer executed on the accelerator over a
+/// batch of `batch ≥ 1` images; a single image is `batch = 1`.
+///
+/// Every counter is a **batch total**; the cycle [`CycleBreakdown`] is
+/// per-image (every image runs the identical schedule). Zero fractions are
+/// batch means.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LayerStats {
     /// The layer executed.
     pub shape: LayerShape,
-    /// Cycle breakdown from the timing model.
+    /// Batch size `N ≥ 1`.
+    pub batch: usize,
+    /// Per-image cycle breakdown from the timing model.
     pub breakdown: CycleBreakdown,
-    /// Total cycles.
+    /// Whole-batch cycles (`batch × breakdown.total()`; the initiation is
+    /// bound by the per-image ifmap-slice fetch, so weight residency saves
+    /// traffic, not cycles).
     pub cycles: u64,
     /// DWC engine activity (all invocations merged).
     pub dwc_activity: EngineActivity,
@@ -63,7 +76,9 @@ pub struct LayerStats {
     pub mid_zero: f64,
     /// Zero fraction of the output codes — Fig. 11's "PWC zero percentage".
     pub out_zero: f64,
-    /// External-memory traffic, split by stream.
+    /// External-memory traffic, split by stream. Under
+    /// [`WeightResidency::PerBatch`] the weight/param components are the
+    /// single-image figures; ifmap/writes always scale with the batch.
     pub external: ExternalMemory,
     /// On-chip SRAM traffic (all buffers).
     pub onchip: BufferTraffic,
@@ -87,28 +102,65 @@ impl LayerStats {
         2.0 * self.total_macs() as f64 / (self.cycles as f64 * cfg.period_ns())
     }
 
-    /// Latency in nanoseconds.
+    /// Whole-batch latency in nanoseconds.
     #[must_use]
     pub fn latency_ns(&self, cfg: &EdeaConfig) -> f64 {
         self.cycles as f64 * cfg.period_ns()
     }
+
+    /// Cycles per image (exact: every image runs the same schedule).
+    #[must_use]
+    pub fn cycles_per_image(&self) -> u64 {
+        self.cycles / self.batch as u64
+    }
+
+    /// External bytes per image (fractional once weights amortize).
+    #[must_use]
+    pub fn external_per_image(&self) -> f64 {
+        self.external.total() as f64 / self.batch as f64
+    }
+
+    /// External weight + offline-parameter bytes per image.
+    #[must_use]
+    pub fn weight_bytes_per_image(&self) -> f64 {
+        (self.external.weight_reads + self.external.param_reads) as f64 / self.batch as f64
+    }
+
+    /// The statistics of a single-image run, unchanged.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `batch != 1`.
+    #[must_use]
+    pub fn into_layer_stats(self) -> LayerStats {
+        assert_eq!(self.batch, 1, "into_layer_stats requires a batch of 1");
+        self
+    }
 }
 
-/// Statistics of a full network run.
+/// Statistics of a full network run over a batch of `batch ≥ 1` images.
 #[derive(Debug, Clone, PartialEq)]
 pub struct NetworkStats {
+    /// Batch size `N ≥ 1`.
+    pub batch: usize,
     /// Per-layer statistics, in layer order.
     pub layers: Vec<LayerStats>,
 }
 
 impl NetworkStats {
-    /// Total cycles over all layers.
+    /// Total cycles over all layers and images.
     #[must_use]
     pub fn total_cycles(&self) -> u64 {
         self.layers.iter().map(|l| l.cycles).sum()
     }
 
-    /// Total MACs over all layers.
+    /// Cycles per image.
+    #[must_use]
+    pub fn cycles_per_image(&self) -> u64 {
+        self.total_cycles() / self.batch as u64
+    }
+
+    /// Total MACs over all layers and images.
     #[must_use]
     pub fn total_macs(&self) -> u64 {
         self.layers.iter().map(LayerStats::total_macs).sum()
@@ -135,133 +187,6 @@ impl NetworkStats {
             .map(|l| l.external.weight_reads + l.external.param_reads)
             .sum()
     }
-}
-
-/// Statistics of one layer executed over a whole batch.
-///
-/// All counters are **batch totals**; the cycle [`CycleBreakdown`] is
-/// per-image (every image runs the identical schedule). Zero fractions are
-/// batch means.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BatchLayerStats {
-    /// The layer executed.
-    pub shape: LayerShape,
-    /// Batch size `N ≥ 1`.
-    pub batch: usize,
-    /// The residency policy the schedule ran under.
-    pub residency: WeightResidency,
-    /// Per-image cycle breakdown (identical for every image in the batch).
-    pub breakdown: CycleBreakdown,
-    /// Whole-batch cycles (`batch × breakdown.total()`; the initiation is
-    /// bound by the per-image ifmap-slice fetch, so weight residency saves
-    /// traffic, not cycles).
-    pub cycles: u64,
-    /// DWC engine activity summed over the batch.
-    pub dwc_activity: EngineActivity,
-    /// PWC engine activity summed over the batch.
-    pub pwc_activity: EngineActivity,
-    /// Non-Conv operations over the batch.
-    pub nonconv_ops: u64,
-    /// Mean input zero fraction over the batch.
-    pub input_zero: f64,
-    /// Mean intermediate zero fraction over the batch.
-    pub mid_zero: f64,
-    /// Mean output zero fraction over the batch.
-    pub out_zero: f64,
-    /// External traffic over the whole batch, split by stream. Under
-    /// [`WeightResidency::PerBatch`] the weight/param components are the
-    /// single-image figures; ifmap/writes always scale with the batch.
-    pub external: ExternalMemory,
-    /// On-chip SRAM traffic over the batch.
-    pub onchip: BufferTraffic,
-    /// Intermediate-buffer traffic over the batch.
-    pub intermediate: BufferTraffic,
-    /// Psum traffic over the batch.
-    pub psum: BufferTraffic,
-}
-
-impl BatchLayerStats {
-    /// Cycles per image (exact: every image runs the same schedule).
-    #[must_use]
-    pub fn cycles_per_image(&self) -> u64 {
-        self.cycles / self.batch as u64
-    }
-
-    /// External bytes per image (fractional once weights amortize).
-    #[must_use]
-    pub fn external_per_image(&self) -> f64 {
-        self.external.total() as f64 / self.batch as f64
-    }
-
-    /// External weight + offline-parameter bytes per image.
-    #[must_use]
-    pub fn weight_bytes_per_image(&self) -> f64 {
-        (self.external.weight_reads + self.external.param_reads) as f64 / self.batch as f64
-    }
-
-    /// Converts a single-image batch back to plain [`LayerStats`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `batch != 1` — a multi-image batch has no per-image
-    /// external split.
-    #[must_use]
-    pub fn into_layer_stats(self) -> LayerStats {
-        assert_eq!(self.batch, 1, "into_layer_stats requires a batch of 1");
-        LayerStats {
-            shape: self.shape,
-            breakdown: self.breakdown,
-            cycles: self.cycles,
-            dwc_activity: self.dwc_activity,
-            pwc_activity: self.pwc_activity,
-            nonconv_ops: self.nonconv_ops,
-            input_zero: self.input_zero,
-            mid_zero: self.mid_zero,
-            out_zero: self.out_zero,
-            external: self.external,
-            onchip: self.onchip,
-            intermediate: self.intermediate,
-            psum: self.psum,
-        }
-    }
-}
-
-/// Statistics of a full network run over a batch.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BatchNetworkStats {
-    /// Batch size `N ≥ 1`.
-    pub batch: usize,
-    /// Per-layer batch statistics, in layer order.
-    pub layers: Vec<BatchLayerStats>,
-}
-
-impl BatchNetworkStats {
-    /// Total cycles over all layers and images.
-    #[must_use]
-    pub fn total_cycles(&self) -> u64 {
-        self.layers.iter().map(|l| l.cycles).sum()
-    }
-
-    /// Cycles per image.
-    #[must_use]
-    pub fn cycles_per_image(&self) -> u64 {
-        self.total_cycles() / self.batch as u64
-    }
-
-    /// Total external traffic over the batch, in bytes.
-    #[must_use]
-    pub fn external_total(&self) -> u64 {
-        self.layers.iter().map(|l| l.external.total()).sum()
-    }
-
-    /// Total external weight + offline-parameter traffic over the batch.
-    #[must_use]
-    pub fn external_weight_total(&self) -> u64 {
-        self.layers
-            .iter()
-            .map(|l| l.external.weight_reads + l.external.param_reads)
-            .sum()
-    }
 
     /// External bytes per image.
     #[must_use]
@@ -277,47 +202,21 @@ impl BatchNetworkStats {
     }
 }
 
-/// Builds a [`LayerStats`] analytically — the [`layer_ledger`] the
-/// functional simulator also reads, without executing the layer. Zero
-/// *fractions* are taken from the caller (e.g. the sparsity profile or a
-/// previous run); engine zero-slot counts are estimated from them.
+/// Builds a [`LayerStats`] analytically for a batch of `n` images under
+/// `residency` — the [`layer_ledger`] the functional simulator also reads,
+/// without executing the layer. Zero *fractions* are taken from the caller
+/// (e.g. the sparsity profile or a previous run); engine zero-slot counts
+/// are estimated from them.
 ///
 /// Used by the power-model calibration, which needs full-size statistics
 /// that would otherwise require a width-1.0 simulation per tweak.
 ///
 /// # Panics
 ///
-/// Panics if the layer does not map onto the configuration (dims must be
-/// multiples of the tile sizes).
+/// Panics if `n` is zero or the layer does not map onto the configuration
+/// (dims must be multiples of the tile sizes).
 #[must_use]
 pub fn synthetic_layer_stats(
-    shape: &LayerShape,
-    cfg: &EdeaConfig,
-    input_zero: f64,
-    mid_zero: f64,
-    out_zero: f64,
-) -> LayerStats {
-    synthetic_batch_layer_stats(
-        shape,
-        cfg,
-        1,
-        WeightResidency::PerImage,
-        input_zero,
-        mid_zero,
-        out_zero,
-    )
-    .into_layer_stats()
-}
-
-/// Builds a [`BatchLayerStats`] analytically for a batch of `n` images:
-/// the [`layer_ledger`] plus zero-slot counts estimated from the caller's
-/// zero fractions, without executing anything.
-///
-/// # Panics
-///
-/// Panics if `n` is zero or the layer does not map onto the configuration.
-#[must_use]
-pub fn synthetic_batch_layer_stats(
     shape: &LayerShape,
     cfg: &EdeaConfig,
     n: usize,
@@ -325,7 +224,7 @@ pub fn synthetic_batch_layer_stats(
     input_zero: f64,
     mid_zero: f64,
     out_zero: f64,
-) -> BatchLayerStats {
+) -> LayerStats {
     let est = |slots: u64, z: f64| (slots as f64 * z).round() as u64;
     let mut stats = layer_ledger(shape, cfg, n, residency);
     stats.dwc_activity.zero_act_slots = est(stats.dwc_activity.mac_slots, input_zero);
@@ -341,7 +240,7 @@ pub fn synthetic_batch_layer_stats(
 /// the residency — the cycle breakdown, every external and on-chip traffic
 /// category, the Non-Conv operation count and the engines' MAC slots. It
 /// is the one source of these figures: [`crate::Edea`]'s functional
-/// schedule, [`synthetic_batch_layer_stats`] and
+/// schedule, [`synthetic_layer_stats`] and
 /// [`crate::serve::CostModel`] all build their statistics from it.
 ///
 /// The data-dependent fields — the zero fractions and the engines'
@@ -362,7 +261,7 @@ pub fn layer_ledger(
     cfg: &EdeaConfig,
     n: usize,
     residency: WeightResidency,
-) -> BatchLayerStats {
+) -> LayerStats {
     assert!(n > 0, "batch must be non-empty");
     let t = cfg.tile;
     assert_eq!(shape.d_in % t.td, 0, "d_in must be a multiple of Td");
@@ -446,10 +345,9 @@ pub fn layer_ledger(
     // offline and PWC weight buffers and the ifmap buffer.
     let onchip_fills = weight_reads + param_reads + ifmap_slices;
 
-    BatchLayerStats {
+    LayerStats {
         shape: *shape,
         batch: n,
-        residency,
         breakdown,
         cycles: nb * breakdown.total(),
         dwc_activity: EngineActivity {
@@ -510,12 +408,13 @@ mod tests {
     fn batch_of_one_matches_single_image_stats() {
         let cfg = EdeaConfig::paper();
         for l in mobilenet_v1_cifar10() {
-            let single = synthetic_layer_stats(&l, &cfg, 0.3, 0.5, 0.6);
-            for residency in [WeightResidency::PerImage, WeightResidency::PerBatch] {
-                let b = synthetic_batch_layer_stats(&l, &cfg, 1, residency, 0.3, 0.5, 0.6);
-                assert_eq!(b.clone().into_layer_stats(), single, "layer {}", l.index);
-                assert_eq!(b.cycles_per_image(), single.cycles);
-            }
+            let single =
+                synthetic_layer_stats(&l, &cfg, 1, WeightResidency::PerImage, 0.3, 0.5, 0.6);
+            let resident =
+                synthetic_layer_stats(&l, &cfg, 1, WeightResidency::PerBatch, 0.3, 0.5, 0.6);
+            assert_eq!(resident, single, "layer {}", l.index);
+            assert_eq!(single.cycles_per_image(), single.cycles);
+            assert_eq!(single.clone().into_layer_stats(), single);
         }
     }
 
@@ -523,10 +422,8 @@ mod tests {
     fn per_image_residency_scales_everything_by_n() {
         let cfg = EdeaConfig::paper();
         let l = mobilenet_v1_cifar10()[3];
-        let one =
-            synthetic_batch_layer_stats(&l, &cfg, 1, WeightResidency::PerImage, 0.3, 0.5, 0.6);
-        let four =
-            synthetic_batch_layer_stats(&l, &cfg, 4, WeightResidency::PerImage, 0.3, 0.5, 0.6);
+        let one = synthetic_layer_stats(&l, &cfg, 1, WeightResidency::PerImage, 0.3, 0.5, 0.6);
+        let four = synthetic_layer_stats(&l, &cfg, 4, WeightResidency::PerImage, 0.3, 0.5, 0.6);
         assert_eq!(four.cycles, 4 * one.cycles);
         assert_eq!(four.external.weight_reads, 4 * one.external.weight_reads);
         assert_eq!(four.external.ifmap_reads, 4 * one.external.ifmap_reads);
@@ -539,10 +436,8 @@ mod tests {
     fn resident_weights_amortize_only_weight_streams() {
         let cfg = EdeaConfig::paper();
         let l = mobilenet_v1_cifar10()[6];
-        let one =
-            synthetic_batch_layer_stats(&l, &cfg, 1, WeightResidency::PerBatch, 0.3, 0.5, 0.6);
-        let eight =
-            synthetic_batch_layer_stats(&l, &cfg, 8, WeightResidency::PerBatch, 0.3, 0.5, 0.6);
+        let one = synthetic_layer_stats(&l, &cfg, 1, WeightResidency::PerBatch, 0.3, 0.5, 0.6);
+        let eight = synthetic_layer_stats(&l, &cfg, 8, WeightResidency::PerBatch, 0.3, 0.5, 0.6);
         // Amortized: weight and parameter fetches identical to one image.
         assert_eq!(eight.external.weight_reads, one.external.weight_reads);
         assert_eq!(eight.external.param_reads, one.external.param_reads);
@@ -557,13 +452,11 @@ mod tests {
     #[test]
     fn network_weight_totals_sum_layers() {
         let cfg = EdeaConfig::paper();
-        let layers: Vec<BatchLayerStats> = mobilenet_v1_cifar10()
+        let layers: Vec<LayerStats> = mobilenet_v1_cifar10()
             .iter()
-            .map(|l| {
-                synthetic_batch_layer_stats(l, &cfg, 4, WeightResidency::PerBatch, 0.3, 0.5, 0.6)
-            })
+            .map(|l| synthetic_layer_stats(l, &cfg, 4, WeightResidency::PerBatch, 0.3, 0.5, 0.6))
             .collect();
-        let net = BatchNetworkStats {
+        let net = NetworkStats {
             batch: 4,
             layers: layers.clone(),
         };

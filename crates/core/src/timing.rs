@@ -188,62 +188,6 @@ pub fn network_timing(layers: &[LayerShape], cfg: &EdeaConfig) -> NetworkTiming 
     }
 }
 
-/// Whole-batch cycles for one layer: `n ×` the per-image figure.
-///
-/// Batching does **not** change cycles per image: Eq. 1's 9-cycle
-/// initiation is bound by fetching the portion's ifmap slice, which every
-/// image needs, so weight residency removes DRAM *traffic* (and interface
-/// energy), not pipeline time. What batching buys in time terms is covered
-/// by the traffic ledger ([`crate::stats::layer_ledger`]) and
-/// the power model's lower interface energy.
-///
-/// # Panics
-///
-/// Panics if `n` is zero or the kernel does not match the configuration.
-#[must_use]
-pub fn batch_layer_cycles(shape: &LayerShape, cfg: &EdeaConfig, n: usize) -> u64 {
-    assert!(n > 0, "batch must be non-empty");
-    n as u64 * layer_cycles(shape, cfg).total()
-}
-
-/// Batch-level timing summary.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BatchNetworkTiming {
-    /// Batch size `N ≥ 1`.
-    pub batch: usize,
-    /// Whole-batch cycles over all layers.
-    pub total_cycles: u64,
-    /// Cycles per image (equal to the unbatched network cycles).
-    pub cycles_per_image: u64,
-    /// Latency per image in ns.
-    pub latency_per_image_ns: f64,
-    /// Ops-weighted average throughput in GOPS (batch-invariant).
-    pub average_gops: f64,
-}
-
-/// Summarizes batched timing over a layer stack.
-///
-/// # Panics
-///
-/// Panics if `layers` is empty or `n` is zero.
-#[must_use]
-pub fn batch_network_timing(
-    layers: &[LayerShape],
-    cfg: &EdeaConfig,
-    n: usize,
-) -> BatchNetworkTiming {
-    assert!(n > 0, "batch must be non-empty");
-    let per_image = network_timing(layers, cfg);
-    let cycles_per_image: u64 = layers.iter().map(|l| layer_cycles(l, cfg).total()).sum();
-    BatchNetworkTiming {
-        batch: n,
-        total_cycles: n as u64 * cycles_per_image,
-        cycles_per_image,
-        latency_per_image_ns: per_image.total_latency_ns,
-        average_gops: per_image.average_gops,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -401,22 +345,6 @@ mod tests {
         let vy: f64 = ys.iter().map(|y| (y - my).powi(2)).sum();
         let r = cov / (vx * vy).sqrt();
         assert!(r > 0.99, "correlation {r}");
-    }
-
-    #[test]
-    fn batching_scales_total_cycles_but_not_per_image() {
-        let layers = mobilenet_v1_cifar10();
-        let base = network_timing(&layers, &cfg());
-        for n in [1usize, 2, 4, 8, 16] {
-            let b = batch_network_timing(&layers, &cfg(), n);
-            assert_eq!(b.total_cycles, n as u64 * b.cycles_per_image);
-            assert_eq!(b.cycles_per_image, 92_784); // the paper config's network cycles
-            assert!((b.average_gops - base.average_gops).abs() < 1e-12);
-            assert_eq!(
-                batch_layer_cycles(&layers[0], &cfg(), n),
-                n as u64 * layer_cycles(&layers[0], &cfg()).total()
-            );
-        }
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! simulator over random deployments.
 
 use edea_core::schedule::WeightResidency;
-use edea_core::stats::synthetic_batch_layer_stats;
+use edea_core::stats::synthetic_layer_stats;
 use edea_core::EdeaConfig;
 use edea_nn::workload::mobilenet_v1_cifar10;
 use edea_testutil::{batch_inputs, deploy, paper_edea};
@@ -25,9 +25,9 @@ proptest! {
     fn batched_weight_reads_equal_unbatched(layer in 0usize..13, n in 1usize..32) {
         let cfg = EdeaConfig::paper();
         let shape = mobilenet_v1_cifar10()[layer];
-        let one = synthetic_batch_layer_stats(
+        let one = synthetic_layer_stats(
             &shape, &cfg, 1, WeightResidency::PerBatch, 0.3, 0.5, 0.6);
-        let batch = synthetic_batch_layer_stats(
+        let batch = synthetic_layer_stats(
             &shape, &cfg, n, WeightResidency::PerBatch, 0.3, 0.5, 0.6);
         prop_assert_eq!(batch.external.weight_reads, one.external.weight_reads);
         prop_assert_eq!(batch.external.param_reads, one.external.param_reads);
@@ -44,9 +44,9 @@ proptest! {
     fn per_image_residency_is_n_times(layer in 0usize..13, n in 1usize..32) {
         let cfg = EdeaConfig::paper();
         let shape = mobilenet_v1_cifar10()[layer];
-        let one = synthetic_batch_layer_stats(
+        let one = synthetic_layer_stats(
             &shape, &cfg, 1, WeightResidency::PerImage, 0.3, 0.5, 0.6);
-        let batch = synthetic_batch_layer_stats(
+        let batch = synthetic_layer_stats(
             &shape, &cfg, n, WeightResidency::PerImage, 0.3, 0.5, 0.6);
         prop_assert_eq!(batch.external.weight_reads, n as u64 * one.external.weight_reads);
         prop_assert_eq!(batch.external.param_reads, n as u64 * one.external.param_reads);

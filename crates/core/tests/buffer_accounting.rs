@@ -17,7 +17,7 @@ use edea_core::baseline::roundtrip_external_traffic;
 use edea_core::plan::LayerPlan;
 use edea_core::schedule::WeightResidency;
 use edea_core::scratch::TileScratch;
-use edea_core::stats::BatchLayerStats;
+use edea_core::stats::LayerStats;
 use edea_nn::executor;
 use edea_nn::workload::StageOp;
 use edea_tensor::{rng, Batch, Tensor3};
@@ -25,8 +25,14 @@ use edea_testutil::{batch_inputs, deploy, deploy_v2, paper_edea, TestDeployment}
 use proptest::prelude::*;
 
 /// Checks every identity for one layer's statistics over a batch of
-/// `stats.batch` images; `one` is the same layer run on a single image.
-fn check_layer_identities(edea: &Edea, stats: &BatchLayerStats, one: &BatchLayerStats) {
+/// `stats.batch` images run under `residency`; `one` is the same layer run
+/// on a single image.
+fn check_layer_identities(
+    edea: &Edea,
+    stats: &LayerStats,
+    one: &LayerStats,
+    residency: WeightResidency,
+) {
     let s = stats.shape;
     let i = s.index;
     let t = edea.config().tile;
@@ -111,7 +117,7 @@ fn check_layer_identities(edea: &Edea, stats: &BatchLayerStats, one: &BatchLayer
     // 7. Resident weights: a batch fetches its weights and offline
     //    parameters once — exactly the single-image figure.
     assert_eq!(one.batch, 1);
-    if stats.residency == WeightResidency::PerBatch {
+    if residency == WeightResidency::PerBatch {
         assert_eq!(
             stats.external.weight_reads + stats.external.param_reads,
             one.external.weight_reads + one.external.param_reads,
@@ -138,8 +144,8 @@ fn check_network_accounting(width: f64, seed: u64) {
         };
         let one = run(std::slice::from_ref(&x), WeightResidency::PerImage);
         let two = run(&xs, WeightResidency::PerBatch);
-        check_layer_identities(&edea, &one.stats, &one.stats);
-        check_layer_identities(&edea, &two.stats, &one.stats);
+        check_layer_identities(&edea, &one.stats, &one.stats, WeightResidency::PerImage);
+        check_layer_identities(&edea, &two.stats, &one.stats, WeightResidency::PerBatch);
 
         // 8. The simulator's intermediate map is bit-exact with the golden
         //    executor's (the data the accounting describes is also
@@ -189,8 +195,8 @@ fn v2_accounting_exact_over_every_stage() {
         .any(|l| l.shape.op == StageOp::PwcOnly));
     assert!(one.stats.layers.iter().any(|l| l.shape.residual_add));
     for (a, b) in one.stats.layers.iter().zip(&two.stats.layers) {
-        check_layer_identities(&edea, a, a);
-        check_layer_identities(&edea, b, a);
+        check_layer_identities(&edea, a, a, WeightResidency::PerBatch);
+        check_layer_identities(&edea, b, a, WeightResidency::PerBatch);
     }
     assert_eq!(two.outputs[0], one.outputs[0]);
 }

@@ -73,8 +73,8 @@ fn batched_forward_is_bit_identical_at_every_thread_count() {
                 run.outputs, baseline.outputs,
                 "{threads}-thread rep {rep}: batch outputs diverged"
             );
-            // BatchNetworkStats equality covers the amortized external
-            // traffic, per-layer engine activity and the residency split.
+            // NetworkStats equality covers the amortized external traffic
+            // and per-layer engine activity.
             assert_eq!(
                 run.stats, baseline.stats,
                 "{threads}-thread rep {rep}: batch stats diverged"

@@ -32,7 +32,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let run = edea.run_network(&qnet, &input)?;
 
     // Calibrated energy model (anchored to the paper's silicon points).
-    let power_stats = edea::core::power::paper_layer_stats(&cfg);
+    let power_stats = edea::core::power::paper_layer_stats(&cfg, 1).layers;
     let energy = EnergyModel::calibrate(&power_stats, &cfg, &paperdata::power_mw());
 
     println!();

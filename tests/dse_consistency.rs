@@ -1,6 +1,7 @@
 //! Cross-validation of the DSE analytical access models (paper Table II)
 //! against the functional simulator's actual buffer counters.
 
+use edea::core::schedule::WeightResidency;
 use edea::dse::access::layer_access;
 use edea::dse::{LoopOrder, TileConfig};
 use edea::mobilenet_v1_cifar10;
@@ -94,7 +95,15 @@ fn fig3_elimination_equals_simulator_intermediate_traffic() {
     let mut model = MobileNetV1::synthetic(1.0, 81);
     // Only check shapes/counters — use the analytic stats for width 1.0.
     for l in &layers {
-        let s = edea::core::stats::synthetic_layer_stats(l, &EdeaConfig::paper(), 0.5, 0.5, 0.5);
+        let s = edea::core::stats::synthetic_layer_stats(
+            l,
+            &EdeaConfig::paper(),
+            1,
+            WeightResidency::PerImage,
+            0.5,
+            0.5,
+            0.5,
+        );
         assert_eq!(s.intermediate.writes, l.intermediate_elems());
         assert_eq!(
             s.intermediate.reads,

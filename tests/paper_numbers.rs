@@ -48,7 +48,7 @@ fn headline_throughputs() {
 
 #[test]
 fn fig12_energy_efficiency_series() {
-    let stats = paper_layer_stats(&cfg());
+    let stats = paper_layer_stats(&cfg(), 1).layers;
     let model = EnergyModel::calibrate(&stats, &cfg(), &paperdata::power_mw());
     for (s, want) in stats.iter().zip(paperdata::ENERGY_EFFICIENCY_TOPS_W) {
         let got = model.layer_efficiency_tops_w(s, &cfg());
@@ -64,7 +64,7 @@ fn fig12_energy_efficiency_series() {
 
 #[test]
 fn fig11_power_series() {
-    let stats = paper_layer_stats(&cfg());
+    let stats = paper_layer_stats(&cfg(), 1).layers;
     let model = EnergyModel::calibrate(&stats, &cfg(), &paperdata::power_mw());
     let targets = paperdata::power_mw();
     // Endpoint anchors the paper quotes in prose:
@@ -103,7 +103,7 @@ fn fig11_power_series() {
 
 #[test]
 fn peak_efficiency_headline() {
-    let stats = paper_layer_stats(&cfg());
+    let stats = paper_layer_stats(&cfg(), 1).layers;
     let model = EnergyModel::calibrate(&stats, &cfg(), &paperdata::power_mw());
     let peak = stats
         .iter()
