@@ -1296,13 +1296,21 @@ mod tests {
         use crate::accelerator::Edea;
         use crate::serve::SimulatorBackend;
         use edea_nn::quantize::{QuantStrategy, QuantizedDscNetwork};
+        use edea_nn::sparsity::SparsityProfile;
         use edea_tensor::rng;
 
         let calib = rng::synthetic_batch(2, 3, 32, 32, 32);
         // v1 at width 0.5 and v2 at width 0.25 share the stem output
         // shape (16, 32, 32) — the multi-model precondition.
-        let v1 = edea_nn::mobilenet::MobileNetV1::synthetic(0.5, 31);
-        let q1 = QuantizedDscNetwork::calibrate(&v1, &calib);
+        let mut v1 = edea_nn::mobilenet::MobileNetV1::synthetic(0.5, 31);
+        let profile = SparsityProfile::near_dense(v1.blocks().len());
+        let (q1, _) = QuantizedDscNetwork::calibrate_shaped(
+            &mut v1,
+            &calib,
+            &profile,
+            QuantStrategy::paper(),
+        )
+        .unwrap();
         let v2 = edea_nn::mobilenet::MobileNetV2::synthetic(0.25, 41);
         let q2 = QuantizedDscNetwork::calibrate_v2(&v2, &calib, QuantStrategy::paper()).unwrap();
         let edea = Edea::new(EdeaConfig::paper())

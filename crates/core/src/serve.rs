@@ -1631,10 +1631,23 @@ mod tests {
         use crate::accelerator::Edea;
         use edea_nn::mobilenet::{MobileNetV1, MobileNetV2};
         use edea_nn::quantize::{QuantStrategy, QuantizedDscNetwork};
+        use edea_nn::sparsity::SparsityProfile;
         use edea_tensor::rng;
 
         let calib = rng::synthetic_batch(2, 3, 32, 32, 32);
-        let q1 = QuantizedDscNetwork::calibrate(&MobileNetV1::synthetic(0.5, 31), &calib);
+        let calibrate_v1 = |width| {
+            let mut model = MobileNetV1::synthetic(width, 31);
+            let profile = SparsityProfile::near_dense(model.blocks().len());
+            QuantizedDscNetwork::calibrate_shaped(
+                &mut model,
+                &calib,
+                &profile,
+                QuantStrategy::paper(),
+            )
+            .unwrap()
+            .0
+        };
+        let q1 = calibrate_v1(0.5);
         let q2 = QuantizedDscNetwork::calibrate_v2(
             &MobileNetV2::synthetic(0.25, 41),
             &calib,
@@ -1651,7 +1664,7 @@ mod tests {
         );
         // A model whose stem disagrees with the primary's cannot share
         // the pool's single input shape.
-        let narrow = QuantizedDscNetwork::calibrate(&MobileNetV1::synthetic(0.25, 31), &calib);
+        let narrow = calibrate_v1(0.25);
         let err = backend.clone().with_model(NetworkId(1), narrow);
         match err {
             Err(CoreError::InvalidConfig { detail }) => {

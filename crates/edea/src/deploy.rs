@@ -61,16 +61,15 @@ pub struct Deployment {
 
 /// Step-by-step construction of a [`Deployment`].
 ///
-/// Defaults: the paper's sparsity profile, quantization strategy and
-/// accelerator configuration. A model and at least one calibration image
-/// are required.
+/// Defaults: the paper's sparsity profile and accelerator configuration
+/// (quantization is always the paper's LSQ). A model and at least one
+/// calibration image are required.
 #[derive(Debug, Clone)]
 pub struct DeploymentBuilder {
     model: Option<MobileNetV1>,
     models_v2: Vec<MobileNetV2>,
     calibration: Vec<Tensor3<f32>>,
     sparsity: SparsityProfile,
-    quant: QuantStrategy,
     config: EdeaConfig,
     replicas: usize,
     threads: Option<usize>,
@@ -84,7 +83,6 @@ impl Default for DeploymentBuilder {
             models_v2: Vec::new(),
             calibration: Vec::new(),
             sparsity: SparsityProfile::paper(),
-            quant: QuantStrategy::paper(),
             config: EdeaConfig::paper(),
             replicas: 1,
             threads: None,
@@ -128,13 +126,6 @@ impl DeploymentBuilder {
     #[must_use]
     pub fn sparsity(mut self, profile: SparsityProfile) -> Self {
         self.sparsity = profile;
-        self
-    }
-
-    /// The quantization strategy (default: paper's).
-    #[must_use]
-    pub fn quant(mut self, strategy: QuantStrategy) -> Self {
-        self.quant = strategy;
         self
     }
 
@@ -207,7 +198,7 @@ impl DeploymentBuilder {
             &mut model,
             &self.calibration,
             &self.sparsity,
-            self.quant,
+            QuantStrategy::paper(),
         )?;
         let par = match self.threads {
             None => Parallelism::from_env(),
@@ -216,7 +207,8 @@ impl DeploymentBuilder {
         let edea = Edea::new(self.config)?.with_parallelism(par);
         let mut simulator = SimulatorBackend::new(edea, qnet)?;
         for (i, m) in self.models_v2.iter().enumerate() {
-            let q = QuantizedDscNetwork::calibrate_v2(m, &self.calibration, self.quant)?;
+            let q =
+                QuantizedDscNetwork::calibrate_v2(m, &self.calibration, QuantStrategy::paper())?;
             simulator = simulator.with_model(NetworkId(1 + i as u32), q)?;
         }
         let pool = Pool::replicate(simulator, self.replicas)?.with_parallelism(par);
@@ -479,6 +471,22 @@ mod tests {
             .build()
             .unwrap_err();
         assert!(matches!(e, Error::Core(_)), "{e}");
+    }
+
+    #[test]
+    fn builder_surfaces_degenerate_calibration_as_nn_error() {
+        // An all-zero image leaves the input pool without a range to
+        // calibrate: an error naming the tensor, never a panic.
+        let e = Deployment::builder()
+            .model(MobileNetV1::synthetic(0.25, 11))
+            .model_v2(MobileNetV2::synthetic(0.25, 12))
+            .calibration(vec![Tensor3::zeros(3, 32, 32)])
+            .build()
+            .unwrap_err();
+        assert!(
+            matches!(&e, Error::Nn(edea_nn::NnError::InvalidConfig { detail }) if detail.starts_with("input")),
+            "{e}"
+        );
     }
 
     #[test]

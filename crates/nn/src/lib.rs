@@ -10,9 +10,9 @@
 //!   over).
 //! * [`mobilenet`] — a full float MobileNetV1 model (stem + 13 DSC blocks +
 //!   classifier) with deterministic synthetic parameters.
-//! * [`observer`] / [`lsq`] — activation-range observers and an LSQ-style
-//!   learned-step-size quantizer (gradient descent on the quantization
-//!   objective, the inference-time essence of paper ref \[14\]).
+//! * [`lsq`] — an LSQ-style learned-step-size quantizer (gradient descent
+//!   on the quantization objective, the inference-time essence of paper
+//!   ref \[14\]), started from each pool's max-abs step.
 //! * [`fold`] — the Non-Conv fold: dequantization + batch norm + ReLU +
 //!   requantization collapsed into `y = k·x + b` with Q8.16 constants
 //!   (paper Fig. 6).
@@ -20,7 +20,7 @@
 //!   fraction matches the trained-network profile of paper Fig. 11 (the
 //!   substitution for the unavailable trained checkpoint).
 //! * [`quantize`] — assembles a fully-quantized DSC network from the float
-//!   model plus a calibration batch.
+//!   model plus a calibration batch, layer by layer on the int8 path.
 //! * [`executor`] — the bit-exact int8 golden executor the accelerator
 //!   simulator is verified against, with per-layer activity statistics.
 //!   [`executor::run_batch`] defines the reference semantics of batched
@@ -31,14 +31,22 @@
 //!
 //! ```
 //! use edea_nn::mobilenet::MobileNetV1;
-//! use edea_nn::quantize::QuantizedDscNetwork;
+//! use edea_nn::quantize::{QuantStrategy, QuantizedDscNetwork};
+//! use edea_nn::sparsity::SparsityProfile;
 //! use edea_tensor::rng;
 //!
 //! // A width-0.25 model keeps doc tests fast; the experiments use 1.0.
-//! let model = MobileNetV1::synthetic(0.25, 42);
+//! let mut model = MobileNetV1::synthetic(0.25, 42);
 //! let calib = rng::synthetic_batch(2, 3, 32, 32, 7);
-//! let qnet = QuantizedDscNetwork::calibrate(&model, &calib);
+//! let (qnet, report) = QuantizedDscNetwork::calibrate_shaped(
+//!     &mut model,
+//!     &calib,
+//!     &SparsityProfile::paper(),
+//!     QuantStrategy::paper(),
+//! )?;
 //! assert_eq!(qnet.layers().len(), 13);
+//! assert_eq!(report.dwc_zero.len(), 13);
+//! # Ok::<(), edea_nn::NnError>(())
 //! ```
 
 #![forbid(unsafe_code)]
@@ -51,7 +59,6 @@ pub mod executor;
 pub mod fold;
 pub mod lsq;
 pub mod mobilenet;
-pub mod observer;
 pub mod quantize;
 pub mod sparsity;
 pub mod workload;

@@ -4,9 +4,10 @@
 //! checkpoint is not available, so [`MobileNetV1::synthetic`] builds the same
 //! graph with Kaiming-initialized weights and identity batch norm; the
 //! trained network's *activation statistics* — the only property of the
-//! checkpoint the hardware results depend on — are then imposed by
-//! [`crate::sparsity::shape_network_sparsity`] (see ARCHITECTURE.md's
-//! substitution notes).
+//! checkpoint the hardware results depend on — are then imposed by the
+//! joint sparsity shaping of
+//! [`QuantizedDscNetwork::calibrate_shaped`](crate::quantize::QuantizedDscNetwork::calibrate_shaped)
+//! (see ARCHITECTURE.md's substitution notes).
 
 use edea_tensor::conv::{conv2d_f32, depthwise_conv2d_f32, pointwise_conv2d_f32};
 use edea_tensor::ops::{global_avg_pool, linear, relu, BatchNorm};

@@ -3,23 +3,24 @@
 //! The deployment flow of the paper: train (PyTorch) → quantize weights and
 //! activations to 8 bits with LSQ → pre-compute per-channel Non-Conv
 //! constants (k, b) offline → load onto the accelerator. This module is that
-//! offline step, in two variants:
+//! offline step, in one pipeline that runs layer by layer **on the int8
+//! path**, so the Non-Conv constants describe exactly the tensors the
+//! accelerator sees: [`QuantizedDscNetwork::calibrate_shaped`] for
+//! MobileNetV1 (jointly shaping the sparsity, so the quantized network
+//! realizes the target zero-percentage profile where the accelerator
+//! measures it, paper Fig. 11) and [`QuantizedDscNetwork::calibrate_v2`] for
+//! MobileNetV2.
 //!
-//! * [`QuantizedDscNetwork::calibrate_with`] — classic post-training
-//!   calibration on the float forward pass.
-//! * [`QuantizedDscNetwork::calibrate_shaped`] — **joint** sparsity shaping
-//!   and calibration performed layer-by-layer *on the int8 path*, so the
-//!   quantized network realizes the target zero-percentage profile exactly
-//!   where the accelerator measures it (paper Fig. 11). This is the variant
-//!   the experiments use.
-//!
-//! Both variants fit activation step sizes to the **Q8.16 fold envelope**:
-//! the folded offset `b` is the ReLU dead-zone width measured in output
-//! LSBs, so a layer with 97 % zeros needs a step size large enough that
+//! Every step size is learned by LSQ from the pool's max-abs step, and
+//! activation steps are then fitted to the **Q8.16 fold envelope**: the
+//! folded offset `b` is the ReLU dead-zone width measured in output LSBs,
+//! so a layer with 97 % zeros needs a step size large enough that
 //! `|b| ≤ 127` — the same constraint the paper's trained network satisfies
 //! by construction ("to cover all possible ranges of the values for k and
 //! b"). Without this fit, extreme layers would need per-channel slope
 //! compression (handled as a fallback in [`crate::fold::fold_boundary`]).
+
+use std::borrow::Cow;
 
 use edea_tensor::conv::{depthwise_conv2d_i8, pointwise_conv2d_i8};
 use edea_tensor::ops::BatchNorm;
@@ -30,53 +31,108 @@ use edea_fixed::Q8x16;
 use crate::fold::{fold_boundary, FoldedAffine};
 use crate::lsq::{learn_step, LsqConfig};
 use crate::mobilenet::{MobileNetV1, MobileNetV2};
-use crate::observer::Observer;
 use crate::sparsity::{shape_bn_from_pools, ShapingReport, SparsityProfile};
 use crate::workload::{LayerShape, StageOp};
 use crate::NnError;
 
-/// How step sizes are chosen during calibration.
+/// A folded Non-Conv boundary: the per-channel fold, the output step and
+/// the int8 maps it produces.
+type Boundary = (Vec<FoldedAffine>, f64, Vec<Tensor3<i8>>);
+
+/// How step sizes are chosen during calibration: LSQ refinement started
+/// from the max-abs step. [`QuantStrategy::paper`] is its only value.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub enum QuantStrategy {
-    /// Pure observer (no learning).
-    Observer(Observer),
-    /// Observer initialization refined by LSQ gradient descent — the paper's
-    /// configuration.
-    Lsq {
-        /// Observer supplying the initial step.
-        init: Observer,
-        /// LSQ hyper-parameters for weights.
-        weights: LsqConfig,
-        /// LSQ hyper-parameters for activations.
-        activations: LsqConfig,
-    },
+pub struct QuantStrategy {
+    weights: LsqConfig,
+    activations: LsqConfig,
 }
 
 impl QuantStrategy {
     /// The paper's configuration: max-abs init + LSQ refinement.
     #[must_use]
     pub fn paper() -> Self {
-        QuantStrategy::Lsq {
-            init: Observer::MinMax,
+        Self {
             weights: LsqConfig::weight_int8(),
             activations: LsqConfig::activation_int8(),
         }
     }
 
-    fn scale_for(&self, values: &[f32], is_weight: bool) -> QuantParams {
-        match self {
-            QuantStrategy::Observer(obs) => obs.scale_for(values),
-            QuantStrategy::Lsq {
-                init,
-                weights,
-                activations,
-            } => {
-                let cfg = if is_weight { weights } else { activations };
-                let start = init.scale_for(values).scale();
-                let s = learn_step(values, start, cfg);
-                QuantParams::new(s).expect("LSQ step is positive")
-            }
+    /// The learned step of one calibration pool; `what` names the tensor
+    /// in the error.
+    ///
+    /// # Errors
+    ///
+    /// [`NnError::InvalidConfig`] if the pool is empty, all zero or
+    /// non-finite (no range to calibrate).
+    fn step(&self, values: &[f32], is_weight: bool, what: &str) -> Result<QuantParams, NnError> {
+        let samples = subsample(values);
+        let max_abs = samples.iter().fold(0.0f32, |m, v| m.max(v.abs()));
+        if !(max_abs > 0.0 && max_abs.is_finite()) {
+            return Err(NnError::InvalidConfig {
+                detail: format!("{what}: calibration values have no non-zero finite range"),
+            });
         }
+        let cfg = if is_weight {
+            &self.weights
+        } else {
+            &self.activations
+        };
+        let start = QuantParams::from_max_abs(max_abs).scale();
+        QuantParams::new(learn_step(&samples, start, cfg)).map_err(|e| NnError::InvalidConfig {
+            detail: format!("{what}: {e}"),
+        })
+    }
+
+    /// Per-tensor weight quantization at the learned step.
+    fn quantize_weights(&self, w: &Tensor4<f32>, what: &str) -> Result<QTensor4, NnError> {
+        Ok(self.step(w.as_slice(), true, what)?.quantize_tensor4(w))
+    }
+
+    /// Quantizes the stem activations into the layer-0 inputs.
+    fn quantize_inputs(
+        &self,
+        stem_acts: &[Tensor3<f32>],
+    ) -> Result<(QuantParams, Vec<Tensor3<i8>>), NnError> {
+        let pool: Vec<f32> = stem_acts
+            .iter()
+            .flat_map(|t| t.as_slice().iter().copied())
+            .collect();
+        let params = self.step(&pool, false, "input")?;
+        let xs = stem_acts
+            .iter()
+            .map(|t| t.map(|&v| params.quantize(v)))
+            .collect();
+        Ok((params, xs))
+    }
+
+    /// One ReLU-folding Non-Conv boundary: the post-BN+ReLU values of the
+    /// real-unit accumulator `pools` set the output step, which is widened
+    /// to the fold envelope, folded with `bn` and applied to `accs`.
+    /// Returns `(fold, step, int8 maps)`.
+    fn fold_relu(
+        &self,
+        accs: &[Tensor3<i32>],
+        pools: &[Vec<f32>],
+        bn: &BatchNorm,
+        s_in: f64,
+        s_w: f64,
+        what: &str,
+    ) -> Result<Boundary, NnError> {
+        let coeffs = bn.affine_coefficients();
+        let post_relu: Vec<f32> = pools
+            .iter()
+            .enumerate()
+            .flat_map(|(c, pool)| {
+                let (k, b) = coeffs[c];
+                pool.iter().map(move |&v| (k * v + b).max(0.0))
+            })
+            .filter(|&v| v > 0.0)
+            .collect();
+        let s_raw = f64::from(self.step(&post_relu, false, what)?.scale());
+        let s_out = fit_scale_to_fold(bn, s_in, s_w, s_raw);
+        let fold = fold_boundary(bn, s_in, s_w, s_out)?;
+        let maps = apply_fold(accs, &fold, 0);
+        Ok((fold, s_out, maps))
     }
 }
 
@@ -238,16 +294,16 @@ pub struct QuantizedDscNetwork {
     layers: Vec<QuantizedDscLayer>,
 }
 
-/// Cap on per-pool calibration samples fed to LSQ / MSE search (full pools
-/// are used for min/max). Subsampling is deterministic (fixed stride).
+/// Cap on per-pool calibration samples fed to the max-abs start and LSQ.
+/// Subsampling is deterministic (fixed stride).
 const MAX_POOL_SAMPLES: usize = 16_384;
 
-fn subsample(pool: &[f32]) -> Vec<f32> {
+fn subsample(pool: &[f32]) -> Cow<'_, [f32]> {
     if pool.len() <= MAX_POOL_SAMPLES {
-        return pool.to_vec();
+        return Cow::Borrowed(pool);
     }
     let stride = pool.len() / MAX_POOL_SAMPLES + 1;
-    pool.iter().step_by(stride).copied().collect()
+    Cow::Owned(pool.iter().step_by(stride).copied().collect())
 }
 
 /// Widens an activation step until the folded constants of `bn` fit the
@@ -281,6 +337,18 @@ fn acc_pools(accs: &[Tensor3<i32>], unit: f64) -> Vec<Vec<f32>> {
     pools
 }
 
+/// Applies a per-channel fold (low clip `lo`) to every accumulator map.
+fn apply_fold(accs: &[Tensor3<i32>], fold: &[FoldedAffine], lo: i8) -> Vec<Tensor3<i8>> {
+    accs.iter()
+        .map(|acc| {
+            let (c, h, w) = acc.shape();
+            Tensor3::from_fn(c, h, w, |ci, hi, wi| {
+                fold[ci].apply_fixed(acc[(ci, hi, wi)], lo)
+            })
+        })
+        .collect()
+}
+
 fn zero_fraction_i8(tensors: &[Tensor3<i8>]) -> f64 {
     let zeros: usize = tensors
         .iter()
@@ -301,89 +369,8 @@ impl QuantizedDscNetwork {
         }
     }
 
-    /// Calibrates with the paper's strategy (max-abs init + LSQ) on the
-    /// float path.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `calib` is empty (use [`QuantizedDscNetwork::calibrate_with`]
-    /// for a fallible API).
-    #[must_use]
-    pub fn calibrate(model: &MobileNetV1, calib: &[Tensor3<f32>]) -> Self {
-        Self::calibrate_with(model, calib, QuantStrategy::paper()).expect("valid calibration")
-    }
-
-    /// Calibrates on the float forward pass with an explicit strategy.
-    ///
-    /// # Errors
-    ///
-    /// * [`NnError::EmptyCalibrationSet`] if `calib` is empty.
-    /// * [`NnError::InvalidConfig`] if BN parameters are non-finite.
-    pub fn calibrate_with(
-        model: &MobileNetV1,
-        calib: &[Tensor3<f32>],
-        strategy: QuantStrategy,
-    ) -> Result<Self, NnError> {
-        if calib.is_empty() {
-            return Err(NnError::EmptyCalibrationSet);
-        }
-        // One float forward pass per calibration image, recording all
-        // intermediate activations.
-        let traces: Vec<_> = calib.iter().map(|img| model.forward(img)).collect();
-
-        let input_pool: Vec<f32> = traces
-            .iter()
-            .flat_map(|t| t.stem_act.as_slice().iter().copied())
-            .collect();
-        let input_params = strategy.scale_for(&subsample(&input_pool), false);
-
-        let n_layers = model.blocks().len();
-        let mut layers = Vec::with_capacity(n_layers);
-        let mut s_in = f64::from(input_params.scale());
-        for (i, block) in model.blocks().iter().enumerate() {
-            let mid_pool: Vec<f32> = traces
-                .iter()
-                .flat_map(|t| t.blocks[i].dwc_act.as_slice().iter().copied())
-                .collect();
-            let out_pool: Vec<f32> = traces
-                .iter()
-                .flat_map(|t| t.blocks[i].pwc_act.as_slice().iter().copied())
-                .collect();
-
-            let dw_params = strategy.scale_for(&subsample(block.dw_weights.as_slice()), true);
-            let pw_params = strategy.scale_for(&subsample(block.pw_weights.as_slice()), true);
-            let s_dw = f64::from(dw_params.scale());
-            let s_pw = f64::from(pw_params.scale());
-
-            let s_mid_raw = f64::from(strategy.scale_for(&subsample(&mid_pool), false).scale());
-            let s_mid = fit_scale_to_fold(&block.bn1, s_in, s_dw, s_mid_raw);
-            let s_out_raw = f64::from(strategy.scale_for(&subsample(&out_pool), false).scale());
-            let s_out = fit_scale_to_fold(&block.bn2, s_mid, s_pw, s_out_raw);
-
-            let nonconv1 = fold_boundary(&block.bn1, s_in, s_dw, s_mid)?;
-            let nonconv2 = fold_boundary(&block.bn2, s_mid, s_pw, s_out)?;
-            layers.push(QuantizedDscLayer {
-                shape: block.shape,
-                dw_weights: dw_params.quantize_tensor4(&block.dw_weights),
-                pw_weights: pw_params.quantize_tensor4(&block.pw_weights),
-                nonconv1,
-                nonconv2,
-                s_in: s_in as f32,
-                s_mid: s_mid as f32,
-                s_out: s_out as f32,
-                out_lo: 0,
-                residual_scale: None,
-            });
-            s_in = s_out;
-        }
-        Ok(Self {
-            input_params,
-            layers,
-        })
-    }
-
     /// Joint sparsity shaping + calibration **on the int8 path** — the
-    /// variant the paper-reproduction experiments use.
+    /// calibration every experiment and deployment of MobileNetV1 runs.
     ///
     /// Proceeds layer by layer: quantize weights, run the int8 DWC on the
     /// current int8 calibration activations, shape `bn1` on the resulting
@@ -395,7 +382,10 @@ impl QuantizedDscNetwork {
     /// # Errors
     ///
     /// * [`NnError::EmptyCalibrationSet`] if `calib` is empty.
-    /// * [`NnError::InvalidConfig`] if `profile` does not match the model.
+    /// * [`NnError::InvalidConfig`] if `profile` does not match the model,
+    ///   BN parameters are non-finite, or a calibration pool (input,
+    ///   weights, or a layer's DWC/PWC output) has no non-zero range — e.g.
+    ///   all-zero calibration images.
     pub fn calibrate_shaped(
         model: &mut MobileNetV1,
         calib: &[Tensor3<f32>],
@@ -409,15 +399,7 @@ impl QuantizedDscNetwork {
 
         let stem_acts: Vec<Tensor3<f32>> =
             calib.iter().map(|img| model.forward_stem(img)).collect();
-        let input_pool: Vec<f32> = stem_acts
-            .iter()
-            .flat_map(|t| t.as_slice().iter().copied())
-            .collect();
-        let input_params = strategy.scale_for(&subsample(&input_pool), false);
-        let mut xs: Vec<Tensor3<i8>> = stem_acts
-            .iter()
-            .map(|t| t.map(|&v| input_params.quantize(v)))
-            .collect();
+        let (input_params, mut xs) = strategy.quantize_inputs(&stem_acts)?;
 
         let mut layers = Vec::with_capacity(model.blocks().len());
         let mut report = ShapingReport {
@@ -426,20 +408,14 @@ impl QuantizedDscNetwork {
         };
         let mut s_in = f64::from(input_params.scale());
         for i in 0..model.blocks().len() {
-            let (shape, dw_params, pw_params, dw_q, pw_q) = {
-                let block = &model.blocks()[i];
-                let dw_params = strategy.scale_for(&subsample(block.dw_weights.as_slice()), true);
-                let pw_params = strategy.scale_for(&subsample(block.pw_weights.as_slice()), true);
-                (
-                    block.shape,
-                    dw_params,
-                    pw_params,
-                    dw_params.quantize_tensor4(&block.dw_weights),
-                    pw_params.quantize_tensor4(&block.pw_weights),
-                )
-            };
-            let s_dw = f64::from(dw_params.scale());
-            let s_pw = f64::from(pw_params.scale());
+            let block = &model.blocks()[i];
+            let shape = block.shape;
+            let dw_q =
+                strategy.quantize_weights(&block.dw_weights, &format!("layer {i} DWC weights"))?;
+            let pw_q =
+                strategy.quantize_weights(&block.pw_weights, &format!("layer {i} PWC weights"))?;
+            let s_dw = f64::from(dw_q.params().scale());
+            let s_pw = f64::from(pw_q.params().scale());
 
             // --- DWC + Non-Conv #1 ---
             let dwc_accs: Vec<Tensor3<i32>> = xs
@@ -448,32 +424,14 @@ impl QuantizedDscNetwork {
                 .collect();
             let pools = acc_pools(&dwc_accs, s_in * s_dw);
             shape_bn_from_pools(&mut model.blocks_mut()[i].bn1, &pools, profile.dwc_zero[i]);
-            let bn1 = model.blocks()[i].bn1.clone();
-            // Post-BN+ReLU values for the step-size pool:
-            let mid_pool: Vec<f32> = {
-                let coeffs = bn1.affine_coefficients();
-                pools
-                    .iter()
-                    .enumerate()
-                    .flat_map(|(c, pool)| {
-                        let (k, b) = coeffs[c];
-                        pool.iter().map(move |&v| (k * v + b).max(0.0))
-                    })
-                    .filter(|&v| v > 0.0)
-                    .collect()
-            };
-            let s_mid_raw = f64::from(strategy.scale_for(&subsample(&mid_pool), false).scale());
-            let s_mid = fit_scale_to_fold(&bn1, s_in, s_dw, s_mid_raw);
-            let nonconv1 = fold_boundary(&bn1, s_in, s_dw, s_mid)?;
-            let mids: Vec<Tensor3<i8>> = dwc_accs
-                .iter()
-                .map(|acc| {
-                    let (c, h, w) = acc.shape();
-                    Tensor3::from_fn(c, h, w, |ci, hi, wi| {
-                        nonconv1[ci].apply_fixed(acc[(ci, hi, wi)], 0)
-                    })
-                })
-                .collect();
+            let (nonconv1, s_mid, mids) = strategy.fold_relu(
+                &dwc_accs,
+                &pools,
+                &model.blocks()[i].bn1,
+                s_in,
+                s_dw,
+                &format!("layer {i} DWC"),
+            )?;
             report.dwc_zero.push(zero_fraction_i8(&mids));
 
             // --- PWC + Non-Conv #2 ---
@@ -481,33 +439,16 @@ impl QuantizedDscNetwork {
                 .iter()
                 .map(|m| pointwise_conv2d_i8(m, pw_q.values()))
                 .collect();
-            let pools2 = acc_pools(&pwc_accs, s_mid * s_pw);
-            shape_bn_from_pools(&mut model.blocks_mut()[i].bn2, &pools2, profile.pwc_zero[i]);
-            let bn2 = model.blocks()[i].bn2.clone();
-            let out_pool: Vec<f32> = {
-                let coeffs = bn2.affine_coefficients();
-                pools2
-                    .iter()
-                    .enumerate()
-                    .flat_map(|(c, pool)| {
-                        let (k, b) = coeffs[c];
-                        pool.iter().map(move |&v| (k * v + b).max(0.0))
-                    })
-                    .filter(|&v| v > 0.0)
-                    .collect()
-            };
-            let s_out_raw = f64::from(strategy.scale_for(&subsample(&out_pool), false).scale());
-            let s_out = fit_scale_to_fold(&bn2, s_mid, s_pw, s_out_raw);
-            let nonconv2 = fold_boundary(&bn2, s_mid, s_pw, s_out)?;
-            let outs: Vec<Tensor3<i8>> = pwc_accs
-                .iter()
-                .map(|acc| {
-                    let (c, h, w) = acc.shape();
-                    Tensor3::from_fn(c, h, w, |ci, hi, wi| {
-                        nonconv2[ci].apply_fixed(acc[(ci, hi, wi)], 0)
-                    })
-                })
-                .collect();
+            let pools = acc_pools(&pwc_accs, s_mid * s_pw);
+            shape_bn_from_pools(&mut model.blocks_mut()[i].bn2, &pools, profile.pwc_zero[i]);
+            let (nonconv2, s_out, outs) = strategy.fold_relu(
+                &pwc_accs,
+                &pools,
+                &model.blocks()[i].bn2,
+                s_mid,
+                s_pw,
+                &format!("layer {i} PWC"),
+            )?;
             report.pwc_zero.push(zero_fraction_i8(&outs));
 
             layers.push(QuantizedDscLayer {
@@ -549,8 +490,10 @@ impl QuantizedDscNetwork {
     /// * [`NnError::EmptyCalibrationSet`] if `calib` is empty.
     /// * [`NnError::ShapeMismatch`] if a DSC stage lacks depthwise
     ///   parameters.
-    /// * [`NnError::InvalidConfig`] if BN parameters are non-finite or a
-    ///   residual-add stage has no matching save.
+    /// * [`NnError::InvalidConfig`] if BN parameters are non-finite, a
+    ///   residual-add stage has no matching save, or a calibration pool
+    ///   (input, weights, or a layer's DWC/PWC output) has no non-zero
+    ///   range — e.g. all-zero calibration images.
     pub fn calibrate_v2(
         model: &MobileNetV2,
         calib: &[Tensor3<f32>],
@@ -561,15 +504,7 @@ impl QuantizedDscNetwork {
         }
         let stem_acts: Vec<Tensor3<f32>> =
             calib.iter().map(|img| model.forward_stem(img)).collect();
-        let input_pool: Vec<f32> = stem_acts
-            .iter()
-            .flat_map(|t| t.as_slice().iter().copied())
-            .collect();
-        let input_params = strategy.scale_for(&subsample(&input_pool), false);
-        let mut xs: Vec<Tensor3<i8>> = stem_acts
-            .iter()
-            .map(|t| t.map(|&v| input_params.quantize(v)))
-            .collect();
+        let (input_params, mut xs) = strategy.quantize_inputs(&stem_acts)?;
 
         let mut layers = Vec::with_capacity(model.stages().len());
         let mut s_in = f64::from(input_params.scale());
@@ -578,16 +513,17 @@ impl QuantizedDscNetwork {
         let mut saved: Option<(Vec<Tensor3<i8>>, f64)> = None;
         for stage in model.stages() {
             let shape = stage.shape;
+            let i = shape.index;
             let missing = |what: &str| NnError::ShapeMismatch {
-                layer: shape.index,
+                layer: i,
                 detail: format!("DSC stage without {what}"),
             };
             if shape.residual_save {
                 saved = Some((xs.clone(), s_in));
             }
-            let pw_params = strategy.scale_for(&subsample(stage.pw_weights.as_slice()), true);
-            let pw_q = pw_params.quantize_tensor4(&stage.pw_weights);
-            let s_pw = f64::from(pw_params.scale());
+            let pw_q =
+                strategy.quantize_weights(&stage.pw_weights, &format!("layer {i} PWC weights"))?;
+            let s_pw = f64::from(pw_q.params().scale());
 
             // --- DWC + Non-Conv #1 (DSC stages; expand stages feed the
             // PWC straight from the ifmap) ---
@@ -598,37 +534,21 @@ impl QuantizedDscNetwork {
                         .as_ref()
                         .ok_or_else(|| missing("depthwise weights"))?;
                     let bn1 = stage.bn1.as_ref().ok_or_else(|| missing("bn1"))?;
-                    let dw_params = strategy.scale_for(&subsample(dw.as_slice()), true);
-                    let dw_q = dw_params.quantize_tensor4(dw);
-                    let s_dw = f64::from(dw_params.scale());
+                    let dw_q = strategy.quantize_weights(dw, &format!("layer {i} DWC weights"))?;
+                    let s_dw = f64::from(dw_q.params().scale());
                     let dwc_accs: Vec<Tensor3<i32>> = xs
                         .iter()
                         .map(|x| depthwise_conv2d_i8(x, dw_q.values(), shape.stride, shape.pad))
                         .collect();
                     let pools = acc_pools(&dwc_accs, s_in * s_dw);
-                    let coeffs = bn1.affine_coefficients();
-                    let mid_pool: Vec<f32> = pools
-                        .iter()
-                        .enumerate()
-                        .flat_map(|(c, pool)| {
-                            let (k, b) = coeffs[c];
-                            pool.iter().map(move |&v| (k * v + b).max(0.0))
-                        })
-                        .filter(|&v| v > 0.0)
-                        .collect();
-                    let s_mid_raw =
-                        f64::from(strategy.scale_for(&subsample(&mid_pool), false).scale());
-                    let s_mid = fit_scale_to_fold(bn1, s_in, s_dw, s_mid_raw);
-                    let nonconv1 = fold_boundary(bn1, s_in, s_dw, s_mid)?;
-                    let mids: Vec<Tensor3<i8>> = dwc_accs
-                        .iter()
-                        .map(|acc| {
-                            let (c, h, w) = acc.shape();
-                            Tensor3::from_fn(c, h, w, |ci, hi, wi| {
-                                nonconv1[ci].apply_fixed(acc[(ci, hi, wi)], 0)
-                            })
-                        })
-                        .collect();
+                    let (nonconv1, s_mid, mids) = strategy.fold_relu(
+                        &dwc_accs,
+                        &pools,
+                        bn1,
+                        s_in,
+                        s_dw,
+                        &format!("layer {i} DWC"),
+                    )?;
                     (dw_q, nonconv1, mids, s_mid)
                 }
                 StageOp::PwcOnly => {
@@ -652,10 +572,7 @@ impl QuantizedDscNetwork {
                 .collect();
             let res = if shape.residual_add {
                 Some(saved.take().ok_or_else(|| NnError::InvalidConfig {
-                    detail: format!(
-                        "stage {}: residual add without a preceding save",
-                        shape.index
-                    ),
+                    detail: format!("stage {i}: residual add without a preceding save"),
                 })?)
             } else {
                 None
@@ -687,7 +604,11 @@ impl QuantizedDscNetwork {
             if relu_out {
                 out_pool.retain(|&v| v > 0.0);
             }
-            let s_out_raw = f64::from(strategy.scale_for(&subsample(&out_pool), false).scale());
+            let s_out_raw = f64::from(
+                strategy
+                    .step(&out_pool, false, &format!("layer {i} PWC"))?
+                    .scale(),
+            );
             let mut s_out = fit_scale_to_fold(&stage.bn2, s_mid, s_pw, s_out_raw);
             if let Some((_, s_res)) = &res {
                 // The residual coefficient r = s_res/s_out must itself fit
@@ -699,22 +620,24 @@ impl QuantizedDscNetwork {
             let r_scale = res
                 .as_ref()
                 .map(|(_, s_res)| Q8x16::from_f64(s_res / s_out));
-            let outs: Vec<Tensor3<i8>> = pwc_accs
-                .iter()
-                .enumerate()
-                .map(|(img, acc)| {
-                    let (c, h, w) = acc.shape();
-                    Tensor3::from_fn(c, h, w, |ci, hi, wi| match (&res, r_scale) {
-                        (Some((res_xs, _)), Some(r)) => nonconv2[ci].apply_fixed_residual(
-                            acc[(ci, hi, wi)],
-                            res_xs[img][(ci, hi, wi)],
-                            r,
-                            out_lo,
-                        ),
-                        _ => nonconv2[ci].apply_fixed(acc[(ci, hi, wi)], out_lo),
+            let outs: Vec<Tensor3<i8>> = match (&res, r_scale) {
+                (Some((res_xs, _)), Some(r)) => pwc_accs
+                    .iter()
+                    .zip(res_xs)
+                    .map(|(acc, res_x)| {
+                        let (c, h, w) = acc.shape();
+                        Tensor3::from_fn(c, h, w, |ci, hi, wi| {
+                            nonconv2[ci].apply_fixed_residual(
+                                acc[(ci, hi, wi)],
+                                res_x[(ci, hi, wi)],
+                                r,
+                                out_lo,
+                            )
+                        })
                     })
-                })
-                .collect();
+                    .collect(),
+                _ => apply_fold(&pwc_accs, &nonconv2, out_lo),
+            };
 
             layers.push(QuantizedDscLayer {
                 shape,
@@ -957,43 +880,52 @@ mod tests {
 
     #[test]
     fn empty_calibration_is_an_error() {
-        let model = MobileNetV1::synthetic(0.25, 1);
-        let r = QuantizedDscNetwork::calibrate_with(&model, &[], QuantStrategy::paper());
-        assert_eq!(r.unwrap_err(), NnError::EmptyCalibrationSet);
-        let mut m2 = MobileNetV1::synthetic(0.25, 1);
-        let r2 = QuantizedDscNetwork::calibrate_shaped(
-            &mut m2,
+        let mut model = MobileNetV1::synthetic(0.25, 1);
+        let r = QuantizedDscNetwork::calibrate_shaped(
+            &mut model,
             &[],
             &SparsityProfile::paper(),
             QuantStrategy::paper(),
         );
-        assert!(r2.is_err());
+        assert_eq!(r.unwrap_err(), NnError::EmptyCalibrationSet);
+        let v2 = MobileNetV2::synthetic(0.25, 1);
+        let r2 = QuantizedDscNetwork::calibrate_v2(&v2, &[], QuantStrategy::paper());
+        assert_eq!(r2.unwrap_err(), NnError::EmptyCalibrationSet);
     }
 
-    #[test]
-    fn observer_only_strategy_works() {
-        let mut model = MobileNetV1::synthetic(0.25, 2);
-        let calib = rng::synthetic_batch(2, 3, 32, 32, 3);
-        let (qnet, _) = QuantizedDscNetwork::calibrate_shaped(
-            &mut model,
-            &calib,
-            &SparsityProfile::paper(),
-            QuantStrategy::Observer(Observer::MinMax),
-        )
-        .unwrap();
-        assert_eq!(qnet.layers().len(), 13);
-    }
-
-    #[test]
-    fn float_path_calibration_also_works() {
-        let (model, _, _) = calibrated_tiny();
-        let calib = rng::synthetic_batch(2, 3, 32, 32, 3);
-        let qnet = QuantizedDscNetwork::calibrate(&model, &calib);
-        assert_eq!(qnet.layers().len(), 13);
-        for l in qnet.layers() {
-            for f in l.nonconv1().iter().chain(l.nonconv2()) {
-                assert!(f.k_exact.abs() < 128.0 && f.b_exact.abs() < 128.0);
+    fn assert_names_input(r: Result<impl std::fmt::Debug, NnError>) {
+        match r {
+            Err(NnError::InvalidConfig { detail }) => {
+                assert!(detail.starts_with("input:"), "{detail}");
             }
+            other => panic!("expected an input calibration error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn all_zero_calibration_image_is_an_error() {
+        let zero = vec![Tensor3::<f32>::zeros(3, 32, 32)];
+        let mut model = MobileNetV1::synthetic(0.25, 1);
+        assert_names_input(QuantizedDscNetwork::calibrate_shaped(
+            &mut model,
+            &zero,
+            &SparsityProfile::paper(),
+            QuantStrategy::paper(),
+        ));
+        let v2 = MobileNetV2::synthetic(0.25, 1);
+        assert_names_input(QuantizedDscNetwork::calibrate_v2(
+            &v2,
+            &zero,
+            QuantStrategy::paper(),
+        ));
+    }
+
+    #[test]
+    fn step_rejects_a_pool_without_range() {
+        let q = QuantStrategy::paper();
+        for pool in [&[][..], &[0.0, -0.0], &[f32::INFINITY, 1.0]] {
+            let e = q.step(pool, false, "layer 3 DWC").unwrap_err();
+            assert!(e.to_string().contains("layer 3 DWC"), "{e}");
         }
     }
 

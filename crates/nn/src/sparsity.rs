@@ -13,11 +13,13 @@
 //! `P(bn(x) ≤ 0) = P(x ≤ μ_c) = z` and ReLU zeroes exactly that fraction.
 //! This is a *faithful* substitution: a trained network also realizes its
 //! sparsity through the (learned) location/scale of its BN parameters.
+//!
+//! The shaping runs inside the int8-path calibration
+//! [`QuantizedDscNetwork::calibrate_shaped`](crate::quantize::QuantizedDscNetwork::calibrate_shaped),
+//! which calls [`shape_bn_from_pools`] on each layer's accumulator pools.
 
 use edea_tensor::ops::quantile;
-use edea_tensor::Tensor3;
 
-use crate::mobilenet::MobileNetV1;
 use crate::NnError;
 
 /// Per-layer target zero fractions for the DWC and PWC activations.
@@ -111,27 +113,11 @@ impl SparsityProfile {
     }
 }
 
-/// Gathers per-channel values of a set of feature maps into pools.
-fn per_channel_pools(maps: &[Tensor3<f32>]) -> Vec<Vec<f32>> {
-    let c = maps[0].channels();
-    let mut pools = vec![Vec::new(); c];
-    for m in maps {
-        let (mc, h, w) = m.shape();
-        debug_assert_eq!(mc, c);
-        for ci in 0..c {
-            for hi in 0..h {
-                for wi in 0..w {
-                    pools[ci].push(m[(ci, hi, wi)]);
-                }
-            }
-        }
-    }
-    pools
-}
-
 /// Sets BN parameters so a `z` fraction of the layer's pre-activations map
-/// to ≤ 0 (and are zeroed by ReLU). Returns the fraction of calibration
-/// values that will be zeroed (= `z` up to quantile discreteness).
+/// to ≤ 0 (and are zeroed by ReLU). `pools[c]` holds the pre-activation
+/// values of channel `c` (in real units). Returns the fraction of
+/// calibration values that will be zeroed (= `z` up to quantile
+/// discreteness).
 ///
 /// The threshold is chosen *globally over the layer* on per-channel
 /// standardized values: each channel is standardized by its own mean and
@@ -140,14 +126,6 @@ fn per_channel_pools(maps: &[Tensor3<f32>]) -> Vec<Vec<f32>> {
 /// exactly what trained networks exhibit at the very sparse late layers —
 /// and the layer-wide fraction hits the target even when per-channel pools
 /// are tiny (layer 12 has only 2×2 pixels per channel).
-fn shape_bn(bn: &mut edea_tensor::ops::BatchNorm, pre_activation: &[Tensor3<f32>], z: f64) -> f64 {
-    let pools = per_channel_pools(pre_activation);
-    shape_bn_from_pools(bn, &pools, z)
-}
-
-/// Pool-based variant of the BN shaper: `pools[c]` holds the pre-activation
-/// values of channel `c` (in real units). Used both by the float-path shaper
-/// and by the joint int-path calibration in [`crate::quantize`].
 ///
 /// # Panics
 ///
@@ -214,75 +192,12 @@ pub struct ShapingReport {
     pub pwc_zero: Vec<f64>,
 }
 
-/// Shapes every DSC block's batch norms so that the float forward pass on
-/// `calib` realizes `profile`'s zero fractions. Proceeds layer by layer so
-/// downstream statistics reflect upstream shaping.
-///
-/// # Errors
-///
-/// [`NnError::EmptyCalibrationSet`] if `calib` is empty;
-/// [`NnError::InvalidConfig`] if `profile` does not match the model.
-pub fn shape_network_sparsity(
-    model: &mut MobileNetV1,
-    calib: &[Tensor3<f32>],
-    profile: &SparsityProfile,
-) -> Result<ShapingReport, NnError> {
-    if calib.is_empty() {
-        return Err(NnError::EmptyCalibrationSet);
-    }
-    profile.validate(model.blocks().len())?;
-    let mut inputs: Vec<Tensor3<f32>> = calib.iter().map(|img| model.forward_stem(img)).collect();
-    let mut report = ShapingReport {
-        dwc_zero: Vec::new(),
-        pwc_zero: Vec::new(),
-    };
-    for i in 0..model.blocks().len() {
-        // DWC pre-activations with current weights:
-        let dwc_raw: Vec<Tensor3<f32>> = inputs
-            .iter()
-            .map(|x| {
-                let b = &model.blocks()[i];
-                edea_tensor::conv::depthwise_conv2d_f32(
-                    x,
-                    &b.dw_weights,
-                    b.shape.stride,
-                    b.shape.pad,
-                )
-            })
-            .collect();
-        let z1 = shape_bn(
-            &mut model.blocks_mut()[i].bn1,
-            &dwc_raw,
-            profile.dwc_zero[i],
-        );
-        report.dwc_zero.push(z1);
-        // PWC pre-activations with the freshly shaped bn1:
-        let pwc_raw: Vec<Tensor3<f32>> = dwc_raw
-            .iter()
-            .map(|raw| {
-                let b = &model.blocks()[i];
-                let act = edea_tensor::ops::relu(&b.bn1.apply(raw));
-                edea_tensor::conv::pointwise_conv2d_f32(&act, &b.pw_weights)
-            })
-            .collect();
-        let z2 = shape_bn(
-            &mut model.blocks_mut()[i].bn2,
-            &pwc_raw,
-            profile.pwc_zero[i],
-        );
-        report.pwc_zero.push(z2);
-        // Advance the calibration activations to this block's output:
-        inputs = inputs
-            .iter()
-            .map(|x| model.forward_block(i, x).pwc_act)
-            .collect();
-    }
-    Ok(report)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mobilenet::MobileNetV1;
+    use crate::quantize::{QuantStrategy, QuantizedDscNetwork};
+    use edea_tensor::ops::BatchNorm;
     use edea_tensor::rng;
 
     #[test]
@@ -328,60 +243,44 @@ mod tests {
 
     #[test]
     fn shaping_hits_targets_on_calibration_data() {
-        let mut model = MobileNetV1::synthetic(0.25, 3);
-        let calib = rng::synthetic_batch(2, 3, 32, 32, 4);
-        let profile = SparsityProfile::paper();
-        let report = shape_network_sparsity(&mut model, &calib, &profile).unwrap();
-        for i in 0..13 {
+        // Channels with different locations and spreads: one layer-wide
+        // threshold still zeroes the target fraction of all values.
+        let pools: Vec<Vec<f32>> = (0..8)
+            .map(|c| {
+                let mut g = rng::Normal::new(c as u64);
+                (0..64)
+                    .map(|_| (g.sample() * (1.0 + c as f64) + c as f64) as f32)
+                    .collect()
+            })
+            .collect();
+        for z in [0.05, 0.42, 0.9, 0.974] {
+            let mut bn = BatchNorm::identity(8);
+            let zeroed = shape_bn_from_pools(&mut bn, &pools, z);
+            assert!((zeroed - z).abs() < 0.01, "target {z}: zeroed {zeroed}");
+            let coeffs = bn.affine_coefficients();
+            let realized = pools
+                .iter()
+                .enumerate()
+                .flat_map(|(c, p)| p.iter().map(move |&v| (c, v)))
+                .filter(|&(c, v)| coeffs[c].0 * v + coeffs[c].1 <= 0.0)
+                .count() as f64
+                / (8 * 64) as f64;
             assert!(
-                (report.dwc_zero[i] - profile.dwc_zero[i]).abs() < 0.02,
-                "dwc layer {i}: {} vs {}",
-                report.dwc_zero[i],
-                profile.dwc_zero[i]
-            );
-            assert!(
-                (report.pwc_zero[i] - profile.pwc_zero[i]).abs() < 0.02,
-                "pwc layer {i}: {} vs {}",
-                report.pwc_zero[i],
-                profile.pwc_zero[i]
+                (realized - z).abs() < 0.01,
+                "target {z}: BN zeroes {realized}"
             );
         }
     }
 
     #[test]
-    fn shaped_model_generalizes_to_held_out_images() {
-        // Sparsity targets are hit exactly on the calibration set; a held-out
-        // image sees compounding distribution drift through 13 layers, so the
-        // expectation is looser: clearly sparse, in the right band. (The
-        // experiments measure statistics on the calibration path, like the
-        // paper measures on its dataset.)
-        let mut model = MobileNetV1::synthetic(0.25, 5);
-        let calib = rng::synthetic_batch(6, 3, 32, 32, 6);
-        shape_network_sparsity(&mut model, &calib, &SparsityProfile::paper()).unwrap();
-        let img = rng::synthetic_image(3, 32, 32, 999);
-        let t = model.forward(&img);
-        // Mid-network layer: target 0.62, expect the same ballpark.
-        let mid = &t.blocks[5].dwc_act;
-        let zeros_mid =
-            mid.as_slice().iter().filter(|&&v| v == 0.0).count() as f64 / mid.len() as f64;
-        assert!(
-            zeros_mid > 0.40 && zeros_mid < 0.85,
-            "layer 5 DWC sparsity {zeros_mid} out of band (target 0.62)"
-        );
-        // Late layer: must be clearly sparse.
-        let last = &t.blocks[12].dwc_act;
-        let zeros =
-            last.as_slice().iter().filter(|&&v| v == 0.0).count() as f64 / last.len() as f64;
-        assert!(
-            zeros > 0.60,
-            "layer 12 DWC sparsity {zeros} not clearly sparse"
-        );
-    }
-
-    #[test]
     fn empty_calibration_rejected() {
         let mut model = MobileNetV1::synthetic(0.25, 1);
-        let e = shape_network_sparsity(&mut model, &[], &SparsityProfile::paper());
+        let e = QuantizedDscNetwork::calibrate_shaped(
+            &mut model,
+            &[],
+            &SparsityProfile::paper(),
+            QuantStrategy::paper(),
+        );
         assert_eq!(e.unwrap_err(), NnError::EmptyCalibrationSet);
     }
 
@@ -389,7 +288,12 @@ mod tests {
     fn wrong_profile_length_rejected() {
         let mut model = MobileNetV1::synthetic(0.25, 1);
         let calib = rng::synthetic_batch(1, 3, 32, 32, 1);
-        let e = shape_network_sparsity(&mut model, &calib, &SparsityProfile::uniform(0.5, 5));
+        let e = QuantizedDscNetwork::calibrate_shaped(
+            &mut model,
+            &calib,
+            &SparsityProfile::uniform(0.5, 5),
+            QuantStrategy::paper(),
+        );
         assert!(matches!(e, Err(NnError::InvalidConfig { .. })));
     }
 }

@@ -146,8 +146,7 @@ pub fn linear(x: &[f32], weights: &[f32], bias: &[f32], out: usize) -> Vec<f32> 
         .collect()
 }
 
-/// Summary statistics of a value collection, used by quantization observers
-/// and by the sparsity-shaping machinery.
+/// Summary statistics of a value collection.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Stats {
     /// Minimum value.

@@ -99,23 +99,6 @@ impl QuantParams {
             params: *self,
         }
     }
-
-    /// Mean squared quantization error of representing `values` with this
-    /// scale — the objective LSQ minimizes at convergence.
-    #[must_use]
-    pub fn mse(&self, values: &[f32]) -> f64 {
-        if values.is_empty() {
-            return 0.0;
-        }
-        let sum: f64 = values
-            .iter()
-            .map(|&x| {
-                let e = f64::from(self.dequantize(self.quantize(x))) - f64::from(x);
-                e * e
-            })
-            .sum();
-        sum / values.len() as f64
-    }
 }
 
 /// A quantized feature map: int8 payload + [`QuantParams`].
@@ -251,21 +234,6 @@ mod tests {
         let t = Tensor3::<f32>::from_fn(1, 2, 2, |_, h, w| if h == w { 0.0 } else { 1.0 });
         let q = QuantParams::new(0.5).unwrap().quantize_tensor3(&t);
         assert_eq!(q.zero_fraction(), 0.5);
-    }
-
-    #[test]
-    fn mse_is_zero_for_exactly_representable() {
-        let q = QuantParams::new(0.25).unwrap();
-        let vals = [0.0f32, 0.25, -0.5, 1.0, 31.75];
-        assert_eq!(q.mse(&vals), 0.0);
-        assert_eq!(q.mse(&[]), 0.0);
-    }
-
-    #[test]
-    fn mse_penalizes_clipping() {
-        let q = QuantParams::new(0.01).unwrap(); // max representable 1.27
-        let clipped = q.mse(&[5.0]);
-        assert!(clipped > 10.0, "clipping error should dominate: {clipped}");
     }
 
     #[test]
