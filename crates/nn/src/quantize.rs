@@ -920,13 +920,26 @@ mod tests {
         ));
     }
 
+    fn assert_step_rejects(pool: &[f32]) {
+        let e = QuantStrategy::paper()
+            .step(pool, false, "layer 3 DWC")
+            .unwrap_err();
+        assert!(e.to_string().contains("layer 3 DWC"), "{e}");
+    }
+
     #[test]
-    fn step_rejects_a_pool_without_range() {
-        let q = QuantStrategy::paper();
-        for pool in [&[][..], &[0.0, -0.0], &[f32::INFINITY, 1.0]] {
-            let e = q.step(pool, false, "layer 3 DWC").unwrap_err();
-            assert!(e.to_string().contains("layer 3 DWC"), "{e}");
-        }
+    fn step_rejects_an_empty_pool() {
+        assert_step_rejects(&[]);
+    }
+
+    #[test]
+    fn step_rejects_an_all_zero_pool() {
+        assert_step_rejects(&[0.0, -0.0]);
+    }
+
+    #[test]
+    fn step_rejects_a_non_finite_pool() {
+        assert_step_rejects(&[f32::INFINITY, 1.0]);
     }
 
     #[test]
