@@ -7,29 +7,30 @@
 //! fixed-point numbers with 8 integer bits and 16 fractional bits** (Q8.16).
 //!
 //! This crate provides the bit-exact arithmetic that the hardware would
-//! perform:
+//! perform, and nothing the datapath does not execute:
 //!
-//! * [`QFormat`] — a runtime description of a signed fixed-point format
-//!   (total bits, fractional bits).
-//! * [`Fx`] — a value paired with its format, with checked/saturating
-//!   conversions and arithmetic. Used by tests and model-exploration code.
-//! * [`Q8x16`] — the compile-time-fixed Q8.16 type used by the Non-Conv unit
-//!   datapath; cheap, `Copy`, and bit-exact.
-//! * [`Round`] — rounding modes (the hardware uses round-half-away-from-zero,
-//!   the usual "add half then shift" circuit).
-//! * Saturating helper functions in [`sat`].
+//! * [`Q8x16`] — the Q8.16 type of the Non-Conv constants; cheap, `Copy`,
+//!   and bit-exact.
+//! * [`WideQ16`] — the wide `k·x + b` bus, drained by the Round stage
+//!   ([`WideQ16::round_to_int`]) and the Clip stage
+//!   ([`WideQ16::round_clip_i8`]).
+//! * [`round_f64`] — the same rounding rule for the offline `f64`
+//!   conversions. There is one rule, round half away from zero: the usual
+//!   "add half then shift" circuit.
+//! * [`sat::fits_in_bits`] — the register-width check the engine tests
+//!   apply to their accumulators.
 //!
 //! # Example
 //!
 //! ```
-//! use edea_fixed::{Q8x16, Round};
+//! use edea_fixed::Q8x16;
 //!
 //! // Fold BN parameters into k = 0.40625, b = -3.25 exactly:
 //! let k = Q8x16::from_f64(0.40625);
 //! let b = Q8x16::from_f64(-3.25);
 //! // Apply y = k*x + b to an integer accumulator value x = 100,
 //! // rounding to the nearest integer exactly as the RTL would:
-//! let y = k.mul_int_add(100, b).round_to_int(Round::HalfAwayFromZero);
+//! let y = k.mul_int_add(100, b).round_to_int();
 //! assert_eq!(y, 37); // 0.40625*100 - 3.25 = 37.375 -> 37
 //! ```
 
@@ -37,15 +38,9 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-mod error;
-mod format;
 mod q8_16;
 mod round;
 pub mod sat;
-mod value;
 
-pub use error::FixedError;
-pub use format::QFormat;
 pub use q8_16::{Q8x16, WideQ16, Q8X16_FRAC_BITS, Q8X16_INT_BITS, Q8X16_TOTAL_BITS};
-pub use round::Round;
-pub use value::Fx;
+pub use round::round_f64;

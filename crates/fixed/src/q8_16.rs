@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use crate::{QFormat, Round};
+use crate::round::{round_f64, shift_right_half_away};
 
 /// Total bit width of the Non-Conv constants (paper: "24-bit fixed-point").
 pub const Q8X16_TOTAL_BITS: u32 = 24;
@@ -27,14 +27,14 @@ const RAW_MIN: i32 = -(1 << (Q8X16_TOTAL_BITS - 1)); // -8388608
 /// # Example
 ///
 /// ```
-/// use edea_fixed::{Q8x16, Round};
+/// use edea_fixed::Q8x16;
 ///
 /// let k = Q8x16::from_f64(0.5);
 /// let b = Q8x16::from_f64(1.25);
 /// // y = k*x + b for x = 7  ->  4.75, still in Q8.16:
 /// let y = k.mul_int_add(7, b);
 /// assert_eq!(y.to_f64(), 4.75);
-/// assert_eq!(y.round_to_int(Round::HalfAwayFromZero), 5);
+/// assert_eq!(y.round_to_int(), 5);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Q8x16(i32);
@@ -88,7 +88,7 @@ impl Q8x16 {
         } else if scaled <= RAW_MIN as f64 {
             Self::MIN
         } else {
-            Self(Round::HalfAwayFromZero.round_f64(scaled) as i32)
+            Self(round_f64(scaled) as i32)
         }
     }
 
@@ -102,20 +102,6 @@ impl Q8x16 {
     #[must_use]
     pub fn to_f64(&self) -> f64 {
         f64::from(self.0) / f64::from(1u32 << Q8X16_FRAC_BITS)
-    }
-
-    /// The [`QFormat`] describing this type.
-    #[must_use]
-    pub fn format() -> QFormat {
-        QFormat::q8_16()
-    }
-
-    /// The quantization error committed when representing `x`:
-    /// `|x - from_f64(x)| ≤ 2^-17` within range.
-    #[must_use]
-    // edea-lint: allow(float-in-fixed): conversion boundary, measures f64 round-trip error
-    pub fn quantization_error(x: f64) -> f64 {
-        (x - Self::from_f64(x).to_f64()).abs()
     }
 
     /// Fixed-point multiply-add `k·x + b` where `x` is an integer (the DWC
@@ -135,43 +121,11 @@ impl Q8x16 {
     pub fn saturating_add(self, other: Self) -> Self {
         Self::from_raw_saturating(i64::from(self.0) + i64::from(other.0))
     }
-
-    /// Saturating Q8.16 × Q8.16 multiplication with rounding.
-    #[must_use]
-    pub fn saturating_mul(self, other: Self, round: Round) -> Self {
-        let prod = i64::from(self.0) as i128 * i64::from(other.0) as i128;
-        let raw = round.shift_right(prod, Q8X16_FRAC_BITS);
-        Self::from_raw_saturating(raw as i64)
-    }
-
-    /// Negation, saturating at the asymmetric minimum.
-    #[must_use]
-    pub fn saturating_neg(self) -> Self {
-        Self::from_raw_saturating(-(i64::from(self.0)))
-    }
 }
 
 impl fmt::Display for Q8x16 {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}", self.to_f64())
-    }
-}
-
-impl fmt::LowerHex for Q8x16 {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        fmt::LowerHex::fmt(&(self.0 & 0x00ff_ffff), f)
-    }
-}
-
-impl fmt::UpperHex for Q8x16 {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        fmt::UpperHex::fmt(&(self.0 & 0x00ff_ffff), f)
-    }
-}
-
-impl fmt::Binary for Q8x16 {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        fmt::Binary::fmt(&(self.0 & 0x00ff_ffff), f)
     }
 }
 
@@ -182,11 +136,11 @@ impl fmt::Binary for Q8x16 {
 /// # Example
 ///
 /// ```
-/// use edea_fixed::{Q8x16, Round};
+/// use edea_fixed::Q8x16;
 ///
 /// let w = Q8x16::from_f64(0.75).mul_int_add(3, Q8x16::ZERO);
 /// assert_eq!(w.to_f64(), 2.25);
-/// assert_eq!(w.round_to_int(Round::HalfAwayFromZero), 2);
+/// assert_eq!(w.round_to_int(), 2);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct WideQ16(i64);
@@ -213,18 +167,19 @@ impl WideQ16 {
         WideQ16(self.0.saturating_add(other.0))
     }
 
-    /// Rounds to an integer — the Round stage of Fig. 6.
+    /// Rounds to an integer, half away from zero — the Round stage of
+    /// Fig. 6.
     #[must_use]
-    pub fn round_to_int(self, round: Round) -> i64 {
-        round.shift_right(self.0 as i128, Q8X16_FRAC_BITS) as i64
+    pub fn round_to_int(self) -> i64 {
+        shift_right_half_away(i128::from(self.0)) as i64
     }
 
     /// Rounds and clips to int8 with ReLU folded in (`lo = 0`) or without
     /// (`lo = -128`) — the Clip stage of Fig. 6.
     #[must_use]
-    pub fn round_clip_i8(self, round: Round, lo: i8, hi: i8) -> i8 {
+    pub fn round_clip_i8(self, lo: i8, hi: i8) -> i8 {
         debug_assert!(lo <= hi, "empty clip range");
-        self.round_to_int(round).clamp(i64::from(lo), i64::from(hi)) as i8
+        self.round_to_int().clamp(i64::from(lo), i64::from(hi)) as i8
     }
 }
 
@@ -270,18 +225,18 @@ mod tests {
         let b = Q8x16::from_f64(-0.25);
         let w = k.mul_int_add(1000, b);
         assert_eq!(w.to_f64(), 1499.75);
-        assert_eq!(w.round_to_int(Round::HalfAwayFromZero), 1500);
+        assert_eq!(w.round_to_int(), 1500);
     }
 
     #[test]
     fn round_clip_i8_with_relu_floor() {
         let k = Q8x16::from_f64(1.0);
         let neg = k.mul_int_add(-5, Q8x16::ZERO);
-        assert_eq!(neg.round_clip_i8(Round::HalfAwayFromZero, 0, 127), 0);
+        assert_eq!(neg.round_clip_i8(0, 127), 0);
         let big = k.mul_int_add(100_000, Q8x16::ZERO);
-        assert_eq!(big.round_clip_i8(Round::HalfAwayFromZero, 0, 127), 127);
+        assert_eq!(big.round_clip_i8(0, 127), 127);
         let mid = k.mul_int_add(64, Q8x16::ZERO);
-        assert_eq!(mid.round_clip_i8(Round::HalfAwayFromZero, 0, 127), 64);
+        assert_eq!(mid.round_clip_i8(0, 127), 64);
     }
 
     #[test]
@@ -289,31 +244,15 @@ mod tests {
         let lsb = 1.0 / 65536.0;
         for i in 0..1000 {
             let x = -100.0 + 0.21371 * f64::from(i);
-            assert!(Q8x16::quantization_error(x) <= lsb / 2.0 + 1e-15, "x={x}");
+            let err = (x - Q8x16::from_f64(x).to_f64()).abs();
+            assert!(err <= lsb / 2.0 + 1e-15, "x={x}");
         }
-    }
-
-    #[test]
-    fn hex_formatting_masks_to_24_bits() {
-        assert_eq!(format!("{:x}", Q8x16::from_raw(-1)), "ffffff");
-        assert_eq!(format!("{:X}", Q8x16::ONE), "10000");
-        assert_eq!(format!("{:b}", Q8x16::from_raw(1)), "1");
     }
 
     #[test]
     fn saturating_ops() {
         assert_eq!(Q8x16::MAX.saturating_add(Q8x16::ONE), Q8x16::MAX);
         assert_eq!(Q8x16::MIN.saturating_add(Q8x16::MIN), Q8x16::MIN);
-        assert_eq!(Q8x16::MIN.saturating_neg(), Q8x16::MAX); // |-128| saturates
-        let two = Q8x16::from_f64(2.0);
-        assert_eq!(
-            two.saturating_mul(two, Round::HalfAwayFromZero).to_f64(),
-            4.0
-        );
-        assert_eq!(
-            Q8x16::from_f64(100.0).saturating_mul(two, Round::HalfAwayFromZero),
-            Q8x16::MAX
-        );
     }
 
     #[test]

@@ -1,209 +1,102 @@
-//! Rounding modes for fixed-point right shifts.
+//! The one rounding rule of the datapath: round half away from zero.
+//!
+//! The EDEA Non-Conv unit (Fig. 6 of the paper) contains an explicit `Round`
+//! stage between the Q8.16 multiply-add and the int8 clip. The conventional
+//! hardware implementation adds half an LSB before truncating, with a sign
+//! correction so ties go away from zero; that is the only rule the datapath
+//! executes, and the offline conversions round the same way.
 
-/// Rounding mode applied when discarding fractional bits.
+use crate::Q8X16_FRAC_BITS;
+
+/// Drops the [`Q8X16_FRAC_BITS`] fractional bits of a wide value, rounding
+/// half away from zero.
 ///
-/// The EDEA Non-Conv unit (Fig. 6 of the paper) contains an explicit `Round`
-/// stage between the Q8.16 multiply-add and the int8 clip. The conventional
-/// hardware implementation adds half an LSB before truncating, which is
-/// [`Round::HalfAwayFromZero`]; the other modes are provided for model
-/// exploration and for verifying that the choice of rounding does not change
-/// the reported results by more than one LSB.
+/// Operates in `i128` so the widest Non-Conv product (a 24-bit constant
+/// times a 32-bit accumulator) passes without overflow.
+pub(crate) fn shift_right_half_away(value: i128) -> i128 {
+    let bits = Q8X16_FRAC_BITS;
+    let floor = value >> bits;
+    let frac = value - (floor << bits); // in [0, 2^bits)
+    let half = 1i128 << (bits - 1);
+    if value >= 0 {
+        if frac >= half {
+            floor + 1
+        } else {
+            floor
+        }
+    } else {
+        // Negative: ties must go away from zero, i.e. more negative.
+        if frac > half {
+            floor + 1
+        } else {
+            floor
+        }
+    }
+}
+
+/// Rounds a finite `f64` to the nearest integer, ties away from zero — the
+/// datapath's rounding rule applied to the offline `f64` conversions.
+///
+/// # Panics
+///
+/// Panics if `x` is NaN or infinite, or out of `i128` range.
 ///
 /// # Example
 ///
 /// ```
-/// use edea_fixed::Round;
+/// use edea_fixed::round_f64;
 ///
-/// // Divide 7 by 4 (i.e. drop 2 fractional bits) under different modes:
-/// assert_eq!(Round::Truncate.shift_right(7, 2), 1);
-/// assert_eq!(Round::HalfAwayFromZero.shift_right(7, 2), 2);
-/// assert_eq!(Round::Floor.shift_right(-7, 2), -2);
-/// assert_eq!(Round::HalfAwayFromZero.shift_right(-6, 2), -2); // -1.5 -> -2
+/// assert_eq!(round_f64(1.5), 2);
+/// assert_eq!(round_f64(-1.5), -2); // ties go away from zero
+/// assert_eq!(round_f64(-1.25), -1);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum Round {
-    /// Round towards zero (drop bits of the magnitude). This is what a raw
-    /// arithmetic shift does **not** do for negative numbers; see
-    /// [`Round::Floor`] for that.
-    Truncate,
-    /// Round towards negative infinity (arithmetic shift right).
-    Floor,
-    /// Round to nearest; ties away from zero ("add half then shift" with sign
-    /// correction). The default, matching the EDEA RTL.
-    #[default]
-    HalfAwayFromZero,
-    /// Round to nearest; ties to even (IEEE-style). Used to bound the impact
-    /// of rounding choice in tests.
-    HalfToEven,
-}
-
-impl Round {
-    /// Shifts `value` right by `bits`, rounding the discarded fraction
-    /// according to `self`. `bits == 0` returns `value` unchanged.
-    ///
-    /// Operates in `i128` so callers may shift wide accumulators without
-    /// overflow; EDEA's widest intermediate is well inside 64 bits.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bits >= 127`.
-    #[must_use]
-    pub fn shift_right(self, value: i128, bits: u32) -> i128 {
-        assert!(bits < 127, "shift amount {bits} out of range");
-        if bits == 0 {
-            return value;
-        }
-        let floor = value >> bits;
-        let frac = value - (floor << bits); // in [0, 2^bits)
-        let half = 1i128 << (bits - 1);
-        match self {
-            Round::Floor => floor,
-            Round::Truncate => {
-                if value < 0 && frac != 0 {
-                    floor + 1
-                } else {
-                    floor
-                }
-            }
-            Round::HalfAwayFromZero => {
-                if value >= 0 {
-                    if frac >= half {
-                        floor + 1
-                    } else {
-                        floor
-                    }
-                } else {
-                    // Negative: ties must go away from zero, i.e. more negative.
-                    if frac > half {
-                        floor + 1
-                    } else {
-                        floor
-                    }
-                }
-            }
-            Round::HalfToEven => {
-                if frac > half || (frac == half && (floor & 1) == 1) {
-                    floor + 1
-                } else {
-                    floor
-                }
-            }
-        }
-    }
-
-    /// Rounds a finite `f64` to an `i128` under this mode.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x` is NaN or infinite, or out of `i128` range.
-    #[must_use]
-    pub fn round_f64(self, x: f64) -> i128 {
-        assert!(x.is_finite(), "round_f64 requires a finite input");
-        let r = match self {
-            Round::Truncate => x.trunc(),
-            Round::Floor => x.floor(),
-            Round::HalfAwayFromZero => x.round(), // f64::round is half-away-from-zero
-            Round::HalfToEven => {
-                let r = x.round();
-                if (x - x.trunc()).abs() == 0.5 {
-                    // tie: pick the even neighbour
-                    let lo = x.floor();
-                    let hi = x.ceil();
-                    if (lo as i128) % 2 == 0 {
-                        lo
-                    } else {
-                        hi
-                    }
-                } else {
-                    r
-                }
-            }
-        };
-        assert!(
-            r >= i128::MIN as f64 && r <= i128::MAX as f64,
-            "rounded value out of i128 range"
-        );
-        r as i128
-    }
+#[must_use]
+pub fn round_f64(x: f64) -> i128 {
+    assert!(x.is_finite(), "round_f64 requires a finite input");
+    let r = x.round(); // f64::round is half-away-from-zero
+    assert!(
+        r >= i128::MIN as f64 && r <= i128::MAX as f64,
+        "rounded value out of i128 range"
+    );
+    r as i128
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    #[test]
-    fn zero_shift_is_identity() {
-        for v in [-5i128, -1, 0, 1, 5, i64::MAX as i128] {
-            assert_eq!(Round::HalfAwayFromZero.shift_right(v, 0), v);
-        }
-    }
-
-    #[test]
-    fn floor_matches_arithmetic_shift() {
-        for v in -64i128..=64 {
-            for b in 1..6u32 {
-                assert_eq!(Round::Floor.shift_right(v, b), v >> b, "v={v} b={b}");
-            }
-        }
-    }
-
-    #[test]
-    fn truncate_moves_towards_zero() {
-        assert_eq!(Round::Truncate.shift_right(7, 2), 1);
-        assert_eq!(Round::Truncate.shift_right(-7, 2), -1);
-        assert_eq!(Round::Truncate.shift_right(-8, 2), -2);
-    }
+    const ONE: i128 = 1 << Q8X16_FRAC_BITS;
 
     #[test]
     fn half_away_from_zero_reference_values() {
-        // value / 4 with .5 ties
-        assert_eq!(Round::HalfAwayFromZero.shift_right(6, 2), 2); // 1.5 -> 2
-        assert_eq!(Round::HalfAwayFromZero.shift_right(-6, 2), -2); // -1.5 -> -2
-        assert_eq!(Round::HalfAwayFromZero.shift_right(5, 2), 1); // 1.25 -> 1
-        assert_eq!(Round::HalfAwayFromZero.shift_right(-5, 2), -1);
-        assert_eq!(Round::HalfAwayFromZero.shift_right(7, 2), 2); // 1.75 -> 2
-        assert_eq!(Round::HalfAwayFromZero.shift_right(-7, 2), -2);
-    }
-
-    #[test]
-    fn half_to_even_reference_values() {
-        assert_eq!(Round::HalfToEven.shift_right(6, 2), 2); // 1.5 -> 2 (even)
-        assert_eq!(Round::HalfToEven.shift_right(2, 2), 0); // 0.5 -> 0 (even)
-        assert_eq!(Round::HalfToEven.shift_right(10, 2), 2); // 2.5 -> 2 (even)
-        assert_eq!(Round::HalfToEven.shift_right(-2, 2), 0); // -0.5 -> 0
-        assert_eq!(Round::HalfToEven.shift_right(-10, 2), -2); // -2.5 -> -2
+        // value / 2^16 with .5 ties
+        let q = ONE / 4;
+        assert_eq!(shift_right_half_away(6 * q), 2); // 1.5 -> 2
+        assert_eq!(shift_right_half_away(-6 * q), -2); // -1.5 -> -2
+        assert_eq!(shift_right_half_away(5 * q), 1); // 1.25 -> 1
+        assert_eq!(shift_right_half_away(-5 * q), -1);
+        assert_eq!(shift_right_half_away(7 * q), 2); // 1.75 -> 2
+        assert_eq!(shift_right_half_away(-7 * q), -2);
+        assert_eq!(shift_right_half_away(2 * q), 1); // 0.5 -> 1
+        assert_eq!(shift_right_half_away(-2 * q), -1); // -0.5 -> -1
     }
 
     #[test]
     fn shift_matches_f64_reference_on_small_values() {
-        for v in -4096i128..=4096 {
+        // n / 2^b for b in 1..8: whole values, ties of both signs and the
+        // fractions between them.
+        for n in -4096i128..=4096 {
             for b in 1..8u32 {
-                let exact = v as f64 / f64::from(1u32 << b);
-                for mode in [
-                    Round::Truncate,
-                    Round::Floor,
-                    Round::HalfAwayFromZero,
-                    Round::HalfToEven,
-                ] {
-                    let got = mode.shift_right(v, b);
-                    let want = mode.round_f64(exact);
-                    assert_eq!(got, want, "v={v} b={b} mode={mode:?}");
-                }
+                let v = n << (Q8X16_FRAC_BITS - b);
+                let exact = n as f64 / f64::from(1u32 << b);
+                assert_eq!(shift_right_half_away(v), round_f64(exact), "n={n} b={b}");
             }
         }
-    }
-
-    #[test]
-    fn round_f64_half_to_even_ties() {
-        assert_eq!(Round::HalfToEven.round_f64(0.5), 0);
-        assert_eq!(Round::HalfToEven.round_f64(1.5), 2);
-        assert_eq!(Round::HalfToEven.round_f64(2.5), 2);
-        assert_eq!(Round::HalfToEven.round_f64(-1.5), -2);
     }
 
     #[test]
     #[should_panic(expected = "finite")]
     fn round_f64_rejects_nan() {
-        let _ = Round::HalfAwayFromZero.round_f64(f64::NAN);
+        let _ = round_f64(f64::NAN);
     }
 }

@@ -1,11 +1,10 @@
-//! Saturating integer helpers used throughout the accelerator datapath.
+//! Register-width checks for the accelerator datapath.
 //!
-//! The engines accumulate int8×int8 products into wide registers; these
-//! helpers express the width-limited behaviour of those registers so the
-//! simulator fails loudly (in debug) or saturates (like the RTL) instead of
-//! silently wrapping.
+//! The engines accumulate int8×int8 products into width-limited registers
+//! (the 19-bit DWC adder tree, the 26-bit full-depth PWC accumulator); the
+//! engine tests check every accumulator value against that width.
 
-/// Clamps a wide accumulator to a signed `bits`-wide two's-complement range.
+/// Whether `value` fits in a signed `bits`-wide two's-complement register.
 ///
 /// # Panics
 ///
@@ -14,93 +13,22 @@
 /// # Example
 ///
 /// ```
-/// use edea_fixed::sat::clamp_to_bits;
+/// use edea_fixed::sat::fits_in_bits;
 ///
-/// assert_eq!(clamp_to_bits(1000, 8), 127);
-/// assert_eq!(clamp_to_bits(-1000, 8), -128);
-/// assert_eq!(clamp_to_bits(42, 8), 42);
+/// assert!(fits_in_bits(127, 8));
+/// assert!(fits_in_bits(-128, 8));
+/// assert!(!fits_in_bits(128, 8));
 /// ```
-#[must_use]
-pub fn clamp_to_bits(value: i64, bits: u32) -> i64 {
-    assert!((2..=63).contains(&bits), "bit width {bits} out of range");
-    let max = (1i64 << (bits - 1)) - 1;
-    let min = -(1i64 << (bits - 1));
-    value.clamp(min, max)
-}
-
-/// Whether `value` fits in a signed `bits`-wide register.
-///
-/// # Panics
-///
-/// Panics if `bits` is not in `2..=63`.
 #[must_use]
 pub fn fits_in_bits(value: i64, bits: u32) -> bool {
-    clamp_to_bits(value, bits) == value
-}
-
-/// Minimum signed bit width (including sign) needed to hold `value`.
-///
-/// # Example
-///
-/// ```
-/// use edea_fixed::sat::min_signed_bits;
-///
-/// assert_eq!(min_signed_bits(0), 1);
-/// assert_eq!(min_signed_bits(127), 8);
-/// assert_eq!(min_signed_bits(128), 9);
-/// assert_eq!(min_signed_bits(-128), 8);
-/// assert_eq!(min_signed_bits(-129), 9);
-/// ```
-#[must_use]
-pub fn min_signed_bits(value: i64) -> u32 {
-    if value >= 0 {
-        64 - value.leading_zeros() + 1
-    } else {
-        64 - (!value).leading_zeros() + 1
-    }
-}
-
-/// Worst-case signed bit width of a sum of `n` products of `a_bits`×`b_bits`
-/// signed operands — used to size the adder trees of the engines.
-///
-/// The worst-case sum magnitude is `n · 2^(a_bits-1) · 2^(b_bits-1)` (every
-/// pair being `(-2^(a-1))·(-2^(b-1))`), which as a *positive* value needs
-/// `bitlength(n) + a_bits + b_bits - 2 + 1` signed bits.
-///
-/// # Panics
-///
-/// Panics if `n == 0`.
-///
-/// # Example
-///
-/// ```
-/// use edea_fixed::sat::accumulator_bits;
-///
-/// // A 3x3 DWC window of int8*int8 products:
-/// assert_eq!(accumulator_bits(8, 8, 9), 19);
-/// // An 8-deep PWC dot product:
-/// assert_eq!(accumulator_bits(8, 8, 8), 19);
-/// // A full-depth MobileNetV1 PWC accumulation (D = 1024):
-/// assert_eq!(accumulator_bits(8, 8, 1024), 26);
-/// ```
-#[must_use]
-pub fn accumulator_bits(a_bits: u32, b_bits: u32, n: u64) -> u32 {
-    assert!(n > 0, "accumulator of zero terms");
-    let bitlen_n = 64 - n.leading_zeros(); // floor(log2(n)) + 1
-    a_bits + b_bits - 2 + bitlen_n + 1
+    assert!((2..=63).contains(&bits), "bit width {bits} out of range");
+    let half = 1i64 << (bits - 1);
+    (-half..half).contains(&value)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn clamp_bounds_are_inclusive() {
-        assert_eq!(clamp_to_bits(127, 8), 127);
-        assert_eq!(clamp_to_bits(-128, 8), -128);
-        assert_eq!(clamp_to_bits(128, 8), 127);
-        assert_eq!(clamp_to_bits(-129, 8), -128);
-    }
 
     #[test]
     fn fits_in_bits_boundaries() {
@@ -111,41 +39,19 @@ mod tests {
     }
 
     #[test]
-    fn min_signed_bits_reference() {
-        assert_eq!(min_signed_bits(1), 2);
-        assert_eq!(min_signed_bits(-1), 1);
-        assert_eq!(min_signed_bits(i64::MAX), 64);
-        assert_eq!(min_signed_bits(i64::MIN), 64);
-    }
-
-    #[test]
-    fn accumulator_bits_covers_worst_case() {
-        // Exhaustively verify for small widths: the worst-case sum fits and
-        // the bound is tight (the worst case does NOT fit in one bit less).
-        for n in [1u64, 2, 3, 8, 9, 16, 100] {
-            let bits = accumulator_bits(4, 4, n);
-            let worst = (8i64 * 8) * n as i64; // (-8)*(-8) = 64 per term
-            assert!(fits_in_bits(worst, bits), "n={n} bits={bits} worst={worst}");
-            assert!(!fits_in_bits(worst, bits - 1), "bound not tight for n={n}");
-        }
-    }
-
-    #[test]
     fn dwc_adder_tree_width_matches_design() {
-        // 9-input int8 adder tree: 19 bits < 24-bit bus of Fig. 6.
-        assert!(accumulator_bits(8, 8, 9) <= 24);
+        // 9-input int8 adder tree: the worst case 9·(−128)·(−128) fits in
+        // 19 bits, inside the 24-bit bus of Fig. 6.
+        assert!(fits_in_bits(9 * 128 * 128, 19));
+        assert!(!fits_in_bits(9 * 128 * 128, 18));
     }
 
     #[test]
     fn pwc_full_depth_accumulation_fits_i32() {
         // PWC accumulates across D/Td passes: up to 128 passes of 8-deep dots
-        // for MobileNetV1 (D=1024): 1024-term int8 accumulation = 25 bits.
-        assert!(accumulator_bits(8, 8, 1024) <= 32);
-    }
-
-    #[test]
-    #[should_panic(expected = "zero terms")]
-    fn accumulator_bits_rejects_zero() {
-        let _ = accumulator_bits(8, 8, 0);
+        // for MobileNetV1 (D=1024): the 1024-term int8 worst case fits in
+        // 26 bits, inside an i32.
+        assert!(fits_in_bits(1024 * 128 * 128, 26));
+        assert!(!fits_in_bits(1024 * 128 * 128, 25));
     }
 }

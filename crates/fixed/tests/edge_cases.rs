@@ -2,15 +2,14 @@
 //! arithmetic at the integer extremes and round-half-away behaviour exactly
 //! at its tie points.
 
-use edea_fixed::sat::{accumulator_bits, clamp_to_bits, fits_in_bits, min_signed_bits};
-use edea_fixed::{Q8x16, Round};
+use edea_fixed::sat::fits_in_bits;
+use edea_fixed::{round_f64, Q8x16, WideQ16};
 
-const ALL_MODES: [Round; 4] = [
-    Round::Truncate,
-    Round::Floor,
-    Round::HalfAwayFromZero,
-    Round::HalfToEven,
-];
+/// The wide value `int_part + frac / 2^16`, built the only way the datapath
+/// builds one: `1.0 · int_part + frac` on the multiply-add bus.
+fn wide(int_part: i32, frac: i32) -> WideQ16 {
+    Q8x16::ONE.mul_int_add(int_part, Q8x16::from_raw(frac))
+}
 
 #[test]
 fn saturating_add_pins_at_both_rails() {
@@ -26,32 +25,6 @@ fn saturating_add_pins_at_both_rails() {
         Q8x16::MAX.saturating_add(Q8x16::from_raw(-1)),
         Q8x16::from_raw(Q8x16::MAX.raw() - 1)
     );
-}
-
-#[test]
-fn saturating_mul_pins_at_both_rails() {
-    // MIN × MIN = +2^14 exactly — far past MAX, pins high.
-    assert_eq!(
-        Q8x16::MIN.saturating_mul(Q8x16::MIN, Round::HalfAwayFromZero),
-        Q8x16::MAX
-    );
-    // MIN × MAX ≈ -2^14, pins low.
-    assert_eq!(
-        Q8x16::MIN.saturating_mul(Q8x16::MAX, Round::HalfAwayFromZero),
-        Q8x16::MIN
-    );
-    // MAX × MAX pins high.
-    assert_eq!(
-        Q8x16::MAX.saturating_mul(Q8x16::MAX, Round::HalfAwayFromZero),
-        Q8x16::MAX
-    );
-    // Multiplying the rails by ONE is the identity (no spurious saturation,
-    // no off-by-one through the rounding shift).
-    for v in [Q8x16::MIN, Q8x16::MAX, Q8x16::ZERO, Q8x16::from_raw(-1)] {
-        for mode in ALL_MODES {
-            assert_eq!(v.saturating_mul(Q8x16::ONE, mode), v, "v={v} mode={mode:?}");
-        }
-    }
 }
 
 #[test]
@@ -82,35 +55,34 @@ fn mul_int_add_exact_at_i32_extremes() {
 
     // And the rounded clip stays lawful at the extremes.
     assert_eq!(
-        Q8x16::MAX.mul_int_add(i32::MAX, Q8x16::ZERO).round_clip_i8(
-            Round::HalfAwayFromZero,
-            0,
-            127
-        ),
+        Q8x16::MAX
+            .mul_int_add(i32::MAX, Q8x16::ZERO)
+            .round_clip_i8(0, 127),
         127
     );
     assert_eq!(
-        Q8x16::MAX.mul_int_add(i32::MIN, Q8x16::ZERO).round_clip_i8(
-            Round::HalfAwayFromZero,
-            0,
-            127
-        ),
+        Q8x16::MAX
+            .mul_int_add(i32::MIN, Q8x16::ZERO)
+            .round_clip_i8(0, 127),
         0
     );
 }
 
 #[test]
 fn half_away_ties_at_every_lsb_boundary() {
-    // shift_right by 16 models the Non-Conv round stage. Check the exact
-    // tie (fraction = 0x8000) for positive and negative mantissas.
-    let half = 1i128 << 15;
-    for int_part in [-3i128, -2, -1, 0, 1, 2, 3] {
-        let v = (int_part << 16) + half; // exactly int_part + 0.5
-        let r = Round::HalfAwayFromZero.shift_right(v, 16);
-        let want = if v >= 0 { int_part + 1 } else { int_part };
-        assert_eq!(r, want, "tie at {int_part}+0.5");
+    // The Round stage drops 16 fractional bits. Check the exact tie
+    // (fraction = 0x8000) for positive and negative mantissas.
+    let half = 1 << 15;
+    for int_part in [-3i32, -2, -1, 0, 1, 2, 3] {
+        let v = wide(int_part, half); // exactly int_part + 0.5
+        let want = if int_part >= 0 {
+            int_part + 1
+        } else {
+            int_part
+        };
+        assert_eq!(v.round_to_int(), i64::from(want), "tie at {int_part}+0.5");
         // One ULP inside the tie rounds towards the integer part.
-        assert_eq!(Round::HalfAwayFromZero.shift_right(v - 1, 16), int_part);
+        assert_eq!(wide(int_part, half - 1).round_to_int(), i64::from(int_part));
     }
 }
 
@@ -121,72 +93,36 @@ fn round_half_away_matches_f64_round_on_negative_ties() {
     // classically go wrong.
     for i in -9i32..=9 {
         let x = f64::from(i) + 0.5; // …-1.5, -0.5, 0.5, 1.5…
-        let via_f64 = Round::HalfAwayFromZero.round_f64(x);
-        let scaled = (i128::from(i) << 16) + (1i128 << 15);
-        let via_int = Round::HalfAwayFromZero.shift_right(scaled, 16);
-        assert_eq!(via_int, via_f64, "x={x}");
+        let via_f64 = round_f64(x);
+        let via_int = wide(i, 1 << 15).round_to_int();
+        assert_eq!(i128::from(via_int), via_f64, "x={x}");
         // And the -x tie is the mirror image.
-        let via_f64_neg = Round::HalfAwayFromZero.round_f64(-x);
-        assert_eq!(via_f64_neg, -via_f64, "x={x}");
+        assert_eq!(round_f64(-x), -via_f64, "x={x}");
     }
 }
 
 #[test]
-fn shift_right_at_i64_extremes_is_exact() {
-    // The widest value the datapath models passes through i128 without
-    // overflow and rounds to the true quotient.
-    for mode in ALL_MODES {
-        let r = mode.shift_right(i128::from(i64::MAX), 16);
-        let floor = i128::from(i64::MAX) >> 16;
-        assert!((r - floor).abs() <= 1, "mode={mode:?}");
-        let r = mode.shift_right(i128::from(i64::MIN), 16);
-        assert_eq!(
-            r,
-            i128::from(i64::MIN) >> 16,
-            "i64::MIN is an exact multiple of 2^16"
-        );
-    }
+fn round_to_int_at_the_widest_products_is_exact() {
+    // The widest products the Non-Conv unit forms are whole numbers; they
+    // pass the Round stage without overflow and come out unchanged.
+    // MIN·MIN + MIN = 2^54 − 2^23 raw, i.e. 2^38 − 128.
+    let w = Q8x16::MIN.mul_int_add(i32::MIN, Q8x16::MIN);
+    assert_eq!(w.round_to_int(), (1i64 << 38) - 128);
+    assert_eq!(w.round_to_int() << 16, w.raw());
+    // MAX·MAX + MAX = (2^23 − 1)·2^31 raw, i.e. (2^23 − 1)·2^15.
+    let w = Q8x16::MAX.mul_int_add(i32::MAX, Q8x16::MAX);
+    assert_eq!(w.round_to_int(), ((1i64 << 23) - 1) << 15);
+    assert_eq!(w.round_to_int() << 16, w.raw());
 }
 
 #[test]
-fn clamp_to_bits_at_the_i64_rails() {
-    assert_eq!(clamp_to_bits(i64::MAX, 63), (1i64 << 62) - 1);
-    assert_eq!(clamp_to_bits(i64::MIN, 63), -(1i64 << 62));
-    assert_eq!(clamp_to_bits(i64::MAX, 2), 1);
-    assert_eq!(clamp_to_bits(i64::MIN, 2), -2);
+fn fits_in_bits_at_the_i64_rails() {
     assert!(!fits_in_bits(i64::MAX, 63));
     assert!(!fits_in_bits(i64::MIN, 63));
-}
-
-#[test]
-fn min_signed_bits_at_the_rails_and_around_powers_of_two() {
-    assert_eq!(min_signed_bits(i64::MAX), 64);
-    assert_eq!(min_signed_bits(i64::MIN), 64);
-    // Asymmetry of two's complement: -2^k fits in k+1 bits, 2^k needs k+2.
-    for k in 1..62u32 {
-        let p = 1i64 << k;
-        assert_eq!(min_signed_bits(p), k + 2, "2^{k}");
-        assert_eq!(min_signed_bits(p - 1), k + 1, "2^{k}-1");
-        assert_eq!(min_signed_bits(-p), k + 1, "-2^{k}");
-        assert_eq!(min_signed_bits(-p - 1), k + 2, "-2^{k}-1");
-    }
-}
-
-#[test]
-fn accumulator_bits_monotone_and_safe_at_width_extremes() {
-    // n = u64::MAX is the pathological cap: the bound must not overflow and
-    // must stay monotone in every argument.
-    let b = accumulator_bits(8, 8, u64::MAX);
-    assert!(b >= accumulator_bits(8, 8, 1));
-    assert!(accumulator_bits(8, 8, 9) <= accumulator_bits(9, 8, 9));
-    assert!(accumulator_bits(8, 8, 9) <= accumulator_bits(8, 9, 9));
-    // Boundary between bit-length steps: 2^k-1 vs 2^k terms.
-    for k in 1..32u32 {
-        let n = 1u64 << k;
-        assert_eq!(
-            accumulator_bits(8, 8, n),
-            accumulator_bits(8, 8, n - 1) + 1,
-            "n=2^{k}"
-        );
-    }
+    assert!(fits_in_bits((1i64 << 62) - 1, 63));
+    assert!(fits_in_bits(-(1i64 << 62), 63));
+    assert!(fits_in_bits(1, 2));
+    assert!(fits_in_bits(-2, 2));
+    assert!(!fits_in_bits(2, 2));
+    assert!(!fits_in_bits(-3, 2));
 }

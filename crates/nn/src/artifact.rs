@@ -109,17 +109,31 @@ impl<'a> Reader<'a> {
     fn i8s(&mut self, n: usize) -> Result<Vec<i8>, NnError> {
         Ok(self.take(n)?.iter().map(|&b| b as i8).collect())
     }
-    /// `n` raw Q8.16 `(k, b)` word pairs; the bytes are taken before any
-    /// allocation, so `n` is bounded by the blob.
-    fn affines(&mut self, n: usize) -> Result<Vec<FoldedAffine>, NnError> {
+    /// `n` raw Q8.16 `(k, b)` word pairs of Non-Conv `unit` in `layer`;
+    /// the bytes are taken before any allocation, so `n` is bounded by the
+    /// blob.
+    fn affines(
+        &mut self,
+        n: usize,
+        layer: usize,
+        unit: &str,
+    ) -> Result<Vec<FoldedAffine>, NnError> {
         let bytes = self.take(checked_size(&[n, 8])?)?;
-        Ok(bytes
+        bytes
             .chunks_exact(8)
-            .map(|w| {
+            .enumerate()
+            .map(|(c, w)| {
                 let word = |i: usize| i32::from_le_bytes(w[i..i + 4].try_into().expect("4 bytes"));
-                affine_from_raw(word(0), word(4))
+                let k = q8x16(word(0), || format!("layer {layer}: {unit}[{c}].k"))?;
+                let b = q8x16(word(4), || format!("layer {layer}: {unit}[{c}].b"))?;
+                Ok(FoldedAffine {
+                    k_exact: k.to_f64(),
+                    b_exact: b.to_f64(),
+                    k,
+                    b,
+                })
             })
-            .collect())
+            .collect()
     }
 }
 
@@ -179,14 +193,15 @@ pub fn serialize(net: &QuantizedDscNetwork) -> Vec<u8> {
     w.buf
 }
 
-fn affine_from_raw(k_raw: i32, b_raw: i32) -> FoldedAffine {
-    let k = Q8x16::from_raw(k_raw);
-    let b = Q8x16::from_raw(b_raw);
-    FoldedAffine {
-        k_exact: k.to_f64(),
-        b_exact: b.to_f64(),
-        k,
-        b,
+/// A raw Q8.16 word read from the blob, or a typed error naming the word
+/// (`what`) if it does not fit in 24 bits.
+fn q8x16(raw: i32, what: impl FnOnce() -> String) -> Result<Q8x16, NnError> {
+    if (Q8x16::MIN.raw()..=Q8x16::MAX.raw()).contains(&raw) {
+        Ok(Q8x16::from_raw(raw))
+    } else {
+        Err(NnError::InvalidConfig {
+            detail: format!("{}: word {raw} outside the 24-bit Q8.16 range", what()),
+        })
     }
 }
 
@@ -196,7 +211,7 @@ fn affine_from_raw(k_raw: i32, b_raw: i32) -> FoldedAffine {
 ///
 /// [`NnError::InvalidConfig`] on bad magic, unsupported version, truncation,
 /// checksum mismatch, or a malformed layer record (including sizes that
-/// overflow).
+/// overflow and Q8.16 words outside 24 bits).
 pub fn deserialize(bytes: &[u8]) -> Result<QuantizedDscNetwork, NnError> {
     if bytes.len() < 8 || &bytes[..4] != MAGIC {
         return Err(NnError::InvalidConfig {
@@ -273,7 +288,9 @@ pub fn deserialize(bytes: &[u8]) -> Result<QuantizedDscNetwork, NnError> {
         })?;
         let residual_scale = match r.u32()? {
             0 => None,
-            1 => Some(Q8x16::from_raw(r.i32()?)),
+            1 => Some(q8x16(r.i32()?, || {
+                format!("layer {index}: residual scale")
+            })?),
             other => {
                 return Err(NnError::InvalidConfig {
                     detail: format!("layer {index}: bad residual-scale flag {other}"),
@@ -292,8 +309,8 @@ pub fn deserialize(bytes: &[u8]) -> Result<QuantizedDscNetwork, NnError> {
         let dw = r.i8s(checked_size(&[kernel, kernel, d_in])?)?;
         let pw_scale = r.f32()?;
         let pw = r.i8s(checked_size(&[d_in, k_out])?)?;
-        let nonconv1 = r.affines(d_in)?;
-        let nonconv2 = r.affines(k_out)?;
+        let nonconv1 = r.affines(d_in, index, "nonconv1")?;
+        let nonconv2 = r.affines(k_out, index, "nonconv2")?;
         let dw_t =
             Tensor4::from_vec(dw, d_in, 1, kernel, kernel).map_err(|e| NnError::InvalidConfig {
                 detail: e.to_string(),
@@ -340,6 +357,43 @@ mod tests {
     use crate::quantize::QuantStrategy;
     use crate::sparsity::SparsityProfile;
     use edea_tensor::rng;
+
+    /// Recomputes the trailing checksum after a test edits the body.
+    fn fix_checksum(blob: &mut [u8]) {
+        let body_len = blob.len() - 4;
+        let sum = super::fnv1a(&blob[..body_len]);
+        blob[body_len..].copy_from_slice(&sum.to_le_bytes());
+    }
+
+    /// `blob` with the 4 bytes at `pos` replaced by `word`, checksum fixed
+    /// up so the parser sees the edit.
+    fn with_word(blob: &[u8], pos: usize, word: u32) -> Vec<u8> {
+        let mut bad = blob.to_vec();
+        bad[pos..pos + 4].copy_from_slice(&word.to_le_bytes());
+        fix_checksum(&mut bad);
+        bad
+    }
+
+    /// Byte offset of each layer record in `serialize(net)`, following the
+    /// layout in the module doc.
+    fn layer_offsets(net: &QuantizedDscNetwork) -> Vec<usize> {
+        let mut at = 16; // magic, version, layer count, input scale
+        let offsets = net
+            .layers()
+            .iter()
+            .map(|l| {
+                let start = at;
+                let s = l.shape();
+                let residual = if l.residual_scale().is_some() { 4 } else { 0 };
+                at += 40 + residual + 16; // shape, stage, out_lo, flag; scales
+                at += s.kernel * s.kernel * s.d_in + 4 + s.d_in * s.k_out;
+                at += 8 * (s.d_in + s.k_out);
+                start
+            })
+            .collect();
+        assert_eq!(at + 4, serialize(net).len(), "layout walk out of step");
+        offsets
+    }
 
     fn network() -> (MobileNetV1, QuantizedDscNetwork) {
         let mut model = MobileNetV1::synthetic(0.25, 91);
@@ -471,9 +525,7 @@ mod tests {
         let mut blob = serialize(&qnet);
         // Bump the version field (bytes 4..8) and fix up the checksum.
         blob[4] = 99;
-        let body_len = blob.len() - 4;
-        let sum = super::fnv1a(&blob[..body_len]);
-        blob[body_len..].copy_from_slice(&sum.to_le_bytes());
+        fix_checksum(&mut blob);
         let err = deserialize(&blob).unwrap_err();
         assert!(err.to_string().contains("version"));
     }
@@ -488,13 +540,77 @@ mod tests {
         let layer0 = 16;
         blob[layer0 + 4..layer0 + 8].copy_from_slice(&2u32.to_le_bytes());
         blob[layer0 + 16..layer0 + 20].copy_from_slice(&u32::MAX.to_le_bytes());
-        let body_len = blob.len() - 4;
-        let sum = super::fnv1a(&blob[..body_len]);
-        blob[body_len..].copy_from_slice(&sum.to_le_bytes());
+        fix_checksum(&mut blob);
         let err = deserialize(&blob).unwrap_err();
         assert!(
             matches!(&err, NnError::InvalidConfig { detail } if detail.contains("overflows")),
             "{err:?}"
         );
+    }
+
+    #[test]
+    fn out_of_range_nonconv_word_is_rejected() {
+        let (_, qnet) = network();
+        let blob = serialize(&qnet);
+        // The (k, b) words close a layer record, nonconv1 before nonconv2.
+        let l0 = qnet.layers()[0].shape();
+        let nonconv1 = layer_offsets(&qnet)[1] - 8 * (l0.d_in + l0.k_out);
+        let err = deserialize(&with_word(&blob, nonconv1, 1 << 23)).unwrap_err();
+        assert!(
+            matches!(&err, NnError::InvalidConfig { detail }
+                if detail.contains("layer 0: nonconv1[0].k") && detail.contains("8388608")),
+            "{err:?}"
+        );
+    }
+
+    fn v2_network() -> QuantizedDscNetwork {
+        let model = MobileNetV2::synthetic(0.25, 94);
+        let calib = rng::synthetic_batch(1, 3, 32, 32, 95);
+        QuantizedDscNetwork::calibrate_v2(&model, &calib, QuantStrategy::paper()).unwrap()
+    }
+
+    #[test]
+    fn out_of_range_residual_scale_word_is_rejected() {
+        let qnet = v2_network();
+        let blob = serialize(&qnet);
+        let layer = qnet
+            .layers()
+            .iter()
+            .position(|l| l.residual_scale().is_some())
+            .expect("v2 has a residual stage");
+        // The raw scale follows the 40 bytes of shape, stage, out_lo and flag.
+        let pos = layer_offsets(&qnet)[layer] + 40;
+        let err = deserialize(&with_word(&blob, pos, i32::MIN as u32)).unwrap_err();
+        assert!(
+            matches!(&err, NnError::InvalidConfig { detail }
+                if detail.contains(&format!("layer {layer}: residual scale"))),
+            "{err:?}"
+        );
+    }
+
+    #[test]
+    fn mutated_words_never_panic() {
+        // A valid checksum lets each edit reach the parser, unlike the byte
+        // flips of `rejects_corruption_anywhere`. Any outcome but a panic
+        // is acceptable. The v2 prefix through its first residual stage
+        // keeps the blob small while carrying every field kind.
+        let full = v2_network();
+        let first_residual = full
+            .layers()
+            .iter()
+            .position(|l| l.residual_scale().is_some())
+            .expect("v2 has a residual stage");
+        let qnet = QuantizedDscNetwork::from_parts(
+            full.input_params(),
+            full.layers()[..=first_residual].to_vec(),
+        );
+        let blob = serialize(&qnet);
+        let body_len = blob.len() - 4;
+        for i in 0..400u64 {
+            let pos = ((i + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 32) as usize % (body_len - 3);
+            for word in [0, 7, 1 << 23, i32::MIN as u32, u32::MAX] {
+                let _ = deserialize(&with_word(&blob, pos, word));
+            }
+        }
     }
 }

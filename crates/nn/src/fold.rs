@@ -23,7 +23,7 @@
 //! "covers all possible ranges of the values for k and b without losing
 //! precision".
 
-use edea_fixed::{Q8x16, Round};
+use edea_fixed::{round_f64, Q8x16};
 use edea_tensor::ops::BatchNorm;
 
 use crate::NnError;
@@ -70,9 +70,7 @@ impl FoldedAffine {
     /// `lo` is `0` when ReLU is folded in (the DSC case) or `-128` otherwise.
     #[must_use]
     pub fn apply_fixed(&self, acc: i32, lo: i8) -> i8 {
-        self.k
-            .mul_int_add(acc, self.b)
-            .round_clip_i8(Round::HalfAwayFromZero, lo, 127)
+        self.k.mul_int_add(acc, self.b).round_clip_i8(lo, 127)
     }
 
     /// Applies the folded transform with a requantized residual summed onto
@@ -87,7 +85,7 @@ impl FoldedAffine {
         self.k
             .mul_int_add(acc, self.b)
             .saturating_add(r.mul_int_add(i32::from(residual), Q8x16::ZERO))
-            .round_clip_i8(Round::HalfAwayFromZero, lo, 127)
+            .round_clip_i8(lo, 127)
     }
 
     /// Applies the *reference* path in f64: `clip(round(k·x + b))` with the
@@ -95,7 +93,7 @@ impl FoldedAffine {
     #[must_use]
     pub fn apply_exact(&self, acc: i32, lo: i8) -> i8 {
         let y = self.k_exact * f64::from(acc) + self.b_exact;
-        let r = Round::HalfAwayFromZero.round_f64(y.clamp(-1e15, 1e15));
+        let r = round_f64(y.clamp(-1e15, 1e15));
         r.clamp(i128::from(lo), 127) as i8
     }
 

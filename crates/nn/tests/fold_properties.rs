@@ -2,7 +2,7 @@
 //! the dequant → batch-norm → ReLU → requant equivalence the paper's Fig. 6
 //! unit relies on.
 
-use edea_fixed::{Q8x16, Round};
+use edea_fixed::Q8x16;
 use edea_nn::fold::{fold_boundary, FoldedAffine};
 use edea_tensor::ops::BatchNorm;
 use proptest::prelude::*;
@@ -151,7 +151,7 @@ fn wide_mul_int_add_never_overflows_at_extremes() {
         for x in [i32::MIN, i32::MAX] {
             for b in [Q8x16::MIN, Q8x16::MAX] {
                 let w = k.mul_int_add(x, b);
-                let y = w.round_clip_i8(Round::HalfAwayFromZero, -128, 127);
+                let y = w.round_clip_i8(-128, 127);
                 assert!((-128..=127).contains(&i32::from(y)));
                 // And the wide raw value matches i128 reference arithmetic.
                 let want = i128::from(k.raw()) * i128::from(x) + i128::from(b.raw());

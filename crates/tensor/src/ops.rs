@@ -146,57 +146,6 @@ pub fn linear(x: &[f32], weights: &[f32], bias: &[f32], out: usize) -> Vec<f32> 
         .collect()
 }
 
-/// Summary statistics of a value collection.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Stats {
-    /// Minimum value.
-    pub min: f32,
-    /// Maximum value.
-    pub max: f32,
-    /// Arithmetic mean.
-    pub mean: f64,
-    /// Population standard deviation.
-    pub std: f64,
-}
-
-impl Stats {
-    /// Computes statistics over `values`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `values` is empty.
-    #[must_use]
-    pub fn compute(values: &[f32]) -> Self {
-        assert!(!values.is_empty(), "stats of empty slice");
-        let mut min = f32::INFINITY;
-        let mut max = f32::NEG_INFINITY;
-        let mut sum = 0.0f64;
-        for &v in values {
-            min = min.min(v);
-            max = max.max(v);
-            sum += f64::from(v);
-        }
-        let mean = sum / values.len() as f64;
-        let var = values
-            .iter()
-            .map(|&v| (f64::from(v) - mean).powi(2))
-            .sum::<f64>()
-            / values.len() as f64;
-        Self {
-            min,
-            max,
-            mean,
-            std: var.sqrt(),
-        }
-    }
-
-    /// Largest absolute value.
-    #[must_use]
-    pub fn max_abs(&self) -> f32 {
-        self.min.abs().max(self.max.abs())
-    }
-}
-
 /// The `q`-th quantile (0 ≤ q ≤ 1) of `values`, by sorting (nearest-rank).
 ///
 /// # Panics
@@ -210,17 +159,6 @@ pub fn quantile(values: &[f32], q: f64) -> f32 {
     sorted.sort_by(f32::total_cmp);
     let idx = ((sorted.len() - 1) as f64 * q).round() as usize;
     sorted[idx]
-}
-
-/// Fraction of `values` that are `<= 0` — predicts post-ReLU zero fraction.
-///
-/// # Panics
-///
-/// Panics if `values` is empty.
-#[must_use]
-pub fn nonpositive_fraction(values: &[f32]) -> f64 {
-    assert!(!values.is_empty(), "fraction of empty slice");
-    values.iter().filter(|&&v| v <= 0.0).count() as f64 / values.len() as f64
 }
 
 /// Whether every byte of an int8 run is zero, scanned in `u64` words.
@@ -334,27 +272,11 @@ mod tests {
     }
 
     #[test]
-    fn stats_reference() {
-        let s = Stats::compute(&[1.0, 2.0, 3.0, 4.0]);
-        assert_eq!(s.min, 1.0);
-        assert_eq!(s.max, 4.0);
-        assert_eq!(s.mean, 2.5);
-        assert!((s.std - 1.118_033_988_749_895).abs() < 1e-9);
-        assert_eq!(s.max_abs(), 4.0);
-    }
-
-    #[test]
     fn quantile_nearest_rank() {
         let v = [5.0f32, 1.0, 3.0, 2.0, 4.0];
         assert_eq!(quantile(&v, 0.0), 1.0);
         assert_eq!(quantile(&v, 1.0), 5.0);
         assert_eq!(quantile(&v, 0.5), 3.0);
-    }
-
-    #[test]
-    fn nonpositive_fraction_counts() {
-        assert_eq!(nonpositive_fraction(&[-1.0, 0.0, 1.0, 2.0]), 0.5);
-        assert_eq!(nonpositive_fraction(&[1.0]), 0.0);
     }
 
     #[test]

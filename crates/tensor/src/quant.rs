@@ -7,7 +7,7 @@
 //! implements that representation; the step-size *learning* lives in
 //! `edea-nn::lsq`.
 
-use edea_fixed::Round;
+use edea_fixed::round_f64;
 
 use crate::{Tensor3, Tensor4};
 
@@ -72,7 +72,7 @@ impl QuantParams {
     #[must_use]
     pub fn quantize(&self, x: f32) -> i8 {
         let v = f64::from(x) / f64::from(self.scale);
-        let r = Round::HalfAwayFromZero.round_f64(v.clamp(-1e18, 1e18));
+        let r = round_f64(v.clamp(-1e18, 1e18));
         r.clamp(-128, 127) as i8
     }
 
