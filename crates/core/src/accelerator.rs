@@ -517,38 +517,9 @@ impl Edea {
                 ),
             });
         }
-        let residual = match residuals {
-            None => None,
-            Some(res) => {
-                if res.len() != inputs.len() {
-                    return Err(CoreError::UnsupportedShape {
-                        detail: format!(
-                            "layer {}: {} residual maps for {} images",
-                            s.index,
-                            res.len(),
-                            inputs.len()
-                        ),
-                    });
-                }
-                let out = s.out_spatial();
-                if let Some(bad) = res.iter().find(|r| r.shape() != (s.k_out, out, out)) {
-                    return Err(CoreError::UnsupportedShape {
-                        detail: format!(
-                            "layer {}: residual map {:?} does not match ofmap ({}, {out}, {out})",
-                            s.index,
-                            bad.shape(),
-                            s.k_out
-                        ),
-                    });
-                }
-                let r = layer
-                    .residual_scale()
-                    .ok_or_else(|| CoreError::UnsupportedShape {
-                        detail: format!("layer {}: residual add without a residual scale", s.index),
-                    })?;
-                Some((res, r))
-            }
-        };
+        // Only the network loop passes residuals, and a well-formed network
+        // guarantees one map per image of the ofmap's shape, and the scale.
+        let residual = residuals.zip(layer.residual_scale());
         let out = s.out_spatial();
         let n_images = inputs.len();
         let ports = portions(out, self.cfg.portion_limit);
@@ -762,7 +733,9 @@ impl Edea {
     /// later layer consumes the previous outputs by move). An
     /// inverted-residual skip saves the int8 block inputs at its
     /// `residual_save` stage and hands them to the `residual_add` stage
-    /// that consumes them, in the golden executor's order.
+    /// that consumes them, in the golden executor's order. `net` is well
+    /// formed ([`edea_nn::workload::check_chain`]), so the chain and the
+    /// save→add pairing are not re-checked here.
     ///
     /// `plan` must have been built from `net` (the wrappers build both
     /// together; a session builds both once); it is not re-checked here.
@@ -784,13 +757,7 @@ impl Edea {
             if s.residual_save {
                 saved = Some(cur.to_vec());
             }
-            let residual = if s.residual_add {
-                Some(saved.take().ok_or_else(|| CoreError::UnsupportedShape {
-                    detail: format!("layer {}: residual add without a preceding save", s.index),
-                })?)
-            } else {
-                None
-            };
+            let residual = if s.residual_add { saved.take() } else { None };
             let run = self.execute_layer(
                 layer,
                 lp,
@@ -1246,7 +1213,7 @@ mod tests {
     #[test]
     fn v2_residual_add_without_matching_batch_is_rejected() {
         // execute_layer's contract: the residual batch must be present
-        // exactly when the shape says residual_add, with one map per image.
+        // exactly when the shape says residual_add.
         let (_, qnet, input) = setup_v2();
         let edea = Edea::new(EdeaConfig::paper()).unwrap();
         let add_layer = qnet

@@ -43,17 +43,19 @@ use crate::CoreError;
 use edea_nn::workload::{LayerShape, StageOp};
 
 /// Checks that one layer shape maps onto the engine geometry: channels a
-/// multiple of `Td`, kernels of `Tk`, output size of `Tn`, and the stage
-/// kernel matching the engine — `Dsc` stages run the engine's depthwise
-/// kernel, `PwcOnly` stages (inverted-residual expand/project) must be
-/// 1×1 with stride 1 and no padding. The single source of this rule — the
-/// accelerator's per-layer check and the serving layer's network
-/// validation both delegate here.
+/// multiple of `Td`, kernels of `Tk`, output size of `Tn`, and a `Dsc`
+/// stage's kernel equal to the engine's depthwise kernel. The shape-only
+/// rules of [`LayerShape::check`] run first, so the output size is
+/// defined. The single source of this rule — the accelerator's per-layer
+/// check and [`crate::serve::CostModel::for_network`] both delegate here.
 ///
 /// # Errors
 ///
 /// [`CoreError::UnsupportedShape`] naming the violated constraint.
 pub fn check_layer_geometry(s: &LayerShape, cfg: &EdeaConfig) -> Result<(), CoreError> {
+    s.check().map_err(|e| CoreError::UnsupportedShape {
+        detail: e.to_string(),
+    })?;
     let t = &cfg.tile;
     if s.d_in % t.td != 0 {
         return Err(CoreError::UnsupportedShape {
@@ -81,28 +83,13 @@ pub fn check_layer_geometry(s: &LayerShape, cfg: &EdeaConfig) -> Result<(), Core
             ),
         });
     }
-    match s.op {
-        StageOp::Dsc => {
-            if s.kernel != t.kernel {
-                return Err(CoreError::UnsupportedShape {
-                    detail: format!(
-                        "layer {}: kernel {} != engine kernel {}",
-                        s.index, s.kernel, t.kernel
-                    ),
-                });
-            }
-        }
-        StageOp::PwcOnly => {
-            if s.kernel != 1 || s.stride != 1 || s.pad != 0 {
-                return Err(CoreError::UnsupportedShape {
-                    detail: format!(
-                        "layer {}: PwcOnly stage must be 1x1 stride-1 unpadded \
-                         (kernel {}, stride {}, pad {})",
-                        s.index, s.kernel, s.stride, s.pad
-                    ),
-                });
-            }
-        }
+    if s.op == StageOp::Dsc && s.kernel != t.kernel {
+        return Err(CoreError::UnsupportedShape {
+            detail: format!(
+                "layer {}: kernel {} != engine kernel {}",
+                s.index, s.kernel, t.kernel
+            ),
+        });
     }
     Ok(())
 }

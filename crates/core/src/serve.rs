@@ -51,7 +51,7 @@ use std::sync::Mutex;
 
 use edea_nn::executor;
 use edea_nn::quantize::QuantizedDscNetwork;
-use edea_nn::workload::{LayerShape, NetworkId};
+use edea_nn::workload::{check_chain, LayerShape, NetworkId};
 use edea_tensor::{Batch, Tensor3};
 
 use crate::accelerator::{BatchRun, Edea, NetworkRun};
@@ -61,66 +61,6 @@ use crate::schedule::WeightResidency;
 use crate::scratch::TileScratch;
 use crate::stats::layer_ledger;
 use crate::CoreError;
-
-/// Checks that every layer of a network maps onto the engine geometry,
-/// that the layers chain (each output feeds the next input), and that
-/// inverted-residual skips pair up: every `residual_add` stage consumes a
-/// prior `residual_save` whose saved map matches the add stage's ofmap.
-fn validate_network(shapes: &[LayerShape], cfg: &EdeaConfig) -> Result<(), CoreError> {
-    if shapes.is_empty() {
-        return Err(CoreError::UnsupportedShape {
-            detail: "network must contain at least one layer".into(),
-        });
-    }
-    for s in shapes {
-        crate::schedule::check_layer_geometry(s, cfg)?;
-    }
-    for pair in shapes.windows(2) {
-        if pair[1].d_in != pair[0].k_out || pair[1].in_spatial != pair[0].out_spatial() {
-            return Err(CoreError::UnsupportedShape {
-                detail: format!(
-                    "layer {} input ({}, {}) does not chain from layer {} output ({}, {})",
-                    pair[1].index,
-                    pair[1].d_in,
-                    pair[1].in_spatial,
-                    pair[0].index,
-                    pair[0].k_out,
-                    pair[0].out_spatial()
-                ),
-            });
-        }
-    }
-    // Residual pairing: save-then-add, with matching geometry (the saved
-    // block input is summed elementwise into the add stage's ofmap).
-    let mut saved: Option<(usize, usize, usize)> = None; // (index, channels, spatial)
-    for s in shapes {
-        if s.residual_save {
-            saved = Some((s.index, s.d_in, s.in_spatial));
-        }
-        if s.residual_add {
-            let Some((i, d, sp)) = saved.take() else {
-                return Err(CoreError::UnsupportedShape {
-                    detail: format!(
-                        "layer {}: residual add without a preceding residual save",
-                        s.index
-                    ),
-                });
-            };
-            if s.k_out != d || s.out_spatial() != sp {
-                return Err(CoreError::UnsupportedShape {
-                    detail: format!(
-                        "layer {}: residual add ofmap ({}, {}) does not match the map \
-                         saved at layer {i} ({d}, {sp})",
-                        s.index,
-                        s.k_out,
-                        s.out_spatial()
-                    ),
-                });
-            }
-        }
-    }
-    Ok(())
-}
 
 /// Analytic service-cost model of a network on a configuration, read from
 /// the same traffic ledger as the functional simulator ([`layer_ledger`]).
@@ -142,10 +82,15 @@ impl CostModel {
     ///
     /// # Errors
     ///
-    /// [`CoreError::UnsupportedShape`] if a layer does not map onto the
-    /// engine geometry or the chain is inconsistent.
+    /// [`CoreError::UnsupportedShape`] if the chain fails
+    /// [`check_chain`] or a layer does not map onto the engine geometry.
     pub fn for_network(shapes: &[LayerShape], cfg: &EdeaConfig) -> Result<Self, CoreError> {
-        validate_network(shapes, cfg)?;
+        check_chain(shapes).map_err(|e| CoreError::UnsupportedShape {
+            detail: e.to_string(),
+        })?;
+        for s in shapes {
+            crate::schedule::check_layer_geometry(s, cfg)?;
+        }
         let mut per_image_cycles = 0u64;
         let mut weight_bytes = 0u64;
         let mut stream_bytes = 0u64;
@@ -685,13 +630,14 @@ impl Backend for GoldenBackend {
     }
 
     fn run(&self, inputs: &Batch<i8>) -> Result<BackendRun, CoreError> {
-        let exec = executor::try_run_batch(&self.qnet, inputs).map_err(|e| {
-            CoreError::UnsupportedShape {
-                detail: e.to_string(),
-            }
-        })?;
+        let unsupported = |detail: String| CoreError::UnsupportedShape { detail };
+        let outputs = inputs
+            .iter()
+            .map(|img| executor::try_run_network(&self.qnet, img).map(|e| e.output))
+            .collect::<Result<Vec<_>, _>>()
+            .map_err(|e| unsupported(e.to_string()))?;
         Ok(BackendRun {
-            outputs: exec.outputs(),
+            outputs: Batch::new(outputs).map_err(|e| unsupported(e.to_string()))?,
             cycles: self.cost.batch_cycles(inputs.len()),
             weight_bytes: self.cost.weight_bytes(),
             external_bytes: self.cost.batch_external_bytes(inputs.len()),

@@ -205,13 +205,18 @@ fn q8x16(raw: i32, what: impl FnOnce() -> String) -> Result<Q8x16, NnError> {
     }
 }
 
-/// Deserializes a deployment blob.
+/// Deserializes a deployment blob into a network built through
+/// [`QuantizedDscNetwork::from_parts`], so a blob that loads is well formed.
 ///
 /// # Errors
 ///
 /// [`NnError::InvalidConfig`] on bad magic, unsupported version, truncation,
-/// checksum mismatch, or a malformed layer record (including sizes that
-/// overflow and Q8.16 words outside 24 bits).
+/// checksum mismatch, a malformed layer record (including sizes that
+/// overflow and Q8.16 words outside 24 bits), or a network that fails
+/// `from_parts`: stage shapes outside [`check_chain`] or a residual-add
+/// stage that carries no residual scale.
+///
+/// [`check_chain`]: crate::workload::check_chain
 pub fn deserialize(bytes: &[u8]) -> Result<QuantizedDscNetwork, NnError> {
     if bytes.len() < 8 || &bytes[..4] != MAGIC {
         return Err(NnError::InvalidConfig {
@@ -249,11 +254,6 @@ pub fn deserialize(bytes: &[u8]) -> Result<QuantizedDscNetwork, NnError> {
         let k_out = r.u32()? as usize;
         let stride = r.u32()? as usize;
         let kernel = r.u32()? as usize;
-        if d_in == 0 || k_out == 0 || stride == 0 || kernel == 0 || in_spatial == 0 {
-            return Err(NnError::InvalidConfig {
-                detail: format!("layer {index}: zero dimension"),
-            });
-        }
         let pad = r.u32()? as usize;
         let op = match r.u32()? {
             0 => StageOp::Dsc,
@@ -346,7 +346,7 @@ pub fn deserialize(bytes: &[u8]) -> Result<QuantizedDscNetwork, NnError> {
             detail: format!("{} trailing bytes in artifact", body.len() - r.pos),
         });
     }
-    Ok(QuantizedDscNetwork::from_parts(input_params, layers))
+    QuantizedDscNetwork::from_parts(input_params, layers)
 }
 
 #[cfg(test)]
@@ -603,7 +603,8 @@ mod tests {
         let qnet = QuantizedDscNetwork::from_parts(
             full.input_params(),
             full.layers()[..=first_residual].to_vec(),
-        );
+        )
+        .unwrap();
         let blob = serialize(&qnet);
         let body_len = blob.len() - 4;
         for i in 0..400u64 {

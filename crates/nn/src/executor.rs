@@ -10,7 +10,7 @@
 //! accumulator ranges) that drive the power model of paper Fig. 11.
 
 use edea_tensor::conv::{depthwise_conv2d_i8, pointwise_conv2d_i8};
-use edea_tensor::{Batch, Tensor3};
+use edea_tensor::Tensor3;
 
 use crate::quantize::{QuantizedDscLayer, QuantizedDscNetwork};
 use crate::workload::StageOp;
@@ -86,18 +86,18 @@ pub fn try_run_layer(
 
 /// Executes one quantized stage with an optional residual source — the
 /// int8 block input preserved at a `residual_save` stage. The residual is
-/// requantized by the layer's Q8.16
-/// residual scale and summed onto the Non-Conv #2 bus *before* the round
-/// stage (see `FoldedAffine::apply_fixed_residual`).
+/// requantized by the layer's Q8.16 residual scale and summed onto the
+/// Non-Conv #2 bus *before* the round stage (see
+/// `FoldedAffine::apply_fixed_residual`). Only [`try_run_network`] passes
+/// a residual, and a well-formed network guarantees its shape and scale.
 ///
 /// # Errors
 ///
-/// * [`NnError::ShapeMismatch`] if `input` (or the residual) does not match
-///   the layer's shapes.
+/// * [`NnError::ShapeMismatch`] if `input` does not match the layer's
+///   input shape.
 /// * [`NnError::InvalidConfig`] if the residual presence disagrees with the
-///   layer shape's `residual_add` marker, or the layer lacks a residual
-///   scale.
-pub fn try_run_layer_with(
+///   layer shape's `residual_add` marker.
+fn try_run_layer_with(
     layer: &QuantizedDscLayer,
     input: &Tensor3<i8>,
     residual: Option<&Tensor3<i8>>,
@@ -149,29 +149,10 @@ pub fn try_run_layer_with(
     // clip 0 with a folded ReLU, −128 for a linear (project) stage.
     let (k, _, _) = pwc_acc.shape();
     let lo = layer.out_lo();
-    let output = match residual {
-        Some(res) => {
-            if res.shape() != (k, oh, ow) {
-                return Err(NnError::ShapeMismatch {
-                    layer: s.index,
-                    detail: format!(
-                        "residual shape mismatch: expected ({k}, {oh}, {ow}), got {:?}",
-                        res.shape()
-                    ),
-                });
-            }
-            let r = layer
-                .residual_scale()
-                .ok_or_else(|| NnError::InvalidConfig {
-                    detail: format!(
-                        "layer {}: residual-add layer without a residual scale",
-                        s.index
-                    ),
-                })?;
-            Tensor3::from_fn(k, oh, ow, |c, h, w| {
-                layer.nonconv2()[c].apply_fixed_residual(pwc_acc[(c, h, w)], res[(c, h, w)], r, lo)
-            })
-        }
+    let output = match residual.zip(layer.residual_scale()) {
+        Some((res, r)) => Tensor3::from_fn(k, oh, ow, |c, h, w| {
+            layer.nonconv2()[c].apply_fixed_residual(pwc_acc[(c, h, w)], res[(c, h, w)], r, lo)
+        }),
         None => Tensor3::from_fn(k, oh, ow, |c, h, w| {
             layer.nonconv2()[c].apply_fixed(pwc_acc[(c, h, w)], lo)
         }),
@@ -215,8 +196,8 @@ pub fn run_network(net: &QuantizedDscNetwork, input: &Tensor3<i8>) -> NetworkExe
 ///
 /// # Errors
 ///
-/// [`NnError::ShapeMismatch`] from the first layer whose input does not
-/// match (for a well-formed network only layer 0 can reject).
+/// [`NnError::ShapeMismatch`] if `input` does not match layer 0's input
+/// shape (a network is well formed, so no later layer can reject).
 pub fn try_run_network(
     net: &QuantizedDscNetwork,
     input: &Tensor3<i8>,
@@ -229,13 +210,7 @@ pub fn try_run_network(
         if s.residual_save {
             saved = Some(x.clone());
         }
-        let residual = if s.residual_add {
-            Some(saved.take().ok_or_else(|| NnError::InvalidConfig {
-                detail: format!("layer {}: residual add without a preceding save", s.index),
-            })?)
-        } else {
-            None
-        };
+        let residual = if s.residual_add { saved.take() } else { None };
         let exec = try_run_layer_with(layer, &x, residual.as_ref())?;
         activities.push(exec.activity);
         x = exec.output;
@@ -244,97 +219,6 @@ pub fn try_run_network(
         activities,
         output: x,
     })
-}
-
-/// Result of executing the quantized DSC stack over a whole batch.
-#[derive(Debug, Clone)]
-pub struct BatchExecution {
-    /// Per-image executions, in batch order.
-    pub per_image: Vec<NetworkExecution>,
-}
-
-impl BatchExecution {
-    /// Batch size `N`.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.per_image.len()
-    }
-
-    /// Whether the batch was empty (never true for a [`Batch`]-driven run).
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.per_image.is_empty()
-    }
-
-    /// The final feature maps as a batch.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the batch was empty.
-    #[must_use]
-    pub fn outputs(&self) -> Batch<i8> {
-        Batch::new(self.per_image.iter().map(|e| e.output.clone()).collect())
-            .expect("uniform outputs from a uniform batch")
-    }
-
-    /// Mean activity over the batch for layer `layer`: the per-image zero
-    /// fractions averaged, the accumulator ranges widened to cover every
-    /// image.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the batch is empty or `layer` is out of range.
-    #[must_use]
-    pub fn mean_activity(&self, layer: usize) -> LayerActivity {
-        assert!(!self.per_image.is_empty(), "empty batch");
-        let n = self.per_image.len() as f64;
-        let mut acc = self.per_image[0].activities[layer];
-        for e in &self.per_image[1..] {
-            let a = e.activities[layer];
-            acc.input_zero += a.input_zero;
-            acc.dwc_out_zero += a.dwc_out_zero;
-            acc.pwc_out_zero += a.pwc_out_zero;
-            acc.dwc_acc_range.0 = acc.dwc_acc_range.0.min(a.dwc_acc_range.0);
-            acc.dwc_acc_range.1 = acc.dwc_acc_range.1.max(a.dwc_acc_range.1);
-            acc.pwc_acc_range.0 = acc.pwc_acc_range.0.min(a.pwc_acc_range.0);
-            acc.pwc_acc_range.1 = acc.pwc_acc_range.1.max(a.pwc_acc_range.1);
-        }
-        acc.input_zero /= n;
-        acc.dwc_out_zero /= n;
-        acc.pwc_out_zero /= n;
-        acc
-    }
-}
-
-/// Executes all DSC layers over a batch of quantized layer-0 inputs.
-///
-/// The reference semantics of batched inference: each image runs through
-/// [`run_network`] independently, so batching can never change a single
-/// output bit. The accelerator's batched schedule (`edea-core`) is verified
-/// against this function; what batching changes there is only *when weight
-/// tiles are fetched*, never what is computed.
-#[must_use]
-pub fn run_batch(net: &QuantizedDscNetwork, inputs: &Batch<i8>) -> BatchExecution {
-    try_run_batch(net, inputs).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Executes all DSC layers over a batch of quantized layer-0 inputs,
-/// rejecting shape mismatches instead of panicking — the entry point the
-/// golden serving backend uses.
-///
-/// # Errors
-///
-/// [`NnError::ShapeMismatch`] if the batch's image shape does not match
-/// layer 0's input shape.
-pub fn try_run_batch(
-    net: &QuantizedDscNetwork,
-    inputs: &Batch<i8>,
-) -> Result<BatchExecution, NnError> {
-    let per_image = inputs
-        .iter()
-        .map(|img| try_run_network(net, img))
-        .collect::<Result<Vec<_>, _>>()?;
-    Ok(BatchExecution { per_image })
 }
 
 /// Classification-level agreement between the float model and the int8
@@ -546,44 +430,6 @@ mod tests {
     }
 
     #[test]
-    fn batched_execution_is_per_image_identical() {
-        // The batched reference path must be a pure per-image map: running
-        // N seeded CIFAR-10 images as a batch gives bit-identical outputs
-        // to running each image alone.
-        let (model, qnet, calib) = setup();
-        let stems = Batch::new(calib.iter().map(|img| model.forward_stem(img)).collect()).unwrap();
-        let inputs = qnet.quantize_input_batch(&stems);
-        let batch = run_batch(&qnet, &inputs);
-        assert_eq!(batch.len(), calib.len());
-        assert!(!batch.is_empty());
-        for (i, img) in calib.iter().enumerate() {
-            let single = run_network(&qnet, &qnet.quantize_input(&model.forward_stem(img)));
-            assert_eq!(batch.per_image[i].output, single.output, "image {i}");
-            assert_eq!(batch.outputs()[i], single.output, "image {i}");
-        }
-    }
-
-    #[test]
-    fn mean_activity_averages_zero_fractions() {
-        let (model, qnet, calib) = setup();
-        let stems = Batch::new(calib.iter().map(|img| model.forward_stem(img)).collect()).unwrap();
-        let batch = run_batch(&qnet, &qnet.quantize_input_batch(&stems));
-        let mean = batch.mean_activity(0);
-        let by_hand: f64 = batch
-            .per_image
-            .iter()
-            .map(|e| e.activities[0].dwc_out_zero)
-            .sum::<f64>()
-            / batch.len() as f64;
-        assert!((mean.dwc_out_zero - by_hand).abs() < 1e-12);
-        // The widened range covers every per-image range.
-        for e in &batch.per_image {
-            assert!(mean.dwc_acc_range.0 <= e.activities[0].dwc_acc_range.0);
-            assert!(mean.pwc_acc_range.1 >= e.activities[0].pwc_acc_range.1);
-        }
-    }
-
-    #[test]
     fn cosine_similarity_reference_values() {
         assert!((cosine_similarity(&[1.0, 0.0], &[1.0, 0.0]) - 1.0).abs() < 1e-12);
         assert!(cosine_similarity(&[1.0, 0.0], &[0.0, 1.0]).abs() < 1e-12);
@@ -616,8 +462,6 @@ mod tests {
             try_run_network(&qnet, &bad),
             Err(NnError::ShapeMismatch { layer: 0, .. })
         ));
-        let batch = Batch::new(vec![bad]).unwrap();
-        assert!(try_run_batch(&qnet, &batch).is_err());
     }
 
     #[test]
@@ -677,16 +521,5 @@ mod tests {
             try_run_layer_with(plain, &in0, Some(&res)),
             Err(NnError::InvalidConfig { .. })
         ));
-    }
-
-    #[test]
-    fn v2_batched_execution_is_per_image_identical() {
-        let (model, qnet, calib) = setup_v2();
-        let stems = Batch::new(calib.iter().map(|img| model.forward_stem(img)).collect()).unwrap();
-        let batch = run_batch(&qnet, &qnet.quantize_input_batch(&stems));
-        for (i, img) in calib.iter().enumerate() {
-            let single = run_network(&qnet, &qnet.quantize_input(&model.forward_stem(img)));
-            assert_eq!(batch.per_image[i].output, single.output, "image {i}");
-        }
     }
 }

@@ -7,7 +7,8 @@
 //!
 //! * [`workload`] — the 13 DSC layer shapes of MobileNetV1-CIFAR10 and their
 //!   MAC/parameter counts (the workload database every experiment iterates
-//!   over).
+//!   over), and [`workload::check_chain`], the one definition of a
+//!   well-formed stage chain that every quantized network is built against.
 //! * [`mobilenet`] — a full float MobileNetV1 model (stem + 13 DSC blocks +
 //!   classifier) with deterministic synthetic parameters.
 //! * [`lsq`] — an LSQ-style learned-step-size quantizer (gradient descent
@@ -23,9 +24,9 @@
 //!   model plus a calibration batch, layer by layer on the int8 path.
 //! * [`executor`] — the bit-exact int8 golden executor the accelerator
 //!   simulator is verified against, with per-layer activity statistics.
-//!   [`executor::run_batch`] defines the reference semantics of batched
-//!   inference: a pure per-image map, so the accelerator's weight-residency
-//!   batching can never change an output bit.
+//!   Batched inference has no executor of its own: its reference is
+//!   [`executor::run_network`] per image, so the accelerator's
+//!   weight-residency batching can never change an output bit.
 //!
 //! # Example
 //!

@@ -32,7 +32,7 @@ use crate::fold::{fold_boundary, FoldedAffine};
 use crate::lsq::{learn_step, LsqConfig};
 use crate::mobilenet::{MobileNetV1, MobileNetV2};
 use crate::sparsity::{shape_bn_from_pools, ShapingReport, SparsityProfile};
-use crate::workload::{LayerShape, StageOp};
+use crate::workload::{check_chain, LayerShape, StageOp};
 use crate::NnError;
 
 /// A folded Non-Conv boundary: the per-channel fold, the output step and
@@ -359,14 +359,36 @@ fn zero_fraction_i8(tensors: &[Tensor3<i8>]) -> f64 {
 }
 
 impl QuantizedDscNetwork {
-    /// Reassembles a network from its parts (used by the deployment-artifact
-    /// loader in [`crate::artifact`]).
-    #[must_use]
-    pub fn from_parts(input_params: QuantParams, layers: Vec<QuantizedDscLayer>) -> Self {
-        Self {
+    /// Assembles a network from its parts — the one constructor: both
+    /// calibrators and the deployment-artifact loader in [`crate::artifact`]
+    /// build through it, so every network that exists is well formed.
+    ///
+    /// # Errors
+    ///
+    /// [`NnError::InvalidConfig`] if the layer shapes fail [`check_chain`]
+    /// or a [`residual_add`](LayerShape::residual_add) layer carries no
+    /// residual scale.
+    pub fn from_parts(
+        input_params: QuantParams,
+        layers: Vec<QuantizedDscLayer>,
+    ) -> Result<Self, NnError> {
+        let shapes: Vec<LayerShape> = layers.iter().map(QuantizedDscLayer::shape).collect();
+        check_chain(&shapes)?;
+        if let Some(l) = layers
+            .iter()
+            .find(|l| l.shape.residual_add && l.residual_scale.is_none())
+        {
+            return Err(NnError::InvalidConfig {
+                detail: format!(
+                    "layer {}: residual add without a residual scale",
+                    l.shape.index
+                ),
+            });
+        }
+        Ok(Self {
             input_params,
             layers,
-        }
+        })
     }
 
     /// Joint sparsity shaping + calibration **on the int8 path** — the
@@ -383,9 +405,10 @@ impl QuantizedDscNetwork {
     ///
     /// * [`NnError::EmptyCalibrationSet`] if `calib` is empty.
     /// * [`NnError::InvalidConfig`] if `profile` does not match the model,
-    ///   BN parameters are non-finite, or a calibration pool (input,
-    ///   weights, or a layer's DWC/PWC output) has no non-zero range — e.g.
-    ///   all-zero calibration images.
+    ///   BN parameters are non-finite, the block shapes fail
+    ///   [`check_chain`], or a calibration pool (input, weights, or a
+    ///   layer's DWC/PWC output) has no non-zero range — e.g. all-zero
+    ///   calibration images.
     pub fn calibrate_shaped(
         model: &mut MobileNetV1,
         calib: &[Tensor3<f32>],
@@ -466,13 +489,7 @@ impl QuantizedDscNetwork {
             xs = outs;
             s_in = s_out;
         }
-        Ok((
-            Self {
-                input_params,
-                layers,
-            },
-            report,
-        ))
+        Ok((Self::from_parts(input_params, layers)?, report))
     }
 
     /// Calibrates a quantized MobileNetV2 stack **on the int8 path**: stage
@@ -490,8 +507,8 @@ impl QuantizedDscNetwork {
     /// * [`NnError::EmptyCalibrationSet`] if `calib` is empty.
     /// * [`NnError::ShapeMismatch`] if a DSC stage lacks depthwise
     ///   parameters.
-    /// * [`NnError::InvalidConfig`] if BN parameters are non-finite, a
-    ///   residual-add stage has no matching save, or a calibration pool
+    /// * [`NnError::InvalidConfig`] if BN parameters are non-finite, the
+    ///   stage shapes fail [`check_chain`], or a calibration pool
     ///   (input, weights, or a layer's DWC/PWC output) has no non-zero
     ///   range — e.g. all-zero calibration images.
     pub fn calibrate_v2(
@@ -571,9 +588,7 @@ impl QuantizedDscNetwork {
                 .map(|m| pointwise_conv2d_i8(m, pw_q.values()))
                 .collect();
             let res = if shape.residual_add {
-                Some(saved.take().ok_or_else(|| NnError::InvalidConfig {
-                    detail: format!("stage {i}: residual add without a preceding save"),
-                })?)
+                saved.take()
             } else {
                 None
             };
@@ -654,10 +669,7 @@ impl QuantizedDscNetwork {
             xs = outs;
             s_in = s_out;
         }
-        Ok(Self {
-            input_params,
-            layers,
-        })
+        Self::from_parts(input_params, layers)
     }
 
     /// Quantization parameters for the network input (the stem activation).

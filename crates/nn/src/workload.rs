@@ -135,7 +135,58 @@ impl LayerShape {
         }
     }
 
+    /// The shape-only rules of one stage: every dimension is positive, the
+    /// window fits the padded input, so [`out_spatial`] is defined, and a
+    /// [`StageOp::PwcOnly`] stage is 1×1 with stride 1 and no padding, so
+    /// its ofmap is its ifmap's size. [`check_chain`] applies it to every
+    /// stage of a network.
+    ///
+    /// [`out_spatial`]: LayerShape::out_spatial
+    ///
+    /// # Errors
+    ///
+    /// [`NnError::InvalidConfig`] naming the stage and the broken rule.
+    pub fn check(&self) -> Result<(), NnError> {
+        let i = self.index;
+        if [
+            self.in_spatial,
+            self.d_in,
+            self.k_out,
+            self.stride,
+            self.kernel,
+        ]
+        .contains(&0)
+        {
+            return Err(NnError::InvalidConfig {
+                detail: format!("layer {i}: zero dimension"),
+            });
+        }
+        if self.in_spatial + 2 * self.pad < self.kernel {
+            return Err(NnError::InvalidConfig {
+                detail: format!(
+                    "layer {i}: window {} does not fit input {} with pad {}",
+                    self.kernel, self.in_spatial, self.pad
+                ),
+            });
+        }
+        if self.op == StageOp::PwcOnly && (self.kernel, self.stride, self.pad) != (1, 1, 0) {
+            return Err(NnError::InvalidConfig {
+                detail: format!(
+                    "layer {i}: PwcOnly stage must be 1x1 stride-1 unpadded \
+                     (kernel {}, stride {}, pad {})",
+                    self.kernel, self.stride, self.pad
+                ),
+            });
+        }
+        Ok(())
+    }
+
     /// Output spatial size (`N = M`): `(R + 2·pad − kernel)/stride + 1`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `stride` is zero or the window does not fit the padded
+    /// input — the cases [`LayerShape::check`] rejects first.
     #[must_use]
     pub fn out_spatial(&self) -> usize {
         out_dim(self.in_spatial, self.kernel, self.stride, self.pad)
@@ -210,6 +261,71 @@ impl LayerShape {
         let n = self.out_spatial() as u64;
         n * n * self.k_out as u64
     }
+}
+
+/// The one definition of a well-formed stage chain — the direct data
+/// transfer contract every network is built against:
+///
+/// * the chain is non-empty and every stage passes [`LayerShape::check`];
+/// * each stage's input is the previous stage's ofmap (channels and
+///   spatial size);
+/// * every [`residual_add`](LayerShape::residual_add) consumes an earlier
+///   [`residual_save`](LayerShape::residual_save) whose saved map (that
+///   stage's input) equals the add stage's ofmap. A stage marked with both
+///   saves its own input first.
+///
+/// Every `QuantizedDscNetwork` is checked by it when built, so execution
+/// never re-checks the chain.
+///
+/// # Errors
+///
+/// [`NnError::InvalidConfig`] naming the first stage that breaks a rule.
+pub fn check_chain(shapes: &[LayerShape]) -> Result<(), NnError> {
+    let invalid = |detail: String| Err(NnError::InvalidConfig { detail });
+    if shapes.is_empty() {
+        return invalid("network must contain at least one layer".into());
+    }
+    let mut saved: Option<&LayerShape> = None;
+    for (i, s) in shapes.iter().enumerate() {
+        s.check()?;
+        if let Some(prev) = i.checked_sub(1).map(|p| &shapes[p]) {
+            if (s.d_in, s.in_spatial) != (prev.k_out, prev.out_spatial()) {
+                return invalid(format!(
+                    "layer {} input ({}, {}) does not chain from layer {} output ({}, {})",
+                    s.index,
+                    s.d_in,
+                    s.in_spatial,
+                    prev.index,
+                    prev.k_out,
+                    prev.out_spatial()
+                ));
+            }
+        }
+        if s.residual_save {
+            saved = Some(s);
+        }
+        if s.residual_add {
+            let Some(src) = saved.take() else {
+                return invalid(format!(
+                    "layer {}: residual add without a preceding residual save",
+                    s.index
+                ));
+            };
+            if (s.k_out, s.out_spatial()) != (src.d_in, src.in_spatial) {
+                return invalid(format!(
+                    "layer {}: residual maps for the add ofmap ({}, {}) and the input \
+                     saved at layer {} ({}, {}) differ",
+                    s.index,
+                    s.k_out,
+                    s.out_spatial(),
+                    src.index,
+                    src.d_in,
+                    src.in_spatial
+                ));
+            }
+        }
+    }
+    Ok(())
 }
 
 /// The 13 DSC layers of MobileNetV1 adapted to CIFAR-10 (stem stride 1, so
@@ -444,17 +560,9 @@ mod tests {
 
     #[test]
     fn spatial_chain_is_consistent() {
-        // Each layer's output spatial size must equal the next layer's input.
+        // Each layer's output must be the next layer's input.
         let layers = mobilenet_v1_cifar10();
-        for pair in layers.windows(2) {
-            assert_eq!(
-                pair[0].out_spatial(),
-                pair[1].in_spatial,
-                "layer {} -> {}",
-                pair[0].index,
-                pair[1].index
-            );
-        }
+        check_chain(&layers).unwrap();
         assert_eq!(layers[12].out_spatial(), 2);
     }
 
@@ -596,10 +704,7 @@ mod tests {
                 }
             }
         }
-        for pair in layers.windows(2) {
-            assert_eq!(pair[0].k_out, pair[1].d_in);
-            assert_eq!(pair[0].out_spatial(), pair[1].in_spatial);
-        }
+        check_chain(&layers).unwrap();
         // The network ends at 4×4×320 after three stride-2 blocks.
         let last = layers.last().unwrap();
         assert_eq!((last.k_out, last.out_spatial()), (320, 4));
