@@ -1,4 +1,4 @@
-//! Extension study: the serving scheduler sharded across a pool of N
+//! Extension study: the serve loop sharded across a pool of N
 //! simulated EDEA instances.
 //! Run with: `cargo run -p edea-bench --bin pool_sweep --release`
 //!

@@ -21,6 +21,7 @@ use edea::core::par::Parallelism;
 use edea::nn::mobilenet::MobileNetV1;
 use edea::nn::quantize::{QuantStrategy, QuantizedDscNetwork};
 use edea::nn::sparsity::SparsityProfile;
+use edea::nn::workload::NetworkId;
 use edea::pool::{DispatchPolicy, Dispatcher, Pool};
 use edea::serve::{arrivals, Policy, Request, SimulatorBackend};
 use edea::tensor::{rng, Batch};
@@ -104,9 +105,11 @@ fn main() {
     for &t in thread_counts {
         let b = backend(&s, t);
         let inputs = Batch::new(s.inputs[..batch].to_vec()).expect("batch");
-        let _ = b.run_batch(&inputs).expect("warm-up");
+        let _ = b.run_batch(NetworkId::PRIMARY, &inputs).expect("warm-up");
         let ms = median_ms(reps, || {
-            let _ = b.run_batch(&inputs).expect("batched forward");
+            let _ = b
+                .run_batch(NetworkId::PRIMARY, &inputs)
+                .expect("batched forward");
         });
         if t == 1 {
             base = ms;

@@ -646,11 +646,11 @@ pub fn batch_sweep() -> String {
 
 /// Extension study: the serving layer under offered load.
 ///
-/// Drives seeded Poisson request streams through the batch-forming
-/// [`Scheduler`](edea::serve::Scheduler) on the analytic backend (same
+/// Drives seeded Poisson request streams through a round-robin
+/// [`Dispatcher`](edea::pool::Dispatcher) over one analytic backend (same
 /// service/traffic accounting as the simulator, equality-tested in the
 /// serving suite) and sweeps the offered load from well under to well over
-/// capacity. As queues deepen, the scheduler forms larger batches and the
+/// capacity. As queues deepen, the policy forms larger batches and the
 /// per-image external weight traffic falls toward `1/max_batch` of the
 /// single-image figure — the batch-residency amortization of `batch_sweep`
 /// emerging *dynamically* from arrival statistics instead of a fixed `N`.
@@ -658,7 +658,8 @@ pub fn batch_sweep() -> String {
 /// approaches the initiation-bound service rate.
 #[must_use]
 pub fn serve_sweep() -> String {
-    use edea::serve::{arrivals, AnalyticBackend, Backend, Policy, Request, Scheduler};
+    use edea::pool::{DispatchPolicy, Dispatcher, Pool};
+    use edea::serve::{arrivals, AnalyticBackend, Backend, Policy, Request};
     use edea::tensor::Tensor3;
 
     let c = cfg();
@@ -667,7 +668,7 @@ pub fn serve_sweep() -> String {
     let single_weights = backend.cost().weight_bytes();
     let n = 64;
     let policy = Policy::new(8, service).expect("policy");
-    let scheduler = Scheduler::new(policy);
+    let dispatcher = Dispatcher::new(policy, DispatchPolicy::RoundRobin);
     let (d, h, w) = backend.input_shape();
     let slo = 4 * service;
 
@@ -684,9 +685,11 @@ pub fn serve_sweep() -> String {
     for (i, load) in [0.25, 0.5, 1.0, 2.0, 4.0].iter().enumerate() {
         let ticks = arrivals::poisson(n, service as f64 / load, 7000 + i as u64);
         let inputs = (0..n).map(|_| Tensor3::<i8>::zeros(d, h, w)).collect();
-        let report = scheduler
-            .serve(&backend, Request::stream(&ticks, inputs).expect("stream"))
-            .expect("serve");
+        let pool = Pool::replicate(backend.clone(), 1).expect("pool of one");
+        let report = dispatcher
+            .serve(&pool, Request::stream(&ticks, inputs).expect("stream"))
+            .expect("serve")
+            .serve;
         t.row(vec![
             fmt(*load, 2),
             report.batches.len().to_string(),
@@ -771,14 +774,13 @@ fn pool_sweep_table(points: &[(f64, u64)], replicas: &[usize]) -> String {
     t.render()
 }
 
-/// Extension study: the serving scheduler sharded across an accelerator
-/// pool.
+/// Extension study: the serve loop sharded across an accelerator pool.
 ///
 /// Replays the `serve_sweep` Poisson streams (same seeds, same
 /// `max_batch = 8` / `max_wait = one service time` policy) against pools
 /// of N = 1–8 analytic workers behind the least-loaded dispatcher. The
 /// N = 1 rows are **bit-identical** to the single-backend `serve_sweep`
-/// baseline (the scheduler is the pool's N = 1 case). Two system-level
+/// baseline (a single backend is the pool's N = 1 case). Two system-level
 /// effects the single-instance model cannot show:
 ///
 /// * **Throughput scales with N until arrival-rate saturation** — under
@@ -873,7 +875,7 @@ pub fn pool_sweep() -> String {
 ///
 /// Two deployments are built from the *same* synthetic model and
 /// calibration set, differing only in the shaped sparsity profile; the
-/// same image batch runs through [`edea::Deployment::run_batch`] on each. The
+/// same image batch runs through [`edea::Deployment::run`] on each. The
 /// table reports, per layer, the measured intermediate-map zero fraction
 /// and the gated-slot fraction of both engines. Everything printed is
 /// deterministic (modeled slots, not wall-clock), so the output is pinned
@@ -906,6 +908,7 @@ pub fn sparsity_sweep_smoke() -> String {
 fn sparsity_sweep_table(width: f64, batch: usize, seed: u64) -> String {
     use edea::nn::mobilenet::MobileNetV1;
     use edea::nn::sparsity::SparsityProfile;
+    use edea::nn::workload::NetworkId;
     use edea::tensor::{rng, Batch};
     use edea::Deployment;
 
@@ -921,8 +924,11 @@ fn sparsity_sweep_table(width: f64, batch: usize, seed: u64) -> String {
     };
     let run = |d: &Deployment| {
         let inputs: Vec<_> = images.iter().map(|img| d.prepare(img)).collect();
-        d.run_batch(&Batch::new(inputs).expect("non-empty batch"))
-            .expect("batch runs")
+        d.run(
+            NetworkId::PRIMARY,
+            &Batch::new(inputs).expect("non-empty batch"),
+        )
+        .expect("batch runs")
     };
     let layers = MobileNetV1::synthetic(width, seed).blocks().len();
     let dense = run(&deploy(SparsityProfile::near_dense(layers)));
@@ -1150,7 +1156,7 @@ fn mixed_serve_table(n: usize, replicas: usize, shares: &[(&str, usize)], seed: 
             .collect();
         let requests = Request::stream_mixed(&ticks, &nets, inputs).expect("stream");
         let report = d
-            .serve_pool(policy, DispatchPolicy::LeastLoaded, requests)
+            .serve(policy, DispatchPolicy::LeastLoaded, requests)
             .expect("mixed serve");
         let s = &report.serve;
         let lat = |net: NetworkId| {
@@ -1255,7 +1261,7 @@ fn trace_export_run(n: usize, seed: u64) -> String {
         .collect();
     let requests = Request::stream_mixed(&ticks, &nets, inputs).expect("stream");
     let report = d
-        .serve_pool(policy, DispatchPolicy::LeastLoaded, requests)
+        .serve(policy, DispatchPolicy::LeastLoaded, requests)
         .expect("observed mixed serve");
 
     let events = recorder.events();

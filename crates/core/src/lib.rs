@@ -42,11 +42,10 @@
 //! * [`baseline`] — serial-dual and unified round-trip baselines for the
 //!   ablation study.
 //! * [`serve`] — the serving layer: a [`Backend`](serve::Backend) trait
-//!   over the simulator / golden-reference / analytic execution paths and
-//!   a deterministic batch-forming [`Scheduler`](serve::Scheduler)
-//!   (max-batch + max-wait policy, simulated clock) that drains a request
-//!   queue into [`Edea::run_batch`] and reports per-request latency and
-//!   aggregate throughput/SLO statistics.
+//!   over the simulator / golden-reference / analytic execution paths,
+//!   requests, the batch-forming [`Policy`](serve::Policy) (max-batch +
+//!   max-wait, simulated clock) and the [`ServeReport`](serve::ServeReport)
+//!   of per-request latency and aggregate throughput/SLO statistics.
 //! * [`par`] — the deterministic scoped thread pool: a host-`Parallelism`
 //!   knob (default serial, `EDEA_THREADS` overridable) that fans
 //!   independent portions of a layer and independent pool workers
@@ -57,8 +56,8 @@
 //!   busy-until clock and weight residency, behind a
 //!   [`Dispatcher`](pool::Dispatcher) routing requests by
 //!   [`DispatchPolicy`](pool::DispatchPolicy) (round-robin, least-loaded,
-//!   join-shortest-queue). The single-backend scheduler is the N = 1 case
-//!   of its event loop; [`PoolReport`](pool::PoolReport) adds per-worker
+//!   join-shortest-queue) — the one serve entry; a single backend is a
+//!   pool of one. [`PoolReport`](pool::PoolReport) adds per-worker
 //!   utilization, queue depth and the aggregate weight-DRAM-per-image
 //!   replication cost.
 //! * [`telemetry`] — deterministic observability on the simulated clock: a

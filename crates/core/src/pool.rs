@@ -14,21 +14,22 @@
 //!   [`LeastLoaded`](DispatchPolicy::LeastLoaded) — fewest outstanding
 //!   requests, earliest-free tie-break — or
 //!   [`JoinShortestQueue`](DispatchPolicy::JoinShortestQueue)), while
-//!   each worker forms batches from its own FIFO queue under the same
-//!   [`Policy`] rule as the single-backend [`Scheduler`](crate::serve::Scheduler).
+//!   each worker forms batches from its own FIFO queue under one shared
+//!   [`Policy`] rule.
 //! * [`PoolReport`] — a [`ServeReport`] aggregate plus per-worker
 //!   utilization, queue-depth and traffic accounting
 //!   ([`WorkerReport`]), and the batch → worker assignment map.
 //!
-//! The whole pool runs on the same simulated clock as the single-backend
-//! scheduler: one tick is one accelerator cycle, and the run is a pure
-//! function of `(requests, policy, dispatch policy, pool)`.
+//! The whole pool runs on one simulated clock: one tick is one accelerator
+//! cycle, and the run is a pure function of
+//! `(requests, policy, dispatch policy, pool)`.
 //!
-//! **The single-backend scheduler is the N = 1 case.** `Scheduler::serve`
-//! delegates to the same event loop with one worker, and a pool of one
-//! produces a bit-identical [`ServeReport`] under every dispatch policy
-//! (all three route every request to the lone worker) — pinned by a
-//! regression test in the root `tests/pool.rs` suite.
+//! **A single backend is the N = 1 case.** [`Dispatcher::serve`] is the
+//! one serve entry: to serve on one backend, serve on
+//! `Pool::replicate(backend, 1)`. A pool of one produces a bit-identical
+//! [`ServeReport`] under every dispatch policy (all three route every
+//! request to the lone worker) — pinned by a regression test in the root
+//! `tests/pool.rs` suite.
 //!
 //! **Replication cost.** Batching amortizes the per-dispatch weight fetch;
 //! spreading a fixed arrival stream over more workers shortens queues, so
@@ -76,7 +77,7 @@ use crate::CoreError;
 ///
 /// Every policy is deterministic (ties break toward the lowest worker
 /// index) and all three coincide on a pool of one — the single-backend
-/// [`Scheduler`](crate::serve::Scheduler) case.
+/// case.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DispatchPolicy {
     /// Cyclic assignment in arrival order, blind to worker state.
@@ -226,9 +227,8 @@ impl<B: Backend> Pool<B> {
 /// Routes a request stream across a [`Pool`]: a [`DispatchPolicy`] assigns
 /// each request to a worker's FIFO queue at its arrival tick, and each
 /// worker forms batches from its own queue under the shared [`Policy`]
-/// exactly as the single-backend scheduler does (dispatch when the batch
-/// fills or the queue head's deadline passes, never before that worker is
-/// free).
+/// (dispatch when the batch fills or the queue head's deadline passes,
+/// never before that worker is free).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Dispatcher {
     policy: Policy,
@@ -292,9 +292,8 @@ impl Dispatcher {
         requests: Vec<Request>,
         telemetry: &dyn crate::telemetry::Telemetry,
     ) -> Result<PoolReport, CoreError> {
-        let workers: Vec<&B> = pool.workers.iter().collect();
         drive(
-            &workers,
+            &pool.workers,
             self.policy,
             self.dispatch,
             requests,
@@ -333,8 +332,8 @@ pub struct WorkerReport {
 }
 
 /// Everything a pool serve run produced: the aggregate [`ServeReport`]
-/// (responses and batches in global dispatch order — bit-identical to the
-/// single-backend scheduler when the pool has one worker), per-worker
+/// (responses and batches in global dispatch order — identical under
+/// every dispatch policy when the pool has one worker), per-worker
 /// accounting, and the batch → worker assignment map.
 #[derive(Debug, Clone)]
 pub struct PoolReport {
@@ -471,7 +470,7 @@ impl WorkerState {
     }
 
     /// The tick this worker's next batch may dispatch, given the current
-    /// simulated time — the single-backend scheduler's rule verbatim:
+    /// simulated time — the [`Policy`] rule:
     /// `ready = now.max(free_at)`; dispatch at `ready` when the head's
     /// same-network prefix holds `max_batch`, else at the queue head's
     /// waiting deadline (but never before `ready`). A request of another
@@ -612,8 +611,8 @@ impl PoolReport {
 /// Batches run on by-worker lanes (`lane_of[w]` is worker `w`'s), so
 /// each worker's batches run in dispatch order. A lane stops at its first
 /// error, so the globally first error always runs and wins.
-fn execute<W: Backend + ?Sized>(
-    workers: &[&W],
+fn execute<W: Backend>(
+    workers: &[W],
     lane_of: &[usize],
     planned: &mut Vec<PlannedBatch>,
     report: &mut PoolReport,
@@ -646,7 +645,7 @@ fn execute<W: Backend + ?Sized>(
 /// Intake for the first request of a network: every worker must serve the
 /// network and declare its cycles, so no batch can fail mid-run for want
 /// of either.
-fn admit<W: Backend + ?Sized>(workers: &[&W], r: &Request) -> Result<(), CoreError> {
+fn admit<W: Backend>(workers: &[W], r: &Request) -> Result<(), CoreError> {
     for (i, w) in workers.iter().enumerate() {
         if w.input_shape_for(r.network).is_none() {
             return Err(CoreError::InvalidRequest {
@@ -797,11 +796,11 @@ fn emit(
 /// queues and dispatches each worker's batches in global time order,
 /// processing arrivals before dispatches at equal ticks (an arrival at or
 /// before a dispatch tick joins a queue first — it may fill a batch and
-/// move its dispatch earlier, exactly as in the single-backend scheduler).
+/// move its dispatch earlier).
 ///
-/// `Scheduler::serve` calls this with one worker; the pool API calls it
-/// with N. With one worker every routing policy is the identity, so the
-/// single-backend path *is* the N = 1 case of this loop.
+/// [`Dispatcher::serve_with`] calls this with the pool's N workers. With
+/// one worker every routing policy is the identity, so a single backend
+/// is served as the N = 1 case of this loop.
 ///
 /// # One scheduling rule, one execution step
 ///
@@ -813,8 +812,8 @@ fn emit(
 /// are freed as batches complete; with more, once after the loop, so
 /// different workers' batches run concurrently. Reports and the first
 /// error are the same either way.
-pub(crate) fn drive<W: Backend + ?Sized>(
-    workers: &[&W],
+fn drive<W: Backend>(
+    workers: &[W],
     policy: Policy,
     dispatch: DispatchPolicy,
     requests: Vec<Request>,
@@ -1034,7 +1033,7 @@ pub(crate) fn drive<W: Backend + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::serve::{arrivals, AnalyticBackend, Scheduler};
+    use crate::serve::{arrivals, AnalyticBackend};
     use edea_nn::workload::mobilenet_v1_cifar10;
     use edea_tensor::Tensor3;
 
@@ -1088,9 +1087,13 @@ mod tests {
         let b = analytic();
         let ticks = arrivals::poisson(24, b.cost().per_image_cycles() as f64 / 2.0, 31);
         let policy = Policy::new(4, b.cost().per_image_cycles()).unwrap();
-        let single = Scheduler::new(policy)
-            .serve(&b, zero_requests(&b, &ticks))
-            .unwrap();
+        let single = Dispatcher::new(policy, DispatchPolicy::RoundRobin)
+            .serve(
+                &Pool::replicate(b.clone(), 1).unwrap(),
+                zero_requests(&b, &ticks),
+            )
+            .unwrap()
+            .serve;
         for dp in [
             DispatchPolicy::RoundRobin,
             DispatchPolicy::LeastLoaded,
@@ -1107,6 +1110,33 @@ mod tests {
     }
 
     #[test]
+    fn makespan_is_the_latest_completion_not_the_last_dispatch() {
+        // Round-robin puts requests 0 and 2 on worker 0 and request 1 on
+        // worker 1. Both workers dispatch at t = 0, worker 0 first, so
+        // worker 0's batch of two is recorded first yet finishes last.
+        let b = analytic();
+        let service = b.cost().per_image_cycles();
+        let pool = Pool::replicate(b.clone(), 2).unwrap();
+        let recorder = crate::telemetry::Recorder::with_capacity(64);
+        let report = Dispatcher::new(Policy::new(2, 0).unwrap(), DispatchPolicy::RoundRobin)
+            .serve_with(&pool, zero_requests(&b, &[0, 0, 0]), &recorder)
+            .unwrap();
+        let batches = &report.serve.batches;
+        assert_eq!(report.assignments, vec![0, 1]);
+        assert_eq!((batches[0].size, batches[1].size), (2, 1));
+        assert_eq!(batches[0].completed, 2 * service);
+        assert_eq!(batches[1].completed, service);
+        assert_eq!(report.serve.makespan(), 2 * service);
+        assert_eq!(report.worker_utilization(0), 1.0);
+        assert_eq!(report.worker_utilization(1), 0.5);
+        // The telemetry views derive the same makespan from the events.
+        let events = recorder.events();
+        assert_eq!(crate::telemetry::derive::makespan(&events), 2 * service);
+        let registry = crate::telemetry::metrics::Registry::from_events(&events);
+        assert_eq!(registry.gauge("makespan_ticks"), Some(2 * service));
+    }
+
+    #[test]
     fn a_dispatch_completing_past_the_clock_is_rejected() {
         // The second dispatch, at tick u64::MAX, would complete past the
         // end of the simulated clock; the first batch still runs.
@@ -1119,8 +1149,11 @@ mod tests {
                 if detail.starts_with("request 1:") && detail.contains("simulated clock"))
         };
         assert!(rejected(
-            Scheduler::new(policy)
-                .serve(&b, zero_requests(&b, &ticks))
+            Dispatcher::new(policy, DispatchPolicy::RoundRobin)
+                .serve(
+                    &Pool::replicate(b.clone(), 1).unwrap(),
+                    zero_requests(&b, &ticks)
+                )
                 .err()
         ));
         for threads in [1, 2] {
@@ -1391,7 +1424,7 @@ mod tests {
         let img =
             |n: u32| Tensor3::<i8>::from_fn(d, h, w, |c, r, col| (c + r + col + n as usize) as i8);
         let direct = b
-            .run_batch_for(NetworkId(1), &Batch::new(vec![img(1), img(1)]).unwrap())
+            .run_batch(NetworkId(1), &Batch::new(vec![img(1), img(1)]).unwrap())
             .unwrap();
         assert_eq!(
             report.serve.batches[1].external_bytes,

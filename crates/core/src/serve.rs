@@ -1,5 +1,5 @@
-//! The serving layer: long-lived backends and a deterministic batch-forming
-//! scheduler over [`Edea::run_batch`].
+//! The serving layer: long-lived backends, requests and the policy that
+//! forms them into batches for [`Edea::run_batch`].
 //!
 //! The paper's direct-data-transfer argument pays off when the accelerator
 //! is kept busy with a *stream* of images, not one-shot calls. This module
@@ -13,9 +13,11 @@
 //!   capacity planning and load sweeps.
 //! * [`Request`] / [`Response`] — one image in, one image out, stamped with
 //!   arrival / dispatch / completion ticks of the simulated clock.
-//! * [`Scheduler`] — drains a request queue into batches under a
-//!   [`Policy`] (`max_batch` + `max_wait` ticks) and reports per-request
-//!   latency plus aggregate throughput/SLO statistics ([`ServeReport`]).
+//! * [`Policy`] — the batch-forming rule (`max_batch` + `max_wait` ticks)
+//!   every worker of a [`Pool`](crate::pool::Pool) drains its queue under,
+//!   and [`ServeReport`] — per-request latency plus aggregate
+//!   throughput/SLO statistics. The [`Dispatcher`](crate::pool::Dispatcher)
+//!   is the one serve entry; a single backend is a pool of one.
 //!
 //! Everything runs on a **simulated clock**: one tick is one accelerator
 //! cycle, service times come from the backend's cycle accounting, and no
@@ -31,7 +33,8 @@
 //! # Example
 //!
 //! ```
-//! use edea_core::serve::{arrivals, AnalyticBackend, Backend, Policy, Request, Scheduler};
+//! use edea_core::pool::{DispatchPolicy, Dispatcher, Pool};
+//! use edea_core::serve::{arrivals, AnalyticBackend, Backend, Policy, Request};
 //! use edea_core::EdeaConfig;
 //! use edea_nn::workload::mobilenet_v1_cifar10;
 //! use edea_tensor::Tensor3;
@@ -42,7 +45,8 @@
 //! let ticks = arrivals::poisson(8, 50_000.0, 7);
 //! let inputs = (0..8).map(|_| Tensor3::<i8>::zeros(d, h, w)).collect();
 //! let requests = Request::stream(&ticks, inputs)?;
-//! let report = Scheduler::new(Policy::new(4, 100_000)?).serve(&backend, requests)?;
+//! let dispatcher = Dispatcher::new(Policy::new(4, 100_000)?, DispatchPolicy::RoundRobin);
+//! let report = dispatcher.serve(&Pool::replicate(backend, 1)?, requests)?.serve;
 //! assert_eq!(report.responses.len(), 8);
 //! # Ok::<(), edea_core::CoreError>(())
 //! ```
@@ -164,7 +168,7 @@ pub struct LayerTrace {
 pub struct BackendRun {
     /// Per-request outputs, in batch order.
     pub outputs: Batch<i8>,
-    /// Service time of the batch in cycles (= scheduler ticks).
+    /// Service time of the batch in cycles (= simulated-clock ticks).
     pub cycles: u64,
     /// External weight + offline-parameter bytes for the whole batch.
     pub weight_bytes: u64,
@@ -176,7 +180,8 @@ pub struct BackendRun {
     pub layers: Vec<LayerTrace>,
 }
 
-/// An execution engine the [`Scheduler`] can dispatch formed batches to.
+/// An execution engine a [`Pool`](crate::pool::Pool) worker dispatches
+/// formed batches to.
 ///
 /// Implementations must be deterministic and must report service cycles
 /// consistently with the analytic [`CostModel`] so that batch boundaries
@@ -426,13 +431,6 @@ impl SimulatorBackend {
         &self.edea
     }
 
-    /// The primary network's pre-sliced weight plan, built once for the
-    /// session.
-    #[must_use]
-    pub fn plan(&self) -> &NetworkPlan {
-        &self.models[0].plan
-    }
-
     /// Runs `f` with the session scratch, without ever blocking: the
     /// shared arena on the fast path, a fresh one under contention or
     /// after a poisoning panic (the buffers are plain working memory,
@@ -446,56 +444,30 @@ impl SimulatorBackend {
     }
 
     /// Runs one input through the primary network on the cycle-accurate
-    /// simulator, through the session's cached plan and reused scratch.
+    /// simulator with per-image weight residency, through the session's
+    /// cached plan and reused scratch.
     ///
     /// # Errors
     ///
     /// As [`Edea::run_network`].
     pub fn run_network(&self, input: &Tensor3<i8>) -> Result<NetworkRun, CoreError> {
-        self.run_network_for(NetworkId::PRIMARY, input)
-    }
-
-    /// [`SimulatorBackend::run_network`] on a registered network.
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::InvalidRequest`] for an unknown id, else as
-    /// [`Edea::run_network`].
-    pub fn run_network_for(
-        &self,
-        network: NetworkId,
-        input: &Tensor3<i8>,
-    ) -> Result<NetworkRun, CoreError> {
         self.run_planned(
-            network,
+            NetworkId::PRIMARY,
             std::slice::from_ref(input),
             WeightResidency::PerImage,
         )
         .map(BatchRun::into_single)
     }
 
-    /// Runs a batch through the primary network's weight-residency
-    /// schedule, through the session's cached plan and reused scratch (see
-    /// [`SimulatorBackend::run_network`]).
+    /// Runs a batch through `network`'s weight-residency schedule, through
+    /// the session's cached plan and reused scratch. A batch of one reports
+    /// exactly the statistics of [`SimulatorBackend::run_network`].
     ///
     /// # Errors
     ///
-    /// As [`Edea::run_batch`].
-    pub fn run_batch(&self, inputs: &Batch<i8>) -> Result<BatchRun, CoreError> {
-        self.run_batch_for(NetworkId::PRIMARY, inputs)
-    }
-
-    /// [`SimulatorBackend::run_batch`] on a registered network.
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::InvalidRequest`] for an unknown id, else as
+    /// [`CoreError::InvalidRequest`] for an unregistered network, else as
     /// [`Edea::run_batch`].
-    pub fn run_batch_for(
-        &self,
-        network: NetworkId,
-        inputs: &Batch<i8>,
-    ) -> Result<BatchRun, CoreError> {
+    pub fn run_batch(&self, network: NetworkId, inputs: &Batch<i8>) -> Result<BatchRun, CoreError> {
         self.run_planned(network, inputs.images(), WeightResidency::PerBatch)
     }
 
@@ -548,7 +520,7 @@ impl Backend for SimulatorBackend {
     }
 
     fn run_for(&self, network: NetworkId, inputs: &Batch<i8>) -> Result<BackendRun, CoreError> {
-        let run = self.run_batch_for(network, inputs)?;
+        let run = self.run_batch(network, inputs)?;
         let layers = run
             .stats
             .layers
@@ -731,7 +703,7 @@ impl Backend for AnalyticBackend {
 /// up behind a busy accelerator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Policy {
-    /// Largest batch the scheduler may form (`≥ 1`).
+    /// Largest batch a worker may form (`≥ 1`).
     pub max_batch: usize,
     /// Longest a queue-head request may wait, in ticks, before the batch is
     /// dispatched regardless of its size.
@@ -927,7 +899,7 @@ pub struct BatchRecord {
 pub struct ServeReport {
     /// Name of the backend that executed the run.
     pub backend: String,
-    /// The policy the scheduler ran under.
+    /// The policy the run's workers formed batches under.
     pub policy: Policy,
     /// Responses in dispatch order (batch by batch, FIFO within a batch).
     pub responses: Vec<Response>,
@@ -942,10 +914,13 @@ impl ServeReport {
         self.responses.iter().find(|r| r.id == id)
     }
 
-    /// Completion tick of the last batch (0 for an empty run).
+    /// Completion tick of the last batch to finish (0 for an empty run).
+    /// Batches are recorded in dispatch order, and on a pool of several
+    /// workers an earlier, larger batch can finish after a later one, so
+    /// this is the maximum completion tick, not the last record's.
     #[must_use]
     pub fn makespan(&self) -> u64 {
-        self.batches.last().map_or(0, |b| b.completed)
+        self.batches.iter().map(|b| b.completed).max().unwrap_or(0)
     }
 
     /// Mean formed-batch size.
@@ -1096,90 +1071,6 @@ impl ServeReport {
     }
 }
 
-/// The deterministic batch-forming scheduler: a FIFO queue drained into a
-/// single accelerator under a [`Policy`], on a simulated clock where one
-/// tick is one accelerator cycle.
-///
-/// Dispatch rule — the accelerator being free at tick `t`, a batch of the
-/// `min(queue, max_batch)` oldest requests dispatches at `t` when either
-/// the queue holds `max_batch` requests, or the queue head has reached its
-/// waiting deadline (`arrival + max_wait ≤ t`). Arrivals at or before a
-/// dispatch tick join the queue first, so batch boundaries depend only on
-/// the arrival pattern, the policy, and the backend's cycle model.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Scheduler {
-    policy: Policy,
-}
-
-impl Scheduler {
-    /// Builds a scheduler with `policy`.
-    #[must_use]
-    pub fn new(policy: Policy) -> Self {
-        Self { policy }
-    }
-
-    /// The policy.
-    #[must_use]
-    pub fn policy(&self) -> Policy {
-        self.policy
-    }
-
-    /// Serves a request stream to completion on `backend`.
-    ///
-    /// Requests may be supplied in any order; they are served FIFO by
-    /// `(arrival, id)`. The run is a pure function of its arguments.
-    ///
-    /// This is the single-worker case of the pool dispatch loop
-    /// ([`crate::pool`]): the same event-driven simulation drives one
-    /// backend here and N of them behind a
-    /// [`Dispatcher`](crate::pool::Dispatcher) — a pool of one is
-    /// bit-identical to this path under every dispatch policy.
-    ///
-    /// # Errors
-    ///
-    /// * [`CoreError::InvalidConfig`] if the policy is invalid.
-    /// * [`CoreError::InvalidRequest`] on a duplicate id or an input whose
-    ///   shape does not match [`Backend::input_shape`].
-    /// * Any error the backend returns for a dispatched batch.
-    pub fn serve<B: Backend + ?Sized>(
-        &self,
-        backend: &B,
-        requests: Vec<Request>,
-    ) -> Result<ServeReport, CoreError> {
-        self.serve_with(backend, requests, &crate::telemetry::Disabled)
-    }
-
-    /// [`Scheduler::serve`] with a telemetry sink observing the run.
-    ///
-    /// The sink receives the canonical event stream (see
-    /// [`crate::telemetry`]); passing [`crate::telemetry::Disabled`] makes
-    /// this identical to [`Scheduler::serve`] at zero extra cost.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Scheduler::serve`].
-    pub fn serve_with<B: Backend + ?Sized>(
-        &self,
-        backend: &B,
-        requests: Vec<Request>,
-        telemetry: &dyn crate::telemetry::Telemetry,
-    ) -> Result<ServeReport, CoreError> {
-        // A single backend has no cross-worker independence to exploit —
-        // the one-worker event loop stays serial regardless of any
-        // parallelism knob (batches on one worker are sequentially
-        // dependent through its busy-until clock).
-        let report = crate::pool::drive(
-            &[backend],
-            self.policy,
-            crate::pool::DispatchPolicy::RoundRobin,
-            requests,
-            crate::par::Parallelism::serial(),
-            telemetry,
-        )?;
-        Ok(report.serve)
-    }
-}
-
 /// Deterministic arrival-pattern generators for serving experiments.
 ///
 /// All generators return sorted tick sequences and are pure functions of
@@ -1237,6 +1128,7 @@ pub mod arrivals {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pool::{DispatchPolicy, Dispatcher, Pool};
     use edea_nn::workload::mobilenet_v1_cifar10;
 
     fn analytic() -> AnalyticBackend {
@@ -1252,6 +1144,18 @@ mod tests {
                 .collect(),
         )
         .unwrap()
+    }
+
+    /// Serves `reqs` on a round-robin pool of one `backend`.
+    fn serve_one<B: Backend + Clone>(
+        backend: &B,
+        policy: Policy,
+        reqs: Vec<Request>,
+    ) -> Result<ServeReport, CoreError> {
+        let pool = Pool::replicate(backend.clone(), 1)?;
+        Ok(Dispatcher::new(policy, DispatchPolicy::RoundRobin)
+            .serve(&pool, reqs)?
+            .serve)
     }
 
     #[test]
@@ -1293,9 +1197,7 @@ mod tests {
     fn full_queue_dispatches_immediately_in_fifo_chunks() {
         let b = analytic();
         let reqs = zero_requests(&b, &[0; 8]);
-        let report = Scheduler::new(Policy::new(4, 1_000_000).unwrap())
-            .serve(&b, reqs)
-            .unwrap();
+        let report = serve_one(&b, Policy::new(4, 1_000_000).unwrap(), reqs).unwrap();
         assert_eq!(report.batches.len(), 2);
         assert_eq!(report.batches[0].size, 4);
         assert_eq!(report.batches[1].size, 4);
@@ -1312,9 +1214,7 @@ mod tests {
     fn lone_request_dispatches_at_its_deadline() {
         let b = analytic();
         let reqs = zero_requests(&b, &[10]);
-        let report = Scheduler::new(Policy::new(4, 500).unwrap())
-            .serve(&b, reqs)
-            .unwrap();
+        let report = serve_one(&b, Policy::new(4, 500).unwrap(), reqs).unwrap();
         assert_eq!(report.batches.len(), 1);
         assert_eq!(report.batches[0].dispatched, 510);
         assert_eq!(
@@ -1327,9 +1227,7 @@ mod tests {
     fn zero_wait_policy_dispatches_eagerly() {
         let b = analytic();
         let reqs = zero_requests(&b, &[0, 10]);
-        let report = Scheduler::new(Policy::new(4, 0).unwrap())
-            .serve(&b, reqs)
-            .unwrap();
+        let report = serve_one(&b, Policy::new(4, 0).unwrap(), reqs).unwrap();
         // The first request dispatches alone at t=0; the second queues
         // behind the busy accelerator and dispatches at its completion.
         assert_eq!(report.batches.len(), 2);
@@ -1342,9 +1240,7 @@ mod tests {
     fn arrival_inside_wait_window_joins_the_batch() {
         let b = analytic();
         let reqs = zero_requests(&b, &[0, 400]);
-        let report = Scheduler::new(Policy::new(2, 1_000).unwrap())
-            .serve(&b, reqs)
-            .unwrap();
+        let report = serve_one(&b, Policy::new(2, 1_000).unwrap(), reqs).unwrap();
         // The batch fills at t=400, well before the t=1000 deadline.
         assert_eq!(report.batches.len(), 1);
         assert_eq!(report.batches[0].size, 2);
@@ -1357,9 +1253,7 @@ mod tests {
         let service = b.cost().per_image_cycles();
         let late = 100 + service + 1; // after the first batch completes
         let reqs = zero_requests(&b, &[0, late]);
-        let report = Scheduler::new(Policy::new(2, 100).unwrap())
-            .serve(&b, reqs)
-            .unwrap();
+        let report = serve_one(&b, Policy::new(2, 100).unwrap(), reqs).unwrap();
         assert_eq!(report.batches.len(), 2);
         assert_eq!(report.batches[0].dispatched, 100);
         assert_eq!(report.batches[1].dispatched, late + 100);
@@ -1371,9 +1265,7 @@ mod tests {
         let b = analytic();
         let gap = b.cost().per_image_cycles() / 2;
         let reqs = zero_requests(&b, &arrivals::uniform(16, gap));
-        let report = Scheduler::new(Policy::new(8, 0).unwrap())
-            .serve(&b, reqs)
-            .unwrap();
+        let report = serve_one(&b, Policy::new(8, 0).unwrap(), reqs).unwrap();
         assert!(
             report.mean_batch_size() > 1.5,
             "mean batch {}",
@@ -1391,9 +1283,7 @@ mod tests {
     fn report_statistics_are_consistent() {
         let b = analytic();
         let reqs = zero_requests(&b, &arrivals::bursts(6, 3, 1_000_000));
-        let report = Scheduler::new(Policy::new(4, 0).unwrap())
-            .serve(&b, reqs)
-            .unwrap();
+        let report = serve_one(&b, Policy::new(4, 0).unwrap(), reqs).unwrap();
         assert_eq!(report.responses.len(), 6);
         assert_eq!(report.makespan(), report.batches.last().unwrap().completed);
         assert!(report.latency_percentile(0.0) <= report.latency_percentile(50.0));
@@ -1415,9 +1305,7 @@ mod tests {
     #[test]
     fn empty_request_stream_yields_empty_report() {
         let b = analytic();
-        let report = Scheduler::new(Policy::new(4, 100).unwrap())
-            .serve(&b, Vec::new())
-            .unwrap();
+        let report = serve_one(&b, Policy::new(4, 100).unwrap(), Vec::new()).unwrap();
         assert!(report.responses.is_empty());
         assert!(report.batches.is_empty());
         assert_eq!(report.makespan(), 0);
@@ -1517,7 +1405,7 @@ mod tests {
         // Wrong input shape.
         let bad = vec![Request::new(0, 0, Tensor3::<i8>::zeros(1, 1, 1))];
         assert!(matches!(
-            Scheduler::new(Policy::new(2, 0).unwrap()).serve(&b, bad),
+            serve_one(&b, Policy::new(2, 0).unwrap(), bad),
             Err(CoreError::InvalidRequest { .. })
         ));
         // Duplicate ids.
@@ -1527,7 +1415,7 @@ mod tests {
             Request::new(7, 1, Tensor3::<i8>::zeros(d, h, w)),
         ];
         assert!(matches!(
-            Scheduler::new(Policy::new(2, 0).unwrap()).serve(&b, dup),
+            serve_one(&b, Policy::new(2, 0).unwrap(), dup),
             Err(CoreError::InvalidRequest { .. })
         ));
         // Mismatched stream lengths.
@@ -1560,9 +1448,7 @@ mod tests {
             NetworkId(7),
             Tensor3::<i8>::zeros(d, h, w),
         )];
-        let err = Scheduler::new(Policy::new(1, 0).unwrap())
-            .serve(&b, reqs)
-            .unwrap_err();
+        let err = serve_one(&b, Policy::new(1, 0).unwrap(), reqs).unwrap_err();
         match err {
             CoreError::InvalidRequest { detail } => {
                 assert!(detail.contains("request 3"), "{detail}");
@@ -1630,7 +1516,7 @@ mod tests {
         assert!(backend.switch_bytes(NetworkId(1)) > 0);
         let (d, h, w) = backend.input_shape();
         let batch = Batch::new(vec![Tensor3::<i8>::zeros(d, h, w)]).unwrap();
-        let err = backend.run_batch_for(NetworkId(5), &batch).unwrap_err();
+        let err = backend.run_batch(NetworkId(5), &batch).unwrap_err();
         match err {
             CoreError::InvalidRequest { detail } => {
                 assert!(detail.contains("net5"), "{detail}");
@@ -1643,6 +1529,7 @@ mod tests {
     fn backend_returning_wrong_output_count_is_an_error() {
         // The Backend trait is public; a broken implementation must
         // surface as an error, not as silently dropped responses.
+        #[derive(Clone)]
         struct ShortBackend(AnalyticBackend);
         impl Backend for ShortBackend {
             fn name(&self) -> &'static str {
@@ -1667,9 +1554,7 @@ mod tests {
         }
         let b = ShortBackend(analytic());
         let reqs = zero_requests(&b.0, &[0, 0]);
-        let err = Scheduler::new(Policy::new(2, 0).unwrap())
-            .serve(&b, reqs)
-            .unwrap_err();
+        let err = serve_one(&b, Policy::new(2, 0).unwrap(), reqs).unwrap_err();
         assert!(matches!(err, CoreError::UnsupportedShape { .. }), "{err:?}");
     }
 
@@ -1677,9 +1562,9 @@ mod tests {
     fn serve_is_deterministic() {
         let b = analytic();
         let ticks = arrivals::poisson(24, 30_000.0, 99);
-        let sched = Scheduler::new(Policy::new(4, 50_000).unwrap());
-        let a = sched.serve(&b, zero_requests(&b, &ticks)).unwrap();
-        let c = sched.serve(&b, zero_requests(&b, &ticks)).unwrap();
+        let policy = Policy::new(4, 50_000).unwrap();
+        let a = serve_one(&b, policy, zero_requests(&b, &ticks)).unwrap();
+        let c = serve_one(&b, policy, zero_requests(&b, &ticks)).unwrap();
         assert_eq!(a.responses, c.responses);
         assert_eq!(a.batches, c.batches);
     }

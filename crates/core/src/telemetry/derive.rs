@@ -20,21 +20,21 @@ pub fn worker_count(events: &[Event]) -> usize {
         .map_or(0, |w| w + 1)
 }
 
-/// Completion tick of the **last-dispatched** batch (0 for an empty
-/// stream) — the last `BatchExecuted` event in stream order, since the
-/// canonical stream emits batches in global dispatch order. This is
-/// `ServeReport::makespan`'s definition (`batches.last().completed`), the
-/// denominator of both `worker_utilization` and `mean_queue_depth`; on a
-/// multi-worker pool it can differ from the maximum completion tick.
+/// Completion tick of the last batch to finish (0 for an empty stream):
+/// the maximum `BatchExecuted` end. The canonical stream emits batches in
+/// global dispatch order, and on a multi-worker pool an earlier, larger
+/// batch can finish after a later one, so this is a maximum, not the last
+/// event's end. This is `ServeReport::makespan`'s definition, the
+/// denominator of both `worker_utilization` and `mean_queue_depth`.
 #[must_use]
 pub fn makespan(events: &[Event]) -> u64 {
     events
         .iter()
-        .rev()
-        .find_map(|ev| match *ev {
+        .filter_map(|ev| match *ev {
             Event::BatchExecuted { end, .. } => Some(end),
             _ => None,
         })
+        .max()
         .unwrap_or(0)
 }
 

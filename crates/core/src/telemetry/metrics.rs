@@ -186,11 +186,10 @@ impl Registry {
                     batches += 1;
                     weight_bytes_total += weight_bytes;
                     external_bytes_total += external_bytes;
-                    // The canonical stream emits batches in dispatch
-                    // order, and `ServeReport::makespan` is the
-                    // *last-dispatched* batch's completion — overwrite,
-                    // don't max, so the gauge equals the report exactly.
-                    makespan = end;
+                    // Batches arrive in dispatch order, not completion
+                    // order: `ServeReport::makespan` is the latest
+                    // completion, so take the max.
+                    makespan = makespan.max(end);
                     w_batches[worker] += 1;
                     w_busy[worker] += cycles;
                     h_batch_size.observe(size as u64);

@@ -10,9 +10,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use edea_core::par::Parallelism;
 use edea_core::pool::{DispatchPolicy, Dispatcher, Pool, PoolReport};
-use edea_core::serve::{
-    AnalyticBackend, Backend, BackendRun, Policy, Request, Scheduler, SimulatorBackend,
-};
+use edea_core::serve::{AnalyticBackend, Backend, BackendRun, Policy, Request, SimulatorBackend};
 use edea_core::{CoreError, EdeaConfig};
 use edea_nn::workload::{mobilenet_v1_cifar10, NetworkId};
 use edea_tensor::Batch;
@@ -111,14 +109,17 @@ fn serve_pool(
     (result, runs)
 }
 
-/// Serves `ticks` through the single-backend scheduler on one probe.
+/// Serves `ticks` through a round-robin pool of one probe.
 fn serve_one(declare: fn(usize, u64) -> Option<u64>, ticks: &[u64]) -> (CoreError, usize) {
-    let probe = Probe::new(analytic(), declare);
-    let requests = zero_requests(probe.input_shape(), ticks);
-    let err = Scheduler::new(Policy::new(2, 0).expect("policy"))
-        .serve(&probe, requests)
-        .expect_err("the probe's declaration is rejected");
-    (err, probe.runs.load(Ordering::Relaxed))
+    let pool = Pool::new(vec![Probe::new(analytic(), declare)]).expect("pool builds");
+    let requests = zero_requests(pool.workers()[0].input_shape(), ticks);
+    let err = Dispatcher::new(
+        Policy::new(2, 0).expect("policy"),
+        DispatchPolicy::RoundRobin,
+    )
+    .serve(&pool, requests)
+    .expect_err("the probe's declaration is rejected");
+    (err, pool.workers()[0].runs.load(Ordering::Relaxed))
 }
 
 fn invalid_config_detail(err: &CoreError) -> &str {

@@ -17,7 +17,7 @@
 
 use edea_core::par::Parallelism;
 use edea_core::pool::{DispatchPolicy, Dispatcher, Pool, PoolReport};
-use edea_core::serve::{arrivals, Policy, Scheduler, ServeReport, SimulatorBackend};
+use edea_core::serve::{arrivals, Policy, ServeReport, SimulatorBackend};
 use edea_testutil::{batch_inputs, deploy, paper_edea_threads, serve_requests, TestDeployment};
 
 /// The sweep: serial reference, even and odd lane counts (3 does not
@@ -94,13 +94,18 @@ fn assert_serve_identical(a: &ServeReport, b: &ServeReport, what: &str) {
 fn serving_is_bit_identical_at_every_thread_count() {
     let d = fixture();
     let requests = serve_requests(&d, &arrivals::bursts(6, 2, 40_000_000), 505);
-    let scheduler = Scheduler::new(Policy::new(2, 0).expect("valid policy"));
+    let dispatcher = Dispatcher::new(
+        Policy::new(2, 0).expect("valid policy"),
+        DispatchPolicy::RoundRobin,
+    );
     let serve = |threads: usize| -> ServeReport {
         let backend = SimulatorBackend::new(paper_edea_threads(threads), d.qnet.clone())
             .expect("backend builds");
-        scheduler
-            .serve(&backend, requests.clone())
+        let pool = Pool::replicate(backend, 1).expect("pool builds");
+        dispatcher
+            .serve(&pool, requests.clone())
             .expect("serve runs")
+            .serve
     };
     let baseline = serve(1);
     for threads in THREADS {

@@ -8,7 +8,7 @@
 //! when routing least-loaded, and stay a pure function of its inputs.
 
 use edea_core::pool::{DispatchPolicy, Dispatcher, Pool};
-use edea_core::serve::{arrivals, AnalyticBackend, Backend, Policy, Scheduler};
+use edea_core::serve::{arrivals, AnalyticBackend, Backend, Policy};
 use edea_core::EdeaConfig;
 use edea_nn::workload::mobilenet_v1_cifar10;
 use edea_testutil::zero_requests;
@@ -75,6 +75,7 @@ proptest! {
                 "batch {} size {}", batch.index, batch.size);
             prop_assert_eq!(batch.completed, batch.dispatched + batch.cycles);
             prop_assert!(batch.dispatched >= batch.oldest_arrival);
+            prop_assert!(report.serve.makespan() >= batch.completed);
         }
 
         // Per-worker: batches never overlap, requests stay FIFO by
@@ -152,8 +153,8 @@ proptest! {
         );
     }
 
-    /// A pool of one is the single-backend scheduler, bit for bit, under
-    /// every routing policy and random batch policies.
+    /// A pool of one serves identically, bit for bit, under every routing
+    /// policy and random batch policies: all three equal round-robin.
     #[test]
     fn pool_of_one_is_the_scheduler(
         n in 1usize..32,
@@ -167,10 +168,11 @@ proptest! {
         let policy = Policy::new(max_batch, (wait_frac * service as f64) as u64)
             .expect("policy");
         let ticks = arrivals::poisson(n, service as f64 / 2.0, seed);
-        let single = Scheduler::new(policy)
-            .serve(&b, zero_requests(b.input_shape(), &ticks))
-            .expect("serve");
         let pool = Pool::replicate(b.clone(), 1).expect("pool");
+        let single = Dispatcher::new(policy, DispatchPolicy::RoundRobin)
+            .serve(&pool, zero_requests(b.input_shape(), &ticks))
+            .expect("serve")
+            .serve;
         let pooled = Dispatcher::new(policy, dispatch_policy(dp))
             .serve(&pool, zero_requests(b.input_shape(), &ticks))
             .expect("serve");

@@ -1,13 +1,15 @@
-//! Property tests of the batch-forming scheduler.
+//! Property tests of batch forming on a single backend (a round-robin
+//! pool of one).
 //!
 //! Over random arrival patterns, policies and loads (driven by the fast
-//! analytic backend so hundreds of serve runs cost nothing), the scheduler
+//! analytic backend so hundreds of serve runs cost nothing), the serve loop
 //! must: conserve requests, keep every formed batch within `max_batch`,
 //! never hold a queue head past its waiting deadline while the accelerator
 //! is free, keep batches FIFO and non-overlapping, and stay a pure
 //! function of its inputs.
 
-use edea_core::serve::{arrivals, AnalyticBackend, Backend, Policy, Request, Scheduler};
+use edea_core::pool::{DispatchPolicy, Dispatcher, Pool};
+use edea_core::serve::{arrivals, AnalyticBackend, Backend, Policy, Request, ServeReport};
 use edea_core::EdeaConfig;
 use edea_nn::workload::mobilenet_v1_cifar10;
 use edea_tensor::Tensor3;
@@ -29,6 +31,14 @@ fn zero_requests(b: &AnalyticBackend, ticks: &[u64]) -> Vec<Request> {
     .expect("one tick per input")
 }
 
+fn serve(b: &AnalyticBackend, policy: Policy, requests: Vec<Request>) -> ServeReport {
+    let pool = Pool::replicate(b.clone(), 1).expect("pool");
+    Dispatcher::new(policy, DispatchPolicy::RoundRobin)
+        .serve(&pool, requests)
+        .expect("serve")
+        .serve
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -48,9 +58,8 @@ proptest! {
         let max_wait = (wait_frac * service as f64) as u64;
         let mean_gap = service as f64 / load;
         let ticks = arrivals::poisson(n, mean_gap, seed);
-        let report = Scheduler::new(Policy::new(max_batch, max_wait).expect("policy"))
-            .serve(&b, zero_requests(&b, &ticks))
-            .expect("serve");
+        let policy = Policy::new(max_batch, max_wait).expect("policy");
+        let report = serve(&b, policy, zero_requests(&b, &ticks));
 
         // Conservation: each of the n requests answered exactly once.
         prop_assert_eq!(report.responses.len(), n);
@@ -109,15 +118,15 @@ proptest! {
         let b = backend();
         let service = b.cost().per_image_cycles();
         let ticks = arrivals::poisson(n, service as f64, seed);
-        let sched = Scheduler::new(Policy::new(max_batch, service).expect("policy"));
-        let r1 = sched.serve(&b, zero_requests(&b, &ticks)).expect("serve");
-        let r2 = sched.serve(&b, zero_requests(&b, &ticks)).expect("serve");
+        let policy = Policy::new(max_batch, service).expect("policy");
+        let r1 = serve(&b, policy, zero_requests(&b, &ticks));
+        let r2 = serve(&b, policy, zero_requests(&b, &ticks));
         prop_assert_eq!(r1.batches, r2.batches);
         prop_assert_eq!(r1.responses, r2.responses);
     }
 
     /// Request order does not matter: a shuffled stream serves identically
-    /// to the sorted one (the scheduler orders by (arrival, id) itself).
+    /// to the sorted one (the serve loop orders by (arrival, id) itself).
     #[test]
     fn arrival_order_of_the_input_vec_is_irrelevant(
         n in 2usize..24,
@@ -126,11 +135,11 @@ proptest! {
         let b = backend();
         let service = b.cost().per_image_cycles();
         let ticks = arrivals::poisson(n, service as f64 / 2.0, seed);
-        let sched = Scheduler::new(Policy::new(4, service).expect("policy"));
-        let forward = sched.serve(&b, zero_requests(&b, &ticks)).expect("serve");
+        let policy = Policy::new(4, service).expect("policy");
+        let forward = serve(&b, policy, zero_requests(&b, &ticks));
         let mut reversed = zero_requests(&b, &ticks);
         reversed.reverse();
-        let backward = sched.serve(&b, reversed).expect("serve");
+        let backward = serve(&b, policy, reversed);
         prop_assert_eq!(forward.batches, backward.batches);
         prop_assert_eq!(forward.responses, backward.responses);
     }

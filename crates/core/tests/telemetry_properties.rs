@@ -317,15 +317,15 @@ fn mixed_simulator_run_emits_full_lifecycle_with_layer_spans() {
 
 #[test]
 fn single_backend_scheduler_telemetry_matches_its_report() {
-    use edea_core::serve::Scheduler;
-
     let b = backend();
     let ticks = arrivals::uniform(10, b.cost().per_image_cycles() / 2);
     let recorder = Recorder::with_capacity(1 << 10);
     let policy = Policy::new(3, b.cost().per_image_cycles()).expect("policy");
-    let report = Scheduler::new(policy)
-        .serve_with(&b, zero_requests(b.input_shape(), &ticks), &recorder)
-        .expect("serve");
+    let pool = Pool::replicate(b.clone(), 1).expect("pool");
+    let report = Dispatcher::new(policy, DispatchPolicy::RoundRobin)
+        .serve_with(&pool, zero_requests(b.input_shape(), &ticks), &recorder)
+        .expect("serve")
+        .serve;
     let events = recorder.events();
     derive::check_well_formed(&events).expect("well-formed");
     assert_eq!(derive::worker_count(&events), 1);

@@ -3,15 +3,17 @@
 //! [`Deployment`] owns everything a long-lived serving session needs — the
 //! float model, the calibrated [`QuantizedDscNetwork`] and a [`Pool`] of
 //! validated [`Edea`] replicas (one by default; scale out with
-//! [`DeploymentBuilder::replicas`]) — and hands out serving backends, a
-//! scheduler ([`Deployment::serve`]) and the multi-instance dispatcher
-//! ([`Deployment::serve_pool`]) on top. Build one with
+//! [`DeploymentBuilder::replicas`]). It offers one way to run and one way
+//! to serve: [`Deployment::run`] executes a prepared batch on a chosen
+//! network, and [`Deployment::serve`] dispatches a request stream across
+//! the pool under a chosen [`DispatchPolicy`]. Build one with
 //! [`Deployment::builder`]:
 //!
 //! ```
 //! use edea::{Deployment, EdeaConfig};
 //! use edea::nn::mobilenet::MobileNetV1;
-//! use edea::tensor::rng;
+//! use edea::nn::workload::NetworkId;
+//! use edea::tensor::{rng, Batch};
 //!
 //! let deployment = Deployment::builder()
 //!     .model(MobileNetV1::synthetic(0.25, 1))
@@ -19,7 +21,7 @@
 //!     .config(EdeaConfig::paper())
 //!     .build()?;
 //! let input = deployment.prepare(&rng::synthetic_image(3, 32, 32, 3));
-//! let run = deployment.run(&input)?;
+//! let run = deployment.run(NetworkId::PRIMARY, &Batch::new(vec![input])?)?;
 //! assert_eq!(run.stats.layers.len(), 13);
 //! # Ok::<(), edea::Error>(())
 //! ```
@@ -28,12 +30,11 @@
 //! calibration or an invalid configuration all surface as one
 //! [`Error`](crate::Error) — and nothing panics on the serving path.
 
-use edea_core::accelerator::{BatchRun, Edea, NetworkRun};
+use edea_core::accelerator::{BatchRun, Edea};
 use edea_core::config::EdeaConfig;
 use edea_core::par::Parallelism;
-use edea_core::plan::NetworkPlan;
 use edea_core::pool::{DispatchPolicy, Dispatcher, Pool, PoolReport};
-use edea_core::serve::{GoldenBackend, Policy, Request, ServeReport, SimulatorBackend};
+use edea_core::serve::{GoldenBackend, Policy, Request, SimulatorBackend};
 use edea_core::telemetry::{Disabled, Telemetry};
 use edea_nn::mobilenet::{MobileNetV1, MobileNetV2};
 use edea_nn::quantize::{QuantStrategy, QuantizedDscNetwork};
@@ -54,7 +55,7 @@ pub struct Deployment {
     report: ShapingReport,
     // The single owner of the calibrated network and the accelerator
     // replicas, built once at build() time so serve() never re-clones
-    // either. Worker 0 doubles as the one-shot `run`/`run_batch` engine.
+    // either. Worker 0 doubles as the one-shot `run` engine.
     pool: Pool<SimulatorBackend>,
     telemetry: Option<std::sync::Arc<dyn Telemetry>>,
 }
@@ -137,7 +138,7 @@ impl DeploymentBuilder {
     }
 
     /// Number of simulated accelerator instances behind the serving pool
-    /// (default: 1 — the single-backend scheduler path). Each replica
+    /// (default: 1 — a pool of one). Each replica
     /// owns its own weight plan and busy-until clock; `serve` dispatches
     /// across all of them.
     #[must_use]
@@ -229,14 +230,7 @@ impl Deployment {
         DeploymentBuilder::default()
     }
 
-    /// The float model the quantization was derived from (BN parameters
-    /// reflect the sparsity shaping applied during calibration).
-    #[must_use]
-    pub fn model(&self) -> &MobileNetV1 {
-        &self.model
-    }
-
-    /// Worker 0 of the pool: the engine behind the one-shot `run` paths.
+    /// Worker 0 of the pool: the engine behind [`Deployment::run`].
     fn simulator(&self) -> &SimulatorBackend {
         &self.pool.workers()[0]
     }
@@ -326,44 +320,17 @@ impl Deployment {
         Some(qnet.quantize_input(&model.forward_stem(image)))
     }
 
-    /// The pre-sliced weight plan of this deployment, built once at
-    /// [`DeploymentBuilder::build`] time and reused by every run — repeated
-    /// serving requests never re-slice weights.
-    #[must_use]
-    pub fn plan(&self) -> &NetworkPlan {
-        self.simulator().plan()
-    }
-
-    /// Runs one prepared input through the whole network on the simulator,
-    /// through the session's cached weight plan and reused scratch (no
-    /// per-call plan re-validation: plan and network are owned together by
-    /// the session).
+    /// Runs a batch of prepared inputs through `network` on the simulator's
+    /// weight-residency schedule, through the session's weight plan (built
+    /// once at [`DeploymentBuilder::build`] time) and reused scratch. A
+    /// batch of one is the single-image run.
     ///
     /// # Errors
     ///
-    /// [`Error::Core`] on shape or buffer-capacity errors.
-    pub fn run(&self, input: &Tensor3<i8>) -> Result<NetworkRun, Error> {
-        Ok(self.simulator().run_network(input)?)
-    }
-
-    /// Runs a batch through the weight-residency schedule, through the
-    /// session's cached weight plan and reused scratch.
-    ///
-    /// # Errors
-    ///
-    /// [`Error::Core`] on shape or buffer-capacity errors.
-    pub fn run_batch(&self, inputs: &Batch<i8>) -> Result<BatchRun, Error> {
-        Ok(self.simulator().run_batch(inputs)?)
-    }
-
-    /// [`Deployment::run`] against a registered network.
-    ///
-    /// # Errors
-    ///
-    /// [`Error::Core`] — `InvalidRequest` for an unknown id, else as
-    /// [`Deployment::run`].
-    pub fn run_for(&self, network: NetworkId, input: &Tensor3<i8>) -> Result<NetworkRun, Error> {
-        Ok(self.simulator().run_network_for(network, input)?)
+    /// [`Error::Core`] — `InvalidRequest` for an unknown network id, else
+    /// shape or buffer-capacity errors.
+    pub fn run(&self, network: NetworkId, inputs: &Batch<i8>) -> Result<BatchRun, Error> {
+        Ok(self.simulator().run_batch(network, inputs)?)
     }
 
     /// The cycle-accurate serving backend over this deployment (worker 0
@@ -387,39 +354,19 @@ impl Deployment {
         )?)
     }
 
-    /// Serves a request stream across the deployment's accelerator pool
-    /// under `policy` — the one-call serving path. With the default
-    /// single replica this is exactly the single-backend
-    /// [`Scheduler`](edea_core::serve::Scheduler) path (bit-identical
-    /// report); with
-    /// [`replicas(n)`](DeploymentBuilder::replicas) the stream is
-    /// dispatched [least-loaded](DispatchPolicy::LeastLoaded) across the
-    /// n instances (use [`Deployment::serve_pool`] to choose the policy
-    /// and see per-worker statistics).
+    /// Serves a request stream across the deployment's accelerator pool:
+    /// each worker forms batches under `policy`, and `dispatch` routes
+    /// requests to workers. The report carries the aggregate serve
+    /// statistics plus per-worker utilization, queue depth and batch →
+    /// worker assignments. On a single replica every dispatch policy
+    /// serves identically (pinned in `tests/pool.rs`). The telemetry sink
+    /// configured at build time, if any, observes the run.
     ///
     /// # Errors
     ///
     /// [`Error::Core`] on an invalid policy, malformed requests, or an
     /// execution error in a dispatched batch.
-    pub fn serve(&self, policy: Policy, requests: Vec<Request>) -> Result<ServeReport, Error> {
-        // One replica makes every dispatch policy the identity, so this is
-        // exactly the single-backend Scheduler path (pinned bit-identical
-        // in tests/pool.rs).
-        Ok(self
-            .serve_pool(policy, DispatchPolicy::LeastLoaded, requests)?
-            .serve)
-    }
-
-    /// Serves a request stream across the pool under an explicit
-    /// [`DispatchPolicy`], returning the full [`PoolReport`] (per-worker
-    /// utilization, queue depth, batch → worker assignments) on top of
-    /// the aggregate serve statistics.
-    ///
-    /// # Errors
-    ///
-    /// [`Error::Core`] on an invalid policy, malformed requests, or an
-    /// execution error in a dispatched batch.
-    pub fn serve_pool(
+    pub fn serve(
         &self,
         policy: Policy,
         dispatch: DispatchPolicy,
@@ -428,18 +375,22 @@ impl Deployment {
         let tel: &dyn Telemetry = self.telemetry.as_deref().unwrap_or(&Disabled);
         Ok(Dispatcher::new(policy, dispatch).serve_with(&self.pool, requests, tel)?)
     }
-
-    /// The telemetry sink configured at build time, if any.
-    #[must_use]
-    pub fn telemetry(&self) -> Option<&dyn Telemetry> {
-        self.telemetry.as_deref()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use edea_tensor::rng;
+
+    /// The simulator's output for one prepared input on `network`.
+    fn run_one(d: &Deployment, network: NetworkId, input: &Tensor3<i8>) -> Tensor3<i8> {
+        let batch = Batch::new(vec![input.clone()]).unwrap();
+        d.run(network, &batch)
+            .expect("run")
+            .outputs
+            .into_images()
+            .remove(0)
+    }
 
     fn built() -> Deployment {
         Deployment::builder()
@@ -493,12 +444,12 @@ mod tests {
     fn deployment_runs_and_matches_direct_simulator_use() {
         let d = built();
         let input = d.prepare(&rng::synthetic_image(3, 32, 32, 13));
-        let run = d.run(&input).unwrap();
+        let output = run_one(&d, NetworkId::PRIMARY, &input);
         let direct = d
             .accelerator()
             .run_network(d.qnet(), &input)
             .expect("direct run");
-        assert_eq!(run.output, direct.output);
+        assert_eq!(output, direct.output);
         assert_eq!(d.shaping_report().dwc_zero.len(), 13);
     }
 
@@ -559,9 +510,12 @@ mod tests {
             .build()
             .expect("threaded deployment builds");
         let input = serial.prepare(&rng::synthetic_image(3, 32, 32, 13));
-        let a = serial.run(&input).expect("serial run");
-        let b = threaded.run(&input).expect("threaded run");
-        assert_eq!(a.output, b.output);
+        let batch = Batch::new(vec![input]).unwrap();
+        let a = serial.run(NetworkId::PRIMARY, &batch).expect("serial run");
+        let b = threaded
+            .run(NetworkId::PRIMARY, &batch)
+            .expect("threaded run");
+        assert_eq!(a.outputs, b.outputs);
         assert_eq!(a.stats, b.stats);
     }
 
@@ -593,9 +547,9 @@ mod tests {
         assert_eq!(d.prepare_for(NetworkId(9), &image), None);
 
         // The v2 serving path is bit-exact against the golden executor.
-        let direct = d.run_for(NetworkId(1), &p2).expect("v2 run");
+        let direct = run_one(&d, NetworkId(1), &p2);
         let golden = edea_nn::executor::run_network(d.qnet_of(NetworkId(1)).unwrap(), &p2);
-        assert_eq!(direct.output, golden.output);
+        assert_eq!(direct, golden.output);
 
         // A mixed stream over the pool: responses carry the right
         // network and match the one-shot paths image for image.
@@ -611,18 +565,19 @@ mod tests {
         )
         .unwrap();
         let report = d
-            .serve_pool(
+            .serve(
                 Policy::new(2, 1_000).unwrap(),
                 DispatchPolicy::RoundRobin,
                 requests,
             )
             .expect("mixed serve");
         assert_eq!(report.serve.responses.len(), 4);
+        let v1 = run_one(&d, NetworkId::PRIMARY, &p1);
         for r in &report.serve.responses {
             let expect = if r.network == NetworkId(1) {
                 &golden.output
             } else {
-                &d.run(&p1).expect("v1 run").output
+                &v1
             };
             assert_eq!(&r.output, expect, "request {}", r.id);
         }
@@ -631,7 +586,7 @@ mod tests {
         // An unknown network id is rejected naming the request.
         let bad = vec![Request::for_network(9, 0, NetworkId(4), p1)];
         let err = d
-            .serve(Policy::new(1, 0).unwrap(), bad)
+            .serve(Policy::new(1, 0).unwrap(), DispatchPolicy::LeastLoaded, bad)
             .expect_err("unknown id");
         assert!(err.to_string().contains("net4"), "{err}");
     }
@@ -665,7 +620,7 @@ mod tests {
             let requests =
                 Request::stream_mixed(&[0, 500, 1_000, 1_500, 2_000, 2_500], &nets, inputs)
                     .unwrap();
-            d.serve_pool(
+            d.serve(
                 Policy::new(2, 2_000).unwrap(),
                 DispatchPolicy::LeastLoaded,
                 requests,
@@ -699,7 +654,7 @@ mod tests {
             .map(|i| d.prepare(&rng::synthetic_image(3, 32, 32, 40 + i)))
             .collect();
         let report = d
-            .serve_pool(
+            .serve(
                 Policy::new(1, 0).unwrap(),
                 DispatchPolicy::LeastLoaded,
                 Request::stream(&[0, 0], inputs.clone()).unwrap(),
@@ -711,23 +666,11 @@ mod tests {
         assert_eq!(report.serve.batches[1].dispatched, 0);
         // Outputs stay bit-identical to the one-shot path.
         for (id, input) in inputs.iter().enumerate() {
-            let single = d.run(input).expect("run");
             assert_eq!(
                 report.serve.response(id as u64).unwrap().output,
-                single.output,
+                run_one(&d, NetworkId::PRIMARY, input),
                 "request {id}"
             );
         }
-        // The aggregate-only path agrees with the pool path.
-        let inputs2: Vec<_> = (0..2)
-            .map(|i| d.prepare(&rng::synthetic_image(3, 32, 32, 40 + i)))
-            .collect();
-        let agg = d
-            .serve(
-                Policy::new(1, 0).unwrap(),
-                Request::stream(&[0, 0], inputs2).unwrap(),
-            )
-            .expect("serve");
-        assert_eq!(agg.batches, report.serve.batches);
     }
 }

@@ -14,15 +14,16 @@
 //! * [`core`] — the accelerator itself: engines, Non-Conv unit, buffers,
 //!   cycle-accurate pipeline, power/area models, scaling, baselines,
 //!   batched multi-image inference with weight residency
-//!   ([`Edea::run_batch`]), and the serving layer ([`serve`]).
+//!   ([`Edea::run_batch`]), and the serving layer ([`serve`], [`pool`]).
 //!
 //! The serving entry point is the [`Deployment`] builder: one session
 //! object owning the calibrated network and a [`pool::Pool`] of validated
-//! accelerator replicas (`.replicas(n)`, default 1), from which the
-//! simulator/golden [`serve::Backend`]s, the batch-forming
-//! [`serve::Scheduler`] and the multi-instance [`pool::Dispatcher`]
-//! (round-robin / least-loaded / join-shortest-queue routing) hang. Every fallible path returns
-//! the unified [`Error`]. The workspace builds offline: `rand`,
+//! accelerator replicas (`.replicas(n)`, default 1). It has one way to run
+//! ([`Deployment::run`], a batch on a chosen network) and one way to serve
+//! ([`Deployment::serve`], a request stream through the
+//! [`pool::Dispatcher`] with round-robin / least-loaded /
+//! join-shortest-queue routing). Every fallible path returns the unified
+//! [`Error`]. The workspace builds offline: `rand`,
 //! `proptest` and `criterion` are vendored API-subset stand-ins whose
 //! deterministic streams the golden fixtures depend on (see
 //! `vendor/*/src/lib.rs` for each one's caveats). See ARCHITECTURE.md for
@@ -33,8 +34,10 @@
 //! ```
 //! use edea::{Deployment, EdeaConfig};
 //! use edea::nn::mobilenet::MobileNetV1;
+//! use edea::nn::workload::NetworkId;
+//! use edea::pool::DispatchPolicy;
 //! use edea::serve::{arrivals, Policy, Request};
-//! use edea::tensor::rng;
+//! use edea::tensor::{rng, Batch};
 //!
 //! // One session object: model + calibration in, serving session out.
 //! let deployment = Deployment::builder()
@@ -43,16 +46,18 @@
 //!     .config(EdeaConfig::paper())
 //!     .build()?;
 //!
-//! // One-shot inference…
+//! // One-shot inference on a batch of one…
 //! let input = deployment.prepare(&rng::synthetic_image(3, 32, 32, 3));
-//! let run = deployment.run(&input)?;
+//! let run = deployment.run(NetworkId::PRIMARY, &Batch::new(vec![input])?)?;
 //! println!("total cycles: {}", run.stats.total_cycles());
 //!
-//! // …or a served request stream through the batch-forming scheduler.
+//! // …or a served request stream, batched and dispatched across the pool.
 //! let ticks = arrivals::bursts(4, 2, 1_000_000);
 //! let inputs = (0..4).map(|i| deployment.prepare(&rng::synthetic_image(3, 32, 32, i))).collect();
-//! let report = deployment.serve(Policy::new(4, 0)?, Request::stream(&ticks, inputs)?)?;
-//! assert_eq!(report.responses.len(), 4);
+//! let policy = Policy::new(4, 0)?;
+//! let requests = Request::stream(&ticks, inputs)?;
+//! let report = deployment.serve(policy, DispatchPolicy::LeastLoaded, requests)?;
+//! assert_eq!(report.serve.responses.len(), 4);
 //! # Ok::<(), edea::Error>(())
 //! ```
 

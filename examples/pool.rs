@@ -37,7 +37,7 @@ fn main() -> Result<(), edea::Error> {
         let inputs = (0..n)
             .map(|i| deployment.prepare(&rng::synthetic_image(3, 32, 32, 2000 + i as u64)))
             .collect();
-        let report = deployment.serve_pool(
+        let report = deployment.serve(
             Policy::new(8, service)?,
             DispatchPolicy::LeastLoaded,
             Request::stream(&ticks, inputs)?,
@@ -59,7 +59,7 @@ fn main() -> Result<(), edea::Error> {
          per image (each replica pays its own per-dispatch weight fetch), while\n\
          throughput climbs until the pool outruns the arrival rate. Outputs stay\n\
          bit-identical to the per-image path on every worker (tests/pool.rs),\n\
-         and a pool of one is bit-identical to the single-backend scheduler."
+         and a pool of one serves identically under every dispatch policy."
     );
     Ok(())
 }

@@ -1,5 +1,5 @@
 //! Session-based serving: build a [`Deployment`], then drive a Poisson
-//! request stream through the batch-forming scheduler at three offered
+//! request stream through the batch-forming serve loop at three offered
 //! loads and watch weight DRAM traffic per image fall as batches form —
 //! the paper's weight-residency amortization surviving the serving layer.
 //!
@@ -8,6 +8,7 @@
 //! ```
 
 use edea::nn::mobilenet::MobileNetV1;
+use edea::pool::DispatchPolicy;
 use edea::serve::{arrivals, Policy, Request};
 use edea::tensor::rng;
 use edea::{Deployment, EdeaConfig};
@@ -44,7 +45,10 @@ fn main() -> Result<(), edea::Error> {
         let inputs = (0..n)
             .map(|i| deployment.prepare(&rng::synthetic_image(3, 32, 32, 2000 + i as u64)))
             .collect();
-        let report = deployment.serve(policy, Request::stream(&ticks, inputs)?)?;
+        let requests = Request::stream(&ticks, inputs)?;
+        let report = deployment
+            .serve(policy, DispatchPolicy::LeastLoaded, requests)?
+            .serve;
         println!(
             "{load:>17.1} | {:>10.2} | {:>9.0} | {:>7} | {:>7} | {:>6.0}",
             report.mean_batch_size(),

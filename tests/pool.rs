@@ -1,9 +1,9 @@
-//! The accelerator pool end to end: the serving scheduler sharded across
-//! N simulated EDEA instances through the `Deployment` facade.
+//! The accelerator pool end to end: the serve loop sharded across N
+//! simulated EDEA instances through the `Deployment` facade.
 //!
-//! The contract under test: a pool of one is **bit-identical** to the PR 3
-//! single-backend `Scheduler` path (same batch boundaries, same
-//! `ServeReport` numbers — the generalization cannot drift), replication
+//! The contract under test: a pool of one is **bit-identical** under every
+//! dispatch policy (same batch boundaries, same `ServeReport` numbers as
+//! the round-robin pool of one — the single-backend case), replication
 //! changes *where* batches run and *how often* weights are fetched but
 //! never what is computed (every response stays bit-identical to
 //! `run_network`), throughput scales with workers, and the aggregate
@@ -14,7 +14,7 @@ use edea::nn::executor;
 use edea::nn::mobilenet::MobileNetV1;
 use edea::nn::workload::NetworkId;
 use edea::pool::{DispatchPolicy, Dispatcher, Pool};
-use edea::serve::{arrivals, Policy, Request, Scheduler, SimulatorBackend};
+use edea::serve::{arrivals, Policy, Request, SimulatorBackend};
 use edea::tensor::rng;
 use edea::{Deployment, EdeaConfig};
 use edea_testutil::{deploy, deploy_v2, mixed_requests, paper_edea, serve_requests};
@@ -31,19 +31,23 @@ fn deployment(seed: u64, replicas: usize) -> Deployment {
 
 #[test]
 fn pool_of_one_is_bit_identical_to_the_scheduler_path() {
-    // The regression pin for the serve-layer generalization: the
-    // single-backend scheduler and a one-worker pool must produce the
-    // same batch boundaries and the same ServeReport numbers, under
-    // every dispatch policy, on the real simulator backend.
+    // The regression pin for the single-backend case: a one-worker pool
+    // must produce the same batch boundaries and the same ServeReport
+    // numbers under every dispatch policy as under round-robin, on the
+    // real simulator backend.
     let d = deploy(0.25, 930);
     let backend = SimulatorBackend::new(paper_edea(), d.qnet.clone()).expect("backend");
     let per_image = backend.cost().per_image_cycles();
     let ticks = arrivals::poisson(12, per_image as f64 / 2.0, 931);
     let policy = Policy::new(4, per_image).expect("policy");
 
-    let single = Scheduler::new(policy)
-        .serve(&backend, serve_requests(&d, &ticks, 932))
-        .expect("scheduler serve");
+    let single = Dispatcher::new(policy, DispatchPolicy::RoundRobin)
+        .serve(
+            &Pool::replicate(backend.clone(), 1).expect("pool"),
+            serve_requests(&d, &ticks, 932),
+        )
+        .expect("round-robin serve")
+        .serve;
     for dp in [
         DispatchPolicy::RoundRobin,
         DispatchPolicy::LeastLoaded,
@@ -88,7 +92,7 @@ fn replicated_deployment_stays_bit_exact_and_scales_throughput() {
     let policy = Policy::new(4, per_image).expect("policy");
 
     let report = d
-        .serve_pool(
+        .serve(
             policy,
             DispatchPolicy::LeastLoaded,
             Request::stream(&ticks, inputs.clone()).expect("stream"),
@@ -100,7 +104,7 @@ fn replicated_deployment_stays_bit_exact_and_scales_throughput() {
     // served it.
     assert_eq!(report.serve.responses.len(), 12);
     for (id, input) in inputs.iter().enumerate() {
-        let single = d.run(input).expect("run_network");
+        let single = sim.run_network(input).expect("run_network");
         assert_eq!(
             report.serve.response(id as u64).expect("response").output,
             single.output,
@@ -113,9 +117,13 @@ fn replicated_deployment_stays_bit_exact_and_scales_throughput() {
     assert!(active > 1, "all requests landed on one worker");
 
     // Scaling: the same stream on a single replica takes strictly longer.
-    let single = Scheduler::new(policy)
-        .serve(sim, Request::stream(&ticks, inputs).expect("stream"))
-        .expect("single serve");
+    let single = Dispatcher::new(policy, DispatchPolicy::RoundRobin)
+        .serve(
+            &Pool::replicate(sim.clone(), 1).expect("pool"),
+            Request::stream(&ticks, inputs).expect("stream"),
+        )
+        .expect("single serve")
+        .serve;
     assert!(
         report.serve.makespan() < single.makespan(),
         "pool makespan {} !< single {}",
@@ -182,7 +190,7 @@ fn pool_serving_is_deterministic_end_to_end() {
     let run = |seed| {
         let images = rng::synthetic_batch(8, 3, 32, 32, seed);
         let inputs: Vec<_> = images.iter().map(|img| d.prepare(img)).collect();
-        d.serve_pool(
+        d.serve(
             policy,
             DispatchPolicy::JoinShortestQueue,
             Request::stream(&ticks, inputs).expect("stream"),

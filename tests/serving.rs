@@ -1,8 +1,8 @@
 //! The serving layer end to end: a seeded request stream driven through
-//! the batch-forming scheduler on both the cycle-accurate simulator
+//! a round-robin pool of one on both the cycle-accurate simulator
 //! backend and the golden-reference backend.
 //!
-//! The contract under test: the scheduler changes *when* images are
+//! The contract under test: batch forming changes *when* images are
 //! dispatched (and therefore how weight fetches amortize), never *what* is
 //! computed — every response is bit-identical to running the same input
 //! through `run_network`, batch boundaries are identical across backends
@@ -11,7 +11,8 @@
 //! below the single-image baseline as batches form.
 
 use edea::nn::mobilenet::MobileNetV1;
-use edea::serve::{arrivals, Policy, Request, Scheduler, SimulatorBackend};
+use edea::pool::{DispatchPolicy, Dispatcher, Pool};
+use edea::serve::{arrivals, Backend, Policy, Request, ServeReport, SimulatorBackend};
 use edea::tensor::rng;
 use edea::{Deployment, EdeaConfig};
 use edea_testutil::{deploy, paper_edea, serve_requests};
@@ -23,6 +24,19 @@ fn deployment(seed: u64) -> Deployment {
         .config(EdeaConfig::paper())
         .build()
         .expect("synthetic deployment builds")
+}
+
+/// Serves `requests` on a round-robin pool of one `backend`.
+fn serve_one<B: Backend + Clone>(
+    backend: &B,
+    policy: Policy,
+    requests: Vec<Request>,
+) -> ServeReport {
+    let pool = Pool::replicate(backend.clone(), 1).expect("pool of one");
+    Dispatcher::new(policy, DispatchPolicy::RoundRobin)
+        .serve(&pool, requests)
+        .expect("serve")
+        .serve
 }
 
 #[test]
@@ -37,20 +51,18 @@ fn scheduler_serves_32_requests_bit_identically_on_both_backends() {
     let ticks = arrivals::poisson(32, per_image as f64 / 2.0, 901);
     let images = rng::synthetic_batch(32, 3, 32, 32, 902);
     let inputs: Vec<_> = images.iter().map(|img| d.prepare(img)).collect();
-    let scheduler = Scheduler::new(Policy::new(4, per_image).expect("policy"));
+    let policy = Policy::new(4, per_image).expect("policy");
 
-    let rs = scheduler
-        .serve(
-            sim,
-            Request::stream(&ticks, inputs.clone()).expect("stream"),
-        )
-        .expect("simulator serve");
-    let rg = scheduler
-        .serve(
-            &golden,
-            Request::stream(&ticks, inputs.clone()).expect("stream"),
-        )
-        .expect("golden serve");
+    let rs = serve_one(
+        sim,
+        policy,
+        Request::stream(&ticks, inputs.clone()).expect("stream"),
+    );
+    let rg = serve_one(
+        &golden,
+        policy,
+        Request::stream(&ticks, inputs.clone()).expect("stream"),
+    );
 
     assert_eq!(rs.responses.len(), 32);
     assert_eq!(rs.backend, "simulator");
@@ -63,7 +75,7 @@ fn scheduler_serves_32_requests_bit_identically_on_both_backends() {
 
     // Every output bit-identical to the per-image path, on both backends.
     for (id, input) in inputs.iter().enumerate() {
-        let single = d.run(input).expect("run_network");
+        let single = sim.run_network(input).expect("run_network");
         let from_sim = rs.response(id as u64).expect("sim response");
         let from_gold = rg.response(id as u64).expect("golden response");
         assert_eq!(
@@ -76,7 +88,7 @@ fn scheduler_serves_32_requests_bit_identically_on_both_backends() {
         );
     }
 
-    // Under 2× load the scheduler must actually form multi-image batches…
+    // Under 2× load the serve loop must actually form multi-image batches…
     assert!(
         rs.batches.iter().any(|b| b.size > 1),
         "no batches formed under 2x load: {:?}",
@@ -117,9 +129,11 @@ fn batch_of_one_policy_matches_run_network_and_baseline_traffic() {
     let report = d
         .serve(
             Policy::new(1, 0).expect("policy"),
+            DispatchPolicy::LeastLoaded,
             Request::stream(&ticks, inputs.clone()).expect("stream"),
         )
-        .expect("serve");
+        .expect("serve")
+        .serve;
 
     assert!(report.batches.iter().all(|b| b.size == 1));
     assert_eq!(report.mean_batch_size(), 1.0);
@@ -136,7 +150,7 @@ fn batch_of_one_policy_matches_run_network_and_baseline_traffic() {
     }
     // Bit-identity against the per-image path.
     for (id, input) in inputs.iter().enumerate() {
-        let single = d.run(input).expect("run_network");
+        let single = sim.run_network(input).expect("run_network");
         assert_eq!(
             report.response(id as u64).expect("response").output,
             single.output,
@@ -155,14 +169,10 @@ fn serving_is_deterministic_end_to_end() {
     let backend = SimulatorBackend::new(paper_edea(), d.qnet.clone()).expect("backend");
     let per_image = backend.cost().per_image_cycles();
     let ticks = arrivals::poisson(8, per_image as f64 / 2.0, 921);
-    let scheduler = Scheduler::new(Policy::new(4, per_image).expect("policy"));
+    let policy = Policy::new(4, per_image).expect("policy");
 
-    let a = scheduler
-        .serve(&backend, serve_requests(&d, &ticks, 922))
-        .expect("first run");
-    let b = scheduler
-        .serve(&backend, serve_requests(&d, &ticks, 922))
-        .expect("second run");
+    let a = serve_one(&backend, policy, serve_requests(&d, &ticks, 922));
+    let b = serve_one(&backend, policy, serve_requests(&d, &ticks, 922));
 
     assert_eq!(a.batches, b.batches, "batch boundaries diverged");
     assert_eq!(a.responses, b.responses, "responses diverged");
