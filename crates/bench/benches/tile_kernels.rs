@@ -5,12 +5,21 @@
 //! Tile cases stream 256 pre-built tiles through a reused accumulator
 //! with the one-cycle `compute_tile_into` API (the portion kernels at the
 //! extent of one engine cycle):
-//!  - `dwc_dense`   — no zero planes: the branch-free MAC loop plus the
-//!    per-plane `all_zero` probe (the probe cost is the dense overhead).
-//!  - `dwc_allzero` — every plane zero: the plane-skip path, the common
-//!    case at the Fig.-11 late layers (97.4 % element zeros).
+//!  - `dwc_dense`   — no zeros: the window staged into channel lanes and
+//!    the lane-parallel MAC loop, behind one whole-window `all_zero`
+//!    probe (the probe cost is the dense overhead).
+//!  - `dwc_allzero` — every window zero: the whole-window skip, the
+//!    common case at the Fig.-11 late layers (97.4 % element zeros).
 //!  - `pwc_dense`   — dense activations.
 //!  - `pwc_sparse`  — 6 of 8 channel rows zero.
+//!
+//! DWC portion cases time one `compute_portion_into` call — one channel
+//! pass of one portion — at each of the four MobileNetV1 DWC portion
+//! shapes with 60 % activation zeros: `dwc_portion_8x8_s1` (layers 0, 2
+//! and 4), `dwc_portion_8x8_s2` (layers 1 and 3), `dwc_portion_4x4_s1`
+//! (layers 6–10) and `dwc_portion_2x2_s1` (layer 12). A call is
+//! `8·9·side²` MACs, so the median over that count is the kernel's ns per
+//! DWC MAC.
 //!
 //! Portion cases time one channel pass of one portion — the DWC over the
 //! input region, then the PWC over every kernel tile into the psum bank —
@@ -129,6 +138,21 @@ fn bench_tile_kernels(c: &mut Criterion) {
             }
         });
     });
+
+    for (side, stride) in [(8, 1), (8, 2), (4, 1), (2, 1)] {
+        let extent = (side - 1) * stride + 3;
+        let mut region = rng::uniform_i8_tensor3(8, extent, extent, -128, 127, 800 + side as u64);
+        sparsify(region.as_mut_slice(), 0.6);
+        let dw = WeightSlice::new(dw_weights.as_slice());
+        g.bench_function(&format!("dwc_portion_{side}x{side}_s{stride}"), |b| {
+            b.iter(|| {
+                black_box(
+                    dwc.compute_portion_into(&region, dw, stride, &mut acc)
+                        .unwrap(),
+                )
+            });
+        });
+    }
 
     let mut partial = Tensor3::<i32>::zeros(2, 2, 16);
     let pw_tile = WeightSlice::new(&pw_weights);

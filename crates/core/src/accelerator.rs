@@ -38,12 +38,12 @@ use edea_tensor::{Batch, Tensor3};
 
 use crate::buffer::check_capacity;
 use crate::config::EdeaConfig;
-use crate::engine::{transpose_into, DwcEngine, EngineActivity, PwcEngine};
+use crate::engine::{count_zeros, transpose_into, DwcEngine, EngineActivity, PwcEngine};
 use crate::nonconv::NonConvUnit;
 use crate::par::{self, Parallelism};
 use crate::plan::{LayerPlan, NetworkPlan};
 use crate::schedule::{portions, Portion, WeightResidency};
-use crate::scratch::TileScratch;
+use crate::scratch::{PortionSlot, TileScratch};
 use crate::stats::{layer_ledger, LayerStats, NetworkStats};
 use crate::CoreError;
 
@@ -269,6 +269,7 @@ impl Edea {
             None,
             WeightResidency::PerImage,
             &mut scratch,
+            true,
         )?;
         Ok(LayerRun {
             // edea-lint: allow(panic-in-lib): from_ref put exactly one image in
@@ -307,14 +308,15 @@ impl Edea {
         scratch: &mut TileScratch,
     ) -> Result<BatchLayerRun, CoreError> {
         plan.check_layer(layer)?;
-        self.execute_layer(layer, plan, inputs, None, residency, scratch)
+        self.execute_layer(layer, plan, inputs, None, residency, scratch, true)
     }
 
     /// One portion of the layer schedule: psum banks, the channel-pass ×
     /// image loop, and the drain — writing **portion-local** intermediate
-    /// (`mids`) and output (`outs`) maps (one slot per image) and summing
-    /// engine activity into the caller's `tally`. A residual-add stage
-    /// passes its saved block inputs with the already-checked rescale.
+    /// and output maps and their zero counts into `slots` (one per image)
+    /// and summing engine activity into the caller's `tally`. A
+    /// residual-add stage passes its saved block inputs with the
+    /// already-checked rescale.
     ///
     /// Each `(channel pass, image)` step is four host calls whatever the
     /// portion's size: one copy of the input region, one DWC portion
@@ -340,8 +342,7 @@ impl Edea {
         residual: Option<(&[Tensor3<i8>], Q8x16)>,
         portion: &Portion,
         scratch: &mut TileScratch,
-        mids: &mut [Tensor3<i8>],
-        outs: &mut [Tensor3<i8>],
+        slots: &mut [PortionSlot],
         tally: &mut PortionTally,
     ) -> Result<(), CoreError> {
         let s = layer.shape();
@@ -354,8 +355,10 @@ impl Edea {
             psum.resize_zeroed(portion.rows, portion.cols, s.k_out);
         }
         // Every channel pass writes its own slab, so no zero-fill.
-        for mid in mids.iter_mut() {
-            mid.resize_for_overwrite(s.d_in, portion.rows, portion.cols);
+        for slot in slots.iter_mut() {
+            slot.mid
+                .resize_for_overwrite(s.d_in, portion.rows, portion.cols);
+            slot.mid_zeros = 0;
         }
         if s.op == StageOp::Dsc {
             scratch.window.resize_for_overwrite(
@@ -367,8 +370,9 @@ impl Edea {
 
         for ct in 0..s.d_in / td {
             for (img, padded_img) in padded.iter().enumerate() {
-                let slab = &mut mids[img].as_mut_slice()[ct * td * pix..(ct + 1) * td * pix];
-                match s.op {
+                let slot = &mut slots[img];
+                let slab = &mut slot.mid.as_mut_slice()[ct * td * pix..(ct + 1) * td * pix];
+                slot.mid_zeros += match s.op {
                     StageOp::Dsc => {
                         padded_img.copy_window_into(
                             ct * td,
@@ -387,12 +391,14 @@ impl Edea {
                         // intermediate buffer (direct data transfer — no
                         // external round trip), here straight into the
                         // portion's mid slab.
-                        self.nonconv.apply_into_slice(
-                            &scratch.dwc_acc,
-                            &layer.nonconv1()[ct * td..],
-                            0,
-                            slab,
-                        )?;
+                        self.nonconv
+                            .apply_into_slice(
+                                &scratch.dwc_acc,
+                                &layer.nonconv1()[ct * td..],
+                                0,
+                                slab,
+                            )?
+                            .zero_outputs
                     }
                     // PwcOnly: the DWC engine, Non-Conv #1 and the
                     // intermediate buffer are bypassed — the PWC is fed
@@ -403,8 +409,9 @@ impl Edea {
                             (td, portion.rows, portion.cols),
                             slab,
                         );
+                        count_zeros(slab)
                     }
-                }
+                };
 
                 // PWC: every kernel tile of every spatial tile,
                 // accumulating into this image's psum bank.
@@ -424,11 +431,11 @@ impl Edea {
         // stage streams the saved block input in from external memory and
         // sums it onto the Non-Conv bus at wide precision.
         let lo = layer.out_lo();
-        for (img, (psum, out)) in scratch
+        for (img, (psum, slot)) in scratch
             .psums
             .iter()
             .take(n_images)
-            .zip(outs.iter_mut())
+            .zip(slots.iter_mut())
             .enumerate()
         {
             // The bank is pixel-major; the Non-Conv drains channel planes.
@@ -436,7 +443,7 @@ impl Edea {
                 .drain
                 .resize_for_overwrite(s.k_out, portion.rows, portion.cols);
             transpose_into(psum.as_slice(), pix, s.k_out, scratch.drain.as_mut_slice());
-            if let Some((res_imgs, r)) = residual {
+            let act = if let Some((res_imgs, r)) = residual {
                 scratch
                     .res_tile
                     .resize_zeroed(s.k_out, portion.rows, portion.cols);
@@ -452,12 +459,17 @@ impl Edea {
                     &scratch.res_tile,
                     r,
                     lo,
-                    out,
-                )?;
+                    &mut slot.out,
+                )?
             } else {
-                self.nonconv
-                    .apply_tile_into_clipped(&scratch.drain, layer.nonconv2(), lo, out)?;
-            }
+                self.nonconv.apply_tile_into_clipped(
+                    &scratch.drain,
+                    layer.nonconv2(),
+                    lo,
+                    &mut slot.out,
+                )?
+            };
+            slot.out_zeros = act.zero_outputs;
         }
         Ok(())
     }
@@ -470,12 +482,18 @@ impl Edea {
     /// The portion loop works entirely in `scratch`'s reusable buffers —
     /// reserved once up front, so the steady state performs zero heap
     /// allocations per portion (guarded by the allocation-regression
-    /// test).
+    /// test). A padded layer pads into the scratch's maps by row copies;
+    /// an unpadded one reads its inputs in place.
     ///
     /// Before the portion loop the layer's buffer residencies are checked
     /// against their capacities ([`check_capacity`]); after it the
     /// statistics are the layer's [`layer_ledger`] plus the measured engine
-    /// activity and zero fractions.
+    /// activity and zero fractions. The intermediate and output zero
+    /// fractions come from the zeros the Non-Conv unit counts as it writes
+    /// each portion slot, so neither map is scanned again; the whole-layer
+    /// intermediate maps are assembled only when `keep_mids` asks for them
+    /// (the per-layer entry points return them as `pwc_inputs`; the
+    /// network loop never reads them).
     ///
     /// With [`Edea::parallelism`] above one thread, portions are statically
     /// partitioned into contiguous lanes ([`par::chunk_ranges`]) and run
@@ -485,6 +503,7 @@ impl Edea {
     /// portion order) and the portion outputs pasted in portion order —
     /// bit-identical to the serial run by construction (see [`crate::par`])
     /// and enforced by the `parallel_identity` suite.
+    #[allow(clippy::too_many_arguments)]
     fn execute_layer(
         &self,
         layer: &QuantizedDscLayer,
@@ -493,6 +512,7 @@ impl Edea {
         residuals: Option<&[Tensor3<i8>]>,
         residency: WeightResidency,
         scratch: &mut TileScratch,
+        keep_mids: bool,
     ) -> Result<BatchLayerRun, CoreError> {
         if inputs.is_empty() {
             return Err(CoreError::UnsupportedShape {
@@ -524,15 +544,8 @@ impl Edea {
         let n_images = inputs.len();
         let ports = portions(out, self.cfg.portion_limit);
         check_capacity(&s, &self.cfg, &ports, n_images)?;
-        let padded: Vec<Tensor3<i8>> = inputs.iter().map(|i| i.zero_padded(s.pad)).collect();
         scratch.reserve(&s, &self.cfg, n_images);
 
-        let mut mid_maps: Vec<Tensor3<i8>> = (0..n_images)
-            .map(|_| Tensor3::<i8>::zeros(s.d_in, out, out))
-            .collect();
-        let mut out_maps: Vec<Tensor3<i8>> = (0..n_images)
-            .map(|_| Tensor3::<i8>::zeros(s.k_out, out, out))
-            .collect();
         let mut tally = PortionTally::default();
 
         let n_slots = ports.len() * n_images;
@@ -544,27 +557,37 @@ impl Edea {
         #[cfg(debug_assertions)]
         crate::plan::audit::audit_portions(&s, &self.cfg, &ports, lanes, n_images)?;
 
-        // The slot vectors leave the scratch for the duration of the
-        // portion loop so they can be split into disjoint per-lane `&mut`
-        // slices; they are restored below on every path, success or error.
-        let mut portion_mids = std::mem::take(&mut scratch.portion_mids);
-        let mut portion_outs = std::mem::take(&mut scratch.portion_outs);
+        // The padded maps and the slot vector leave the scratch for the
+        // duration of the portion loop so the maps can be shared and the
+        // slots split into disjoint per-lane `&mut` slices; both are
+        // restored below on every path, success or error.
+        let mut padded_maps = std::mem::take(&mut scratch.padded);
+        let padded = if s.pad == 0 {
+            inputs
+        } else {
+            while padded_maps.len() < n_images {
+                padded_maps.push(Tensor3::zeros(1, 1, 1));
+            }
+            for (input, map) in inputs.iter().zip(padded_maps.iter_mut()) {
+                input.zero_padded_into(s.pad, map);
+            }
+            &padded_maps[..n_images]
+        };
+        let mut portion_slots = std::mem::take(&mut scratch.portion_slots);
 
         let run_result = if lanes <= 1 {
             // Serial base case: one lane over all portions and the
             // caller's scratch.
             let mut result = Ok(());
             for (p, portion) in ports.iter().enumerate() {
-                let slots = p * n_images..(p + 1) * n_images;
                 if let Err(e) = self.run_portion(
                     layer,
                     plan,
-                    &padded,
+                    padded,
                     residual,
                     portion,
                     &mut *scratch,
-                    &mut portion_mids[slots.clone()],
-                    &mut portion_outs[slots],
+                    &mut portion_slots[p * n_images..(p + 1) * n_images],
                     &mut tally,
                 ) {
                     result = Err(e);
@@ -579,24 +602,20 @@ impl Edea {
             scratch.ensure_lanes(lanes - 1, &s, &self.cfg, n_images);
             let mut lane_scratches = std::mem::take(&mut scratch.lanes);
             let ranges = par::chunk_ranges(ports.len(), lanes);
-            let mid_slices = split_slots(&mut portion_mids[..n_slots], &ranges, n_images);
-            let out_slices = split_slots(&mut portion_outs[..n_slots], &ranges, n_images);
+            let slot_slices = split_slots(&mut portion_slots[..n_slots], &ranges, n_images);
 
             struct LaneCtx<'a> {
                 scratch: &'a mut TileScratch,
-                mids: &'a mut [Tensor3<i8>],
-                outs: &'a mut [Tensor3<i8>],
+                slots: &'a mut [PortionSlot],
                 range: std::ops::Range<usize>,
             }
             let ctxs: Vec<LaneCtx<'_>> = std::iter::once(&mut *scratch)
                 .chain(lane_scratches.iter_mut().take(lanes - 1))
-                .zip(mid_slices)
-                .zip(out_slices)
+                .zip(slot_slices)
                 .zip(ranges)
-                .map(|(((scratch, mids), outs), range)| LaneCtx {
+                .map(|((scratch, slots), range)| LaneCtx {
                     scratch,
-                    mids,
-                    outs,
+                    slots,
                     range,
                 })
                 .collect();
@@ -605,16 +624,14 @@ impl Edea {
                 let mut tally = PortionTally::default();
                 let mut result = Ok(());
                 for (i, p) in ctx.range.clone().enumerate() {
-                    let slots = i * n_images..(i + 1) * n_images;
                     if let Err(e) = self.run_portion(
                         layer,
                         plan,
-                        &padded,
+                        padded,
                         residual,
                         &ports[p],
                         ctx.scratch,
-                        &mut ctx.mids[slots.clone()],
-                        &mut ctx.outs[slots],
+                        &mut ctx.slots[i * n_images..(i + 1) * n_images],
                         &mut tally,
                     ) {
                         // Stop at this lane's first error; since lanes are
@@ -638,39 +655,59 @@ impl Edea {
             }
             first_err
         };
+        scratch.padded = padded_maps;
 
-        if run_result.is_ok() {
-            // Paste phase, serially in portion order: assemble the full
-            // mid/out maps from the portion-local slots. Portions tile the
-            // output map disjointly, so this is a pure scatter.
-            for (p, portion) in ports.iter().enumerate() {
-                for img in 0..n_images {
-                    let slot = p * n_images + img;
-                    mid_maps[img].paste_window(0, portion.row0, portion.col0, &portion_mids[slot]);
-                    out_maps[img].paste_window(0, portion.row0, portion.col0, &portion_outs[slot]);
-                }
-            }
-        }
-        scratch.portion_mids = portion_mids;
-        scratch.portion_outs = portion_outs;
-        run_result?;
+        // Paste phase, serially in portion order: assemble the full output
+        // (and, if asked, intermediate) maps from the portion-local slots.
+        // Portions tile the output map disjointly, so this is a pure
+        // scatter. Each image's zero fraction is its slots' exact zero
+        // count over its map size, the f64 formula a scan would compute.
+        let assembled = run_result.map(|()| {
+            let slots_of = |img: usize| portion_slots[img..n_slots].iter().step_by(n_images);
+            let paste = |c: usize, map: fn(&PortionSlot) -> &Tensor3<i8>| -> Vec<Tensor3<i8>> {
+                (0..n_images)
+                    .map(|img| {
+                        let mut whole = Tensor3::zeros(c, out, out);
+                        for (portion, slot) in ports.iter().zip(slots_of(img)) {
+                            whole.paste_window(0, portion.row0, portion.col0, map(slot));
+                        }
+                        whole
+                    })
+                    .collect()
+            };
+            let mean_zero = |c: usize, zeros: fn(&PortionSlot) -> u64| {
+                (0..n_images)
+                    .map(|img| {
+                        slots_of(img).map(zeros).sum::<u64>() as f64 / (c * out * out) as f64
+                    })
+                    .sum::<f64>()
+                    / n_images as f64
+            };
+            let outputs = paste(s.k_out, |slot| &slot.out);
+            let pwc_inputs = if keep_mids {
+                paste(s.d_in, |slot| &slot.mid)
+            } else {
+                Vec::new()
+            };
+            let mid_zero = mean_zero(s.d_in, |slot| slot.mid_zeros);
+            let out_zero = mean_zero(s.k_out, |slot| slot.out_zeros);
+            (outputs, pwc_inputs, mid_zero, out_zero)
+        });
+        scratch.portion_slots = portion_slots;
+        let (outputs, pwc_inputs, mid_zero, out_zero) = assembled?;
 
-        let zero_frac = |t: &Tensor3<i8>| {
-            t.as_slice().iter().filter(|&&v| v == 0).count() as f64 / t.len() as f64
-        };
-        let mean_zero =
-            |ts: &[Tensor3<i8>]| ts.iter().map(zero_frac).sum::<f64>() / ts.len() as f64;
+        let zero_frac = |t: &Tensor3<i8>| count_zeros(t.as_slice()) as f64 / t.len() as f64;
         let stats = LayerStats {
             dwc_activity: tally.dwc_activity,
             pwc_activity: tally.pwc_activity,
-            input_zero: mean_zero(inputs),
-            mid_zero: mean_zero(&mid_maps),
-            out_zero: mean_zero(&out_maps),
+            input_zero: inputs.iter().map(zero_frac).sum::<f64>() / n_images as f64,
+            mid_zero,
+            out_zero,
             ..layer_ledger(&s, &self.cfg, n_images, residency)
         };
         Ok(BatchLayerRun {
-            outputs: out_maps,
-            pwc_inputs: mid_maps,
+            outputs,
+            pwc_inputs,
             stats,
         })
     }
@@ -765,6 +802,7 @@ impl Edea {
                 residual.as_deref(),
                 residency,
                 &mut *scratch,
+                false,
             )?;
             xs = Some(run.outputs);
             layers.push(run.stats);

@@ -12,6 +12,18 @@
 //! windows through 9-input adder trees. [`DwcEngine::compute_portion_into`]
 //! models every cycle of one portion's channel pass in a single call; the
 //! tile API is its one-cycle case.
+//!
+//! The portion kernel mirrors the PE array's layout on the host: it
+//! computes 8 channels side by side, one per lane. It stages the input
+//! window once per call into a bounded pixel-major buffer of `i16` lane
+//! operands (8 channels of one pixel = one 128-bit register, so the
+//! baseline SSE2 build multiplies with `pmullw`), then accumulates each
+//! output pixel's K×K taps of all lanes at once in an `[i32; 8]` block and
+//! counts each lane's gated slots beside them. A `Td` that is not a
+//! multiple of 8 leaves dead lanes in the last channel block; a window
+//! larger than the buffer is processed in strips of output rows and
+//! columns. Every `Td`, kernel, stride and portion size runs this one
+//! path. The only skip is a window that is zero throughout.
 
 use edea_tensor::ops::all_zero_i8;
 use edea_tensor::{Tensor3, Tensor4};
@@ -19,6 +31,17 @@ use edea_tensor::{Tensor3, Tensor4};
 use crate::config::EdeaConfig;
 use crate::engine::{EngineActivity, WeightSlice};
 use crate::CoreError;
+
+/// Channels the portion kernel computes side by side: the paper's eight
+/// parallel channel PEs, and one 128-bit register of `i16` operands.
+const LANES: usize = 8;
+/// Input pixels the staging buffer holds (2 KiB of lane operands): an 8×8
+/// portion's window stages in one strip at stride 1 (10×10) and in three
+/// at stride 2 (17×17).
+const STAGE_PIXELS: usize = 128;
+/// The largest depthwise kernel side the lane tap buffer holds (a K×K
+/// kernel needs `K·K ≤ STAGE_PIXELS` staged pixels for one output).
+const MAX_KERNEL: usize = 7;
 
 /// Output of one DWC engine cycle.
 #[derive(Debug, Clone, PartialEq)]
@@ -130,9 +153,9 @@ impl DwcEngine {
     ///
     /// # Errors
     ///
-    /// [`CoreError::UnsupportedShape`] if the window is not `Td` deep, its
-    /// extent is not a whole number of tiles at `stride`, or `weights` is
-    /// not `Td·K·K` long.
+    /// [`CoreError::UnsupportedShape`] if the engine kernel is wider than
+    /// 7×7, the window is not `Td` deep, its extent is not a whole number
+    /// of tiles at `stride`, or `weights` is not `Td·K·K` long.
     pub fn compute_portion_into(
         &self,
         window: &Tensor3<i8>,
@@ -142,6 +165,13 @@ impl DwcEngine {
     ) -> Result<EngineActivity, CoreError> {
         let k = self.kernel;
         let taps = k * k;
+        if k == 0 || k > MAX_KERNEL {
+            return Err(CoreError::UnsupportedShape {
+                detail: format!(
+                    "DWC kernel {k}×{k}, engine taps hold 1×1 to {MAX_KERNEL}×{MAX_KERNEL}"
+                ),
+            });
+        }
         let (c, hr, hc) = window.shape();
         let extent = |h: usize| {
             (stride > 0 && h >= k && (h - k) % stride == 0).then(|| (h - k) / stride + 1)
@@ -175,60 +205,124 @@ impl DwcEngine {
                 ),
             });
         }
-        acc.resize_zeroed(self.td, rows, cols);
-        // Flat-slice tap-major form of the 9-input adder trees: per
-        // channel, each kernel tap accumulates into all rows·cols outputs.
-        // Per output element the tap order is ascending `(kh, kw)` —
-        // integer addition is associative, so this is bit-exact with both
-        // the element-at-a-time fold and the tree the RTL instantiates, and
-        // covering the portion's tiles in one sweep instead of one call
-        // per tile changes no sum.
-        //
-        // Zero skipping: a plane (one channel's input region) that is
-        // entirely zero contributes exactly 0 to every accumulator, so the
-        // simulator skips its whole taps×pixels slot block — bit-exact by
-        // the additive identity, and common at the Fig.-11 late layers
-        // (97.4 % element zeros). The skip granularity is deliberately the
-        // *plane*, never the element: a per-element branch on mid-sparsity
-        // data mispredicts constantly and forfeits the vectorized inner
-        // loop, costing more than the multiplies it saves. The *modeled*
-        // activity is decoupled from the shortcut: a skipped plane counts
-        // its full `taps·pix` gated slots, and live planes count per slot
-        // branchlessly inside the MAC loop — the power model sees every
-        // clock-gated hardware slot either way.
+        let td = self.td;
+        let pix = rows * cols;
+        let mac_slots = (td * taps * pix) as u64;
+        // Every weight feeds every output pixel of its channel.
+        let zero_weight_slots = weights.zeros() * pix as u64;
+        acc.resize_for_overwrite(td, rows, cols);
         let ia = window.as_slice();
         let out = acc.as_mut_slice();
-        let pix = rows * cols;
+        if all_zero_i8(ia) {
+            // A zero window contributes 0 to every accumulator (the
+            // additive identity) and gates every modeled slot.
+            out.fill(0);
+            return Ok(EngineActivity {
+                mac_slots,
+                zero_act_slots: mac_slots,
+                zero_weight_slots,
+            });
+        }
+        // A strip is as many output columns as `K` staged input rows
+        // hold, then as many output rows as the stage holds at that width
+        // — the whole portion whenever its window fits.
+        let strip_cols = cols.min((STAGE_PIXELS / k - k) / stride + 1);
+        let strip_rows =
+            rows.min((STAGE_PIXELS / ((strip_cols - 1) * stride + k) - k) / stride + 1);
+        let mut stage = [[0i16; LANES]; STAGE_PIXELS];
+        let mut lane_taps = [[0i16; LANES]; MAX_KERNEL * MAX_KERNEL];
+        let mut tap_offsets = [0usize; MAX_KERNEL * MAX_KERNEL];
         let mut zero_act = 0u64;
-        for ch in 0..self.td {
-            let plane = &ia[ch * hr * hc..(ch + 1) * hr * hc];
-            let wch = &wt[ch * taps..(ch + 1) * taps];
-            let orow = &mut out[ch * pix..(ch + 1) * pix];
-            if all_zero_i8(plane) {
-                // Every slot of this channel sees a zero activation; the
-                // accumulators stay at resize_zeroed's zeros — no MACs.
-                zero_act += (taps * pix) as u64;
-                continue;
+        for c0 in (0..td).step_by(LANES) {
+            let live = LANES.min(td - c0);
+            // The block's taps, tap-major across lanes and negated (see
+            // the MAC loop). Dead lanes keep stale taps.
+            for l in 0..live {
+                let w = &wt[(c0 + l) * taps..(c0 + l + 1) * taps];
+                for (lt, &v) in lane_taps.iter_mut().zip(w) {
+                    lt[l] = -i16::from(v);
+                }
             }
-            for kh in 0..k {
-                for kw in 0..k {
-                    let w = i32::from(wch[kh * k + kw]);
-                    for (on, orow) in orow.chunks_exact_mut(cols).enumerate() {
-                        let base = (on * stride + kh) * hc + kw;
-                        for (om, o) in orow.iter_mut().enumerate() {
-                            let a = plane[base + om * stride];
-                            zero_act += u64::from(a == 0);
-                            *o += i32::from(a) * w;
+            let lane_taps = &lane_taps[..taps];
+            for r0 in (0..rows).step_by(strip_rows) {
+                let nr = strip_rows.min(rows - r0);
+                for q0 in (0..cols).step_by(strip_cols) {
+                    let nc = strip_cols.min(cols - q0);
+                    let (in_h, in_w) = ((nr - 1) * stride + k, (nc - 1) * stride + k);
+                    // Stage the strip pixel-major: one input row of every
+                    // lane at a time. A dead lane (the last block of a `Td`
+                    // that is not a multiple of 8) repeats the last live
+                    // one; its sums and zero counts are never stored.
+                    for ir in 0..in_h {
+                        let at = (r0 * stride + ir) * hc + q0 * stride;
+                        let src: [&[i8]; LANES] = std::array::from_fn(|l| {
+                            &ia[(c0 + l.min(live - 1)) * hr * hc + at..][..in_w]
+                        });
+                        let staged_row = &mut stage[ir * in_w..(ir + 1) * in_w];
+                        for (i, px) in staged_row.iter_mut().enumerate() {
+                            *px = std::array::from_fn(|l| i16::from(src[l][i]));
                         }
                     }
+                    let staged = &stage[..in_h * in_w];
+                    for kh in 0..k {
+                        for kw in 0..k {
+                            tap_offsets[kh * k + kw] = kh * in_w + kw;
+                        }
+                    }
+                    let mut lane_zeros = [0u32; LANES];
+                    for orow in 0..nr {
+                        for ocol in 0..nc {
+                            // One output pixel of every lane: the K×K taps
+                            // of its adder trees, two taps at a time, and
+                            // the lane's gated slots. Against a negated
+                            // weight an int8 product lies in
+                            // [−128·128, 127·128], so the sum of two fits
+                            // i16 exactly; the pair is widened once and
+                            // subtracted.
+                            let mut sum = [0i32; LANES];
+                            let mut zeros = [0u16; LANES];
+                            let at = orow * stride * in_w + ocol * stride;
+                            let mut pairs = tap_offsets[..taps]
+                                .chunks_exact(2)
+                                .zip(lane_taps.chunks_exact(2));
+                            for (off, w) in &mut pairs {
+                                let (x0, x1) = (&staged[at + off[0]], &staged[at + off[1]]);
+                                for l in 0..LANES {
+                                    let pair = x0[l]
+                                        .wrapping_mul(w[0][l])
+                                        .wrapping_add(x1[l].wrapping_mul(w[1][l]));
+                                    sum[l] -= i32::from(pair);
+                                    zeros[l] += u16::from(x0[l] == 0) + u16::from(x1[l] == 0);
+                                }
+                            }
+                            if taps % 2 == 1 {
+                                let (x, w) =
+                                    (&staged[at + tap_offsets[taps - 1]], &lane_taps[taps - 1]);
+                                for l in 0..LANES {
+                                    sum[l] -= i32::from(x[l].wrapping_mul(w[l]));
+                                    zeros[l] += u16::from(x[l] == 0);
+                                }
+                            }
+                            let o = (r0 + orow) * cols + q0 + ocol;
+                            for (l, &v) in sum[..live].iter().enumerate() {
+                                out[(c0 + l) * pix + o] = v;
+                            }
+                            for (z, &n) in lane_zeros.iter_mut().zip(&zeros) {
+                                *z += u32::from(n);
+                            }
+                        }
+                    }
+                    zero_act += lane_zeros[..live]
+                        .iter()
+                        .map(|&z| u64::from(z))
+                        .sum::<u64>();
                 }
             }
         }
-        // Every weight feeds every output pixel of its channel.
         Ok(EngineActivity {
-            mac_slots: (self.td * taps * pix) as u64,
+            mac_slots,
             zero_act_slots: zero_act,
-            zero_weight_slots: weights.zeros() * pix as u64,
+            zero_weight_slots,
         })
     }
 }
@@ -302,6 +396,21 @@ mod tests {
         assert!(engine().compute_tile(&bad_ifmap, &weights, 2).is_err());
         let bad_channels = rng::uniform_i8_tensor3(4, 4, 4, -1, 1, 11);
         assert!(engine().compute_tile(&bad_channels, &weights, 1).is_err());
+    }
+
+    #[test]
+    fn rejects_a_kernel_wider_than_the_tap_buffer() {
+        let mut cfg = EdeaConfig::paper();
+        cfg.tile.kernel = MAX_KERNEL + 1;
+        let k = cfg.tile.kernel;
+        let engine = DwcEngine::new(&cfg);
+        let window = Tensor3::<i8>::zeros(8, k + 1, k + 1);
+        let weights = vec![1i8; 8 * k * k];
+        let mut acc = Tensor3::<i32>::zeros(1, 1, 1);
+        assert!(matches!(
+            engine.compute_portion_into(&window, WeightSlice::new(&weights), 1, &mut acc),
+            Err(CoreError::UnsupportedShape { .. })
+        ));
     }
 
     #[test]

@@ -3,7 +3,8 @@
 //! Every `(portion, channel pass, image)` step of the loop nest in
 //! [`crate::accelerator`] needs the same working buffers: the DWC input
 //! region, the DWC accumulators, and (per portion) the psum banks, the
-//! drain buffer plus the portion-local mid/output maps. Allocating them
+//! drain buffer plus the portion-local mid/output maps; per layer it
+//! needs the zero-padded input maps. Allocating them
 //! afresh per step would be the software equivalent of the
 //! external-memory round trips the paper's direct data transfer
 //! eliminates. A [`TileScratch`] owns them instead:
@@ -46,12 +47,39 @@ pub struct TileScratch {
     /// reuses this scratch itself; lane `i + 1` owns `lanes[i]`). Empty
     /// until a parallel run reserves them; a serial run never touches it.
     pub(crate) lanes: Vec<TileScratch>,
-    /// Portion-local intermediate maps, one slot per `(portion, image)`,
-    /// pasted into the full mid maps in portion order after all lanes join.
-    pub(crate) portion_mids: Vec<Tensor3<i8>>,
-    /// Portion-local drained outputs (after the output-side Non-Conv), one
-    /// slot per `(portion, image)`, pasted in portion order after the join.
-    pub(crate) portion_outs: Vec<Tensor3<i8>>,
+    /// The layer's zero-padded input maps, one per in-flight image
+    /// (unused by unpadded layers, which read their inputs in place).
+    pub(crate) padded: Vec<Tensor3<i8>>,
+    /// The portion loop's output slots, one per `(portion, image)`,
+    /// pasted into the layer's maps in portion order after all lanes join.
+    pub(crate) portion_slots: Vec<PortionSlot>,
+}
+
+/// One `(portion, image)` output of the portion loop: the portion-local
+/// intermediate and output maps, and how many of their elements are zero
+/// — counted as the Non-Conv unit (or a `PwcOnly` stage's slab copy)
+/// writes them, so the layer's zero fractions need no second scan.
+#[derive(Debug, Clone)]
+pub(crate) struct PortionSlot {
+    /// The `(d_in, rows, cols)` intermediate map (the PWC input).
+    pub(crate) mid: Tensor3<i8>,
+    /// The `(k_out, rows, cols)` drained output.
+    pub(crate) out: Tensor3<i8>,
+    /// Zero elements of `mid`.
+    pub(crate) mid_zeros: u64,
+    /// Zero elements of `out`.
+    pub(crate) out_zeros: u64,
+}
+
+impl Default for PortionSlot {
+    fn default() -> Self {
+        Self {
+            mid: Tensor3::zeros(1, 1, 1),
+            out: Tensor3::zeros(1, 1, 1),
+            mid_zeros: 0,
+            out_zeros: 0,
+        }
+    }
 }
 
 impl Default for TileScratch {
@@ -71,8 +99,8 @@ impl TileScratch {
             drain: Tensor3::zeros(1, 1, 1),
             res_tile: Tensor3::zeros(1, 1, 1),
             lanes: Vec::new(),
-            portion_mids: Vec::new(),
-            portion_outs: Vec::new(),
+            padded: Vec::new(),
+            portion_slots: Vec::new(),
         }
     }
 
@@ -104,8 +132,8 @@ impl TileScratch {
 
     /// Grows the per-`(portion, image)` output slots so the portion loop —
     /// serial or parallel — writes portion-local mids/outs without
-    /// allocating in steady state. Slot vectors only ever grow, like the
-    /// psum banks.
+    /// allocating in steady state. The slot vector only ever grows, like
+    /// the psum banks.
     pub(crate) fn reserve_portion_slots(
         &mut self,
         s: &LayerShape,
@@ -113,17 +141,12 @@ impl TileScratch {
         n_slots: usize,
     ) {
         let pmax = s.out_spatial().min(cfg.portion_limit).max(1);
-        while self.portion_mids.len() < n_slots {
-            self.portion_mids.push(Tensor3::zeros(1, 1, 1));
+        while self.portion_slots.len() < n_slots {
+            self.portion_slots.push(PortionSlot::default());
         }
-        while self.portion_outs.len() < n_slots {
-            self.portion_outs.push(Tensor3::zeros(1, 1, 1));
-        }
-        for mid in self.portion_mids.iter_mut().take(n_slots) {
-            mid.reserve_capacity(s.d_in * pmax * pmax);
-        }
-        for out in self.portion_outs.iter_mut().take(n_slots) {
-            out.reserve_capacity(s.k_out * pmax * pmax);
+        for slot in self.portion_slots.iter_mut().take(n_slots) {
+            slot.mid.reserve_capacity(s.d_in * pmax * pmax);
+            slot.out.reserve_capacity(s.k_out * pmax * pmax);
         }
     }
 

@@ -9,6 +9,10 @@
 //! spawn plus per-lane buffers), never per tile. Part 5 pins telemetry:
 //! a `Disabled` sink adds exactly zero allocations to the serve path,
 //! and a warm enabled recorder settles to a stable per-batch constant.
+//! Part 6 pins the network loop: a warm planned forward allocates a
+//! stable count bounded by what it returns — each layer's output map and
+//! its vector, the layer's portion list, the stats vector — and no
+//! whole-layer intermediate map or padded input copy.
 //!
 //! The whole guard lives in one `#[test]` because the counting allocator
 //! is process-wide and the default harness runs tests of one binary
@@ -17,9 +21,10 @@
 use edea_core::par::Parallelism;
 use edea_core::plan::LayerPlan;
 use edea_core::pool::{DispatchPolicy, Dispatcher, Pool};
+use edea_core::schedule::portions;
 use edea_core::schedule::WeightResidency;
 use edea_core::scratch::TileScratch;
-use edea_core::serve::{arrivals, AnalyticBackend, Backend, Policy};
+use edea_core::serve::{arrivals, AnalyticBackend, Backend, Policy, SimulatorBackend};
 use edea_core::EdeaConfig;
 use edea_core::{
     engine::{DwcEngine, PwcEngine, WeightSlice},
@@ -343,5 +348,48 @@ fn steady_state_tile_pipeline_does_not_allocate() {
         on_margin <= 16,
         "enabled recorder adds {on_margin} allocations per batch \
          ({on_a} observed vs {off_a} disabled for 8 batches)"
+    );
+
+    // --- Part 6: a warm planned network forward allocates only what it
+    // returns. ---
+    // Per layer the loop may allocate the output map, the vector holding
+    // it and the portion list; per forward, the stats vector. The portion
+    // list's own allocations (it grows as it is collected) and, in debug
+    // builds, those of the plan-time race audit each layer re-runs are
+    // counted on the same inputs and join the budget. Assembling a
+    // whole-layer intermediate map (a vector and a map per layer) or
+    // copying the inputs per layer (the same again) would each add 26
+    // over the 13 layers and break it.
+    let session = SimulatorBackend::new(edea.clone(), d.qnet.clone()).unwrap();
+    let forward_allocs = || {
+        let before = CountingAllocator::allocations();
+        let run = session.run_network(&d.input).unwrap();
+        let allocs = CountingAllocator::allocations() - before;
+        drop(run);
+        allocs
+    };
+    let _ = forward_allocs();
+    let fwd_a = forward_allocs();
+    let fwd_b = forward_allocs();
+    assert_eq!(
+        fwd_a, fwd_b,
+        "warm planned forwards must have a stable allocation count"
+    );
+    let mut lists = 0;
+    for layer in d.qnet.layers() {
+        let s = layer.shape();
+        let before = CountingAllocator::allocations();
+        let ports = portions(s.out_spatial(), cfg.portion_limit);
+        if cfg!(debug_assertions) {
+            edea_core::plan::audit::audit_portions(&s, &cfg, &ports, 1, 1).unwrap();
+        }
+        lists += CountingAllocator::allocations() - before;
+    }
+    let n_layers = d.qnet.layers().len() as u64;
+    let budget = 2 * n_layers + 1 + lists;
+    assert!(
+        fwd_a <= budget,
+        "warm forward allocated {fwd_a} times, budget {budget} \
+         ({n_layers} layers × (output map + its vector) + stats + {lists} for portion lists and audits)"
     );
 }

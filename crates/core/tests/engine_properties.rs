@@ -1,12 +1,13 @@
 //! Property-based tests: the engine datapaths against the golden reference
-//! kernels, on arbitrary int8 tiles.
+//! kernels, on arbitrary int8 tiles and — for the DWC portion kernel — at
+//! any lane count, stride and portion extent.
 
-use edea_core::engine::{DwcEngine, PwcEngine};
+use edea_core::engine::{DwcEngine, EngineActivity, PwcEngine, WeightSlice};
 use edea_core::nonconv::NonConvUnit;
 use edea_core::{timing, EdeaConfig};
 use edea_nn::fold::FoldedAffine;
 use edea_tensor::conv::{depthwise_conv2d_i8, pointwise_conv2d_i8};
-use edea_tensor::{Tensor3, Tensor4};
+use edea_tensor::{rng, Tensor3, Tensor4};
 use proptest::prelude::*;
 
 fn i8_tensor3(c: usize, h: usize, w: usize) -> impl Strategy<Value = Tensor3<i8>> {
@@ -17,6 +18,87 @@ fn i8_tensor3(c: usize, h: usize, w: usize) -> impl Strategy<Value = Tensor3<i8>
 fn i8_tensor4(k: usize, c: usize, h: usize, w: usize) -> impl Strategy<Value = Tensor4<i8>> {
     prop::collection::vec(any::<i8>(), k * c * h * w)
         .prop_map(move |v| Tensor4::from_vec(v, k, c, h, w).expect("sized"))
+}
+
+/// Zeroes about `pct` percent of `values`, by a hash of the index and
+/// `salt` (independent of the RNG that drew the values).
+fn sparsify(values: &mut [i8], pct: u32, salt: u64) {
+    for (i, v) in values.iter_mut().enumerate() {
+        let h = (i as u64 + 1)
+            .wrapping_mul(0x9e37_79b9_7f4a_7c15)
+            .wrapping_add(salt)
+            .wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        if (h >> 32) % 100 < u64::from(pct) {
+            *v = 0;
+        }
+    }
+}
+
+/// The modeled activity of one DWC channel pass, slot by slot: every
+/// `(channel, output pixel, tap)` slot, with its zero operands.
+fn dwc_slot_activity(
+    window: &Tensor3<i8>,
+    weights: &Tensor4<i8>,
+    stride: usize,
+    (rows, cols): (usize, usize),
+) -> EngineActivity {
+    let (td, _, k, _) = weights.shape();
+    let mut activity = EngineActivity::default();
+    for c in 0..td {
+        for r in 0..rows {
+            for q in 0..cols {
+                for kh in 0..k {
+                    for kw in 0..k {
+                        activity.mac_slots += 1;
+                        let a = window[(c, r * stride + kh, q * stride + kw)];
+                        activity.zero_act_slots += u64::from(a == 0);
+                        activity.zero_weight_slots += u64::from(weights[(c, 0, kh, kw)] == 0);
+                    }
+                }
+            }
+        }
+    }
+    activity
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The DWC portion kernel at geometries the paper configuration never
+    /// reaches: 1 to 72 channel lanes (partial and multiple 8-lane
+    /// blocks), strides 1–3, portions of up to 32×32 outputs (windows of
+    /// up to 96×96, beyond one staging strip) and 0–100 % activation
+    /// zeros (100 % takes the whole-window skip). Its accumulators equal
+    /// the reference depthwise convolution, and its activity the per-slot
+    /// count.
+    #[test]
+    fn dwc_portion_kernel_matches_references_at_any_geometry(
+        lanes in 0usize..5,
+        stride in 1usize..4,
+        extent in (1usize..33, 1usize..33),
+        zero_pct in 0u32..101,
+        seed in any::<u64>(),
+    ) {
+        let td = [1, 4, 8, 12, 72][lanes];
+        let (rows, cols) = extent;
+        let mut cfg = EdeaConfig::paper();
+        cfg.tile.td = td;
+        cfg.tile.tn = 1;
+        cfg.tile.tm = 1;
+        let k = cfg.tile.kernel;
+        let engine = DwcEngine::new(&cfg);
+        let (hr, hc) = ((rows - 1) * stride + k, (cols - 1) * stride + k);
+        let mut window = rng::uniform_i8_tensor3(td, hr, hc, -128, 127, seed);
+        sparsify(window.as_mut_slice(), zero_pct, seed);
+        let mut weights = rng::uniform_i8_tensor4(td, 1, k, k, -128, 127, seed ^ 1);
+        sparsify(weights.as_mut_slice(), 20, seed ^ 2);
+        let mut acc = Tensor3::<i32>::zeros(1, 1, 1);
+        let activity = engine
+            .compute_portion_into(&window, WeightSlice::new(weights.as_slice()), stride, &mut acc)
+            .expect("whole-tile portion");
+        prop_assert_eq!(&acc, &depthwise_conv2d_i8(&window, &weights, stride, 0));
+        prop_assert_eq!(activity, dwc_slot_activity(&window, &weights, stride, (rows, cols)));
+    }
 }
 
 proptest! {

@@ -91,20 +91,33 @@ impl<T: Copy + Default> Tensor3<T> {
     }
 
     /// Returns a spatially zero-padded copy (`pad` rows/cols on every side).
+    /// Thin allocating wrapper over [`Tensor3::zero_padded_into`].
     #[must_use]
     pub fn zero_padded(&self, pad: usize) -> Self {
-        if pad == 0 {
-            return self.clone();
-        }
-        let mut out = Self::zeros(self.c, self.h + 2 * pad, self.w + 2 * pad);
-        for c in 0..self.c {
-            for h in 0..self.h {
-                for w in 0..self.w {
-                    out[(c, h + pad, w + pad)] = self[(c, h, w)];
-                }
+        let mut out = Self::zeros(1, 1, 1);
+        self.zero_padded_into(pad, &mut out);
+        out
+    }
+
+    /// Writes the spatially zero-padded copy (`pad` rows/cols on every
+    /// side) into `out`, reshaping it in place — allocation-free once
+    /// `out` has grown to that size. Each input row lands with one
+    /// `copy_from_slice`.
+    pub fn zero_padded_into(&self, pad: usize, out: &mut Self) {
+        let (h, w) = (self.h + 2 * pad, self.w + 2 * pad);
+        out.resize_zeroed(self.c, h, w);
+        for (src, dst) in self
+            .data
+            .chunks_exact(self.h * self.w)
+            .zip(out.data.chunks_exact_mut(h * w))
+        {
+            for (row, dst_row) in src
+                .chunks_exact(self.w)
+                .zip(dst[pad * w..].chunks_exact_mut(w))
+            {
+                dst_row[pad..pad + self.w].copy_from_slice(row);
             }
         }
-        out
     }
 
     /// Reshapes to `(c, h, w)` in place and fills every element with
@@ -207,7 +220,8 @@ impl<T: Copy + Default> Tensor3<T> {
     /// Writes `src` into the window of this tensor anchored at
     /// `(c0, h0, w0)` — the inverse of [`Tensor3::copy_window_into`], used
     /// to scatter a computed tile back into a full feature map without
-    /// per-element index arithmetic.
+    /// per-element index arithmetic. A window spanning whole planes is one
+    /// contiguous run and lands with a single copy.
     ///
     /// # Panics
     ///
@@ -221,6 +235,11 @@ impl<T: Copy + Default> Tensor3<T> {
             self.h,
             self.w
         );
+        if (hn, wn) == (self.h, self.w) {
+            let dst = c0 * hn * wn;
+            self.data[dst..dst + src.data.len()].copy_from_slice(&src.data);
+            return;
+        }
         for c in 0..cn {
             for h in 0..hn {
                 let dst = ((c0 + c) * self.h + (h0 + h)) * self.w + w0;
@@ -662,6 +681,24 @@ mod tests {
     }
 
     #[test]
+    fn zero_padded_into_matches_per_element_padding_in_a_reused_buffer() {
+        let mut out = Tensor3::<i8>::zeros(1, 1, 1);
+        for (c, h, w, pad) in [(3, 4, 5, 2), (2, 3, 3, 1), (1, 2, 2, 0), (4, 6, 6, 3)] {
+            let t = Tensor3::<i8>::from_fn(c, h, w, |ci, hi, wi| (ci * 31 + hi * 7 + wi) as i8 + 1);
+            t.zero_padded_into(pad, &mut out);
+            let want = Tensor3::<i8>::from_fn(c, h + 2 * pad, w + 2 * pad, |ci, hi, wi| {
+                let inside = (pad..pad + h).contains(&hi) && (pad..pad + w).contains(&wi);
+                if inside {
+                    t[(ci, hi - pad, wi - pad)]
+                } else {
+                    0
+                }
+            });
+            assert_eq!(out, want, "({c}, {h}, {w}) pad {pad}");
+        }
+    }
+
+    #[test]
     fn zero_padding_zero_is_clone() {
         let t = Tensor3::<i8>::from_fn(2, 3, 3, |c, h, w| (c + h + w) as i8);
         assert_eq!(t.zero_padded(0), t);
@@ -768,6 +805,21 @@ mod tests {
         // Elements outside the window are untouched.
         assert_eq!(out[(0, 0, 0)], 0);
         assert_eq!(out[(3, 4, 5)], 0);
+    }
+
+    #[test]
+    fn paste_window_of_whole_planes_lands_in_its_channel_slab() {
+        let src = Tensor3::<i32>::from_fn(2, 3, 4, |c, h, w| (c * 100 + h * 10 + w) as i32 + 1);
+        let mut out = Tensor3::<i32>::zeros(4, 3, 4);
+        out.paste_window(1, 0, 0, &src);
+        for ((c, h, w), &v) in out.indexed_iter() {
+            let want = if (1..3).contains(&c) {
+                src[(c - 1, h, w)]
+            } else {
+                0
+            };
+            assert_eq!(v, want, "({c}, {h}, {w})");
+        }
     }
 
     #[test]
