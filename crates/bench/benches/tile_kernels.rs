@@ -2,9 +2,9 @@
 //! zero-skipping fast paths from the full simulator (whose end-to-end
 //! timings on a shared host carry several percent of scheduler noise).
 //!
-//! Tile cases stream 256 pre-built tiles through a reused accumulator
-//! with the one-cycle `compute_tile_into` API (the portion kernels at the
-//! extent of one engine cycle):
+//! Tile cases stream 256 pre-built tiles through a reused accumulator,
+//! one portion-kernel call per tile — the kernels at the extent of one
+//! engine cycle:
 //!  - `dwc_dense`   — no zeros: the window staged into channel lanes and
 //!    the lane-parallel MAC loop, behind one whole-window `all_zero`
 //!    probe (the probe cost is the dense overhead).
@@ -14,19 +14,20 @@
 //!  - `pwc_sparse`  — 6 of 8 channel rows zero.
 //!
 //! DWC portion cases time one `compute_portion_into` call — one channel
-//! pass of one portion — at each of the four MobileNetV1 DWC portion
-//! shapes with 60 % activation zeros: `dwc_portion_8x8_s1` (layers 0, 2
-//! and 4), `dwc_portion_8x8_s2` (layers 1 and 3), `dwc_portion_4x4_s1`
-//! (layers 6–10) and `dwc_portion_2x2_s1` (layer 12). A call is
-//! `8·9·side²` MACs, so the median over that count is the kernel's ns per
-//! DWC MAC.
+//! pass of one portion, over its unpadded input region read in place —
+//! at each of the four MobileNetV1 DWC portion shapes with 60 % activation
+//! zeros: `dwc_portion_8x8_s1` (layers 0, 2 and 4), `dwc_portion_8x8_s2`
+//! (layers 1 and 3), `dwc_portion_4x4_s1` (layers 6–10) and
+//! `dwc_portion_2x2_s1` (layer 12). A call is `8·9·side²` MACs, so the
+//! median over that count is the kernel's ns per DWC MAC.
 //!
 //! Portion cases time one channel pass of one portion — the DWC over the
 //! input region, then the PWC over every kernel tile into the psum bank —
 //! once through the portion kernels (two calls) and once tile by tile
-//! (one DWC call per spatial tile, one PWC call per spatial tile × kernel
-//! tile, each partial scattered into the bank), on the same data — the
-//! per-call cost the portion kernels remove:
+//! (the same kernels at one-tile extent: one DWC call per spatial tile,
+//! one PWC call per spatial tile × kernel tile, each partial scattered
+//! into the bank), on the same data — the per-call cost the portion
+//! kernels remove:
 //!  - `8x8_k512`  — a 64-pixel portion at K = 512, 60 % activation zeros
 //!    (the widest portion the schedule cuts, at a mid-network K).
 //!  - `2x2_k1024` — the one-tile portion of layer 12, K = 1024, 97 %
@@ -34,6 +35,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use edea::core::engine::{DwcEngine, PwcEngine, WeightSlice};
+use edea::core::schedule::Portion;
 use edea::tensor::{rng, Tensor3, Tensor4};
 use edea::EdeaConfig;
 use std::hint::black_box;
@@ -48,6 +50,16 @@ fn sparsify(values: &mut [i8], z: f64) {
         if h < cut {
             *v = 0;
         }
+    }
+}
+
+/// The `side × side` output rectangle at `(row0, col0)`.
+fn square(row0: usize, col0: usize, side: usize) -> Portion {
+    Portion {
+        row0,
+        col0,
+        rows: side,
+        cols: side,
     }
 }
 
@@ -123,18 +135,26 @@ fn bench_tile_kernels(c: &mut Criterion) {
     let mut g = c.benchmark_group("tile_kernels");
     g.sample_size(if smoke { 10 } else { 60 });
 
-    let mut acc = Tensor3::<i32>::zeros(8, 2, 2);
+    let dw = WeightSlice::new(dw_weights.as_slice());
+    let tile = square(0, 0, 2);
+    let mut acc = Tensor3::<i32>::zeros(2, 2, 8);
     g.bench_function("dwc_dense_256_tiles", |b| {
         b.iter(|| {
             for t in &dw_dense {
-                black_box(dwc.compute_tile_into(t, &dw_weights, 1, &mut acc).unwrap());
+                black_box(
+                    dwc.compute_portion_into(t, 0, dw, &tile, 1, 0, &mut acc)
+                        .unwrap(),
+                );
             }
         });
     });
     g.bench_function("dwc_allzero_256_tiles", |b| {
         b.iter(|| {
             for t in &dw_zero {
-                black_box(dwc.compute_tile_into(t, &dw_weights, 1, &mut acc).unwrap());
+                black_box(
+                    dwc.compute_portion_into(t, 0, dw, &tile, 1, 0, &mut acc)
+                        .unwrap(),
+                );
             }
         });
     });
@@ -143,30 +163,40 @@ fn bench_tile_kernels(c: &mut Criterion) {
         let extent = (side - 1) * stride + 3;
         let mut region = rng::uniform_i8_tensor3(8, extent, extent, -128, 127, 800 + side as u64);
         sparsify(region.as_mut_slice(), 0.6);
-        let dw = WeightSlice::new(dw_weights.as_slice());
+        let portion = square(0, 0, side);
         g.bench_function(&format!("dwc_portion_{side}x{side}_s{stride}"), |b| {
             b.iter(|| {
                 black_box(
-                    dwc.compute_portion_into(&region, dw, stride, &mut acc)
+                    dwc.compute_portion_into(&region, 0, dw, &portion, stride, 0, &mut acc)
                         .unwrap(),
                 )
             });
         });
     }
 
-    let mut partial = Tensor3::<i32>::zeros(2, 2, 16);
+    // One 2×2 tile's psum bank against one 16-wide kernel tile, zeroed
+    // before each cycle as a fresh bank would be.
+    let mut partial = [0i32; 4 * 16];
     let pw_tile = WeightSlice::new(&pw_weights);
     g.bench_function("pwc_dense_256_tiles", |b| {
         b.iter(|| {
             for t in &pw_dense {
-                black_box(pwc.compute_tile_into(t, pw_tile, &mut partial).unwrap());
+                partial.fill(0);
+                black_box(
+                    pwc.accumulate_portion(t.as_slice(), pw_tile, &mut partial)
+                        .unwrap(),
+                );
             }
         });
     });
     g.bench_function("pwc_sparse_256_tiles", |b| {
         b.iter(|| {
             for t in &pw_sparse {
-                black_box(pwc.compute_tile_into(t, pw_tile, &mut partial).unwrap());
+                partial.fill(0);
+                black_box(
+                    pwc.accumulate_portion(t.as_slice(), pw_tile, &mut partial)
+                        .unwrap(),
+                );
             }
         });
     });
@@ -178,7 +208,6 @@ fn bench_tile_kernels(c: &mut Criterion) {
         let (side, k) = (case.side, case.pw_t.len() / 8);
         let pix = side * side;
         let mut psum = vec![0i32; pix * k];
-        let mut region = case.region.clone();
         // Zero counts are taken once, as the plan does.
         let dw_slice = WeightSlice::new(case.dw.as_slice());
         let pw_slice = WeightSlice::new(&case.pw_t);
@@ -187,11 +216,11 @@ fn bench_tile_kernels(c: &mut Criterion) {
             .iter()
             .map(|w| WeightSlice::new(w))
             .collect();
+        let whole = square(0, 0, side);
         g.bench_function(&format!("portion_{name}"), |b| {
             b.iter(|| {
-                case.region.copy_window_into(0, 0, 0, &mut region);
                 black_box(
-                    dwc.compute_portion_into(&region, dw_slice, 1, &mut acc)
+                    dwc.compute_portion_into(&case.region, 0, dw_slice, &whole, 1, 0, &mut acc)
                         .unwrap(),
                 );
                 psum.fill(0);
@@ -201,22 +230,33 @@ fn bench_tile_kernels(c: &mut Criterion) {
                 );
             });
         });
-        let mut window = Tensor3::<i8>::zeros(8, 4, 4);
         let mut mid_tile = Tensor3::<i8>::zeros(8, 2, 2);
         g.bench_function(&format!("tiles_{name}"), |b| {
             b.iter(|| {
                 psum.fill(0);
                 for r in (0..side).step_by(2) {
                     for col in (0..side).step_by(2) {
-                        case.region.copy_window_into(0, r, col, &mut window);
+                        let tile = square(r, col, 2);
                         black_box(
-                            dwc.compute_tile_into(&window, &case.dw, 1, &mut acc)
-                                .unwrap(),
+                            dwc.compute_portion_into(
+                                &case.region,
+                                0,
+                                dw_slice,
+                                &tile,
+                                1,
+                                0,
+                                &mut acc,
+                            )
+                            .unwrap(),
                         );
                         case.mid.copy_window_into(0, r, col, &mut mid_tile);
                         for (kt, &w) in tile_slices.iter().enumerate() {
-                            black_box(pwc.compute_tile_into(&mid_tile, w, &mut partial).unwrap());
-                            for (p, sums) in partial.as_slice().chunks_exact(16).enumerate() {
+                            partial.fill(0);
+                            black_box(
+                                pwc.accumulate_portion(mid_tile.as_slice(), w, &mut partial)
+                                    .unwrap(),
+                            );
+                            for (p, sums) in partial.chunks_exact(16).enumerate() {
                                 let at = ((r + p / 2) * side + col + p % 2) * k + kt * 16;
                                 for (dst, &v) in psum[at..at + 16].iter_mut().zip(sums) {
                                     *dst += v;

@@ -38,8 +38,8 @@ use edea_tensor::{Batch, Tensor3};
 
 use crate::buffer::check_capacity;
 use crate::config::EdeaConfig;
-use crate::engine::{count_zeros, transpose_into, DwcEngine, EngineActivity, PwcEngine};
-use crate::nonconv::NonConvUnit;
+use crate::engine::{count_zeros, DwcEngine, EngineActivity, PwcEngine};
+use crate::nonconv::{NonConvUnit, Residual};
 use crate::par::{self, Parallelism};
 use crate::plan::{LayerPlan, NetworkPlan};
 use crate::schedule::{portions, Portion, WeightResidency};
@@ -148,7 +148,6 @@ impl Edea {
         cfg.validate()?;
         let dwc = DwcEngine::new(&cfg);
         let pwc = PwcEngine::new(&cfg);
-        let nonconv = NonConvUnit::new(&cfg);
         let (par, par_warning) = Parallelism::from_env_checked();
         if let Some(w) = &par_warning {
             Parallelism::warn_env_once(w);
@@ -157,7 +156,7 @@ impl Edea {
             cfg,
             dwc,
             pwc,
-            nonconv,
+            nonconv: NonConvUnit,
             par,
         })
     }
@@ -318,15 +317,17 @@ impl Edea {
     /// residual-add stage passes its saved block inputs with the
     /// already-checked rescale.
     ///
-    /// Each `(channel pass, image)` step is four host calls whatever the
-    /// portion's size: one copy of the input region, one DWC portion
-    /// kernel, one Non-Conv #1 straight into the mid slot's channel slab,
-    /// and one PWC accumulate over every kernel tile. One modeled engine
-    /// cycle is one spatial tile (DWC) or one spatial tile × kernel tile
-    /// (PWC); the kernels cover all of the step's cycles at once and their
-    /// activity is the exact per-cycle sum. The step's weight and ifmap
-    /// loads, buffer transfers and psum read-modify-writes are not counted
-    /// here: they depend only on the shape and come from the ledger.
+    /// Each `(channel pass, image)` step is three host calls whatever the
+    /// portion's size: one DWC portion kernel, which reads the unpadded
+    /// input in place and zero-fills the halo as it stages the window; one
+    /// Non-Conv #1 straight into the mid slot's channel slab; and one PWC
+    /// accumulate over every kernel tile. One modeled engine cycle is one
+    /// spatial tile (DWC) or one spatial tile × kernel tile (PWC); the
+    /// kernels cover all of the step's cycles at once and their activity
+    /// is the exact per-cycle sum. The step's weight and ifmap loads,
+    /// buffer transfers and psum read-modify-writes are not counted here:
+    /// they depend only on the shape and come from the ledger. The drain
+    /// is one Non-Conv #2 call per image, over the psum bank as it stands.
     ///
     /// This is the unit the parallel portion loop distributes across
     /// lanes: a portion touches only its own output rectangle, its lane's
@@ -338,7 +339,7 @@ impl Edea {
         &self,
         layer: &QuantizedDscLayer,
         plan: &LayerPlan,
-        padded: &[Tensor3<i8>],
+        inputs: &[Tensor3<i8>],
         residual: Option<(&[Tensor3<i8>], Q8x16)>,
         portion: &Portion,
         scratch: &mut TileScratch,
@@ -347,7 +348,7 @@ impl Edea {
     ) -> Result<(), CoreError> {
         let s = layer.shape();
         let td = self.cfg.tile.td;
-        let n_images = padded.len();
+        let n_images = inputs.len();
         let pix = portion.pixels();
 
         // One psum bank per in-flight image.
@@ -360,30 +361,20 @@ impl Edea {
                 .resize_for_overwrite(s.d_in, portion.rows, portion.cols);
             slot.mid_zeros = 0;
         }
-        if s.op == StageOp::Dsc {
-            scratch.window.resize_for_overwrite(
-                td,
-                (portion.rows - 1) * s.stride + s.kernel,
-                (portion.cols - 1) * s.stride + s.kernel,
-            );
-        }
 
         for ct in 0..s.d_in / td {
-            for (img, padded_img) in padded.iter().enumerate() {
+            for (img, input) in inputs.iter().enumerate() {
                 let slot = &mut slots[img];
                 let slab = &mut slot.mid.as_mut_slice()[ct * td * pix..(ct + 1) * td * pix];
                 slot.mid_zeros += match s.op {
                     StageOp::Dsc => {
-                        padded_img.copy_window_into(
-                            ct * td,
-                            portion.row0 * s.stride,
-                            portion.col0 * s.stride,
-                            &mut scratch.window,
-                        );
                         let act = self.dwc.compute_portion_into(
-                            &scratch.window,
+                            input,
+                            ct * td,
                             plan.dw_slice(ct),
+                            portion,
                             s.stride,
+                            s.pad,
                             &mut scratch.dwc_acc,
                         )?;
                         tally.dwc_activity.merge(&act);
@@ -392,10 +383,11 @@ impl Edea {
                         // external round trip), here straight into the
                         // portion's mid slab.
                         self.nonconv
-                            .apply_into_slice(
+                            .apply(
                                 &scratch.dwc_acc,
                                 &layer.nonconv1()[ct * td..],
                                 0,
+                                None,
                                 slab,
                             )?
                             .zero_outputs
@@ -404,7 +396,7 @@ impl Edea {
                     // intermediate buffer are bypassed — the PWC is fed
                     // straight from the ifmap buffer.
                     StageOp::PwcOnly => {
-                        padded_img.copy_window_to_slice(
+                        input.copy_window_to_slice(
                             (ct * td, portion.row0, portion.col0),
                             (td, portion.rows, portion.cols),
                             slab,
@@ -438,37 +430,17 @@ impl Edea {
             .zip(slots.iter_mut())
             .enumerate()
         {
-            // The bank is pixel-major; the Non-Conv drains channel planes.
-            scratch
-                .drain
+            slot.out
                 .resize_for_overwrite(s.k_out, portion.rows, portion.cols);
-            transpose_into(psum.as_slice(), pix, s.k_out, scratch.drain.as_mut_slice());
-            let act = if let Some((res_imgs, r)) = residual {
-                scratch
-                    .res_tile
-                    .resize_zeroed(s.k_out, portion.rows, portion.cols);
-                res_imgs[img].copy_window_into(
-                    0,
-                    portion.row0,
-                    portion.col0,
-                    &mut scratch.res_tile,
-                );
-                self.nonconv.apply_tile_residual_into(
-                    &scratch.drain,
-                    layer.nonconv2(),
-                    &scratch.res_tile,
-                    r,
-                    lo,
-                    &mut slot.out,
-                )?
-            } else {
-                self.nonconv.apply_tile_into_clipped(
-                    &scratch.drain,
-                    layer.nonconv2(),
-                    lo,
-                    &mut slot.out,
-                )?
-            };
+            let skip = residual.map(|(maps, scale)| Residual {
+                map: &maps[img],
+                row0: portion.row0,
+                col0: portion.col0,
+                scale,
+            });
+            let act =
+                self.nonconv
+                    .apply(psum, layer.nonconv2(), lo, skip, slot.out.as_mut_slice())?;
             slot.out_zeros = act.zero_outputs;
         }
         Ok(())
@@ -482,8 +454,8 @@ impl Edea {
     /// The portion loop works entirely in `scratch`'s reusable buffers —
     /// reserved once up front, so the steady state performs zero heap
     /// allocations per portion (guarded by the allocation-regression
-    /// test). A padded layer pads into the scratch's maps by row copies;
-    /// an unpadded one reads its inputs in place.
+    /// test). Every layer reads its inputs in place: the DWC kernel
+    /// zero-fills a padded layer's halo as it stages each window.
     ///
     /// Before the portion loop the layer's buffer residencies are checked
     /// against their capacities ([`check_capacity`]); after it the
@@ -557,22 +529,9 @@ impl Edea {
         #[cfg(debug_assertions)]
         crate::plan::audit::audit_portions(&s, &self.cfg, &ports, lanes, n_images)?;
 
-        // The padded maps and the slot vector leave the scratch for the
-        // duration of the portion loop so the maps can be shared and the
-        // slots split into disjoint per-lane `&mut` slices; both are
-        // restored below on every path, success or error.
-        let mut padded_maps = std::mem::take(&mut scratch.padded);
-        let padded = if s.pad == 0 {
-            inputs
-        } else {
-            while padded_maps.len() < n_images {
-                padded_maps.push(Tensor3::zeros(1, 1, 1));
-            }
-            for (input, map) in inputs.iter().zip(padded_maps.iter_mut()) {
-                input.zero_padded_into(s.pad, map);
-            }
-            &padded_maps[..n_images]
-        };
+        // The slot vector leaves the scratch for the duration of the
+        // portion loop so it can be split into disjoint per-lane `&mut`
+        // slices; it is restored below on every path, success or error.
         let mut portion_slots = std::mem::take(&mut scratch.portion_slots);
 
         let run_result = if lanes <= 1 {
@@ -583,7 +542,7 @@ impl Edea {
                 if let Err(e) = self.run_portion(
                     layer,
                     plan,
-                    padded,
+                    inputs,
                     residual,
                     portion,
                     &mut *scratch,
@@ -627,7 +586,7 @@ impl Edea {
                     if let Err(e) = self.run_portion(
                         layer,
                         plan,
-                        padded,
+                        inputs,
                         residual,
                         &ports[p],
                         ctx.scratch,
@@ -655,7 +614,6 @@ impl Edea {
             }
             first_err
         };
-        scratch.padded = padded_maps;
 
         // Paste phase, serially in portion order: assemble the full output
         // (and, if asked, intermediate) maps from the portion-local slots.

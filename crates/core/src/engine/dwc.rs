@@ -7,29 +7,33 @@
 //! of size 4×4×8 (5×5×8 when stride is 2) and a tiled kernel of size 3×3×8,
 //! and generates an ofmap of size 2×2×8."
 //!
-//! One invocation of [`DwcEngine::compute_tile`] models one engine cycle:
-//! all `Td` channel PEs fire in parallel, each computing its `Tn×Tm` output
-//! windows through 9-input adder trees. [`DwcEngine::compute_portion_into`]
-//! models every cycle of one portion's channel pass in a single call; the
-//! tile API is its one-cycle case.
+//! [`DwcEngine::compute_portion_into`] models every engine cycle of one
+//! portion's channel pass in a single call: each cycle all `Td` channel
+//! PEs fire in parallel, each computing its `Tn×Tm` output windows
+//! through 9-input adder trees. A single cycle is the call at the extent
+//! of one `Tn×Tm` tile.
 //!
 //! The portion kernel mirrors the PE array's layout on the host: it
 //! computes 8 channels side by side, one per lane. It stages the input
 //! window once per call into a bounded pixel-major buffer of `i16` lane
 //! operands (8 channels of one pixel = one 128-bit register, so the
-//! baseline SSE2 build multiplies with `pmullw`), then accumulates each
-//! output pixel's K×K taps of all lanes at once in an `[i32; 8]` block and
-//! counts each lane's gated slots beside them. A `Td` that is not a
-//! multiple of 8 leaves dead lanes in the last channel block; a window
-//! larger than the buffer is processed in strips of output rows and
-//! columns. Every `Td`, kernel, stride and portion size runs this one
-//! path. The only skip is a window that is zero throughout.
+//! baseline SSE2 build multiplies with `pmullw`), reading the in-map rows
+//! straight from the layer input and zero-filling the halo that falls in
+//! the padding, then accumulates each output pixel's K×K taps of all lanes
+//! at once in an `[i32; 8]` block, stored contiguously in the pixel-major
+//! accumulators, and counts each lane's gated slots beside them. A `Td`
+//! that is not a multiple of 8 leaves dead lanes in the last channel
+//! block; a window larger than the buffer is processed in strips of
+//! output rows and columns. Every `Td`, kernel, stride, pad and portion
+//! size runs this one path. The only skip is a window that is zero
+//! throughout.
 
 use edea_tensor::ops::all_zero_i8;
-use edea_tensor::{Tensor3, Tensor4};
+use edea_tensor::Tensor3;
 
 use crate::config::EdeaConfig;
 use crate::engine::{EngineActivity, WeightSlice};
+use crate::schedule::Portion;
 use crate::CoreError;
 
 /// Channels the portion kernel computes side by side: the paper's eight
@@ -42,16 +46,6 @@ const STAGE_PIXELS: usize = 128;
 /// The largest depthwise kernel side the lane tap buffer holds (a K×K
 /// kernel needs `K·K ≤ STAGE_PIXELS` staged pixels for one output).
 const MAX_KERNEL: usize = 7;
-
-/// Output of one DWC engine cycle.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DwcTileOutput {
-    /// Accumulators, shape `(Td, Tn, Tm)` — int8×int8 sums over 3×3 taps
-    /// (19-bit worst case, carried in `i32`).
-    pub acc: Tensor3<i32>,
-    /// Multiplier activity for the power model.
-    pub activity: EngineActivity,
-}
 
 /// The DWC PE array.
 #[derive(Debug, Clone)]
@@ -75,92 +69,33 @@ impl DwcEngine {
         }
     }
 
-    /// MAC slots exercised per invocation (288 for the paper config).
-    #[must_use]
-    pub fn macs_per_cycle(&self) -> u64 {
-        (self.td * self.kernel * self.kernel * self.tn * self.tm) as u64
-    }
-
-    /// Computes one tile: `ifmap` is the `(Td, Tr, Tc)` input window
-    /// (`Tr = (Tn−1)·stride + kernel`), `weights` the `(Td, 1, K, K)` kernel
-    /// slice.
-    ///
-    /// Thin allocating wrapper over [`DwcEngine::compute_tile_into`].
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::UnsupportedShape`] if tile shapes do not match the
-    /// engine geometry.
-    pub fn compute_tile(
-        &self,
-        ifmap: &Tensor3<i8>,
-        weights: &Tensor4<i8>,
-        stride: usize,
-    ) -> Result<DwcTileOutput, CoreError> {
-        let mut acc = Tensor3::<i32>::zeros(self.td, self.tn, self.tm);
-        let activity = self.compute_tile_into(ifmap, weights, stride, &mut acc)?;
-        Ok(DwcTileOutput { acc, activity })
-    }
-
-    /// Computes one tile into a caller-provided accumulator buffer, which
-    /// is reshaped to `(Td, Tn, Tm)` in place — the one-cycle case of
-    /// [`DwcEngine::compute_portion_into`], bit-exact with
-    /// [`DwcEngine::compute_tile`].
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::UnsupportedShape`] if tile shapes do not match the
-    /// engine geometry.
-    pub fn compute_tile_into(
-        &self,
-        ifmap: &Tensor3<i8>,
-        weights: &Tensor4<i8>,
-        stride: usize,
-        acc: &mut Tensor3<i32>,
-    ) -> Result<EngineActivity, CoreError> {
-        let tr = (self.tn - 1) * stride + self.kernel;
-        let tc = (self.tm - 1) * stride + self.kernel;
-        if ifmap.shape() != (self.td, tr, tc) {
-            return Err(CoreError::UnsupportedShape {
-                detail: format!(
-                    "DWC ifmap tile {:?}, engine expects ({}, {tr}, {tc}) at stride {stride}",
-                    ifmap.shape(),
-                    self.td
-                ),
-            });
-        }
-        if weights.shape() != (self.td, 1, self.kernel, self.kernel) {
-            return Err(CoreError::UnsupportedShape {
-                detail: format!(
-                    "DWC weight tile {:?}, engine expects ({}, 1, {}, {})",
-                    weights.shape(),
-                    self.td,
-                    self.kernel,
-                    self.kernel
-                ),
-            });
-        }
-        self.compute_portion_into(ifmap, WeightSlice::new(weights.as_slice()), stride, acc)
-    }
-
     /// Computes one channel pass of a whole portion — every spatial tile's
-    /// engine cycle — in one call. `window` is the `(Td, Hr, Hc)` input
-    /// region with halo (`Hr = (rows−1)·stride + K` for `rows` output
-    /// rows), `weights` the pass's `Td·K·K` taps in channel-major order;
-    /// `acc` is reshaped to `(Td, rows, cols)`. The output extent must be
-    /// a whole number of `Tn×Tm` tiles, and the returned activity is
-    /// exactly the sum of those tiles' per-cycle activities.
+    /// engine cycle — in one call, reading the layer input in place.
+    ///
+    /// `input` is the unpadded, square `(D, H, H)` layer input, and the
+    /// pass covers its channels `c0..c0 + Td`. `portion` is the ofmap
+    /// rectangle, `stride` and `pad` are the layer's: input pixels outside
+    /// the map are the zero padding. `weights` holds the pass's `Td·K·K`
+    /// taps in channel-major order, and `acc` is reshaped to the
+    /// pixel-major `(rows, cols, Td)` accumulators. The portion must be a
+    /// whole number of `Tn×Tm` tiles inside the ofmap, and the returned
+    /// activity is exactly the sum of those tiles' per-cycle activities.
     ///
     /// # Errors
     ///
     /// [`CoreError::UnsupportedShape`] if the engine kernel is wider than
-    /// 7×7, the window is not `Td` deep, its extent is not a whole number
-    /// of tiles at `stride`, or `weights` is not `Td·K·K` long.
+    /// 7×7, `stride` is 0, the input is not square or has no channels
+    /// `c0..c0 + Td`, the portion is not a whole number of tiles or
+    /// reaches past the padded map, or `weights` is not `Td·K·K` long.
+    #[allow(clippy::too_many_arguments)]
     pub fn compute_portion_into(
         &self,
-        window: &Tensor3<i8>,
+        input: &Tensor3<i8>,
+        c0: usize,
         weights: WeightSlice<'_>,
+        portion: &Portion,
         stride: usize,
+        pad: usize,
         acc: &mut Tensor3<i32>,
     ) -> Result<EngineActivity, CoreError> {
         let k = self.kernel;
@@ -172,50 +107,64 @@ impl DwcEngine {
                 ),
             });
         }
-        let (c, hr, hc) = window.shape();
-        let extent = |h: usize| {
-            (stride > 0 && h >= k && (h - k) % stride == 0).then(|| (h - k) / stride + 1)
-        };
-        let (rows, cols) = match (extent(hr), extent(hc)) {
-            (Some(rows), Some(cols))
-                if c == self.td && rows % self.tn == 0 && cols % self.tm == 0 =>
-            {
-                (rows, cols)
-            }
-            _ => {
-                return Err(CoreError::UnsupportedShape {
-                    detail: format!(
-                        "DWC portion window {:?} is not a whole number of ({}, {}) tiles \
-                         of a {}-deep engine at stride {stride}",
-                        window.shape(),
-                        self.tn,
-                        self.tm,
-                        self.td
-                    ),
-                })
-            }
-        };
+        let td = self.td;
+        let (d, side, width) = input.shape();
+        let (rows, cols) = (portion.rows, portion.cols);
+        // The last of `n` outputs from `first` reads the padded input up
+        // to `(first + n − 1)·stride + K`.
+        let fits = |first: usize, n: usize| n > 0 && (first + n - 1) * stride + k <= side + 2 * pad;
+        if stride == 0
+            || side != width
+            || c0 + td > d
+            || rows % self.tn != 0
+            || cols % self.tm != 0
+            || !fits(portion.row0, rows)
+            || !fits(portion.col0, cols)
+        {
+            return Err(CoreError::UnsupportedShape {
+                detail: format!(
+                    "DWC portion {portion:?} of channels {c0}..{} at stride {stride}, pad \
+                     {pad} is not a whole number of ({}, {}) tiles of a {:?} input",
+                    c0 + td,
+                    self.tn,
+                    self.tm,
+                    input.shape()
+                ),
+            });
+        }
         let wt = weights.values();
-        if wt.len() != self.td * taps {
+        if wt.len() != td * taps {
             return Err(CoreError::UnsupportedShape {
                 detail: format!(
                     "DWC weight slice of {} taps, engine expects {}",
                     wt.len(),
-                    self.td * taps
+                    td * taps
                 ),
             });
         }
-        let td = self.td;
         let pix = rows * cols;
         let mac_slots = (td * taps * pix) as u64;
         // Every weight feeds every output pixel of its channel.
         let zero_weight_slots = weights.zeros() * pix as u64;
-        acc.resize_for_overwrite(td, rows, cols);
-        let ia = window.as_slice();
+        acc.resize_for_overwrite(rows, cols, td);
+        let ia = input.as_slice();
         let out = acc.as_mut_slice();
-        if all_zero_i8(ia) {
-            // A zero window contributes 0 to every accumulator (the
-            // additive identity) and gates every modeled slot.
+        let plane = |c: usize| &ia[c * side * side..(c + 1) * side * side];
+        // The in-map rows the window touches, tested in place: one run per
+        // channel, or one run for the whole block when those rows are the
+        // whole map (every portion of the late layers). A zero window in
+        // rows that are not zero just takes the MAC loop, which counts the
+        // same gated slots.
+        let (in_r0, _, in_rows, _) = portion.input_region(stride, k, pad, side);
+        let window_zero = if in_rows == side {
+            all_zero_i8(&ia[c0 * side * side..(c0 + td) * side * side])
+        } else {
+            (c0..c0 + td).all(|c| all_zero_i8(&plane(c)[in_r0 * side..(in_r0 + in_rows) * side]))
+        };
+        if window_zero {
+            // A zero window (its halo is padding) contributes 0 to every
+            // accumulator (the additive identity) and gates every modeled
+            // slot.
             out.fill(0);
             return Ok(EngineActivity {
                 mac_slots,
@@ -233,33 +182,48 @@ impl DwcEngine {
         let mut lane_taps = [[0i16; LANES]; MAX_KERNEL * MAX_KERNEL];
         let mut tap_offsets = [0usize; MAX_KERNEL * MAX_KERNEL];
         let mut zero_act = 0u64;
-        for c0 in (0..td).step_by(LANES) {
-            let live = LANES.min(td - c0);
+        for b0 in (0..td).step_by(LANES) {
+            let live = LANES.min(td - b0);
             // The block's taps, tap-major across lanes and negated (see
             // the MAC loop). Dead lanes keep stale taps.
             for l in 0..live {
-                let w = &wt[(c0 + l) * taps..(c0 + l + 1) * taps];
+                let w = &wt[(b0 + l) * taps..(b0 + l + 1) * taps];
                 for (lt, &v) in lane_taps.iter_mut().zip(w) {
                     lt[l] = -i16::from(v);
                 }
             }
             let lane_taps = &lane_taps[..taps];
-            for r0 in (0..rows).step_by(strip_rows) {
-                let nr = strip_rows.min(rows - r0);
-                for q0 in (0..cols).step_by(strip_cols) {
-                    let nc = strip_cols.min(cols - q0);
+            // A dead lane (the last block of a `Td` that is not a
+            // multiple of 8) repeats the last live one; its sums and zero
+            // counts are never stored.
+            let lanes: [&[i8]; LANES] = std::array::from_fn(|l| plane(c0 + b0 + l.min(live - 1)));
+            for sr in (0..rows).step_by(strip_rows) {
+                let nr = strip_rows.min(rows - sr);
+                for sc in (0..cols).step_by(strip_cols) {
+                    let nc = strip_cols.min(cols - sc);
                     let (in_h, in_w) = ((nr - 1) * stride + k, (nc - 1) * stride + k);
-                    // Stage the strip pixel-major: one input row of every
-                    // lane at a time. A dead lane (the last block of a `Td`
-                    // that is not a multiple of 8) repeats the last live
-                    // one; its sums and zero counts are never stored.
+                    // The strip's window in padded coordinates, and the
+                    // span of its columns that lies in the map.
+                    let top = (portion.row0 + sr) * stride;
+                    let left = (portion.col0 + sc) * stride;
+                    let x_lo = pad.saturating_sub(left).min(in_w);
+                    let x_hi = (side + pad).saturating_sub(left).clamp(x_lo, in_w);
+                    let map_x = (left + x_lo).saturating_sub(pad).min(side);
+                    // Stage the strip pixel-major, one input row of every
+                    // lane at a time: in-map pixels from the input, halo
+                    // pixels zero.
                     for ir in 0..in_h {
-                        let at = (r0 * stride + ir) * hc + q0 * stride;
-                        let src: [&[i8]; LANES] = std::array::from_fn(|l| {
-                            &ia[(c0 + l.min(live - 1)) * hr * hc + at..][..in_w]
-                        });
                         let staged_row = &mut stage[ir * in_w..(ir + 1) * in_w];
-                        for (i, px) in staged_row.iter_mut().enumerate() {
+                        let y = (top + ir).wrapping_sub(pad);
+                        if y >= side {
+                            staged_row.fill([0; LANES]);
+                            continue;
+                        }
+                        staged_row[..x_lo].fill([0; LANES]);
+                        staged_row[x_hi..].fill([0; LANES]);
+                        let src: [&[i8]; LANES] =
+                            std::array::from_fn(|l| &lanes[l][y * side + map_x..][..x_hi - x_lo]);
+                        for (i, px) in staged_row[x_lo..x_hi].iter_mut().enumerate() {
                             *px = std::array::from_fn(|l| i16::from(src[l][i]));
                         }
                     }
@@ -303,10 +267,8 @@ impl DwcEngine {
                                     zeros[l] += u16::from(x[l] == 0);
                                 }
                             }
-                            let o = (r0 + orow) * cols + q0 + ocol;
-                            for (l, &v) in sum[..live].iter().enumerate() {
-                                out[(c0 + l) * pix + o] = v;
-                            }
+                            let o = (sr + orow) * cols + sc + ocol;
+                            out[o * td + b0..][..live].copy_from_slice(&sum[..live]);
                             for (z, &n) in lane_zeros.iter_mut().zip(&zeros) {
                                 *z += u32::from(n);
                             }
@@ -331,15 +293,40 @@ impl DwcEngine {
 mod tests {
     use super::*;
     use edea_tensor::conv::depthwise_conv2d_i8;
-    use edea_tensor::rng;
+    use edea_tensor::{rng, Tensor4};
 
     fn engine() -> DwcEngine {
         DwcEngine::new(&EdeaConfig::paper())
     }
 
+    /// One engine cycle: the portion kernel at the extent of one 2×2 tile
+    /// over an unpadded window, its accumulators returned channel-major.
+    fn one_tile(
+        ifmap: &Tensor3<i8>,
+        weights: &Tensor4<i8>,
+        stride: usize,
+    ) -> Result<(Tensor3<i32>, EngineActivity), CoreError> {
+        let tile = Portion {
+            row0: 0,
+            col0: 0,
+            rows: 2,
+            cols: 2,
+        };
+        let mut acc = Tensor3::zeros(1, 1, 1);
+        let weights = WeightSlice::new(weights.as_slice());
+        let activity =
+            engine().compute_portion_into(ifmap, 0, weights, &tile, stride, 0, &mut acc)?;
+        let planes = Tensor3::from_fn(8, 2, 2, |c, r, q| acc[(r, q, c)]);
+        Ok((planes, activity))
+    }
+
     #[test]
     fn macs_per_cycle_is_288() {
-        assert_eq!(engine().macs_per_cycle(), 288);
+        // One cycle — one 2×2 tile — exercises Td · K² · Tn · Tm slots.
+        let ifmap = rng::uniform_i8_tensor3(8, 4, 4, -128, 127, 12);
+        let weights = rng::uniform_i8_tensor4(8, 1, 3, 3, -128, 127, 13);
+        let (_, activity) = one_tile(&ifmap, &weights, 1).unwrap();
+        assert_eq!(activity.mac_slots, 288);
     }
 
     #[test]
@@ -347,9 +334,9 @@ mod tests {
         // A 4×4×8 window against the golden depthwise conv (valid padding).
         let ifmap = rng::uniform_i8_tensor3(8, 4, 4, -128, 127, 1);
         let weights = rng::uniform_i8_tensor4(8, 1, 3, 3, -128, 127, 2);
-        let out = engine().compute_tile(&ifmap, &weights, 1).unwrap();
+        let (acc, _) = one_tile(&ifmap, &weights, 1).unwrap();
         let reference = depthwise_conv2d_i8(&ifmap, &weights, 1, 0);
-        assert_eq!(out.acc, reference);
+        assert_eq!(acc, reference);
     }
 
     #[test]
@@ -357,32 +344,32 @@ mod tests {
         // Fig. 5a: a 5×5×8 window at stride 2 still yields 2×2×8 outputs.
         let ifmap = rng::uniform_i8_tensor3(8, 5, 5, -128, 127, 3);
         let weights = rng::uniform_i8_tensor4(8, 1, 3, 3, -128, 127, 4);
-        let out = engine().compute_tile(&ifmap, &weights, 2).unwrap();
+        let (acc, _) = one_tile(&ifmap, &weights, 2).unwrap();
         let reference = depthwise_conv2d_i8(&ifmap, &weights, 2, 0);
-        assert_eq!(out.acc.shape(), (8, 2, 2));
-        assert_eq!(out.acc, reference);
+        assert_eq!(acc.shape(), (8, 2, 2));
+        assert_eq!(acc, reference);
     }
 
     #[test]
     fn counts_zero_operands() {
         let mut ifmap = rng::uniform_i8_tensor3(8, 4, 4, 1, 127, 5); // no zeros
         let weights = rng::uniform_i8_tensor4(8, 1, 3, 3, 1, 127, 6); // no zeros
-        let out = engine().compute_tile(&ifmap, &weights, 1).unwrap();
-        assert_eq!(out.activity.zero_act_slots, 0);
-        assert_eq!(out.activity.zero_weight_slots, 0);
+        let (_, activity) = one_tile(&ifmap, &weights, 1).unwrap();
+        assert_eq!(activity.zero_act_slots, 0);
+        assert_eq!(activity.zero_weight_slots, 0);
         // Zero one input pixel: it participates in windows covering it.
         ifmap[(0, 1, 1)] = 0;
-        let out = engine().compute_tile(&ifmap, &weights, 1).unwrap();
+        let (_, activity) = one_tile(&ifmap, &weights, 1).unwrap();
         // Pixel (1,1) is covered by all four 3×3 windows at stride 1.
-        assert_eq!(out.activity.zero_act_slots, 4);
+        assert_eq!(activity.zero_act_slots, 4);
     }
 
     #[test]
     fn worst_case_accumulator_fits_19_bits() {
         let ifmap = rng::uniform_i8_tensor3(8, 4, 4, -128, -128, 7);
         let weights = rng::uniform_i8_tensor4(8, 1, 3, 3, -128, -128, 8);
-        let out = engine().compute_tile(&ifmap, &weights, 1).unwrap();
-        for &v in out.acc.as_slice() {
+        let (acc, _) = one_tile(&ifmap, &weights, 1).unwrap();
+        for &v in acc.as_slice() {
             assert_eq!(v, 9 * 128 * 128);
             assert!(edea_fixed::sat::fits_in_bits(i64::from(v), 19));
         }
@@ -393,9 +380,9 @@ mod tests {
         let weights = rng::uniform_i8_tensor4(8, 1, 3, 3, -1, 1, 9);
         let bad_ifmap = rng::uniform_i8_tensor3(8, 4, 4, -1, 1, 10);
         // 4×4 window is invalid at stride 2 (needs 5×5).
-        assert!(engine().compute_tile(&bad_ifmap, &weights, 2).is_err());
+        assert!(one_tile(&bad_ifmap, &weights, 2).is_err());
         let bad_channels = rng::uniform_i8_tensor3(4, 4, 4, -1, 1, 11);
-        assert!(engine().compute_tile(&bad_channels, &weights, 1).is_err());
+        assert!(one_tile(&bad_channels, &weights, 1).is_err());
     }
 
     #[test]
@@ -404,21 +391,47 @@ mod tests {
         cfg.tile.kernel = MAX_KERNEL + 1;
         let k = cfg.tile.kernel;
         let engine = DwcEngine::new(&cfg);
-        let window = Tensor3::<i8>::zeros(8, k + 1, k + 1);
+        let input = Tensor3::<i8>::zeros(8, k + 1, k + 1);
         let weights = vec![1i8; 8 * k * k];
+        let tile = Portion {
+            row0: 0,
+            col0: 0,
+            rows: 2,
+            cols: 2,
+        };
         let mut acc = Tensor3::<i32>::zeros(1, 1, 1);
         assert!(matches!(
-            engine.compute_portion_into(&window, WeightSlice::new(&weights), 1, &mut acc),
+            engine.compute_portion_into(
+                &input,
+                0,
+                WeightSlice::new(&weights),
+                &tile,
+                1,
+                0,
+                &mut acc
+            ),
             Err(CoreError::UnsupportedShape { .. })
         ));
     }
 
     #[test]
     fn full_parallelism_every_cycle() {
-        // 100 % PE utilization: every invocation exercises all 288 slots.
-        let ifmap = rng::uniform_i8_tensor3(8, 4, 4, -128, 127, 12);
-        let weights = rng::uniform_i8_tensor4(8, 1, 3, 3, -128, 127, 13);
-        let out = engine().compute_tile(&ifmap, &weights, 1).unwrap();
-        assert_eq!(out.activity.mac_slots, 288);
+        // 100 % PE utilization: each of an 8×8 portion's 16 cycles
+        // exercises all 288 slots, halo and zero operands included.
+        let mut input = rng::uniform_i8_tensor3(8, 8, 8, -128, 127, 14);
+        input.as_mut_slice()[..64].fill(0);
+        let weights = rng::uniform_i8_tensor4(8, 1, 3, 3, -128, 127, 15);
+        let portion = Portion {
+            row0: 0,
+            col0: 0,
+            rows: 8,
+            cols: 8,
+        };
+        let mut acc = Tensor3::zeros(1, 1, 1);
+        let weights = WeightSlice::new(weights.as_slice());
+        let activity = engine()
+            .compute_portion_into(&input, 0, weights, &portion, 1, 1, &mut acc)
+            .unwrap();
+        assert_eq!(activity.mac_slots, 16 * 288);
     }
 }

@@ -5,19 +5,33 @@
 //! would produce, plus the activity statistics (zero-operand counts) the
 //! power model consumes.
 //!
-//! Each engine has a **portion kernel** — one call covers every spatial
-//! tile of a portion for one channel pass, i.e. many modeled engine
-//! cycles — and a one-tile `compute_tile*` API that is the portion kernel
-//! at the extent of a single cycle. The portion kernel's
-//! [`EngineActivity`] is exactly the sum of the per-cycle activities of
-//! the tiles it covers, so modeled cycles and host calls are decoupled
-//! without moving any modeled number.
+//! Each engine has one entry, its **portion kernel**: one call covers
+//! every spatial tile of a portion for one channel pass, i.e. many modeled
+//! engine cycles, and a single cycle is the call at the extent of one
+//! tile. The kernel's [`EngineActivity`] is exactly the sum of the
+//! per-cycle activities of the tiles it covers, so modeled cycles and host
+//! calls are decoupled without moving any modeled number.
+//!
+//! # Layout rule
+//!
+//! The datapath keeps two layouts, and one place turns one into the other:
+//!
+//! - **i32 accumulators are pixel-major**, `(pixels, channels)`: the DWC
+//!   writes each output pixel's channel block contiguously, and a psum
+//!   bank holds each pixel's `K` sums in one row the PWC accumulates into.
+//! - **int8 maps are channel-major**, `(channels, rows, cols)`: layer
+//!   inputs and outputs, the intermediate slab the PWC reads, and the
+//!   saved residual inputs.
+//! - **The Non-Conv unit turns one into the other**
+//!   ([`crate::nonconv::NonConvUnit::apply`]): it maps pixel-major
+//!   accumulators to a channel-major int8 slab, on the DWC→PWC path and
+//!   at the psum drain alike. No other code transposes activations.
 
 mod dwc;
 mod pwc;
 
-pub use dwc::{DwcEngine, DwcTileOutput};
-pub use pwc::{PwcEngine, PwcTileOutput};
+pub use dwc::DwcEngine;
+pub use pwc::PwcEngine;
 
 /// A weight slice handed to a portion kernel, with its zero count: the
 /// engines report zero-weight slots as `zeros × pixels`, so the count is
@@ -61,26 +75,6 @@ impl<'a> WeightSlice<'a> {
 /// Number of zero bytes in an int8 run.
 pub(crate) fn count_zeros(values: &[i8]) -> u64 {
     values.iter().map(|&v| u64::from(v == 0)).sum()
-}
-
-/// Writes the `cols × rows` transpose of the row-major `rows × cols`
-/// matrix `src` into `out`, in square blocks so both sides stay
-/// cache-resident — the layout changes between a layer's output-channel-
-/// major pointwise weights and the kernels' input-channel-major ones, and
-/// between a pixel-major psum bank and channel planes.
-pub(crate) fn transpose_into<T: Copy>(src: &[T], rows: usize, cols: usize, out: &mut [T]) {
-    const BLOCK: usize = 32;
-    debug_assert_eq!(src.len(), rows * cols);
-    debug_assert_eq!(out.len(), rows * cols);
-    for r0 in (0..rows).step_by(BLOCK) {
-        for c0 in (0..cols).step_by(BLOCK) {
-            for r in r0..(r0 + BLOCK).min(rows) {
-                for c in c0..(c0 + BLOCK).min(cols) {
-                    out[c * rows + r] = src[r * cols + c];
-                }
-            }
-        }
-    }
 }
 
 /// Activity statistics of one engine invocation.

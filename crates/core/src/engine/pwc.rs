@@ -4,34 +4,22 @@
 //! on an ifmap with dimensions 2×2×8 and a tiled kernel of size 1×1×8×16,
 //! producing an ofmap with dimensions 2×2×16."
 //!
-//! One invocation of [`PwcEngine::compute_tile`] models one engine cycle:
-//! 64 dot-product lanes (`Tn·Tm·Tk`), each 8 deep (`Td`), summed by
-//! 8-input adder trees. [`PwcEngine::accumulate_portion`] models every
-//! cycle of one portion's channel pass — all spatial tiles × all kernel
-//! tiles — in a single call. The values are *partial sums over one channel
-//! slice*; accumulation across the `⌈D/Td⌉` passes happens in the psum
-//! SRAM (see [`crate::accelerator`]).
-
-use edea_tensor::{Tensor3, Tensor4};
+//! [`PwcEngine::accumulate_portion`] models every engine cycle of one
+//! portion's channel pass — all spatial tiles × all kernel tiles — in a
+//! single call: each cycle is 64 dot-product lanes (`Tn·Tm·Tk`), each 8
+//! deep (`Td`), summed by 8-input adder trees. A single cycle is the call
+//! at the extent of one `Tn×Tm` tile and one `Tk` kernel tile. The values
+//! are *partial sums over one channel slice*; accumulation across the
+//! `⌈D/Td⌉` passes happens in the psum SRAM (see [`crate::accelerator`]).
 
 use crate::config::EdeaConfig;
-use crate::engine::{transpose_into, EngineActivity, WeightSlice};
+use crate::engine::{EngineActivity, WeightSlice};
 use crate::CoreError;
-
-/// Output of one PWC engine cycle.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PwcTileOutput {
-    /// Partial sums for one channel slice, shape `(Tk, Tn, Tm)`.
-    pub partial: Tensor3<i32>,
-    /// Multiplier activity for the power model.
-    pub activity: EngineActivity,
-}
 
 /// The PWC PE array.
 #[derive(Debug, Clone)]
 pub struct PwcEngine {
     td: usize,
-    tk: usize,
     tn: usize,
     tm: usize,
 }
@@ -42,96 +30,9 @@ impl PwcEngine {
     pub fn new(cfg: &EdeaConfig) -> Self {
         Self {
             td: cfg.tile.td,
-            tk: cfg.tile.tk,
             tn: cfg.tile.tn,
             tm: cfg.tile.tm,
         }
-    }
-
-    /// MAC slots exercised per invocation (512 for the paper config).
-    #[must_use]
-    pub fn macs_per_cycle(&self) -> u64 {
-        (self.td * self.tk * self.tn * self.tm) as u64
-    }
-
-    /// Computes one tile: `ifmap` is the `(Td, Tn, Tm)` intermediate tile
-    /// from the Non-Conv unit, `weights` the `(Tk, Td, 1, 1)` kernel tile.
-    ///
-    /// Allocating wrapper over [`PwcEngine::compute_tile_into`]: it lays
-    /// the kernel tile out input-channel-major and returns the partials
-    /// channel-major.
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::UnsupportedShape`] if tile shapes do not match the
-    /// engine geometry.
-    pub fn compute_tile(
-        &self,
-        ifmap: &Tensor3<i8>,
-        weights: &Tensor4<i8>,
-    ) -> Result<PwcTileOutput, CoreError> {
-        if weights.shape() != (self.tk, self.td, 1, 1) {
-            return Err(CoreError::UnsupportedShape {
-                detail: format!(
-                    "PWC weight tile {:?}, engine expects ({}, {}, 1, 1)",
-                    weights.shape(),
-                    self.tk,
-                    self.td
-                ),
-            });
-        }
-        let mut by_channel = vec![0i8; self.td * self.tk];
-        transpose_into(weights.as_slice(), self.tk, self.td, &mut by_channel);
-        let mut sums = Tensor3::<i32>::zeros(self.tn, self.tm, self.tk);
-        let activity = self.compute_tile_into(ifmap, WeightSlice::new(&by_channel), &mut sums)?;
-        let mut partial = Tensor3::<i32>::zeros(self.tk, self.tn, self.tm);
-        transpose_into(
-            sums.as_slice(),
-            self.tn * self.tm,
-            self.tk,
-            partial.as_mut_slice(),
-        );
-        Ok(PwcTileOutput { partial, activity })
-    }
-
-    /// Computes one tile into a caller-provided buffer — the one-cycle
-    /// case of [`PwcEngine::accumulate_portion`], bit-exact with
-    /// [`PwcEngine::compute_tile`]. `weights` is the `Td × Tk` kernel tile
-    /// in input-channel-major order, and `partial` is reshaped to the
-    /// pixel-major `(Tn, Tm, Tk)` layout of a psum bank.
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::UnsupportedShape`] if `ifmap` is not `(Td, Tn, Tm)` or
-    /// `weights` is not `Td·Tk` long.
-    pub fn compute_tile_into(
-        &self,
-        ifmap: &Tensor3<i8>,
-        weights: WeightSlice<'_>,
-        partial: &mut Tensor3<i32>,
-    ) -> Result<EngineActivity, CoreError> {
-        if ifmap.shape() != (self.td, self.tn, self.tm) {
-            return Err(CoreError::UnsupportedShape {
-                detail: format!(
-                    "PWC ifmap tile {:?}, engine expects ({}, {}, {})",
-                    ifmap.shape(),
-                    self.td,
-                    self.tn,
-                    self.tm
-                ),
-            });
-        }
-        if weights.values().len() != self.td * self.tk {
-            return Err(CoreError::UnsupportedShape {
-                detail: format!(
-                    "PWC weight tile of {} weights, engine expects {}",
-                    weights.values().len(),
-                    self.td * self.tk
-                ),
-            });
-        }
-        partial.resize_zeroed(self.tn, self.tm, self.tk);
-        self.accumulate_portion(ifmap.as_slice(), weights, partial.as_mut_slice())
     }
 
     /// Accumulates one channel pass of a whole portion — every spatial
@@ -252,24 +153,47 @@ fn accumulate_row(row: &mut [i32], live: &[(i16, usize)], wt: &[i8]) {
 mod tests {
     use super::*;
     use edea_tensor::conv::pointwise_conv2d_i8;
-    use edea_tensor::rng;
+    use edea_tensor::{rng, Tensor3, Tensor4};
 
     fn engine() -> PwcEngine {
         PwcEngine::new(&EdeaConfig::paper())
     }
 
+    /// One engine cycle: the portion kernel at the extent of one 2×2 tile
+    /// and one 16-wide kernel tile, its partials returned channel-major.
+    fn one_tile(
+        ifmap: &Tensor3<i8>,
+        weights: &Tensor4<i8>,
+    ) -> Result<(Tensor3<i32>, EngineActivity), CoreError> {
+        let (k, td, _, _) = weights.shape();
+        let by_channel: Vec<i8> = (0..td * k).map(|i| weights[(i % k, i / k, 0, 0)]).collect();
+        let mut psum = vec![0i32; 4 * k];
+        let activity = engine().accumulate_portion(
+            ifmap.as_slice(),
+            WeightSlice::new(&by_channel),
+            &mut psum,
+        )?;
+        let planes = Tensor3::from_fn(k, 2, 2, |ki, r, q| psum[(r * 2 + q) * k + ki]);
+        Ok((planes, activity))
+    }
+
     #[test]
     fn macs_per_cycle_is_512() {
-        assert_eq!(engine().macs_per_cycle(), 512);
+        // One cycle — one 2×2 tile against one 16-wide kernel tile —
+        // exercises Td · Tk · Tn · Tm slots.
+        let ifmap = rng::uniform_i8_tensor3(8, 2, 2, -128, 127, 11);
+        let weights = rng::uniform_i8_tensor4(16, 8, 1, 1, -128, 127, 12);
+        let (_, activity) = one_tile(&ifmap, &weights).unwrap();
+        assert_eq!(activity.mac_slots, 512);
     }
 
     #[test]
     fn matches_reference_pointwise_conv() {
         let ifmap = rng::uniform_i8_tensor3(8, 2, 2, -128, 127, 1);
         let weights = rng::uniform_i8_tensor4(16, 8, 1, 1, -128, 127, 2);
-        let out = engine().compute_tile(&ifmap, &weights).unwrap();
-        assert_eq!(out.partial, pointwise_conv2d_i8(&ifmap, &weights));
-        assert_eq!(out.partial.shape(), (16, 2, 2));
+        let (partial, _) = one_tile(&ifmap, &weights).unwrap();
+        assert_eq!(partial, pointwise_conv2d_i8(&ifmap, &weights));
+        assert_eq!(partial.shape(), (16, 2, 2));
     }
 
     #[test]
@@ -282,9 +206,8 @@ mod tests {
         let hi = full.channel_slice(8, 8);
         let w_lo = weights.channel_slice(0, 8);
         let w_hi = weights.channel_slice(8, 8);
-        let e = engine();
-        let a = e.compute_tile(&lo, &w_lo).unwrap().partial;
-        let b = e.compute_tile(&hi, &w_hi).unwrap().partial;
+        let a = one_tile(&lo, &w_lo).unwrap().0;
+        let b = one_tile(&hi, &w_hi).unwrap().0;
         let reference = pointwise_conv2d_i8(&full, &weights);
         for k in 0..16 {
             for n in 0..2 {
@@ -300,35 +223,51 @@ mod tests {
         let mut ifmap = rng::uniform_i8_tensor3(8, 2, 2, 1, 127, 5);
         let weights = rng::uniform_i8_tensor4(16, 8, 1, 1, 1, 127, 6);
         ifmap[(3, 1, 0)] = 0; // one zero activation feeds all 16 kernels
-        let out = engine().compute_tile(&ifmap, &weights).unwrap();
-        assert_eq!(out.activity.zero_act_slots, 16);
+        let (_, activity) = one_tile(&ifmap, &weights).unwrap();
+        assert_eq!(activity.zero_act_slots, 16);
     }
 
     #[test]
     fn rejects_wrong_shapes() {
         let e = engine();
+        // A weight slice that is no whole number of 8-long columns.
         let ifmap = rng::uniform_i8_tensor3(8, 2, 2, -1, 1, 7);
-        let bad_w = rng::uniform_i8_tensor4(8, 8, 1, 1, -1, 1, 8);
-        assert!(e.compute_tile(&ifmap, &bad_w).is_err());
-        let bad_ifmap = rng::uniform_i8_tensor3(16, 2, 2, -1, 1, 9);
-        let w = rng::uniform_i8_tensor4(16, 8, 1, 1, -1, 1, 10);
-        assert!(e.compute_tile(&bad_ifmap, &w).is_err());
+        let mut psum = vec![0i32; 4 * 16];
+        assert!(e
+            .accumulate_portion(
+                ifmap.as_slice(),
+                WeightSlice::new(&[1; 8 * 16 - 1]),
+                &mut psum
+            )
+            .is_err());
+        // 16 channels into an 8-deep engine hold 8 pixels, not the bank's 4.
+        let deep = rng::uniform_i8_tensor3(16, 2, 2, -1, 1, 9);
+        assert!(e
+            .accumulate_portion(deep.as_slice(), WeightSlice::new(&[1; 8 * 16]), &mut psum)
+            .is_err());
     }
 
     #[test]
     fn full_parallelism_every_cycle() {
-        let ifmap = rng::uniform_i8_tensor3(8, 2, 2, -128, 127, 11);
-        let weights = rng::uniform_i8_tensor4(16, 8, 1, 1, -128, 127, 12);
-        let out = engine().compute_tile(&ifmap, &weights).unwrap();
-        assert_eq!(out.activity.mac_slots, 512);
+        // 100 % PE utilization: an 8×8 portion against K = 64 is 16
+        // spatial tiles × 4 kernel tiles = 64 cycles of 512 slots each,
+        // zero activations included.
+        let mut mid = rng::uniform_i8_tensor3(8, 8, 8, -128, 127, 15);
+        mid.as_mut_slice()[..64].fill(0);
+        let weights = vec![1i8; 8 * 64];
+        let mut psum = vec![0i32; 64 * 64];
+        let activity = engine()
+            .accumulate_portion(mid.as_slice(), WeightSlice::new(&weights), &mut psum)
+            .unwrap();
+        assert_eq!(activity.mac_slots, 64 * 512);
     }
 
     #[test]
     fn worst_case_partial_fits_adder_tree_width() {
         let ifmap = rng::uniform_i8_tensor3(8, 2, 2, -128, -128, 13);
         let weights = rng::uniform_i8_tensor4(16, 8, 1, 1, -128, -128, 14);
-        let out = engine().compute_tile(&ifmap, &weights).unwrap();
-        for &v in out.partial.as_slice() {
+        let (partial, _) = one_tile(&ifmap, &weights).unwrap();
+        for &v in partial.as_slice() {
             assert_eq!(v, 8 * 128 * 128);
             assert!(edea_fixed::sat::fits_in_bits(i64::from(v), 19));
         }

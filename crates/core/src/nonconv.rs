@@ -8,10 +8,10 @@
 //! drain is our documented assumption — it adds no cycles because the
 //! output interface is otherwise idle).
 
+use edea_fixed::Q8x16;
 use edea_nn::fold::FoldedAffine;
 use edea_tensor::Tensor3;
 
-use crate::config::EdeaConfig;
 use crate::CoreError;
 
 /// Activity record of the Non-Conv unit.
@@ -24,114 +24,56 @@ pub struct NonConvActivity {
     pub zero_outputs: u64,
 }
 
-/// The Non-Conv unit: `lanes` parallel Q8.16 multiply-add datapaths.
-#[derive(Debug, Clone)]
-pub struct NonConvUnit {
-    lanes: usize,
+/// The skip connection of an inverted-residual add stage, read in place:
+/// the `(C, rows, cols)` window of the saved block input `map` anchored at
+/// `(0, row0, col0)`, requantized by the Q8.16 rescale `scale`.
+#[derive(Debug, Clone, Copy)]
+pub struct Residual<'a> {
+    /// The saved block input, channel-major.
+    pub map: &'a Tensor3<i8>,
+    /// First row of the window.
+    pub row0: usize,
+    /// First column of the window.
+    pub col0: usize,
+    /// The rescale `s_res / s_out`.
+    pub scale: Q8x16,
 }
 
+/// The Non-Conv unit: `Td` parallel Q8.16 multiply-add datapaths (8 in the
+/// paper: "Non-Conv Unit #0 … X8").
+#[derive(Debug, Clone, Copy, Default)]
+pub struct NonConvUnit;
+
 impl NonConvUnit {
-    /// Builds the unit from the architecture configuration (`Td` lanes).
-    #[must_use]
-    pub fn new(cfg: &EdeaConfig) -> Self {
-        Self { lanes: cfg.tile.td }
-    }
-
-    /// Number of parallel lanes (8 in the paper: "Non-Conv Unit #0 … X8").
-    #[must_use]
-    pub fn lanes(&self) -> usize {
-        self.lanes
-    }
-
-    /// Transforms one accumulator tile `(C, Tn, Tm)` with per-channel
-    /// parameters (`params[c]` applies to channel `c`), producing the int8
-    /// tile the intermediate buffer stores.
+    /// Maps one portion's pixel-major `(rows, cols, C)` accumulators to the
+    /// channel-major int8 `(C, rows, cols)` slab `out` — the one place
+    /// where the accumulator layout turns into the map layout (see
+    /// [`crate::engine`]). `params[c]` applies to channel `c` (`params` may
+    /// cover more channels than `acc`), and `lo` is the clip floor (`0` =
+    /// folded ReLU, `-128` = the linear project of an inverted-residual
+    /// block).
     ///
-    /// Thin allocating wrapper over [`NonConvUnit::apply_tile_into`]; the
-    /// simulator's hot path uses the `_into` variant with a reused output
-    /// buffer.
-    ///
-    /// `params` may cover more channels than the tile (the caller passes the
-    /// slice for the current channel window).
+    /// With a `residual`, the requantized skip connection
+    /// `scale · residual[c]` is summed onto the `k·x + b` bus at wide
+    /// Q8.16 precision *before* the round stage (see
+    /// [`FoldedAffine::apply_fixed_residual`]) — the Non-Conv fold and the
+    /// residual add commute bit-exactly, proven by the `residual_fold`
+    /// property suite in `edea-nn`.
     ///
     /// # Errors
     ///
     /// [`CoreError::UnsupportedShape`] if `params` has fewer entries than
-    /// the tile has channels.
-    pub fn apply_tile(
-        &self,
-        acc: &Tensor3<i32>,
-        params: &[FoldedAffine],
-    ) -> Result<(Tensor3<i8>, NonConvActivity), CoreError> {
-        let (c, h, w) = acc.shape();
-        let mut out = Tensor3::<i8>::zeros(c, h, w);
-        let activity = self.apply_tile_into(acc, params, &mut out)?;
-        Ok((out, activity))
-    }
-
-    /// Transforms one accumulator tile into a caller-provided output
-    /// buffer, which is reshaped to `acc`'s shape in place —
-    /// allocation-free once the buffer has grown to that size, and
-    /// bit-exact with [`NonConvUnit::apply_tile`]. The per-channel
-    /// transform walks flat channel planes instead of indexing every
-    /// element.
-    ///
-    /// The clip floor is the ReLU zero — the intermediate-boundary
-    /// configuration. [`NonConvUnit::apply_tile_into_clipped`] exposes the
-    /// floor for output boundaries that fold no ReLU (the linear project
-    /// convolution of an inverted-residual block clips to −128).
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::UnsupportedShape`] if `params` has fewer entries than
-    /// the tile has channels.
-    pub fn apply_tile_into(
-        &self,
-        acc: &Tensor3<i32>,
-        params: &[FoldedAffine],
-        out: &mut Tensor3<i8>,
-    ) -> Result<NonConvActivity, CoreError> {
-        self.apply_tile_into_clipped(acc, params, 0, out)
-    }
-
-    /// [`NonConvUnit::apply_tile_into`] with an explicit clip floor `lo`
-    /// (`0` = folded ReLU, `-128` = linear output).
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::UnsupportedShape`] if `params` has fewer entries than
-    /// the tile has channels.
-    pub fn apply_tile_into_clipped(
+    /// `acc` has channels, `out` is not exactly `acc`'s length, or the
+    /// residual window exceeds its map.
+    pub fn apply(
         &self,
         acc: &Tensor3<i32>,
         params: &[FoldedAffine],
         lo: i8,
-        out: &mut Tensor3<i8>,
-    ) -> Result<NonConvActivity, CoreError> {
-        let (c, h, w) = acc.shape();
-        // The plane loop writes every output element, so the reshape
-        // skips the zero-fill.
-        out.resize_for_overwrite(c, h, w);
-        self.apply_into_slice(acc, params, lo, out.as_mut_slice())
-    }
-
-    /// [`NonConvUnit::apply_tile_into_clipped`] into a caller-owned slice
-    /// laid out like `acc` (channel planes, then rows) — the form that
-    /// writes a portion's DWC accumulators straight into their channel
-    /// slab of the portion-local intermediate map, with no tile paste.
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::UnsupportedShape`] if `params` has fewer entries than
-    /// `acc` has channels, or `out` is not exactly `acc`'s length.
-    pub fn apply_into_slice(
-        &self,
-        acc: &Tensor3<i32>,
-        params: &[FoldedAffine],
-        lo: i8,
+        residual: Option<Residual<'_>>,
         out: &mut [i8],
     ) -> Result<NonConvActivity, CoreError> {
-        let (c, h, w) = acc.shape();
+        let (rows, cols, c) = acc.shape();
         if params.len() < c {
             return Err(CoreError::UnsupportedShape {
                 detail: format!("{} Non-Conv parameter sets for {c} channels", params.len()),
@@ -146,104 +88,74 @@ impl NonConvUnit {
                 ),
             });
         }
-        let mut activity = NonConvActivity::default();
-        let plane = h * w;
-        let planes = acc
-            .as_slice()
-            .chunks_exact(plane)
-            .zip(out.chunks_exact_mut(plane));
-        for ((src, dst), p) in planes.zip(params) {
-            for (d, &a) in dst.iter_mut().zip(src) {
-                let y = p.apply_fixed(a, lo);
-                activity.ops += 1;
-                activity.zero_outputs += u64::from(y == 0);
-                *d = y;
+        if let Some(res) = residual {
+            let (rc, rh, rw) = res.map.shape();
+            if rc < c || res.row0 + rows > rh || res.col0 + cols > rw {
+                return Err(CoreError::UnsupportedShape {
+                    detail: format!(
+                        "residual window ({c}, {rows}, {cols}) at (0, {}, {}) exceeds its {:?} map",
+                        res.row0,
+                        res.col0,
+                        res.map.shape()
+                    ),
+                });
             }
         }
-        Ok(activity)
-    }
-
-    /// The residual extension of the output boundary: transforms one
-    /// accumulator tile while summing the requantized skip connection
-    /// `r · residual[c]` onto the `k·x + b` bus at wide Q8.16 precision
-    /// *before* the round stage (see
-    /// [`FoldedAffine::apply_fixed_residual`]) — the Non-Conv fold and the
-    /// residual add commute bit-exactly, proven by the `residual_fold`
-    /// property suite in `edea-nn`.
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::UnsupportedShape`] if `params` has fewer entries than
-    /// the tile has channels, or if `residual`'s shape differs from
-    /// `acc`'s.
-    pub fn apply_tile_residual_into(
-        &self,
-        acc: &Tensor3<i32>,
-        params: &[FoldedAffine],
-        residual: &Tensor3<i8>,
-        r: edea_fixed::Q8x16,
-        lo: i8,
-        out: &mut Tensor3<i8>,
-    ) -> Result<NonConvActivity, CoreError> {
-        let (c, h, w) = acc.shape();
-        if params.len() < c {
-            return Err(CoreError::UnsupportedShape {
-                detail: format!("{} Non-Conv parameter sets for {c} channels", params.len()),
-            });
-        }
-        if residual.shape() != acc.shape() {
-            return Err(CoreError::UnsupportedShape {
-                detail: format!(
-                    "residual tile {:?} does not match accumulator tile {:?}",
-                    residual.shape(),
-                    acc.shape()
-                ),
-            });
-        }
-        out.resize_for_overwrite(c, h, w);
-        let mut activity = NonConvActivity::default();
-        let plane = h * w;
-        let planes = acc
-            .as_slice()
-            .chunks_exact(plane)
-            .zip(residual.as_slice().chunks_exact(plane))
-            .zip(out.as_mut_slice().chunks_exact_mut(plane));
-        for (((src, res), dst), p) in planes.zip(params) {
-            for ((d, &a), &rv) in dst.iter_mut().zip(src).zip(res) {
-                let y = p.apply_fixed_residual(a, rv, r, lo);
-                activity.ops += 1;
-                activity.zero_outputs += u64::from(y == 0);
-                *d = y;
+        let src = acc.as_slice();
+        let mut zero_outputs = 0u64;
+        let planes = out.chunks_exact_mut(rows * cols).zip(params).enumerate();
+        for (ch, (plane, p)) in planes {
+            for (r, dst) in plane.chunks_exact_mut(cols).enumerate() {
+                let skip = residual.map(|res| {
+                    let (_, rh, rw) = res.map.shape();
+                    let at = (ch * rh + res.row0 + r) * rw + res.col0;
+                    (&res.map.as_slice()[at..at + cols], res.scale)
+                });
+                for (q, d) in dst.iter_mut().enumerate() {
+                    let a = src[(r * cols + q) * c + ch];
+                    let y = match skip {
+                        Some((row, scale)) => p.apply_fixed_residual(a, row[q], scale, lo),
+                        None => p.apply_fixed(a, lo),
+                    };
+                    zero_outputs += u64::from(y == 0);
+                    *d = y;
+                }
             }
         }
-        Ok(activity)
+        Ok(NonConvActivity {
+            ops: acc.len() as u64,
+            zero_outputs,
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use edea_fixed::Q8x16;
-    use edea_tensor::Tensor3;
-
-    fn unit() -> NonConvUnit {
-        NonConvUnit::new(&EdeaConfig::paper())
-    }
 
     fn affine(k: f64, b: f64) -> FoldedAffine {
         FoldedAffine::fold(k, b, 1.0, 1.0, 1.0)
     }
 
-    #[test]
-    fn paper_unit_has_8_lanes() {
-        assert_eq!(unit().lanes(), 8);
+    /// Applies the unit to channel-major accumulators, returning the
+    /// channel-major output.
+    fn apply(
+        acc: &Tensor3<i32>,
+        params: &[FoldedAffine],
+        lo: i8,
+    ) -> Result<(Tensor3<i8>, NonConvActivity), CoreError> {
+        let (c, h, w) = acc.shape();
+        let by_pixel = Tensor3::from_fn(h, w, c, |r, q, ch| acc[(ch, r, q)]);
+        let mut out = Tensor3::<i8>::zeros(c, h, w);
+        let activity = NonConvUnit.apply(&by_pixel, params, lo, None, out.as_mut_slice())?;
+        Ok((out, activity))
     }
 
     #[test]
     fn applies_per_channel_affine() {
         let acc = Tensor3::<i32>::from_fn(2, 2, 2, |c, h, w| (c as i32 + 1) * (h * 2 + w) as i32);
         let params = vec![affine(1.0, 0.0), affine(0.5, 1.0)];
-        let (out, act) = unit().apply_tile(&acc, &params).unwrap();
+        let (out, act) = apply(&acc, &params, 0).unwrap();
         assert_eq!(out[(0, 1, 1)], 3); // 1.0·3 + 0
         assert_eq!(out[(1, 1, 1)], 4); // 0.5·6 + 1
         assert_eq!(act.ops, 8);
@@ -253,7 +165,7 @@ mod tests {
     fn relu_floor_counts_zero_outputs() {
         let acc = Tensor3::<i32>::from_fn(1, 2, 2, |_, h, w| (h * 2 + w) as i32 - 2); // -2..1
         let params = vec![affine(1.0, 0.0)];
-        let (out, act) = unit().apply_tile(&acc, &params).unwrap();
+        let (out, act) = apply(&acc, &params, 0).unwrap();
         assert_eq!(out.as_slice(), &[0, 0, 0, 1]);
         assert_eq!(act.zero_outputs, 3);
     }
@@ -261,7 +173,7 @@ mod tests {
     #[test]
     fn saturates_at_127() {
         let acc = Tensor3::<i32>::from_fn(1, 1, 1, |_, _, _| 1_000_000);
-        let (out, _) = unit().apply_tile(&acc, &[affine(1.0, 0.0)]).unwrap();
+        let (out, _) = apply(&acc, &[affine(1.0, 0.0)], 0).unwrap();
         assert_eq!(out[(0, 0, 0)], 127);
     }
 
@@ -269,7 +181,7 @@ mod tests {
     fn rejects_missing_params() {
         let acc = Tensor3::<i32>::zeros(8, 2, 2);
         let params = vec![affine(1.0, 0.0); 4];
-        assert!(unit().apply_tile(&acc, &params).is_err());
+        assert!(apply(&acc, &params, 0).is_err());
     }
 
     #[test]
@@ -278,65 +190,35 @@ mod tests {
         // the ReLU-folded boundary would floor to zero.
         let acc = Tensor3::<i32>::from_fn(1, 2, 2, |_, h, w| (h * 2 + w) as i32 - 2); // -2..1
         let params = vec![affine(1.0, 0.0)];
-        let mut out = Tensor3::<i8>::zeros(1, 1, 1);
-        unit()
-            .apply_tile_into_clipped(&acc, &params, -128, &mut out)
-            .unwrap();
+        let (out, _) = apply(&acc, &params, -128).unwrap();
         assert_eq!(out.as_slice(), &[-2, -1, 0, 1]);
     }
 
     #[test]
-    fn residual_path_matches_the_fold_reference() {
-        let acc = Tensor3::<i32>::from_fn(2, 2, 2, |c, h, w| {
-            (c as i32 * 900 - 700) + (h as i32 * 55) - (w as i32 * 13)
-        });
-        let residual = Tensor3::<i8>::from_fn(2, 2, 2, |c, h, w| {
-            (c as i32 * 37 - 60 + (h * 2 + w) as i32 * 9) as i8
-        });
-        let params = vec![
-            FoldedAffine::fold(0.6, -0.1, 0.02, 0.01, 0.015),
-            FoldedAffine::fold(-0.3, 0.4, 0.02, 0.01, 0.015),
-        ];
-        let r = Q8x16::from_f64(0.73);
-        let mut out = Tensor3::<i8>::zeros(1, 1, 1);
-        unit()
-            .apply_tile_residual_into(&acc, &params, &residual, r, -128, &mut out)
-            .unwrap();
-        for ((c, h, w), &v) in out.indexed_iter() {
-            assert_eq!(
-                v,
-                params[c].apply_fixed_residual(acc[(c, h, w)], residual[(c, h, w)], r, -128)
-            );
-        }
-    }
-
-    #[test]
     fn residual_rejects_mismatched_shapes() {
+        // A 2×2 window at (0, 1) runs off a 2×2 map.
         let acc = Tensor3::<i32>::zeros(2, 2, 2);
-        let residual = Tensor3::<i8>::zeros(2, 2, 1);
+        let map = Tensor3::<i8>::zeros(2, 2, 2);
         let params = vec![affine(1.0, 0.0); 2];
-        let mut out = Tensor3::<i8>::zeros(1, 1, 1);
-        assert!(unit()
-            .apply_tile_residual_into(&acc, &params, &residual, Q8x16::ONE, -128, &mut out)
+        let mut out = [0i8; 8];
+        let residual = Residual {
+            map: &map,
+            row0: 0,
+            col0: 1,
+            scale: Q8x16::ONE,
+        };
+        assert!(NonConvUnit
+            .apply(&acc, &params, -128, Some(residual), &mut out)
             .is_err());
-    }
-
-    #[test]
-    fn matches_q8_16_reference_bit_exactly() {
-        // The unit must be exactly FoldedAffine::apply_fixed per element.
-        let acc = Tensor3::<i32>::from_fn(3, 2, 2, |c, h, w| {
-            (c as i32 * 1000 - 1500) + (h as i32 * 77) - (w as i32 * 31)
-        });
-        let params = vec![
-            FoldedAffine::fold(0.7, -0.3, 0.02, 0.01, 0.015),
-            FoldedAffine::fold(-0.2, 0.9, 0.02, 0.01, 0.015),
-            FoldedAffine::fold(1.4, 0.0, 0.02, 0.01, 0.015),
-        ];
-        let (out, _) = unit().apply_tile(&acc, &params).unwrap();
-        for ((c, h, w), &v) in out.indexed_iter() {
-            assert_eq!(v, params[c].apply_fixed(acc[(c, h, w)], 0));
-        }
-        // And the constants really are Q8.16 words:
-        assert_eq!(params[0].k, Q8x16::from_f64(params[0].k_exact));
+        // So does a map with fewer channels than the accumulators.
+        let shallow = Tensor3::<i8>::zeros(1, 2, 2);
+        let residual = Residual {
+            map: &shallow,
+            col0: 0,
+            ..residual
+        };
+        assert!(NonConvUnit
+            .apply(&acc, &params, -128, Some(residual), &mut out)
+            .is_err());
     }
 }

@@ -21,7 +21,7 @@ use edea_nn::quantize::{QuantizedDscLayer, QuantizedDscNetwork};
 use edea_nn::workload::LayerShape;
 
 use crate::config::EdeaConfig;
-use crate::engine::{count_zeros, transpose_into, WeightSlice};
+use crate::engine::{count_zeros, WeightSlice};
 use crate::CoreError;
 
 /// The laid-out weights of one layer: everything `execute_layer` needs
@@ -87,10 +87,21 @@ fn fingerprint<'a>(dw: &[i8], pw_rows: impl Iterator<Item = &'a [i8]>) -> u64 {
     h
 }
 
-/// The `cols × rows` transpose of a row-major `rows × cols` matrix.
+/// The `cols × rows` transpose of a row-major `rows × cols` matrix, in
+/// square blocks so both sides stay cache-resident.
 fn transpose(src: &[i8], rows: usize, cols: usize) -> Vec<i8> {
+    const BLOCK: usize = 32;
+    debug_assert_eq!(src.len(), rows * cols);
     let mut out = vec![0i8; rows * cols];
-    transpose_into(src, rows, cols, &mut out);
+    for r0 in (0..rows).step_by(BLOCK) {
+        for c0 in (0..cols).step_by(BLOCK) {
+            for r in r0..(r0 + BLOCK).min(rows) {
+                for c in c0..(c0 + BLOCK).min(cols) {
+                    out[c * rows + r] = src[r * cols + c];
+                }
+            }
+        }
+    }
     out
 }
 

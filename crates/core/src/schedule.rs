@@ -179,7 +179,13 @@ pub struct SpatialTile {
 /// `limit × limit` pixels (row-major).
 #[must_use]
 pub fn portions(out_spatial: usize, limit: usize) -> Vec<Portion> {
-    portion_iter(out_spatial, limit).collect()
+    let iter = portion_iter(out_spatial, limit);
+    // Sized up front: a flat map's size hint starts at zero, so a collect
+    // would regrow the list.
+    let side = out_spatial.div_ceil(limit);
+    let mut list = Vec::with_capacity(side * side);
+    list.extend(iter);
+    list
 }
 
 /// [`portions`] without the allocation.

@@ -1,13 +1,14 @@
 //! Reusable scratch buffers for the simulator's portion pipeline.
 //!
 //! Every `(portion, channel pass, image)` step of the loop nest in
-//! [`crate::accelerator`] needs the same working buffers: the DWC input
-//! region, the DWC accumulators, and (per portion) the psum banks, the
-//! drain buffer plus the portion-local mid/output maps; per layer it
-//! needs the zero-padded input maps. Allocating them
-//! afresh per step would be the software equivalent of the
-//! external-memory round trips the paper's direct data transfer
-//! eliminates. A [`TileScratch`] owns them instead:
+//! [`crate::accelerator`] needs the same working buffers: the DWC
+//! accumulators and (per portion) the psum banks plus the portion-local
+//! mid/output maps. The layer inputs need no copy: the DWC reads them in
+//! place and zero-fills the halo as it stages each window, and the drain
+//! reads the psum banks and a residual stage's saved inputs in place.
+//! Allocating the buffers afresh per step would be the software
+//! equivalent of the external-memory round trips the paper's direct data
+//! transfer eliminates. A [`TileScratch`] owns them instead:
 //! [`TileScratch::reserve`] grows each buffer to the layer's largest shape
 //! once per layer run, and every later reshape
 //! ([`edea_tensor::Tensor3::resize_zeroed`]) reuses the allocation, so the
@@ -28,28 +29,17 @@ use crate::config::EdeaConfig;
 /// channel passes, portions and images.
 #[derive(Debug, Clone)]
 pub struct TileScratch {
-    /// The `(Td, rows, cols)` DWC input region (with halo) of the current
-    /// portion's channel pass.
-    pub(crate) window: Tensor3<i8>,
-    /// The `(Td, portion rows, portion cols)` DWC accumulators.
+    /// The pixel-major `(portion rows, portion cols, Td)` DWC
+    /// accumulators.
     pub(crate) dwc_acc: Tensor3<i32>,
     /// Per-image psum banks for the current portion, pixel-major
     /// `(portion rows, portion cols, K)` each — the layout the PWC portion
-    /// kernel accumulates into.
+    /// kernel accumulates into and the output-side Non-Conv drains.
     pub(crate) psums: Vec<Tensor3<i32>>,
-    /// One psum bank transposed to channel-major `(K, portion rows,
-    /// portion cols)` for the output-side Non-Conv drain.
-    pub(crate) drain: Tensor3<i32>,
-    /// The `(K, portion rows, portion cols)` residual window fetched at
-    /// the drain of an inverted-residual add stage (unused otherwise).
-    pub(crate) res_tile: Tensor3<i8>,
     /// Lane-private sub-scratches for the parallel portion loop (lane 0
     /// reuses this scratch itself; lane `i + 1` owns `lanes[i]`). Empty
     /// until a parallel run reserves them; a serial run never touches it.
     pub(crate) lanes: Vec<TileScratch>,
-    /// The layer's zero-padded input maps, one per in-flight image
-    /// (unused by unpadded layers, which read their inputs in place).
-    pub(crate) padded: Vec<Tensor3<i8>>,
     /// The portion loop's output slots, one per `(portion, image)`,
     /// pasted into the layer's maps in portion order after all lanes join.
     pub(crate) portion_slots: Vec<PortionSlot>,
@@ -93,13 +83,9 @@ impl TileScratch {
     #[must_use]
     pub fn new() -> Self {
         Self {
-            window: Tensor3::zeros(1, 1, 1),
             dwc_acc: Tensor3::zeros(1, 1, 1),
             psums: Vec::new(),
-            drain: Tensor3::zeros(1, 1, 1),
-            res_tile: Tensor3::zeros(1, 1, 1),
             lanes: Vec::new(),
-            padded: Vec::new(),
             portion_slots: Vec::new(),
         }
     }
@@ -114,19 +100,13 @@ impl TileScratch {
         let t = &cfg.tile;
         // The largest portion is bounded by the portion limit and the map.
         let pmax = s.out_spatial().min(cfg.portion_limit).max(1);
-        let region = (pmax - 1) * s.stride + s.kernel;
-        self.window.reserve_capacity(t.td * region * region);
         self.dwc_acc.reserve_capacity(t.td * pmax * pmax);
         let bank = s.k_out * pmax * pmax;
-        self.drain.reserve_capacity(bank);
         while self.psums.len() < n_images {
             self.psums.push(Tensor3::zeros(1, 1, 1));
         }
         for psum in self.psums.iter_mut().take(n_images) {
             psum.reserve_capacity(bank);
-        }
-        if s.residual_add {
-            self.res_tile.reserve_capacity(bank);
         }
     }
 
@@ -182,22 +162,19 @@ mod tests {
         let layers = mobilenet_v1_cifar10();
         scratch.reserve(&layers[0], &cfg, 2);
         // Every buffer gets capacity for its largest steady-state shape —
-        // the 8×8 portion's 10×10 stride-1 input region, its accumulators
-        // and psum banks — so the reshapes its consumers perform cannot
-        // allocate.
+        // the 8×8 portion's pixel-major accumulators and psum banks — so
+        // the reshapes its consumers perform cannot allocate.
         assert_eq!(scratch.psums.len(), 2);
         let bank = layers[0].k_out * 8 * 8;
         scratch.psums[0].resize_zeroed(8, 8, layers[0].k_out);
         assert_eq!(scratch.psums[0].len(), bank);
-        scratch.window.resize_zeroed(8, 10, 10);
+        let capacity = scratch.dwc_acc.as_slice().as_ptr();
         scratch.dwc_acc.resize_zeroed(8, 8, 8);
-        scratch.drain.resize_zeroed(layers[0].k_out, 8, 8);
-        // A stride-2 layer widens the region to 17×17.
+        assert_eq!(scratch.dwc_acc.as_slice().as_ptr(), capacity);
+        // A later, smaller layer keeps the psum banks of the previous
+        // reserve instead of freeing them.
         let stride2 = layers.iter().find(|l| l.stride == 2).unwrap();
         scratch.reserve(stride2, &cfg, 1);
-        scratch.window.resize_zeroed(8, 17, 17);
-        assert_eq!(scratch.window.shape(), (8, 17, 17));
-        // Extra psum banks from the previous reserve are kept, not freed.
         assert_eq!(scratch.psums.len(), 2);
     }
 }

@@ -21,8 +21,7 @@
 use edea_core::par::Parallelism;
 use edea_core::plan::LayerPlan;
 use edea_core::pool::{DispatchPolicy, Dispatcher, Pool};
-use edea_core::schedule::portions;
-use edea_core::schedule::WeightResidency;
+use edea_core::schedule::{portions, Portion, WeightResidency};
 use edea_core::scratch::TileScratch;
 use edea_core::serve::{arrivals, AnalyticBackend, Backend, Policy, SimulatorBackend};
 use edea_core::EdeaConfig;
@@ -54,13 +53,13 @@ fn steady_state_tile_pipeline_does_not_allocate() {
         .with_parallelism(Parallelism::serial());
 
     // --- Part 1: the per-tile pipeline itself allocates exactly zero. ---
-    // Drive the DWC → Non-Conv → PWC chain over warm scratch buffers, the
-    // way execute_layer's innermost loop does.
+    // Drive the DWC → Non-Conv → PWC chain one engine cycle at a time —
+    // each kernel at the extent of one 2×2 tile — over warm scratch
+    // buffers, reading the padded layer input in place.
     let dwc = DwcEngine::new(&cfg);
     let pwc = PwcEngine::new(&cfg);
-    let nonconv = NonConvUnit::new(&cfg);
-    let padded = d.input.zero_padded(1);
     let dw = d.qnet.layers()[0].dw_weights().values().kernel_slice(0, 8);
+    let dw = WeightSlice::new(dw.as_slice());
     let pw = d.qnet.layers()[0]
         .pw_weights()
         .values()
@@ -73,30 +72,30 @@ fn steady_state_tile_pipeline_does_not_allocate() {
             pw_t[c * 16 + k] = pw[(k, c, 0, 0)];
         }
     }
-    let mut window = Tensor3::<i8>::zeros(8, 4, 4);
+    let nonconv1 = d.qnet.layers()[0].nonconv1();
     let mut acc = Tensor3::<i32>::zeros(1, 1, 1);
-    let mut mid = Tensor3::<i8>::zeros(1, 1, 1);
-    let mut partial = Tensor3::<i32>::zeros(1, 1, 1);
-    let tile = |row0: usize,
-                col0: usize,
-                window: &mut Tensor3<i8>,
-                acc: &mut Tensor3<i32>,
-                mid: &mut Tensor3<i8>,
-                partial: &mut Tensor3<i32>| {
-        padded.copy_window_into(0, row0, col0, window);
-        dwc.compute_tile_into(window, &dw, 1, acc).unwrap();
-        nonconv
-            .apply_tile_into(acc, d.qnet.layers()[0].nonconv1(), mid)
+    let mut mid = [0i8; 8 * 4];
+    let mut partial = [0i32; 4 * 16];
+    let mut tile = |row0: usize, col0: usize, acc: &mut Tensor3<i32>| {
+        let tile = Portion {
+            row0,
+            col0,
+            rows: 2,
+            cols: 2,
+        };
+        dwc.compute_portion_into(&d.input, 0, dw, &tile, 1, 1, acc)
             .unwrap();
-        pwc.compute_tile_into(mid, WeightSlice::new(&pw_t), partial)
+        NonConvUnit.apply(acc, nonconv1, 0, None, &mut mid).unwrap();
+        partial.fill(0);
+        pwc.accumulate_portion(&mid, WeightSlice::new(&pw_t), &mut partial)
             .unwrap();
     };
     // Warm-up grows every buffer to its steady-state shape.
-    tile(0, 0, &mut window, &mut acc, &mut mid, &mut partial);
+    tile(0, 0, &mut acc);
     let before = CountingAllocator::allocations();
     for i in 0..256usize {
         let (r, c) = ((i / 16) * 2, (i % 16) * 2);
-        tile(r, c, &mut window, &mut acc, &mut mid, &mut partial);
+        tile(r, c, &mut acc);
     }
     let per_tile = CountingAllocator::allocations() - before;
     assert_eq!(
@@ -106,12 +105,12 @@ fn steady_state_tile_pipeline_does_not_allocate() {
 
     // --- Part 1b: the portion pipeline — the accelerator's hot path —
     // is just as allocation-free, dense and ~90 %-zero. ---
-    // One 8×8 portion's channel pass per step: the input-region copy, the
-    // DWC portion kernel, Non-Conv #1 into the mid slab and the PWC
-    // accumulate over the input-channel-major weights, exactly as
-    // run_portion drives them.
-    let mut sparse_padded = padded.clone();
-    for (i, v) in sparse_padded.as_mut_slice().iter_mut().enumerate() {
+    // One 8×8 portion's channel pass per step: the DWC portion kernel
+    // over the input in place (padding as it stages), Non-Conv #1 into
+    // the mid slab and the PWC accumulate over the input-channel-major
+    // weights, exactly as run_portion drives them.
+    let mut sparse_input = d.input.clone();
+    for (i, v) in sparse_input.as_mut_slice().iter_mut().enumerate() {
         if i % 8 != 0 {
             *v = 0;
         }
@@ -122,27 +121,21 @@ fn steady_state_tile_pipeline_does_not_allocate() {
             *v = 0;
         }
     }
-    let mut region = Tensor3::<i8>::zeros(8, 10, 10);
     let mut portion_acc = Tensor3::<i32>::zeros(1, 1, 1);
     let mut mid_slab = vec![0i8; 8 * 64];
     let mut psum = vec![0i32; 64 * 16];
-    for (name, src) in [("dense", &padded), ("zero-skipping", &sparse_padded)] {
+    for (name, src) in [("dense", &d.input), ("zero-skipping", &sparse_input)] {
         let mut step = |row0: usize, col0: usize| {
-            src.copy_window_into(0, row0, col0, &mut region);
-            dwc.compute_portion_into(
-                &region,
-                WeightSlice::new(dw.as_slice()),
-                1,
-                &mut portion_acc,
-            )
-            .unwrap();
-            nonconv
-                .apply_into_slice(
-                    &portion_acc,
-                    d.qnet.layers()[0].nonconv1(),
-                    0,
-                    &mut mid_slab,
-                )
+            let portion = Portion {
+                row0,
+                col0,
+                rows: 8,
+                cols: 8,
+            };
+            dwc.compute_portion_into(src, 0, dw, &portion, 1, 1, &mut portion_acc)
+                .unwrap();
+            NonConvUnit
+                .apply(&portion_acc, nonconv1, 0, None, &mut mid_slab)
                 .unwrap();
             pwc.accumulate_portion(&mid_slab, WeightSlice::new(&pw_sparse), &mut psum)
                 .unwrap();
@@ -353,10 +346,10 @@ fn steady_state_tile_pipeline_does_not_allocate() {
     // --- Part 6: a warm planned network forward allocates only what it
     // returns. ---
     // Per layer the loop may allocate the output map, the vector holding
-    // it and the portion list; per forward, the stats vector. The portion
-    // list's own allocations (it grows as it is collected) and, in debug
-    // builds, those of the plan-time race audit each layer re-runs are
-    // counted on the same inputs and join the budget. Assembling a
+    // it and the portion list — one allocation, sized up front; per
+    // forward, the stats vector. In debug builds the allocations of the
+    // plan-time race audit each layer re-runs are counted on the same
+    // inputs and join the budget. Assembling a
     // whole-layer intermediate map (a vector and a map per layer) or
     // copying the inputs per layer (the same again) would each add 26
     // over the 13 layers and break it.
@@ -380,10 +373,20 @@ fn steady_state_tile_pipeline_does_not_allocate() {
         let s = layer.shape();
         let before = CountingAllocator::allocations();
         let ports = portions(s.out_spatial(), cfg.portion_limit);
+        let list = CountingAllocator::allocations() - before;
+        assert_eq!(
+            list,
+            1,
+            "layer {}: its {}-portion list allocated {list} times",
+            s.index,
+            ports.len()
+        );
+        lists += list;
         if cfg!(debug_assertions) {
+            let before = CountingAllocator::allocations();
             edea_core::plan::audit::audit_portions(&s, &cfg, &ports, 1, 1).unwrap();
+            lists += CountingAllocator::allocations() - before;
         }
-        lists += CountingAllocator::allocations() - before;
     }
     let n_layers = d.qnet.layers().len() as u64;
     let budget = 2 * n_layers + 1 + lists;

@@ -1,10 +1,12 @@
 //! Property-based tests: the engine datapaths against the golden reference
 //! kernels, on arbitrary int8 tiles and — for the DWC portion kernel — at
-//! any lane count, stride and portion extent.
+//! any lane count, stride, pad, portion extent and portion placement.
 
 use edea_core::engine::{DwcEngine, EngineActivity, PwcEngine, WeightSlice};
-use edea_core::nonconv::NonConvUnit;
+use edea_core::nonconv::{NonConvUnit, Residual};
+use edea_core::schedule::Portion;
 use edea_core::{timing, EdeaConfig};
+use edea_fixed::Q8x16;
 use edea_nn::fold::FoldedAffine;
 use edea_tensor::conv::{depthwise_conv2d_i8, pointwise_conv2d_i8};
 use edea_tensor::{rng, Tensor3, Tensor4};
@@ -34,23 +36,24 @@ fn sparsify(values: &mut [i8], pct: u32, salt: u64) {
     }
 }
 
-/// The modeled activity of one DWC channel pass, slot by slot: every
-/// `(channel, output pixel, tap)` slot, with its zero operands.
+/// The modeled activity of one DWC channel pass over `portion`, slot by
+/// slot: every `(channel, output pixel, tap)` slot, with its zero
+/// operands, read from the zero-padded `(Td, ·, ·)` input.
 fn dwc_slot_activity(
-    window: &Tensor3<i8>,
+    padded: &Tensor3<i8>,
     weights: &Tensor4<i8>,
     stride: usize,
-    (rows, cols): (usize, usize),
+    portion: &Portion,
 ) -> EngineActivity {
     let (td, _, k, _) = weights.shape();
     let mut activity = EngineActivity::default();
     for c in 0..td {
-        for r in 0..rows {
-            for q in 0..cols {
+        for r in portion.row0..portion.row0 + portion.rows {
+            for q in portion.col0..portion.col0 + portion.cols {
                 for kh in 0..k {
                     for kw in 0..k {
                         activity.mac_slots += 1;
-                        let a = window[(c, r * stride + kh, q * stride + kw)];
+                        let a = padded[(c, r * stride + kh, q * stride + kw)];
                         activity.zero_act_slots += u64::from(a == 0);
                         activity.zero_weight_slots += u64::from(weights[(c, 0, kh, kw)] == 0);
                     }
@@ -61,21 +64,71 @@ fn dwc_slot_activity(
     activity
 }
 
+/// One engine cycle of the paper's DWC: the portion kernel at the extent
+/// of one 2×2 tile over an unpadded window, returned channel-major.
+fn dwc_tile(ifmap: &Tensor3<i8>, weights: &Tensor4<i8>, stride: usize) -> Tensor3<i32> {
+    let tile = Portion {
+        row0: 0,
+        col0: 0,
+        rows: 2,
+        cols: 2,
+    };
+    let mut acc = Tensor3::zeros(1, 1, 1);
+    DwcEngine::new(&EdeaConfig::paper())
+        .compute_portion_into(
+            ifmap,
+            0,
+            WeightSlice::new(weights.as_slice()),
+            &tile,
+            stride,
+            0,
+            &mut acc,
+        )
+        .expect("tile");
+    Tensor3::from_fn(8, 2, 2, |c, r, q| acc[(r, q, c)])
+}
+
+/// One engine cycle of the paper's PWC: the portion kernel at the extent
+/// of one 2×2 tile and one 16-wide kernel tile, returned channel-major.
+fn pwc_tile(ifmap: &Tensor3<i8>, weights: &Tensor4<i8>) -> (Tensor3<i32>, EngineActivity) {
+    let by_channel: Vec<i8> = (0..8 * 16)
+        .map(|i| weights[(i % 16, i / 16, 0, 0)])
+        .collect();
+    let mut psum = vec![0i32; 4 * 16];
+    let activity = PwcEngine::new(&EdeaConfig::paper())
+        .accumulate_portion(ifmap.as_slice(), WeightSlice::new(&by_channel), &mut psum)
+        .expect("tile");
+    let planes = Tensor3::from_fn(16, 2, 2, |k, r, q| psum[(r * 2 + q) * 16 + k]);
+    (planes, activity)
+}
+
+/// Where a portion of `n` outputs sits on an axis of `out`: at the first
+/// edge, at the last, or in between.
+fn place(at: usize, n: usize, out: usize) -> usize {
+    [0, out - n, (out - n) / 2][at]
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// The DWC portion kernel at geometries the paper configuration never
-    /// reaches: 1 to 72 channel lanes (partial and multiple 8-lane
-    /// blocks), strides 1–3, portions of up to 32×32 outputs (windows of
-    /// up to 96×96, beyond one staging strip) and 0–100 % activation
-    /// zeros (100 % takes the whole-window skip). Its accumulators equal
-    /// the reference depthwise convolution, and its activity the per-slot
+    /// reaches, reading a whole layer input in place: 1 to 72 channel
+    /// lanes (partial and multiple 8-lane blocks) at either channel block
+    /// of the input, strides 1–3, pads 0–2 (the halo it zero-fills as it
+    /// stages), portions of up to 32×32 outputs (windows of up to 96×96,
+    /// beyond one staging strip) at every edge, corner and the interior of
+    /// the map, and 0–100 % activation zeros (100 % takes the whole-window
+    /// skip). Its accumulators equal the reference depthwise convolution of
+    /// the padded map sliced to the portion, and its activity the per-slot
     /// count.
     #[test]
     fn dwc_portion_kernel_matches_references_at_any_geometry(
         lanes in 0usize..5,
         stride in 1usize..4,
+        pad in 0usize..3,
         extent in (1usize..33, 1usize..33),
+        margin in 0usize..5,
+        at in (0usize..3, 0usize..3),
         zero_pct in 0u32..101,
         seed in any::<u64>(),
     ) {
@@ -87,17 +140,43 @@ proptest! {
         cfg.tile.tm = 1;
         let k = cfg.tile.kernel;
         let engine = DwcEngine::new(&cfg);
-        let (hr, hc) = ((rows - 1) * stride + k, (cols - 1) * stride + k);
-        let mut window = rng::uniform_i8_tensor3(td, hr, hc, -128, 127, seed);
-        sparsify(window.as_mut_slice(), zero_pct, seed);
+        // The smallest map whose ofmap holds the portion plus the margin,
+        // widened by up to `stride − 1` columns the last output never
+        // reads.
+        let want = rows.max(cols) + margin;
+        let side = ((want - 1) * stride + k + seed as usize % stride).saturating_sub(2 * pad).max(1);
+        let out = (side + 2 * pad - k) / stride + 1;
+        let portion = Portion {
+            row0: place(at.0, rows, out),
+            col0: place(at.1, cols, out),
+            rows,
+            cols,
+        };
+        let mut map = rng::uniform_i8_tensor3(2 * td, side, side, -128, 127, seed);
+        sparsify(map.as_mut_slice(), zero_pct, seed);
+        let c0 = td * ((seed >> 8) as usize & 1);
         let mut weights = rng::uniform_i8_tensor4(td, 1, k, k, -128, 127, seed ^ 1);
         sparsify(weights.as_mut_slice(), 20, seed ^ 2);
         let mut acc = Tensor3::<i32>::zeros(1, 1, 1);
         let activity = engine
-            .compute_portion_into(&window, WeightSlice::new(weights.as_slice()), stride, &mut acc)
+            .compute_portion_into(
+                &map,
+                c0,
+                WeightSlice::new(weights.as_slice()),
+                &portion,
+                stride,
+                pad,
+                &mut acc,
+            )
             .expect("whole-tile portion");
-        prop_assert_eq!(&acc, &depthwise_conv2d_i8(&window, &weights, stride, 0));
-        prop_assert_eq!(activity, dwc_slot_activity(&window, &weights, stride, (rows, cols)));
+        let block = map.channel_slice(c0, td);
+        let reference = depthwise_conv2d_i8(&block, &weights, stride, pad);
+        let expected = Tensor3::from_fn(rows, cols, td, |r, q, c| {
+            reference[(c, portion.row0 + r, portion.col0 + q)]
+        });
+        prop_assert_eq!(&acc, &expected);
+        let padded = block.zero_padded(pad);
+        prop_assert_eq!(activity, dwc_slot_activity(&padded, &weights, stride, &portion));
     }
 }
 
@@ -107,18 +186,14 @@ proptest! {
     #[test]
     fn dwc_engine_equals_reference_s1(ifmap in i8_tensor3(8, 4, 4),
                                       weights in i8_tensor4(8, 1, 3, 3)) {
-        let engine = DwcEngine::new(&EdeaConfig::paper());
-        let out = engine.compute_tile(&ifmap, &weights, 1).expect("tile");
-        prop_assert_eq!(out.acc, depthwise_conv2d_i8(&ifmap, &weights, 1, 0));
+        prop_assert_eq!(dwc_tile(&ifmap, &weights, 1), depthwise_conv2d_i8(&ifmap, &weights, 1, 0));
     }
 
     /// The DWC engine equals the reference on any 5×5×8 tile (stride 2).
     #[test]
     fn dwc_engine_equals_reference_s2(ifmap in i8_tensor3(8, 5, 5),
                                       weights in i8_tensor4(8, 1, 3, 3)) {
-        let engine = DwcEngine::new(&EdeaConfig::paper());
-        let out = engine.compute_tile(&ifmap, &weights, 2).expect("tile");
-        prop_assert_eq!(out.acc, depthwise_conv2d_i8(&ifmap, &weights, 2, 0));
+        prop_assert_eq!(dwc_tile(&ifmap, &weights, 2), depthwise_conv2d_i8(&ifmap, &weights, 2, 0));
     }
 
     /// The PWC engine equals the reference pointwise convolution on any
@@ -126,9 +201,7 @@ proptest! {
     #[test]
     fn pwc_engine_equals_reference(ifmap in i8_tensor3(8, 2, 2),
                                    weights in i8_tensor4(16, 8, 1, 1)) {
-        let engine = PwcEngine::new(&EdeaConfig::paper());
-        let out = engine.compute_tile(&ifmap, &weights).expect("tile");
-        prop_assert_eq!(out.partial, pointwise_conv2d_i8(&ifmap, &weights));
+        prop_assert_eq!(pwc_tile(&ifmap, &weights).0, pointwise_conv2d_i8(&ifmap, &weights));
     }
 
     /// Engine zero-activation counts are exact: each zero activation gates
@@ -136,36 +209,21 @@ proptest! {
     #[test]
     fn pwc_gating_count_is_exact(ifmap in i8_tensor3(8, 2, 2),
                                  weights in i8_tensor4(16, 8, 1, 1)) {
-        let engine = PwcEngine::new(&EdeaConfig::paper());
-        let out = engine.compute_tile(&ifmap, &weights).expect("tile");
+        let (_, activity) = pwc_tile(&ifmap, &weights);
         let zeros = ifmap.as_slice().iter().filter(|&&v| v == 0).count() as u64;
-        prop_assert_eq!(out.activity.zero_act_slots, zeros * 16);
-    }
-
-    /// The Non-Conv unit is elementwise-identical to the folded affine.
-    #[test]
-    fn nonconv_unit_matches_folded_affine(acc in prop::collection::vec(-200_000i32..200_000, 32),
-                                          k in -2.0f64..2.0, b in -50.0f64..50.0) {
-        let unit = NonConvUnit::new(&EdeaConfig::paper());
-        let tile = Tensor3::from_vec(acc.clone(), 8, 2, 2).expect("sized");
-        let f = FoldedAffine::fold(k, b, 0.05, 0.05, 0.1);
-        let params = vec![f; 8];
-        let (out, _) = unit.apply_tile(&tile, &params).expect("apply");
-        for (i, &a) in acc.iter().enumerate() {
-            prop_assert_eq!(out.as_slice()[i], f.apply_fixed(a, 0));
-        }
+        prop_assert_eq!(activity.zero_act_slots, zeros * 16);
     }
 
     /// Non-Conv outputs always land in [0, 127] (ReLU-folded clip).
     #[test]
     fn nonconv_outputs_in_relu_range(acc in prop::collection::vec(any::<i32>(), 32),
                                      k in -100.0f64..100.0, b in -100.0f64..100.0) {
-        let unit = NonConvUnit::new(&EdeaConfig::paper());
-        let tile = Tensor3::from_vec(acc, 8, 2, 2).expect("sized");
+        let acc = Tensor3::from_vec(acc, 2, 2, 8).expect("sized");
         let params = vec![FoldedAffine::fold(k, b, 1.0, 1.0, 1.0); 8];
-        let (out, activity) = unit.apply_tile(&tile, &params).expect("apply");
-        prop_assert!(out.as_slice().iter().all(|&v| (0..=127).contains(&v)));
-        let zeros = out.as_slice().iter().filter(|&&v| v == 0).count() as u64;
+        let mut out = [0i8; 32];
+        let activity = NonConvUnit.apply(&acc, &params, 0, None, &mut out).expect("apply");
+        prop_assert!(out.iter().all(|&v| (0..=127).contains(&v)));
+        let zeros = out.iter().filter(|&&v| v == 0).count() as u64;
         prop_assert_eq!(activity.zero_outputs, zeros);
     }
 
@@ -180,5 +238,61 @@ proptest! {
         prop_assert!(timing::layer_cycles(&mk(d_mult + 1, k_mult, sp), &cfg).total() > base);
         prop_assert!(timing::layer_cycles(&mk(d_mult, k_mult + 1, sp), &cfg).total() > base);
         prop_assert!(timing::layer_cycles(&mk(d_mult, k_mult, sp + 1), &cfg).total() > base);
+    }
+}
+
+proptest! {
+    /// The one Non-Conv entry is elementwise-identical to the folded
+    /// affine, on random `(rows, cols, C)` pixel-major accumulators, both
+    /// clip floors (0 = folded ReLU, −128 = linear project) and with or
+    /// without a residual read in place from a larger saved map: output
+    /// `(c, r, q)` is `apply_fixed` (or `apply_fixed_residual` with the
+    /// map's element at the window offset) of accumulator `(r, q, c)`, and
+    /// the zero count is a scan of the output. The per-channel constants
+    /// are Q8.16 words.
+    #[test]
+    fn nonconv_unit_matches_folded_affine(
+        extent in (1usize..9, 1usize..9),
+        channels in 1usize..33,
+        acc in prop::collection::vec(-200_000i32..200_000, 8 * 8 * 32),
+        affine in (-2.0f64..2.0, -50.0f64..50.0),
+        floor in 0usize..2,
+        skip in (0usize..2, 0usize..4, 0usize..4),
+        scale in -1.5f64..1.5,
+        seed in any::<u64>(),
+    ) {
+        let (rows, cols) = extent;
+        let acc = Tensor3::from_vec(acc[..rows * cols * channels].to_vec(), rows, cols, channels)
+            .expect("sized");
+        let params: Vec<FoldedAffine> = (0..channels)
+            .map(|c| {
+                let t = c as f64 / channels as f64;
+                FoldedAffine::fold(affine.0 * (1.0 - t), affine.1 - t, 0.02, 0.01, 0.015)
+            })
+            .collect();
+        let lo = [0i8, -128][floor];
+        let map = rng::uniform_i8_tensor3(channels + 1, rows + 3, cols + 3, -128, 127, seed);
+        let (with_skip, row0, col0) = skip;
+        let scale = Q8x16::from_f64(scale);
+        let residual = (with_skip == 1).then_some(Residual { map: &map, row0, col0, scale });
+        let mut out = vec![0i8; acc.len()];
+        let activity = NonConvUnit
+            .apply(&acc, &params, lo, residual, &mut out)
+            .expect("apply");
+        let plane = rows * cols;
+        for (i, &y) in out.iter().enumerate() {
+            let (c, r, q) = (i / plane, i % plane / cols, i % cols);
+            let a = acc[(r, q, c)];
+            let want = match residual {
+                Some(_) => params[c].apply_fixed_residual(a, map[(c, row0 + r, col0 + q)], scale, lo),
+                None => params[c].apply_fixed(a, lo),
+            };
+            prop_assert_eq!(y, want);
+        }
+        prop_assert_eq!(activity.ops, out.len() as u64);
+        prop_assert_eq!(activity.zero_outputs, out.iter().filter(|&&v| v == 0).count() as u64);
+        for p in &params {
+            prop_assert_eq!(p.k, Q8x16::from_f64(p.k_exact));
+        }
     }
 }

@@ -12,11 +12,13 @@
 //! 2. skip-path activity counts equal a brute-force per-slot count that
 //!    never skips anything;
 //! 3. the portion kernels — one call per (portion, channel pass) covering
-//!    many modeled engine cycles — equal the sum of the per-tile
-//!    `compute_tile*` calls on the same data, in outputs *and* activity.
+//!    many modeled engine cycles — equal the sum of the same kernels'
+//!    calls at the extent of one tile (one engine cycle) on the same data,
+//!    in outputs *and* activity.
 
 use edea_core::engine::{DwcEngine, EngineActivity, PwcEngine, WeightSlice};
 use edea_core::nonconv::NonConvUnit;
+use edea_core::schedule::Portion;
 use edea_core::serve::SimulatorBackend;
 use edea_core::EdeaConfig;
 use edea_nn::executor;
@@ -130,29 +132,29 @@ fn dwc_skip_is_bit_identical_to_per_slot_reference_at_every_sparsity() {
             let mut weights = rng::uniform_i8_tensor4(8, 1, 3, 3, -128, 127, 200 + case as u64);
             sparsify3(&mut ifmap, *z, 7 * case as u64);
             sparsify4(&mut weights, 0.2, 11 * case as u64); // quantized weights have zeros too
-            let out = engine.compute_tile(&ifmap, &weights, stride).unwrap();
+            let (out, out_activity) = dwc_tile(&engine, &ifmap, &weights, stride);
             let (acc, activity) = dwc_reference(&ifmap, &weights, stride, 2, 2, 3);
-            assert_eq!(out.acc, acc, "z={z} stride={stride}");
-            assert_eq!(out.activity, activity, "z={z} stride={stride}");
-            assert_eq!(out.acc, depthwise_conv2d_i8(&ifmap, &weights, stride, 0));
+            assert_eq!(out, acc, "z={z} stride={stride}");
+            assert_eq!(out_activity, activity, "z={z} stride={stride}");
+            assert_eq!(out, depthwise_conv2d_i8(&ifmap, &weights, stride, 0));
         }
     }
 }
 
 #[test]
 fn dwc_uncached_stride_fallback_matches_reference() {
-    // Stride 3 has no precomputed coverage map: the per-slot fallback must
-    // still skip zeros bit-exactly and count identically.
+    // Stride 3, beyond the paper's 1 and 2: the kernel must still skip
+    // zeros bit-exactly and count identically.
     let cfg = EdeaConfig::paper();
     let engine = DwcEngine::new(&cfg);
     let mut ifmap = rng::uniform_i8_tensor3(8, 6, 6, -128, 127, 300);
     let weights = rng::uniform_i8_tensor4(8, 1, 3, 3, -128, 127, 301);
     sparsify3(&mut ifmap, 0.8, 13);
-    let out = engine.compute_tile(&ifmap, &weights, 3).unwrap();
+    let (out, out_activity) = dwc_tile(&engine, &ifmap, &weights, 3);
     let (acc, activity) = dwc_reference(&ifmap, &weights, 3, 2, 2, 3);
-    assert_eq!(out.acc, acc);
-    assert_eq!(out.activity, activity);
-    assert_eq!(out.acc, depthwise_conv2d_i8(&ifmap, &weights, 3, 0));
+    assert_eq!(out, acc);
+    assert_eq!(out_activity, activity);
+    assert_eq!(out, depthwise_conv2d_i8(&ifmap, &weights, 3, 0));
 }
 
 #[test]
@@ -165,15 +167,12 @@ fn pwc_gated_and_ungated_match_per_slot_reference_at_every_sparsity() {
         sparsify3(&mut ifmap, *z, 17 * case as u64);
         sparsify4(&mut weights, 0.25, 19 * case as u64);
         let (reference, activity) = pwc_reference(&ifmap, &weights);
-        // Ungated (activation skip only).
-        let out = engine.compute_tile(&ifmap, &weights).unwrap();
-        assert_eq!(out.partial, reference, "z={z} ungated");
-        assert_eq!(out.activity, activity, "z={z} ungated");
-        // The portion kernel on the plan's input-channel-major layout,
-        // with the plan-time zero-weight count.
+        // One engine cycle: the portion kernel on the plan's
+        // input-channel-major layout, with the zero-weight count taken
+        // once per weight slice.
         let (partial, act) = pwc_portion(&engine, &ifmap, &weights);
-        assert_eq!(partial, reference, "z={z} portion");
-        assert_eq!(act, activity, "z={z} portion");
+        assert_eq!(partial, reference, "z={z}");
+        assert_eq!(act, activity, "z={z}");
         assert_eq!(partial, pointwise_conv2d_i8(&ifmap, &weights));
     }
 }
@@ -187,16 +186,16 @@ fn activity_reports_modeled_slots_even_when_all_compute_is_skipped() {
     let pwc = PwcEngine::new(&cfg);
     let zeros3 = Tensor3::<i8>::zeros(8, 4, 4);
     let dwc_w = rng::uniform_i8_tensor4(8, 1, 3, 3, 1, 127, 600);
-    let out = dwc.compute_tile(&zeros3, &dwc_w, 1).unwrap();
-    assert_eq!(out.activity.mac_slots, 288);
-    assert_eq!(out.activity.zero_act_slots, 288);
-    assert!(out.acc.as_slice().iter().all(|&v| v == 0));
+    let (acc, activity) = dwc_tile(&dwc, &zeros3, &dwc_w, 1);
+    assert_eq!(activity.mac_slots, 288);
+    assert_eq!(activity.zero_act_slots, 288);
+    assert!(acc.as_slice().iter().all(|&v| v == 0));
     let zeros_pwc = Tensor3::<i8>::zeros(8, 2, 2);
     let pwc_w = rng::uniform_i8_tensor4(16, 8, 1, 1, 1, 127, 601);
-    let out = pwc.compute_tile(&zeros_pwc, &pwc_w).unwrap();
-    assert_eq!(out.activity.mac_slots, 512);
-    assert_eq!(out.activity.zero_act_slots, 512);
-    assert!(out.partial.as_slice().iter().all(|&v| v == 0));
+    let (partial, activity) = pwc_portion(&pwc, &zeros_pwc, &pwc_w);
+    assert_eq!(activity.mac_slots, 512);
+    assert_eq!(activity.zero_act_slots, 512);
+    assert!(partial.as_slice().iter().all(|&v| v == 0));
 }
 
 #[test]
@@ -270,7 +269,8 @@ fn channel_major(weights: &Tensor4<i8>) -> Vec<i8> {
     out
 }
 
-/// A pixel-major `(rows, cols, K)` psum bank back to `(K, rows, cols)`.
+/// Pixel-major `(rows, cols, K)` accumulators (a psum bank or the DWC's)
+/// back to channel planes `(K, rows, cols)`.
 fn channel_planes(psum: &[i32], k: usize, rows: usize, cols: usize) -> Tensor3<i32> {
     Tensor3::from_fn(k, rows, cols, |ki, r, c| psum[(r * cols + c) * k + ki])
 }
@@ -292,8 +292,8 @@ fn pwc_portion(
     (channel_planes(&psum, k, rows, cols), act)
 }
 
-/// The same work tile by tile: one `compute_tile` per `Tn×Tm` spatial
-/// tile × `Tk` kernel tile, each partial pasted into its place.
+/// The same work tile by tile: one PWC call per `Tn×Tm` spatial tile ×
+/// `Tk` kernel tile, each partial pasted into its place.
 fn pwc_by_tiles(
     engine: &PwcEngine,
     mid: &Tensor3<i8>,
@@ -308,38 +308,63 @@ fn pwc_by_tiles(
         for c in (0..cols).step_by(2) {
             mid.copy_window_into(0, r, c, &mut tile);
             for kt in (0..k).step_by(16) {
-                let t = engine
-                    .compute_tile(&tile, &weights.kernel_slice(kt, 16))
-                    .unwrap();
-                out.paste_window(kt, r, c, &t.partial);
-                act.merge(&t.activity);
+                let (partial, activity) = pwc_portion(engine, &tile, &weights.kernel_slice(kt, 16));
+                out.paste_window(kt, r, c, &partial);
+                act.merge(&activity);
             }
         }
     }
     (out, act)
 }
 
-/// One DWC portion-kernel call over a `(Td, Hr, Hc)` input region.
+/// One DWC portion-kernel call over `portion` of the unpadded 8-channel
+/// input `window`; the accumulators are pixel-major `(rows, cols, 8)`.
 fn dwc_portion(
     engine: &DwcEngine,
     window: &Tensor3<i8>,
     weights: &Tensor4<i8>,
     stride: usize,
+    portion: &Portion,
 ) -> (Tensor3<i32>, EngineActivity) {
     let mut acc = Tensor3::<i32>::zeros(1, 1, 1);
     let act = engine
         .compute_portion_into(
             window,
+            0,
             WeightSlice::new(weights.as_slice()),
+            portion,
             stride,
+            0,
             &mut acc,
         )
         .unwrap();
     (acc, act)
 }
 
-/// The same region tile by tile: one `compute_tile` per `Tn×Tm` output
-/// tile, on its `(Td, Tr, Tc)` window.
+/// One DWC engine cycle: the portion kernel at the extent of the 2×2 tile
+/// at the window's origin, its accumulators channel-major.
+fn dwc_tile(
+    engine: &DwcEngine,
+    window: &Tensor3<i8>,
+    weights: &Tensor4<i8>,
+    stride: usize,
+) -> (Tensor3<i32>, EngineActivity) {
+    let (acc, act) = dwc_portion(engine, window, weights, stride, &tile_at(0, 0));
+    (channel_planes(acc.as_slice(), 8, 2, 2), act)
+}
+
+/// The 2×2 output tile anchored at `(row0, col0)`.
+fn tile_at(row0: usize, col0: usize) -> Portion {
+    Portion {
+        row0,
+        col0,
+        rows: 2,
+        cols: 2,
+    }
+}
+
+/// The same region tile by tile: one DWC call at the extent of each
+/// `Tn×Tm` output tile, pasted into pixel-major `(rows, cols, 8)`.
 fn dwc_by_tiles(
     engine: &DwcEngine,
     window: &Tensor3<i8>,
@@ -347,16 +372,13 @@ fn dwc_by_tiles(
     stride: usize,
     (rows, cols): (usize, usize),
 ) -> (Tensor3<i32>, EngineActivity) {
-    let side = stride + 3;
-    let mut out = Tensor3::<i32>::zeros(8, rows, cols);
+    let mut out = Tensor3::<i32>::zeros(rows, cols, 8);
     let mut act = EngineActivity::default();
-    let mut tile = Tensor3::<i8>::zeros(8, side, side);
     for r in (0..rows).step_by(2) {
         for c in (0..cols).step_by(2) {
-            window.copy_window_into(0, r * stride, c * stride, &mut tile);
-            let t = engine.compute_tile(&tile, weights, stride).unwrap();
-            out.paste_window(0, r, c, &t.acc);
-            act.merge(&t.activity);
+            let (t, a) = dwc_portion(engine, window, weights, stride, &tile_at(r, c));
+            out.paste_window(r, c, 0, &t);
+            act.merge(&a);
         }
     }
     (out, act)
@@ -383,11 +405,13 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let cfg = EdeaConfig::paper();
-        let (dwc, pwc, nonconv) = (DwcEngine::new(&cfg), PwcEngine::new(&cfg), NonConvUnit::new(&cfg));
+        let (dwc, pwc) = (DwcEngine::new(&cfg), PwcEngine::new(&cfg));
         let (rows, cols) = (2 * extent.0, 2 * extent.1);
         let (z, wz) = (ACT_SPARSITY[sparsity.0], [0.0, 0.3, 0.7][sparsity.1]);
-        let (hr, hc) = ((rows - 1) * stride + 3, (cols - 1) * stride + 3);
-        let mut window = rng::uniform_i8_tensor3(8, hr, hc, -128, 127, seed);
+        // A square window whose unused rows or columns sit past the
+        // portion's last output.
+        let side = (rows.max(cols) - 1) * stride + 3;
+        let mut window = rng::uniform_i8_tensor3(8, side, side, -128, 127, seed);
         sparsify3(&mut window, z, seed);
         let mut dw = rng::uniform_i8_tensor4(8, 1, 3, 3, -128, 127, seed ^ 1);
         sparsify4(&mut dw, wz, seed ^ 2);
@@ -397,22 +421,26 @@ proptest! {
             .map(|c| FoldedAffine::fold(0.5 + c as f64 * 0.1, c as f64 - 4.0, 0.05, 0.05, 0.1))
             .collect();
 
-        let (acc, dwc_act) = dwc_portion(&dwc, &window, &dw, stride);
+        let whole = Portion { row0: 0, col0: 0, rows, cols };
+        let (acc, dwc_act) = dwc_portion(&dwc, &window, &dw, stride, &whole);
         let (tile_acc, tile_dwc_act) = dwc_by_tiles(&dwc, &window, &dw, stride, (rows, cols));
         prop_assert_eq!(&acc, &tile_acc);
         prop_assert_eq!(dwc_act, tile_dwc_act);
-        prop_assert_eq!(&acc, &depthwise_conv2d_i8(&window, &dw, stride, 0));
+        let reference = depthwise_conv2d_i8(&window, &dw, stride, 0);
+        let planes = channel_planes(acc.as_slice(), 8, rows, cols);
+        prop_assert_eq!(&planes, &Tensor3::from_fn(8, rows, cols, |c, r, q| reference[(c, r, q)]));
 
         // Non-Conv #1 straight into a mid slab vs tile by tile.
         let mut mid = Tensor3::<i8>::zeros(8, rows, cols);
-        let nc = nonconv.apply_into_slice(&acc, &params, 0, mid.as_mut_slice()).unwrap();
+        let nc = NonConvUnit.apply(&acc, &params, 0, None, mid.as_mut_slice()).unwrap();
         let mut tile_mid = Tensor3::<i8>::zeros(8, rows, cols);
         let mut tile_ops = 0;
-        let mut acc_tile = Tensor3::<i32>::zeros(8, 2, 2);
+        let mut acc_tile = Tensor3::<i32>::zeros(2, 2, 8);
+        let mut t = Tensor3::<i8>::zeros(8, 2, 2);
         for r in (0..rows).step_by(2) {
             for c in (0..cols).step_by(2) {
-                tile_acc.copy_window_into(0, r, c, &mut acc_tile);
-                let (t, a) = nonconv.apply_tile(&acc_tile, &params).unwrap();
+                tile_acc.copy_window_into(r, c, 0, &mut acc_tile);
+                let a = NonConvUnit.apply(&acc_tile, &params, 0, None, t.as_mut_slice()).unwrap();
                 tile_mid.paste_window(0, r, c, &t);
                 tile_ops += a.ops;
             }
@@ -475,16 +503,26 @@ fn portion_kernels_reject_partial_tiles() {
     let (dwc, pwc) = (DwcEngine::new(&cfg), PwcEngine::new(&cfg));
     let w = [1i8; 72];
     let mut acc = Tensor3::<i32>::zeros(1, 1, 1);
+    let input = Tensor3::<i8>::zeros(8, 6, 6);
+    let portion = |rows: usize, cols: usize| Portion {
+        row0: 0,
+        col0: 0,
+        rows,
+        cols,
+    };
+    let dwc_call =
+        |input: &Tensor3<i8>, portion: &Portion, stride: usize, acc: &mut Tensor3<i32>| {
+            dwc.compute_portion_into(input, 0, WeightSlice::new(&w), portion, stride, 0, acc)
+        };
     // 3 output rows at stride 1 is not a whole number of 2-row tiles.
-    let odd = Tensor3::<i8>::zeros(8, 5, 4);
-    assert!(dwc
-        .compute_portion_into(&odd, WeightSlice::new(&w), 1, &mut acc)
-        .is_err());
-    // A 6×6 region is no whole number of output rows at stride 2.
-    let ragged = Tensor3::<i8>::zeros(8, 6, 6);
-    assert!(dwc
-        .compute_portion_into(&ragged, WeightSlice::new(&w), 2, &mut acc)
-        .is_err());
+    assert!(dwc_call(&input, &portion(3, 2), 1, &mut acc).is_err());
+    // 4 output rows at stride 2 read 9 rows of a 6×6 map.
+    assert!(dwc_call(&input, &portion(4, 2), 2, &mut acc).is_err());
+    // A map that is not square.
+    let oblong = Tensor3::<i8>::zeros(8, 4, 5);
+    assert!(dwc_call(&oblong, &portion(2, 2), 1, &mut acc).is_err());
+    // The whole 6×6 map is two tiles each way at stride 1.
+    assert!(dwc_call(&input, &portion(4, 4), 1, &mut acc).is_ok());
     // Six pixels are not a whole number of 4-pixel tiles; a psum bank
     // of the wrong size is refused.
     let pw = [1i8; 8 * 16];

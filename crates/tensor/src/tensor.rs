@@ -90,22 +90,12 @@ impl<T: Copy + Default> Tensor3<T> {
         Ok(Self { data, c, h, w })
     }
 
-    /// Returns a spatially zero-padded copy (`pad` rows/cols on every side).
-    /// Thin allocating wrapper over [`Tensor3::zero_padded_into`].
+    /// Returns a spatially zero-padded copy (`pad` rows/cols on every
+    /// side). Each input row lands with one `copy_from_slice`.
     #[must_use]
     pub fn zero_padded(&self, pad: usize) -> Self {
-        let mut out = Self::zeros(1, 1, 1);
-        self.zero_padded_into(pad, &mut out);
-        out
-    }
-
-    /// Writes the spatially zero-padded copy (`pad` rows/cols on every
-    /// side) into `out`, reshaping it in place — allocation-free once
-    /// `out` has grown to that size. Each input row lands with one
-    /// `copy_from_slice`.
-    pub fn zero_padded_into(&self, pad: usize, out: &mut Self) {
         let (h, w) = (self.h + 2 * pad, self.w + 2 * pad);
-        out.resize_zeroed(self.c, h, w);
+        let mut out = Self::zeros(self.c, h, w);
         for (src, dst) in self
             .data
             .chunks_exact(self.h * self.w)
@@ -118,6 +108,7 @@ impl<T: Copy + Default> Tensor3<T> {
                 dst_row[pad..pad + self.w].copy_from_slice(row);
             }
         }
+        out
     }
 
     /// Reshapes to `(c, h, w)` in place and fills every element with
@@ -681,11 +672,10 @@ mod tests {
     }
 
     #[test]
-    fn zero_padded_into_matches_per_element_padding_in_a_reused_buffer() {
-        let mut out = Tensor3::<i8>::zeros(1, 1, 1);
+    fn zero_padded_matches_per_element_padding() {
         for (c, h, w, pad) in [(3, 4, 5, 2), (2, 3, 3, 1), (1, 2, 2, 0), (4, 6, 6, 3)] {
             let t = Tensor3::<i8>::from_fn(c, h, w, |ci, hi, wi| (ci * 31 + hi * 7 + wi) as i8 + 1);
-            t.zero_padded_into(pad, &mut out);
+            let out = t.zero_padded(pad);
             let want = Tensor3::<i8>::from_fn(c, h + 2 * pad, w + 2 * pad, |ci, hi, wi| {
                 let inside = (pad..pad + h).contains(&hi) && (pad..pad + w).contains(&wi);
                 if inside {
