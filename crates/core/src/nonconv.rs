@@ -195,6 +195,57 @@ mod tests {
     }
 
     #[test]
+    fn residual_path_matches_the_fold_reference() {
+        let acc = Tensor3::<i32>::from_fn(2, 2, 2, |c, h, w| {
+            (c as i32 * 900 - 700) + (h as i32 * 55) - (w as i32 * 13)
+        });
+        let residual = Tensor3::<i8>::from_fn(2, 2, 2, |c, h, w| {
+            (c as i32 * 37 - 60 + (h * 2 + w) as i32 * 9) as i8
+        });
+        let params = vec![
+            FoldedAffine::fold(0.6, -0.1, 0.02, 0.01, 0.015),
+            FoldedAffine::fold(-0.3, 0.4, 0.02, 0.01, 0.015),
+        ];
+        let r = Q8x16::from_f64(0.73);
+        let by_pixel = Tensor3::from_fn(2, 2, 2, |h, w, c| acc[(c, h, w)]);
+        let mut out = Tensor3::<i8>::zeros(2, 2, 2);
+        let skip = Residual {
+            map: &residual,
+            row0: 0,
+            col0: 0,
+            scale: r,
+        };
+        NonConvUnit
+            .apply(&by_pixel, &params, -128, Some(skip), out.as_mut_slice())
+            .unwrap();
+        for ((c, h, w), &v) in out.indexed_iter() {
+            assert_eq!(
+                v,
+                params[c].apply_fixed_residual(acc[(c, h, w)], residual[(c, h, w)], r, -128)
+            );
+        }
+    }
+
+    #[test]
+    fn matches_q8_16_reference_bit_exactly() {
+        // The unit must be exactly FoldedAffine::apply_fixed per element.
+        let acc = Tensor3::<i32>::from_fn(3, 2, 2, |c, h, w| {
+            (c as i32 * 1000 - 1500) + (h as i32 * 77) - (w as i32 * 31)
+        });
+        let params = vec![
+            FoldedAffine::fold(0.7, -0.3, 0.02, 0.01, 0.015),
+            FoldedAffine::fold(-0.2, 0.9, 0.02, 0.01, 0.015),
+            FoldedAffine::fold(1.4, 0.0, 0.02, 0.01, 0.015),
+        ];
+        let (out, _) = apply(&acc, &params, 0).unwrap();
+        for ((c, h, w), &v) in out.indexed_iter() {
+            assert_eq!(v, params[c].apply_fixed(acc[(c, h, w)], 0));
+        }
+        // And the constants really are Q8.16 words:
+        assert_eq!(params[0].k, Q8x16::from_f64(params[0].k_exact));
+    }
+
+    #[test]
     fn residual_rejects_mismatched_shapes() {
         // A 2×2 window at (0, 1) runs off a 2×2 map.
         let acc = Tensor3::<i32>::zeros(2, 2, 2);
