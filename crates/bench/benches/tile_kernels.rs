@@ -13,6 +13,15 @@
 //!  - `pwc_dense`   — dense activations.
 //!  - `pwc_sparse`  — 6 of 8 channel rows zero.
 //!
+//! Whole-depth PWC cases time the accelerator's PWC step — one
+//! `accumulate_portion` call over a portion's whole `D`-deep intermediate
+//! slab with all `D × K` weights — at layer 6 (`pwc_depth_4x4_d512`, a
+//! 4×4 portion, D = K = 512) and layer 12 (`pwc_depth_2x2_d1024`, the
+//! one-tile portion, D = K = 1024), at those layers' traced `gated_frac`
+//! on `forward_v1` (63 % and 81 % activation zeros). Each has a
+//! `pwc_passes_*` control: the same kernel at `D = Td` once per channel
+//! pass, into the same bank, on the same data.
+//!
 //! DWC portion cases time one `compute_portion_into` call — one channel
 //! pass of one portion, over its unpadded input region read in place —
 //! at each of the four MobileNetV1 DWC portion shapes with 60 % activation
@@ -182,10 +191,7 @@ fn bench_tile_kernels(c: &mut Criterion) {
         b.iter(|| {
             for t in &pw_dense {
                 partial.fill(0);
-                black_box(
-                    pwc.accumulate_portion(t.as_slice(), pw_tile, &mut partial)
-                        .unwrap(),
-                );
+                black_box(pwc.accumulate_portion(t, pw_tile, &mut partial).unwrap());
             }
         });
     });
@@ -193,13 +199,40 @@ fn bench_tile_kernels(c: &mut Criterion) {
         b.iter(|| {
             for t in &pw_sparse {
                 partial.fill(0);
-                black_box(
-                    pwc.accumulate_portion(t.as_slice(), pw_tile, &mut partial)
-                        .unwrap(),
-                );
+                black_box(pwc.accumulate_portion(t, pw_tile, &mut partial).unwrap());
             }
         });
     });
+
+    for (name, side, d, zeros) in [("4x4_d512", 4, 512, 0.63), ("2x2_d1024", 2, 1024, 0.81)] {
+        let mut mid = rng::uniform_i8_tensor3(d, side, side, -128, 127, 700 + d as u64);
+        sparsify(mid.as_mut_slice(), zeros);
+        let passes: Vec<Tensor3<i8>> = (0..d / 8).map(|ct| mid.channel_slice(ct * 8, 8)).collect();
+        // D = K random weights, read input-channel-major, whole and per
+        // pass.
+        let pw = rng::uniform_i8_tensor4(d, d, 1, 1, -128, 127, 701 + d as u64);
+        let whole = WeightSlice::new(pw.as_slice());
+        let pass_slices: Vec<WeightSlice<'_>> = pw
+            .as_slice()
+            .chunks_exact(8 * d)
+            .map(WeightSlice::new)
+            .collect();
+        let mut psum = vec![0i32; side * side * d];
+        g.bench_function(&format!("pwc_depth_{name}"), |b| {
+            b.iter(|| {
+                psum.fill(0);
+                black_box(pwc.accumulate_portion(&mid, whole, &mut psum).unwrap())
+            });
+        });
+        g.bench_function(&format!("pwc_passes_{name}"), |b| {
+            b.iter(|| {
+                psum.fill(0);
+                for (slab, &w) in passes.iter().zip(&pass_slices) {
+                    black_box(pwc.accumulate_portion(slab, w, &mut psum).unwrap());
+                }
+            });
+        });
+    }
 
     for (name, case) in [
         ("8x8_k512", PortionCase::new(8, 512, 0.6, 900)),
@@ -225,7 +258,7 @@ fn bench_tile_kernels(c: &mut Criterion) {
                 );
                 psum.fill(0);
                 black_box(
-                    pwc.accumulate_portion(case.mid.as_slice(), pw_slice, &mut psum)
+                    pwc.accumulate_portion(&case.mid, pw_slice, &mut psum)
                         .unwrap(),
                 );
             });
@@ -252,10 +285,7 @@ fn bench_tile_kernels(c: &mut Criterion) {
                         case.mid.copy_window_into(0, r, col, &mut mid_tile);
                         for (kt, &w) in tile_slices.iter().enumerate() {
                             partial.fill(0);
-                            black_box(
-                                pwc.accumulate_portion(mid_tile.as_slice(), w, &mut partial)
-                                    .unwrap(),
-                            );
+                            black_box(pwc.accumulate_portion(&mid_tile, w, &mut partial).unwrap());
                             for (p, sums) in partial.chunks_exact(16).enumerate() {
                                 let at = ((r + p / 2) * side + col + p % 2) * k + kt * 16;
                                 for (dst, &v) in psum[at..at + 16].iter_mut().zip(sums) {

@@ -3,8 +3,9 @@
 //! [`Edea::run_layer`] executes one quantized DSC layer on the silicon's
 //! schedule: portion by portion, channel pass by channel pass through the
 //! DWC engine, Non-Conv unit, intermediate buffer, PWC engine and psum
-//! SRAM, with the host running each `(portion, channel pass, image)` step
-//! as one kernel call per unit. Its outputs are **bit-exact** with
+//! SRAM. The host runs each `(portion, image)` as one DWC and one
+//! Non-Conv call per channel pass, then one PWC call over the whole depth
+//! and one drain (see `run_portion`). Its outputs are **bit-exact** with
 //! `edea-nn`'s golden executor (checked in tests and again in the
 //! integration suite).
 //!
@@ -310,24 +311,27 @@ impl Edea {
         self.execute_layer(layer, plan, inputs, None, residency, scratch, true)
     }
 
-    /// One portion of the layer schedule: psum banks, the channel-pass ×
-    /// image loop, and the drain — writing **portion-local** intermediate
-    /// and output maps and their zero counts into `slots` (one per image)
-    /// and summing engine activity into the caller's `tally`. A
-    /// residual-add stage passes its saved block inputs with the
-    /// already-checked rescale.
+    /// One portion of the layer schedule, one image at a time: the
+    /// intermediate slab, one PWC sweep and the drain — writing
+    /// **portion-local** intermediate and output maps and their zero
+    /// counts into `slots` (one per image) and summing engine activity
+    /// into the caller's `tally`. A residual-add stage passes its saved
+    /// block inputs with the already-checked rescale.
     ///
-    /// Each `(channel pass, image)` step is three host calls whatever the
-    /// portion's size: one DWC portion kernel, which reads the unpadded
-    /// input in place and zero-fills the halo as it stages the window; one
-    /// Non-Conv #1 straight into the mid slot's channel slab; and one PWC
-    /// accumulate over every kernel tile. One modeled engine cycle is one
-    /// spatial tile (DWC) or one spatial tile × kernel tile (PWC); the
-    /// kernels cover all of the step's cycles at once and their activity
-    /// is the exact per-cycle sum. The step's weight and ifmap loads,
-    /// buffer transfers and psum read-modify-writes are not counted here:
-    /// they depend only on the shape and come from the ledger. The drain
-    /// is one Non-Conv #2 call per image, over the psum bank as it stands.
+    /// Each image is `2·D/Td + 2` host calls whatever the portion's size.
+    /// Per channel pass, one DWC portion kernel, which reads the unpadded
+    /// input in place and zero-fills the halo as it stages the window, and
+    /// one Non-Conv #1 straight into the mid slot's channel slab (a
+    /// `PwcOnly` stage copies its whole `D`-deep window instead). Then one
+    /// PWC call over the whole slab — every channel pass × spatial tile ×
+    /// kernel tile — into the psum bank, and one Non-Conv #2 drain of the
+    /// bank as it stands. One modeled engine cycle is one spatial tile
+    /// (DWC) or one channel pass × spatial tile × kernel tile (PWC); the
+    /// kernels cover all of their cycles at once and their activity is the
+    /// exact per-cycle sum, so the hardware's pass-major order need not be
+    /// followed. The weight and ifmap loads, buffer transfers and psum
+    /// read-modify-writes are not counted here: they depend only on the
+    /// shape and come from the ledger.
     ///
     /// This is the unit the parallel portion loop distributes across
     /// lanes: a portion touches only its own output rectangle, its lane's
@@ -348,26 +352,20 @@ impl Edea {
     ) -> Result<(), CoreError> {
         let s = layer.shape();
         let td = self.cfg.tile.td;
-        let n_images = inputs.len();
         let pix = portion.pixels();
+        // The drain's clip floor is the layer's (0 for a folded ReLU,
+        // −128 for the linear project of an inverted-residual block).
+        let lo = layer.out_lo();
 
-        // One psum bank per in-flight image.
-        for psum in scratch.psums.iter_mut().take(n_images) {
-            psum.resize_zeroed(portion.rows, portion.cols, s.k_out);
-        }
-        // Every channel pass writes its own slab, so no zero-fill.
-        for slot in slots.iter_mut() {
+        for (img, (input, slot)) in inputs.iter().zip(slots.iter_mut()).enumerate() {
+            // Every channel pass writes its own slab, so no zero-fill.
             slot.mid
                 .resize_for_overwrite(s.d_in, portion.rows, portion.cols);
-            slot.mid_zeros = 0;
-        }
-
-        for ct in 0..s.d_in / td {
-            for (img, input) in inputs.iter().enumerate() {
-                let slot = &mut slots[img];
-                let slab = &mut slot.mid.as_mut_slice()[ct * td * pix..(ct + 1) * td * pix];
-                slot.mid_zeros += match s.op {
-                    StageOp::Dsc => {
+            slot.mid_zeros = match s.op {
+                StageOp::Dsc => {
+                    let mut zeros = 0;
+                    let slabs = slot.mid.as_mut_slice().chunks_exact_mut(td * pix);
+                    for (ct, slab) in slabs.enumerate() {
                         let act = self.dwc.compute_portion_into(
                             input,
                             ct * td,
@@ -381,55 +379,47 @@ impl Edea {
                         // Non-Conv: fold to int8 and stream to the
                         // intermediate buffer (direct data transfer — no
                         // external round trip), here straight into the
-                        // portion's mid slab.
-                        self.nonconv
-                            .apply(
-                                &scratch.dwc_acc,
-                                &layer.nonconv1()[ct * td..],
-                                0,
-                                None,
-                                slab,
-                            )?
-                            .zero_outputs
-                    }
-                    // PwcOnly: the DWC engine, Non-Conv #1 and the
-                    // intermediate buffer are bypassed — the PWC is fed
-                    // straight from the ifmap buffer.
-                    StageOp::PwcOnly => {
-                        input.copy_window_to_slice(
-                            (ct * td, portion.row0, portion.col0),
-                            (td, portion.rows, portion.cols),
+                        // pass's channel slab of the portion's mid map.
+                        zeros += self.nonconv.apply(
+                            &scratch.dwc_acc,
+                            &layer.nonconv1()[ct * td..],
+                            0,
+                            None,
                             slab,
-                        );
-                        count_zeros(slab)
+                        )?;
                     }
-                };
+                    zeros
+                }
+                // PwcOnly: the DWC engine, Non-Conv #1 and the
+                // intermediate buffer are bypassed — the PWC is fed
+                // straight from the ifmap buffer.
+                StageOp::PwcOnly => {
+                    input.copy_window_to_slice(
+                        (0, portion.row0, portion.col0),
+                        (s.d_in, portion.rows, portion.cols),
+                        slot.mid.as_mut_slice(),
+                    );
+                    count_zeros(slot.mid.as_slice())
+                }
+            };
 
-                // PWC: every kernel tile of every spatial tile,
-                // accumulating into this image's psum bank.
-                let act = self.pwc.accumulate_portion(
-                    slab,
-                    plan.pw_slice(ct),
-                    scratch.psums[img].as_mut_slice(),
-                )?;
-                tally.pwc_activity.merge(&act);
-            }
-        }
+            // PWC: every channel pass × kernel tile × spatial tile, into
+            // a fresh psum bank.
+            scratch
+                .psum
+                .resize_zeroed(portion.rows, portion.cols, s.k_out);
+            let act = self.pwc.accumulate_portion(
+                &slot.mid,
+                plan.pw_weights(),
+                scratch.psum.as_mut_slice(),
+            )?;
+            tally.pwc_activity.merge(&act);
 
-        // Drain: output-side Non-Conv and external write-back per image
-        // (overlapped with the next portion in hardware — no cycles). The
-        // clip floor is the layer's (0 for a folded ReLU, −128 for the
-        // linear project of an inverted-residual block); a residual-add
-        // stage streams the saved block input in from external memory and
-        // sums it onto the Non-Conv bus at wide precision.
-        let lo = layer.out_lo();
-        for (img, (psum, slot)) in scratch
-            .psums
-            .iter()
-            .take(n_images)
-            .zip(slots.iter_mut())
-            .enumerate()
-        {
+            // Drain: output-side Non-Conv and external write-back
+            // (overlapped with the next portion in hardware — no cycles).
+            // A residual-add stage streams the saved block input in from
+            // external memory and sums it onto the Non-Conv bus at wide
+            // precision.
             slot.out
                 .resize_for_overwrite(s.k_out, portion.rows, portion.cols);
             let skip = residual.map(|(maps, scale)| Residual {
@@ -438,10 +428,13 @@ impl Edea {
                 col0: portion.col0,
                 scale,
             });
-            let act =
-                self.nonconv
-                    .apply(psum, layer.nonconv2(), lo, skip, slot.out.as_mut_slice())?;
-            slot.out_zeros = act.zero_outputs;
+            slot.out_zeros = self.nonconv.apply(
+                &scratch.psum,
+                layer.nonconv2(),
+                lo,
+                skip,
+                slot.out.as_mut_slice(),
+            )?;
         }
         Ok(())
     }
@@ -516,7 +509,7 @@ impl Edea {
         let n_images = inputs.len();
         let ports = portions(out, self.cfg.portion_limit);
         check_capacity(&s, &self.cfg, &ports, n_images)?;
-        scratch.reserve(&s, &self.cfg, n_images);
+        scratch.reserve(&s, &self.cfg);
 
         let mut tally = PortionTally::default();
 
@@ -558,7 +551,7 @@ impl Edea {
             // Parallel lanes: contiguous portion ranges, lane-private
             // scratches (lane 0 reuses the caller's) and tallies, disjoint
             // output slots.
-            scratch.ensure_lanes(lanes - 1, &s, &self.cfg, n_images);
+            scratch.ensure_lanes(lanes - 1, &s, &self.cfg);
             let mut lane_scratches = std::mem::take(&mut scratch.lanes);
             let ranges = par::chunk_ranges(ports.len(), lanes);
             let slot_slices = split_slots(&mut portion_slots[..n_slots], &ranges, n_images);

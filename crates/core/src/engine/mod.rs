@@ -6,11 +6,12 @@
 //! power model consumes.
 //!
 //! Each engine has one entry, its **portion kernel**: one call covers
-//! every spatial tile of a portion for one channel pass, i.e. many modeled
-//! engine cycles, and a single cycle is the call at the extent of one
-//! tile. The kernel's [`EngineActivity`] is exactly the sum of the
-//! per-cycle activities of the tiles it covers, so modeled cycles and host
-//! calls are decoupled without moving any modeled number.
+//! many modeled engine cycles — the DWC every spatial tile of a portion
+//! for one channel pass, the PWC every channel pass, spatial tile and
+//! kernel tile of a portion — and a single cycle is the call at the
+//! extent of one tile. The kernel's [`EngineActivity`] is exactly the sum
+//! of the per-cycle activities of the tiles it covers, so modeled cycles
+//! and host calls are decoupled without moving any modeled number.
 //!
 //! # Layout rule
 //!

@@ -5,12 +5,17 @@
 //! producing an ofmap with dimensions 2×2×16."
 //!
 //! [`PwcEngine::accumulate_portion`] models every engine cycle of one
-//! portion's channel pass — all spatial tiles × all kernel tiles — in a
-//! single call: each cycle is 64 dot-product lanes (`Tn·Tm·Tk`), each 8
-//! deep (`Td`), summed by 8-input adder trees. A single cycle is the call
-//! at the extent of one `Tn×Tm` tile and one `Tk` kernel tile. The values
-//! are *partial sums over one channel slice*; accumulation across the
-//! `⌈D/Td⌉` passes happens in the psum SRAM (see [`crate::accelerator`]).
+//! portion over the layer's whole input depth — all `D/Td` channel
+//! passes × all spatial tiles × all kernel tiles — in a single call: each
+//! cycle is 64 dot-product lanes (`Tn·Tm·Tk`), each 8 deep (`Td`), summed
+//! by 8-input adder trees, and the psum SRAM accumulates the passes. The
+//! host does not follow the passes' order: integer sums are
+//! order-independent, so one sweep of each pixel's psum row over the whole
+//! depth is bit-exact with the pass-by-pass accumulation, and the activity
+//! is the same per-cycle sum. A single cycle is the call at the extent of
+//! one `Td`-deep slab, one `Tn×Tm` tile and one `Tk` kernel tile.
+
+use edea_tensor::Tensor3;
 
 use crate::config::EdeaConfig;
 use crate::engine::{EngineActivity, WeightSlice};
@@ -35,44 +40,53 @@ impl PwcEngine {
         }
     }
 
-    /// Accumulates one channel pass of a whole portion — every spatial
-    /// tile × kernel tile engine cycle — into its psum bank in one call.
+    /// Accumulates a whole portion over its full input depth — every
+    /// channel pass × spatial tile × kernel tile engine cycle — into its
+    /// psum bank in one call.
     ///
-    /// `mid` is the `(Td, pixels)` channel-major intermediate slab (a whole
-    /// number of `Tn×Tm` tiles), `weights` the pass's `Td × K` weights in
-    /// input-channel-major order (row `c` holds input channel `c`'s weight
-    /// for every output channel — the layout
-    /// [`crate::plan::LayerPlan`] transposes the layer into once), and
-    /// `psum` the pixel-major `(pixels, K)` bank, accumulated with `+=`.
-    /// The returned activity is exactly the sum of the covered cycles'
-    /// per-cycle activities.
+    /// `mid` is the `(D, rows, cols)` intermediate slab (a whole number of
+    /// `Td`-deep channel passes and `Tn×Tm` tiles), `weights` the layer's
+    /// `D × K` pointwise weights in input-channel-major order (row `c`
+    /// holds input channel `c`'s weight for every output channel — the
+    /// layout [`crate::plan::LayerPlan`] transposes the layer into once),
+    /// and `psum` the pixel-major `(rows·cols, K)` bank, accumulated with
+    /// `+=`. The returned activity is exactly the sum of the covered
+    /// cycles' per-cycle activities.
     ///
     /// # Errors
     ///
     /// [`CoreError::UnsupportedShape`] if `mid` is not a whole number of
-    /// `Td`-deep tiles, `weights` is not a whole number of `Td`-long
-    /// columns, or `psum` does not hold `pixels × K` sums.
+    /// `Td`-deep passes and `Tn×Tm` tiles, `weights` is not a whole number
+    /// of `D`-long columns, or `psum` does not hold `pixels × K` sums.
     pub fn accumulate_portion(
         &self,
-        mid: &[i8],
+        mid: &Tensor3<i8>,
         weights: WeightSlice<'_>,
         psum: &mut [i32],
     ) -> Result<EngineActivity, CoreError> {
-        let tile = self.td * self.tn * self.tm;
+        let (d, rows, cols) = mid.shape();
         let wt = weights.values();
-        let pix = mid.len() / self.td;
-        let k = wt.len() / self.td;
-        if mid.is_empty() || mid.len() % tile != 0 || wt.is_empty() || wt.len() % self.td != 0 {
+        if mid.is_empty()
+            || d % self.td != 0
+            || rows % self.tn != 0
+            || cols % self.tm != 0
+            || wt.is_empty()
+            || wt.len() % d != 0
+        {
             return Err(CoreError::UnsupportedShape {
                 detail: format!(
-                    "PWC portion of {} activations and {} weights, engine expects \
-                     multiples of {tile} and {}",
-                    mid.len(),
+                    "PWC portion {:?} and {} weights, engine expects ({}·n, {}·n, {}·n) \
+                     and whole columns of the depth",
+                    mid.shape(),
                     wt.len(),
-                    self.td
+                    self.td,
+                    self.tn,
+                    self.tm
                 ),
             });
         }
+        let pix = rows * cols;
+        let k = wt.len() / d;
         if psum.len() != pix * k {
             return Err(CoreError::UnsupportedShape {
                 detail: format!(
@@ -88,20 +102,22 @@ impl PwcEngine {
         // on the paper geometry, 1024 at the last layers, where ≥ 97 % of
         // the elements are zero), so one-tile and 64-pixel portions are
         // both served. A pixel's live activations are gathered
-        // branch-free, then applied together one register-sized chunk of
-        // the psum row at a time, so the row is loaded and stored once per
-        // group instead of once per activation. Integer sums are
-        // order-independent, so the result is bit-exact with the per-tile
-        // adder-tree fold.
+        // branch-free across the whole depth, `LIVE_GROUP` channels at a
+        // time and negated (see `accumulate_row`), then applied together
+        // one L1-sized block of the psum row at a time, so a block is
+        // fetched once per group instead of once per channel pass. Integer
+        // sums are order-independent, so the result is bit-exact with the
+        // pass-by-pass, per-tile adder-tree fold.
+        let m = mid.as_slice();
         let mut zero_act = 0u64;
         let mut live = [(0i16, 0usize); LIVE_GROUP];
         for (p, row) in psum.chunks_exact_mut(k).enumerate() {
-            for c0 in (0..self.td).step_by(LIVE_GROUP) {
-                let group = c0..(c0 + LIVE_GROUP).min(self.td);
+            for c0 in (0..d).step_by(LIVE_GROUP) {
+                let group = c0..(c0 + LIVE_GROUP).min(d);
                 let mut n = 0;
                 for c in group.clone() {
-                    let a = mid[c * pix + p];
-                    live[n] = (i16::from(a), c * k);
+                    let a = m[c * pix + p];
+                    live[n] = (-i16::from(a), c * k);
                     n += usize::from(a != 0);
                 }
                 zero_act += (group.len() - n) as u64;
@@ -111,40 +127,55 @@ impl PwcEngine {
         // Every activation feeds all K adder trees, every weight all
         // pixels — the modeled slots, whatever the shortcut skipped.
         Ok(EngineActivity {
-            mac_slots: (self.td * k * pix) as u64,
+            mac_slots: (d * k * pix) as u64,
             zero_act_slots: zero_act * k as u64,
             zero_weight_slots: weights.zeros() * pix as u64,
         })
     }
 }
 
-/// Input channels gathered per psum-row sweep (the paper's `Td`).
-const LIVE_GROUP: usize = 8;
-/// Psum sums held in registers per chunk of a row sweep.
-const ROW_CHUNK: usize = 16;
+/// Input channels gathered per psum-row sweep (2 KiB of stack).
+const LIVE_GROUP: usize = 128;
+/// Psum sums per block of a row sweep: the block (1 KiB) and its pair
+/// sums (512 B) stay in L1 while a group's activations are applied.
+const ROW_BLOCK: usize = 256;
 
-/// `row[j] += Σ a · wt[offset + j]` over the `(a, offset)` pairs in
-/// `live`, one `ROW_CHUNK`-sum chunk of the row at a time. The product of
-/// two int8 values always fits `i16`, which keeps the multiplies 16-bit.
+/// `row[j] −= Σ a · wt[offset + j]` over the `(a, offset)` pairs in
+/// `live`, whose activations `a` are negated, one `ROW_BLOCK`-sum block of
+/// the row at a time. Against a negated activation an int8 product lies
+/// in [−128·128, 128·127], so the sum of two fits `i16` exactly: the
+/// activations are applied two at a time, each pair sum widened once and
+/// subtracted, with an odd one out applied alone. A pair's sums are
+/// formed in an `i16` buffer and widened in a second loop: each loop then
+/// vectorizes at its own element width (8 `i16` lanes, then 4 `i32`),
+/// where one fused loop runs its 16-bit multiplies at the `i32` width,
+/// half a register idle.
 fn accumulate_row(row: &mut [i32], live: &[(i16, usize)], wt: &[i8]) {
     if live.is_empty() {
         return;
     }
-    let done = row.len() - row.len() % ROW_CHUNK;
-    for (j, chunk) in row.chunks_exact_mut(ROW_CHUNK).enumerate() {
-        let mut acc = [0i32; ROW_CHUNK];
-        acc.copy_from_slice(chunk);
-        for &(a, offset) in live {
-            let at = offset + j * ROW_CHUNK;
-            for (o, &w) in acc.iter_mut().zip(&wt[at..at + ROW_CHUNK]) {
-                *o += i32::from(a * i16::from(w));
+    let (pairs, odd) = live.split_at(live.len() & !1);
+    let mut sums = [0i16; ROW_BLOCK];
+    for (j, block) in row.chunks_mut(ROW_BLOCK).enumerate() {
+        let at = j * ROW_BLOCK;
+        let n = block.len();
+        let sums = &mut sums[..n];
+        for pair in pairs.chunks_exact(2) {
+            let ((a0, o0), (a1, o1)) = (pair[0], pair[1]);
+            let (w0, w1) = (&wt[o0 + at..][..n], &wt[o1 + at..][..n]);
+            for ((s, &x0), &x1) in sums.iter_mut().zip(w0).zip(w1) {
+                *s = a0
+                    .wrapping_mul(i16::from(x0))
+                    .wrapping_add(a1.wrapping_mul(i16::from(x1)));
+            }
+            for (o, &s) in block.iter_mut().zip(sums.iter()) {
+                *o -= i32::from(s);
             }
         }
-        chunk.copy_from_slice(&acc);
-    }
-    for (j, o) in row[done..].iter_mut().enumerate() {
-        for &(a, offset) in live {
-            *o += i32::from(a * i16::from(wt[offset + done + j]));
+        for &(a, offset) in odd {
+            for (o, &x) in block.iter_mut().zip(&wt[offset + at..][..n]) {
+                *o -= i32::from(a * i16::from(x));
+            }
         }
     }
 }
@@ -168,11 +199,8 @@ mod tests {
         let (k, td, _, _) = weights.shape();
         let by_channel: Vec<i8> = (0..td * k).map(|i| weights[(i % k, i / k, 0, 0)]).collect();
         let mut psum = vec![0i32; 4 * k];
-        let activity = engine().accumulate_portion(
-            ifmap.as_slice(),
-            WeightSlice::new(&by_channel),
-            &mut psum,
-        )?;
+        let activity =
+            engine().accumulate_portion(ifmap, WeightSlice::new(&by_channel), &mut psum)?;
         let planes = Tensor3::from_fn(k, 2, 2, |ki, r, q| psum[(r * 2 + q) * k + ki]);
         Ok((planes, activity))
     }
@@ -234,16 +262,13 @@ mod tests {
         let ifmap = rng::uniform_i8_tensor3(8, 2, 2, -1, 1, 7);
         let mut psum = vec![0i32; 4 * 16];
         assert!(e
-            .accumulate_portion(
-                ifmap.as_slice(),
-                WeightSlice::new(&[1; 8 * 16 - 1]),
-                &mut psum
-            )
+            .accumulate_portion(&ifmap, WeightSlice::new(&[1; 8 * 16 - 1]), &mut psum)
             .is_err());
-        // 16 channels into an 8-deep engine hold 8 pixels, not the bank's 4.
+        // 128 weights over 16 channels are 8 kernels: the bank's 64 sums
+        // are not 4 pixels × 8 kernels.
         let deep = rng::uniform_i8_tensor3(16, 2, 2, -1, 1, 9);
         assert!(e
-            .accumulate_portion(deep.as_slice(), WeightSlice::new(&[1; 8 * 16]), &mut psum)
+            .accumulate_portion(&deep, WeightSlice::new(&[1; 8 * 16]), &mut psum)
             .is_err());
     }
 
@@ -257,7 +282,7 @@ mod tests {
         let weights = vec![1i8; 8 * 64];
         let mut psum = vec![0i32; 64 * 64];
         let activity = engine()
-            .accumulate_portion(mid.as_slice(), WeightSlice::new(&weights), &mut psum)
+            .accumulate_portion(&mid, WeightSlice::new(&weights), &mut psum)
             .unwrap();
         assert_eq!(activity.mac_slots, 64 * 512);
     }

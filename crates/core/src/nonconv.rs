@@ -14,16 +14,6 @@ use edea_tensor::Tensor3;
 
 use crate::CoreError;
 
-/// Activity record of the Non-Conv unit.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct NonConvActivity {
-    /// Multiply-add operations performed.
-    pub ops: u64,
-    /// Outputs clipped to zero (the ReLU floor) — these feed the zero-gating
-    /// statistics of the PWC engine.
-    pub zero_outputs: u64,
-}
-
 /// The skip connection of an inverted-residual add stage, read in place:
 /// the `(C, rows, cols)` window of the saved block input `map` anchored at
 /// `(0, row0, col0)`, requantized by the Q8.16 rescale `scale`.
@@ -51,7 +41,8 @@ impl NonConvUnit {
     /// [`crate::engine`]). `params[c]` applies to channel `c` (`params` may
     /// cover more channels than `acc`), and `lo` is the clip floor (`0` =
     /// folded ReLU, `-128` = the linear project of an inverted-residual
-    /// block).
+    /// block). Returns how many of the outputs are zero, the count the
+    /// layer's intermediate and output zero fractions are taken from.
     ///
     /// With a `residual`, the requantized skip connection
     /// `scale · residual[c]` is summed onto the `k·x + b` bus at wide
@@ -72,7 +63,7 @@ impl NonConvUnit {
         lo: i8,
         residual: Option<Residual<'_>>,
         out: &mut [i8],
-    ) -> Result<NonConvActivity, CoreError> {
+    ) -> Result<u64, CoreError> {
         let (rows, cols, c) = acc.shape();
         if params.len() < c {
             return Err(CoreError::UnsupportedShape {
@@ -122,10 +113,7 @@ impl NonConvUnit {
                 }
             }
         }
-        Ok(NonConvActivity {
-            ops: acc.len() as u64,
-            zero_outputs,
-        })
+        Ok(zero_outputs)
     }
 }
 
@@ -143,31 +131,30 @@ mod tests {
         acc: &Tensor3<i32>,
         params: &[FoldedAffine],
         lo: i8,
-    ) -> Result<(Tensor3<i8>, NonConvActivity), CoreError> {
+    ) -> Result<(Tensor3<i8>, u64), CoreError> {
         let (c, h, w) = acc.shape();
         let by_pixel = Tensor3::from_fn(h, w, c, |r, q, ch| acc[(ch, r, q)]);
         let mut out = Tensor3::<i8>::zeros(c, h, w);
-        let activity = NonConvUnit.apply(&by_pixel, params, lo, None, out.as_mut_slice())?;
-        Ok((out, activity))
+        let zeros = NonConvUnit.apply(&by_pixel, params, lo, None, out.as_mut_slice())?;
+        Ok((out, zeros))
     }
 
     #[test]
     fn applies_per_channel_affine() {
         let acc = Tensor3::<i32>::from_fn(2, 2, 2, |c, h, w| (c as i32 + 1) * (h * 2 + w) as i32);
         let params = vec![affine(1.0, 0.0), affine(0.5, 1.0)];
-        let (out, act) = apply(&acc, &params, 0).unwrap();
+        let (out, _) = apply(&acc, &params, 0).unwrap();
         assert_eq!(out[(0, 1, 1)], 3); // 1.0·3 + 0
         assert_eq!(out[(1, 1, 1)], 4); // 0.5·6 + 1
-        assert_eq!(act.ops, 8);
     }
 
     #[test]
     fn relu_floor_counts_zero_outputs() {
         let acc = Tensor3::<i32>::from_fn(1, 2, 2, |_, h, w| (h * 2 + w) as i32 - 2); // -2..1
         let params = vec![affine(1.0, 0.0)];
-        let (out, act) = apply(&acc, &params, 0).unwrap();
+        let (out, zeros) = apply(&acc, &params, 0).unwrap();
         assert_eq!(out.as_slice(), &[0, 0, 0, 1]);
-        assert_eq!(act.zero_outputs, 3);
+        assert_eq!(zeros, 3);
     }
 
     #[test]

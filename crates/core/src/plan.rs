@@ -1,13 +1,14 @@
 //! Pre-sliced weight plans for the functional simulator.
 //!
 //! The loop nest of [`crate::accelerator`] consumes depthwise weights one
-//! `Td`-kernel slice per channel pass, and pointwise weights one `Td × K`
-//! slice per channel pass, fed to the engines' portion kernels. Laying
-//! the weights out is pure bookkeeping — the same bytes come out for the
-//! same layer every time — so a [`LayerPlan`] does it once, together with
-//! the per-slice zero-weight counts the engines report; a [`NetworkPlan`]
-//! holds one plan per layer and is the unit a long-lived deployment caches
-//! (see `edea::Deployment` and [`crate::serve::SimulatorBackend`]).
+//! `Td`-kernel slice per channel pass, and the pointwise weights as one
+//! input-channel-major `D × K` slice per portion, fed to the engines'
+//! portion kernels. Laying the weights out is pure bookkeeping — the same
+//! bytes come out for the same layer every time — so a [`LayerPlan`] does
+//! it once, together with the zero-weight counts the engines report; a
+//! [`NetworkPlan`] holds one plan per layer and is the unit a long-lived
+//! deployment caches (see `edea::Deployment` and
+//! [`crate::serve::SimulatorBackend`]).
 //!
 //! Plans are pure data derived from `(layer weights, config tile
 //! geometry)`: executing through a plan is bit-exact with the unplanned
@@ -29,8 +30,6 @@ use crate::CoreError;
 #[derive(Debug, Clone)]
 pub struct LayerPlan {
     shape: LayerShape,
-    /// Tile channel depth the slices were cut for.
-    td: usize,
     /// Lazily computed FNV-style digest of the plan's weight bytes, so a
     /// plan can detect being used with a same-shaped layer from a
     /// *different* network (`shape` alone identifies a layer only within
@@ -44,13 +43,12 @@ pub struct LayerPlan {
     /// Zero taps per channel pass.
     dw_zeros: Vec<u64>,
     /// The pointwise weights transposed to input-channel-major `(D, K)`:
-    /// row `d` holds input channel `d`'s weight for every output channel,
-    /// so channel pass `ct` is one contiguous `Td × K` slice — the layout
-    /// the PWC portion kernel accumulates from. The plan holds this one
-    /// copy of the pointwise weights and no other.
+    /// row `d` holds input channel `d`'s weight for every output channel —
+    /// the layout the PWC portion kernel accumulates from. The plan holds
+    /// this one copy of the pointwise weights and no other.
     pw: Vec<i8>,
-    /// Zero weights per channel pass.
-    pw_zeros: Vec<u64>,
+    /// Zero pointwise weights.
+    pw_zeros: u64,
 }
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -123,8 +121,7 @@ impl LayerPlan {
     pub fn new(layer: &QuantizedDscLayer, cfg: &EdeaConfig) -> Result<Self, CoreError> {
         let shape = layer.shape();
         crate::schedule::check_layer_geometry(&shape, cfg)?;
-        let td = cfg.tile.td;
-        let channel_passes = shape.d_in / td;
+        let channel_passes = shape.d_in / cfg.tile.td;
         let dw = layer.dw_weights().values().as_slice().to_vec();
         let pw = transpose(
             layer.pw_weights().values().as_slice(),
@@ -133,11 +130,10 @@ impl LayerPlan {
         );
         Ok(Self {
             shape,
-            td,
             fingerprint: OnceLock::new(),
             dw_zeros: zeros_per_run(&dw, channel_passes),
             dw,
-            pw_zeros: zeros_per_run(&pw, channel_passes),
+            pw_zeros: count_zeros(&pw),
             pw,
         })
     }
@@ -155,12 +151,10 @@ impl LayerPlan {
         WeightSlice::with_zeros(&self.dw[ct * len..(ct + 1) * len], self.dw_zeros[ct])
     }
 
-    /// The `Td × K` input-channel-major pointwise weights of channel pass
-    /// `ct`.
+    /// The layer's `D × K` input-channel-major pointwise weights.
     #[must_use]
-    pub(crate) fn pw_slice(&self, ct: usize) -> WeightSlice<'_> {
-        let len = self.td * self.shape.k_out;
-        WeightSlice::with_zeros(&self.pw[ct * len..(ct + 1) * len], self.pw_zeros[ct])
+    pub(crate) fn pw_weights(&self) -> WeightSlice<'_> {
+        WeightSlice::with_zeros(&self.pw, self.pw_zeros)
     }
 
     /// Checks that this plan was built for `layer`: shape (which carries
@@ -252,16 +246,17 @@ mod tests {
             let slice = plan.dw_slice(ct);
             assert_eq!(slice.values(), dw.as_slice());
             assert_eq!(slice.zeros(), count_zeros(dw.as_slice()));
-            // Row c of a pointwise slice is input channel ct·Td + c's
-            // weight for every output channel.
-            let slice = plan.pw_slice(ct);
-            for (c, row) in slice.values().chunks_exact(s.k_out).enumerate() {
-                for (k, &w) in row.iter().enumerate() {
-                    assert_eq!(w, pw[(k, ct * td + c, 0, 0)], "ct={ct} c={c} k={k}");
-                }
-            }
-            assert_eq!(slice.zeros(), count_zeros(slice.values()));
         }
+        // Row c of the pointwise weights is input channel c's weight for
+        // every output channel.
+        let slice = plan.pw_weights();
+        assert_eq!(slice.values().len(), s.d_in * s.k_out);
+        for (c, row) in slice.values().chunks_exact(s.k_out).enumerate() {
+            for (k, &w) in row.iter().enumerate() {
+                assert_eq!(w, pw[(k, c, 0, 0)], "c={c} k={k}");
+            }
+        }
+        assert_eq!(slice.zeros(), count_zeros(slice.values()));
     }
 
     #[test]

@@ -1,11 +1,11 @@
 //! Reusable scratch buffers for the simulator's portion pipeline.
 //!
-//! Every `(portion, channel pass, image)` step of the loop nest in
+//! Every `(portion, image)` step of the loop nest in
 //! [`crate::accelerator`] needs the same working buffers: the DWC
-//! accumulators and (per portion) the psum banks plus the portion-local
+//! accumulators of one channel pass, one psum bank, and the portion-local
 //! mid/output maps. The layer inputs need no copy: the DWC reads them in
 //! place and zero-fills the halo as it stages each window, and the drain
-//! reads the psum banks and a residual stage's saved inputs in place.
+//! reads the psum bank and a residual stage's saved inputs in place.
 //! Allocating the buffers afresh per step would be the software
 //! equivalent of the external-memory round trips the paper's direct data
 //! transfer eliminates. A [`TileScratch`] owns them instead:
@@ -32,10 +32,12 @@ pub struct TileScratch {
     /// The pixel-major `(portion rows, portion cols, Td)` DWC
     /// accumulators.
     pub(crate) dwc_acc: Tensor3<i32>,
-    /// Per-image psum banks for the current portion, pixel-major
-    /// `(portion rows, portion cols, K)` each — the layout the PWC portion
-    /// kernel accumulates into and the output-side Non-Conv drains.
-    pub(crate) psums: Vec<Tensor3<i32>>,
+    /// The psum bank of the current `(portion, image)`, pixel-major
+    /// `(portion rows, portion cols, K)` — the layout the PWC portion
+    /// kernel accumulates into and the output-side Non-Conv drains. One
+    /// image's bank is drained before the next image's PWC call, so one
+    /// bank serves the whole batch.
+    pub(crate) psum: Tensor3<i32>,
     /// Lane-private sub-scratches for the parallel portion loop (lane 0
     /// reuses this scratch itself; lane `i + 1` owns `lanes[i]`). Empty
     /// until a parallel run reserves them; a serial run never touches it.
@@ -84,36 +86,29 @@ impl TileScratch {
     pub fn new() -> Self {
         Self {
             dwc_acc: Tensor3::zeros(1, 1, 1),
-            psums: Vec::new(),
+            psum: Tensor3::zeros(1, 1, 1),
             lanes: Vec::new(),
             portion_slots: Vec::new(),
         }
     }
 
-    /// Grows every buffer so a run of layer `s` with `n_images` in-flight
-    /// images never allocates in the portion loop. Buffers get capacity
-    /// only, sized for the layer's largest portion, since every consumer
+    /// Grows every buffer so a run of layer `s` never allocates in the
+    /// portion loop, whatever its batch size. Buffers get capacity only,
+    /// sized for the layer's largest portion, since every consumer
     /// reshapes its buffer to the current portion before use. Capacity
     /// only ever grows — reserving for a smaller layer after a larger one
     /// is free.
-    pub fn reserve(&mut self, s: &LayerShape, cfg: &EdeaConfig, n_images: usize) {
-        let t = &cfg.tile;
+    pub fn reserve(&mut self, s: &LayerShape, cfg: &EdeaConfig) {
         // The largest portion is bounded by the portion limit and the map.
         let pmax = s.out_spatial().min(cfg.portion_limit).max(1);
-        self.dwc_acc.reserve_capacity(t.td * pmax * pmax);
-        let bank = s.k_out * pmax * pmax;
-        while self.psums.len() < n_images {
-            self.psums.push(Tensor3::zeros(1, 1, 1));
-        }
-        for psum in self.psums.iter_mut().take(n_images) {
-            psum.reserve_capacity(bank);
-        }
+        self.dwc_acc.reserve_capacity(cfg.tile.td * pmax * pmax);
+        self.psum.reserve_capacity(s.k_out * pmax * pmax);
     }
 
     /// Grows the per-`(portion, image)` output slots so the portion loop —
     /// serial or parallel — writes portion-local mids/outs without
     /// allocating in steady state. The slot vector only ever grows, like
-    /// the psum banks.
+    /// the buffers' capacity.
     pub(crate) fn reserve_portion_slots(
         &mut self,
         s: &LayerShape,
@@ -134,18 +129,12 @@ impl TileScratch {
     /// lanes `1..=extra`; lane 0 reuses this scratch) and reserves each
     /// for layer `s`, so the parallel portion loops stay allocation-free in
     /// steady state.
-    pub(crate) fn ensure_lanes(
-        &mut self,
-        extra: usize,
-        s: &LayerShape,
-        cfg: &EdeaConfig,
-        n_images: usize,
-    ) {
+    pub(crate) fn ensure_lanes(&mut self, extra: usize, s: &LayerShape, cfg: &EdeaConfig) {
         while self.lanes.len() < extra {
             self.lanes.push(TileScratch::new());
         }
         for lane in self.lanes.iter_mut().take(extra) {
-            lane.reserve(s, cfg, n_images);
+            lane.reserve(s, cfg);
         }
     }
 }
@@ -160,21 +149,22 @@ mod tests {
         let cfg = EdeaConfig::paper();
         let mut scratch = TileScratch::new();
         let layers = mobilenet_v1_cifar10();
-        scratch.reserve(&layers[0], &cfg, 2);
+        scratch.reserve(&layers[0], &cfg);
         // Every buffer gets capacity for its largest steady-state shape —
-        // the 8×8 portion's pixel-major accumulators and psum banks — so
+        // the 8×8 portion's pixel-major accumulators and psum bank — so
         // the reshapes its consumers perform cannot allocate.
-        assert_eq!(scratch.psums.len(), 2);
-        let bank = layers[0].k_out * 8 * 8;
-        scratch.psums[0].resize_zeroed(8, 8, layers[0].k_out);
-        assert_eq!(scratch.psums[0].len(), bank);
+        let bank = scratch.psum.as_slice().as_ptr();
+        scratch.psum.resize_zeroed(8, 8, layers[0].k_out);
+        assert_eq!(scratch.psum.len(), layers[0].k_out * 8 * 8);
+        assert_eq!(scratch.psum.as_slice().as_ptr(), bank);
         let capacity = scratch.dwc_acc.as_slice().as_ptr();
         scratch.dwc_acc.resize_zeroed(8, 8, 8);
         assert_eq!(scratch.dwc_acc.as_slice().as_ptr(), capacity);
-        // A later, smaller layer keeps the psum banks of the previous
-        // reserve instead of freeing them.
+        // A later, smaller layer keeps the psum bank's capacity of the
+        // previous reserve instead of freeing it.
         let stride2 = layers.iter().find(|l| l.stride == 2).unwrap();
-        scratch.reserve(stride2, &cfg, 1);
-        assert_eq!(scratch.psums.len(), 2);
+        scratch.reserve(stride2, &cfg);
+        scratch.psum.resize_zeroed(8, 8, layers[0].k_out);
+        assert_eq!(scratch.psum.as_slice().as_ptr(), bank);
     }
 }

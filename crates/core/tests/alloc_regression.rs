@@ -74,7 +74,7 @@ fn steady_state_tile_pipeline_does_not_allocate() {
     }
     let nonconv1 = d.qnet.layers()[0].nonconv1();
     let mut acc = Tensor3::<i32>::zeros(1, 1, 1);
-    let mut mid = [0i8; 8 * 4];
+    let mut mid = Tensor3::<i8>::zeros(8, 2, 2);
     let mut partial = [0i32; 4 * 16];
     let mut tile = |row0: usize, col0: usize, acc: &mut Tensor3<i32>| {
         let tile = Portion {
@@ -85,7 +85,9 @@ fn steady_state_tile_pipeline_does_not_allocate() {
         };
         dwc.compute_portion_into(&d.input, 0, dw, &tile, 1, 1, acc)
             .unwrap();
-        NonConvUnit.apply(acc, nonconv1, 0, None, &mut mid).unwrap();
+        NonConvUnit
+            .apply(acc, nonconv1, 0, None, mid.as_mut_slice())
+            .unwrap();
         partial.fill(0);
         pwc.accumulate_portion(&mid, WeightSlice::new(&pw_t), &mut partial)
             .unwrap();
@@ -122,7 +124,7 @@ fn steady_state_tile_pipeline_does_not_allocate() {
         }
     }
     let mut portion_acc = Tensor3::<i32>::zeros(1, 1, 1);
-    let mut mid_slab = vec![0i8; 8 * 64];
+    let mut mid_slab = Tensor3::<i8>::zeros(8, 8, 8);
     let mut psum = vec![0i32; 64 * 16];
     for (name, src) in [("dense", &d.input), ("zero-skipping", &sparse_input)] {
         let mut step = |row0: usize, col0: usize| {
@@ -135,7 +137,7 @@ fn steady_state_tile_pipeline_does_not_allocate() {
             dwc.compute_portion_into(src, 0, dw, &portion, 1, 1, &mut portion_acc)
                 .unwrap();
             NonConvUnit
-                .apply(&portion_acc, nonconv1, 0, None, &mut mid_slab)
+                .apply(&portion_acc, nonconv1, 0, None, mid_slab.as_mut_slice())
                 .unwrap();
             pwc.accumulate_portion(&mid_slab, WeightSlice::new(&pw_sparse), &mut psum)
                 .unwrap();

@@ -1,6 +1,7 @@
 //! Property-based tests: the engine datapaths against the golden reference
-//! kernels, on arbitrary int8 tiles and — for the DWC portion kernel — at
-//! any lane count, stride, pad, portion extent and portion placement.
+//! kernels, on arbitrary int8 tiles, for the DWC portion kernel at any
+//! lane count, stride, pad, portion extent and portion placement, and for
+//! the PWC portion kernel at any depth against its per-pass calls.
 
 use edea_core::engine::{DwcEngine, EngineActivity, PwcEngine, WeightSlice};
 use edea_core::nonconv::{NonConvUnit, Residual};
@@ -96,7 +97,7 @@ fn pwc_tile(ifmap: &Tensor3<i8>, weights: &Tensor4<i8>) -> (Tensor3<i32>, Engine
         .collect();
     let mut psum = vec![0i32; 4 * 16];
     let activity = PwcEngine::new(&EdeaConfig::paper())
-        .accumulate_portion(ifmap.as_slice(), WeightSlice::new(&by_channel), &mut psum)
+        .accumulate_portion(ifmap, WeightSlice::new(&by_channel), &mut psum)
         .expect("tile");
     let planes = Tensor3::from_fn(16, 2, 2, |k, r, q| psum[(r * 2 + q) * 16 + k]);
     (planes, activity)
@@ -181,6 +182,88 @@ proptest! {
 }
 
 proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The PWC portion kernel over a portion's whole `D`-deep slab equals
+    /// both the sum of its `Td`-deep per-pass calls into the same bank and
+    /// the reference pointwise convolution, bit for bit in every psum, and
+    /// its activity equals the per-pass sum and the per-slot count field
+    /// for field. Depths span one pass to eight 128-channel gather groups,
+    /// extents 2–8 each way, K from 1 to 80 (inside one 256-sum row block)
+    /// or past one or two whole blocks, activation sparsity 0 to 100 %,
+    /// and operands that are
+    /// random, all −128 (two negated −128·−128 products sum to exactly
+    /// the i16 floor) or all 127. Zeroing channel 0 of every pixel makes
+    /// the live count odd on a dense slab.
+    #[test]
+    fn pwc_whole_depth_call_equals_per_pass_sum_and_reference(
+        depth in 0usize..5,
+        extent in (1usize..5, 1usize..5),
+        k in 1usize..81,
+        wide in any::<bool>(),
+        sparsity in 0usize..4,
+        operands in 0usize..3,
+        odd in any::<bool>(),
+        seed in any::<u64>(),
+    ) {
+        let cfg = EdeaConfig::paper();
+        let td = cfg.tile.td;
+        let engine = PwcEngine::new(&cfg);
+        let d = [8, 16, 64, 512, 1024][depth];
+        let (rows, cols) = (2 * extent.0, 2 * extent.1);
+        let k = if wide { 256 * (1 + k % 2) + k } else { k };
+        let (mut mid, mut weights) = match operands {
+            0 => (
+                rng::uniform_i8_tensor3(d, rows, cols, -128, 127, seed),
+                rng::uniform_i8_tensor4(k, d, 1, 1, -128, 127, seed ^ 1),
+            ),
+            _ => {
+                let v = if operands == 1 { -128 } else { 127 };
+                let weights = Tensor4::from_fn(k, d, 1, 1, |_, _, _, _| v);
+                (Tensor3::from_fn(d, rows, cols, |_, _, _| v), weights)
+            }
+        };
+        sparsify(mid.as_mut_slice(), [0, 50, 97, 100][sparsity], seed ^ 2);
+        if odd {
+            mid.as_mut_slice()[..rows * cols].fill(0);
+        }
+        if operands == 0 {
+            sparsify(weights.as_mut_slice(), 30, seed ^ 3);
+        }
+        // Input-channel-major, as the plan lays the layer out.
+        let wt: Vec<i8> = (0..d * k).map(|i| weights[(i % k, i / k, 0, 0)]).collect();
+        let pix = rows * cols;
+
+        let mut whole = vec![0i32; pix * k];
+        let activity = engine
+            .accumulate_portion(&mid, WeightSlice::new(&wt), &mut whole)
+            .expect("whole-depth call");
+
+        let mut passes = vec![0i32; pix * k];
+        let mut pass_activity = EngineActivity::default();
+        for (ct, w) in wt.chunks_exact(td * k).enumerate() {
+            let slab = mid.channel_slice(ct * td, td);
+            let act = engine
+                .accumulate_portion(&slab, WeightSlice::new(w), &mut passes)
+                .expect("per-pass call");
+            pass_activity.merge(&act);
+        }
+        prop_assert_eq!(&whole, &passes);
+        prop_assert_eq!(activity, pass_activity);
+
+        let reference = pointwise_conv2d_i8(&mid, &weights);
+        let planes = Tensor3::from_fn(k, rows, cols, |ki, r, q| whole[(r * cols + q) * k + ki]);
+        prop_assert_eq!(&planes, &reference);
+        let zeros = |v: &[i8]| v.iter().filter(|&&x| x == 0).count() as u64;
+        prop_assert_eq!(activity, EngineActivity {
+            mac_slots: (d * k * pix) as u64,
+            zero_act_slots: zeros(mid.as_slice()) * k as u64,
+            zero_weight_slots: zeros(&wt) * pix as u64,
+        });
+    }
+}
+
+proptest! {
     /// The DWC engine equals the reference depthwise convolution on any
     /// 4×4×8 tile (stride 1).
     #[test]
@@ -221,10 +304,10 @@ proptest! {
         let acc = Tensor3::from_vec(acc, 2, 2, 8).expect("sized");
         let params = vec![FoldedAffine::fold(k, b, 1.0, 1.0, 1.0); 8];
         let mut out = [0i8; 32];
-        let activity = NonConvUnit.apply(&acc, &params, 0, None, &mut out).expect("apply");
+        let counted = NonConvUnit.apply(&acc, &params, 0, None, &mut out).expect("apply");
         prop_assert!(out.iter().all(|&v| (0..=127).contains(&v)));
         let zeros = out.iter().filter(|&&v| v == 0).count() as u64;
-        prop_assert_eq!(activity.zero_outputs, zeros);
+        prop_assert_eq!(counted, zeros);
     }
 
     /// Eq. 1/Eq. 2 cycles are monotone in every workload dimension.
@@ -276,7 +359,7 @@ proptest! {
         let scale = Q8x16::from_f64(scale);
         let residual = (with_skip == 1).then_some(Residual { map: &map, row0, col0, scale });
         let mut out = vec![0i8; acc.len()];
-        let activity = NonConvUnit
+        let zero_outputs = NonConvUnit
             .apply(&acc, &params, lo, residual, &mut out)
             .expect("apply");
         let plane = rows * cols;
@@ -289,8 +372,7 @@ proptest! {
             };
             prop_assert_eq!(y, want);
         }
-        prop_assert_eq!(activity.ops, out.len() as u64);
-        prop_assert_eq!(activity.zero_outputs, out.iter().filter(|&&v| v == 0).count() as u64);
+        prop_assert_eq!(zero_outputs, out.iter().filter(|&&v| v == 0).count() as u64);
         for p in &params {
             prop_assert_eq!(p.k, Q8x16::from_f64(p.k_exact));
         }

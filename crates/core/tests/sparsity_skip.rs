@@ -287,7 +287,7 @@ fn pwc_portion(
     let wt = channel_major(weights);
     let mut psum = vec![0i32; rows * cols * k];
     let act = engine
-        .accumulate_portion(mid.as_slice(), WeightSlice::new(&wt), &mut psum)
+        .accumulate_portion(mid, WeightSlice::new(&wt), &mut psum)
         .unwrap();
     (channel_planes(&psum, k, rows, cols), act)
 }
@@ -432,21 +432,18 @@ proptest! {
 
         // Non-Conv #1 straight into a mid slab vs tile by tile.
         let mut mid = Tensor3::<i8>::zeros(8, rows, cols);
-        let nc = NonConvUnit.apply(&acc, &params, 0, None, mid.as_mut_slice()).unwrap();
+        NonConvUnit.apply(&acc, &params, 0, None, mid.as_mut_slice()).unwrap();
         let mut tile_mid = Tensor3::<i8>::zeros(8, rows, cols);
-        let mut tile_ops = 0;
         let mut acc_tile = Tensor3::<i32>::zeros(2, 2, 8);
         let mut t = Tensor3::<i8>::zeros(8, 2, 2);
         for r in (0..rows).step_by(2) {
             for c in (0..cols).step_by(2) {
                 tile_acc.copy_window_into(r, c, 0, &mut acc_tile);
-                let a = NonConvUnit.apply(&acc_tile, &params, 0, None, t.as_mut_slice()).unwrap();
+                NonConvUnit.apply(&acc_tile, &params, 0, None, t.as_mut_slice()).unwrap();
                 tile_mid.paste_window(0, r, c, &t);
-                tile_ops += a.ops;
             }
         }
         prop_assert_eq!(&mid, &tile_mid);
-        prop_assert_eq!(nc.ops, tile_ops);
 
         let (psum, pwc_act) = pwc_portion(&pwc, &mid, &pw);
         let (tile_psum, tile_pwc_act) = pwc_by_tiles(&pwc, &mid, &pw);
@@ -523,15 +520,26 @@ fn portion_kernels_reject_partial_tiles() {
     assert!(dwc_call(&oblong, &portion(2, 2), 1, &mut acc).is_err());
     // The whole 6×6 map is two tiles each way at stride 1.
     assert!(dwc_call(&input, &portion(4, 4), 1, &mut acc).is_ok());
-    // Six pixels are not a whole number of 4-pixel tiles; a psum bank
-    // of the wrong size is refused.
+    // A 2×3 slab is not a whole number of 2×2 tiles, a 12-deep one not a
+    // whole number of 8-deep channel passes; a psum bank of the wrong
+    // size is refused.
     let pw = [1i8; 8 * 16];
     let mut psum = vec![0i32; 6 * 16];
+    let slab =
+        |d: usize, rows: usize, cols: usize| Tensor3::<i8>::from_fn(d, rows, cols, |_, _, _| 1);
     assert!(pwc
-        .accumulate_portion(&[1i8; 8 * 6], WeightSlice::new(&pw), &mut psum)
+        .accumulate_portion(&slab(8, 2, 3), WeightSlice::new(&pw), &mut psum)
+        .is_err());
+    let mut deep = vec![0i32; 4 * 16];
+    assert!(pwc
+        .accumulate_portion(
+            &slab(12, 2, 2),
+            WeightSlice::new(&[1i8; 12 * 16]),
+            &mut deep
+        )
         .is_err());
     let mut short = vec![0i32; 4 * 16 - 1];
     assert!(pwc
-        .accumulate_portion(&[1i8; 8 * 4], WeightSlice::new(&pw), &mut short)
+        .accumulate_portion(&slab(8, 2, 2), WeightSlice::new(&pw), &mut short)
         .is_err());
 }
