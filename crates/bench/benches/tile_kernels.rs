@@ -282,7 +282,11 @@ fn bench_tile_kernels(c: &mut Criterion) {
                             )
                             .unwrap(),
                         );
-                        case.mid.copy_window_into(0, r, col, &mut mid_tile);
+                        case.mid.copy_window_to_slice(
+                            (0, r, col),
+                            mid_tile.shape(),
+                            mid_tile.as_mut_slice(),
+                        );
                         for (kt, &w) in tile_slices.iter().enumerate() {
                             partial.fill(0);
                             black_box(pwc.accumulate_portion(&mid_tile, w, &mut partial).unwrap());

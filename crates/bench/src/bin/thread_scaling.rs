@@ -14,7 +14,11 @@
 //! workers, threads ∈ {1, 2}, one rep) — used by CI to keep both parallel
 //! seams executing end to end.
 
-// edea-lint: allow(wall-clock-in-sim): wall-clock bench of the simulator host itself, the one sanctioned use
+#![expect(
+    clippy::disallowed_types,
+    reason = "wall-clock bench of the simulator host itself, the one sanctioned use"
+)]
+
 use std::time::Instant;
 
 use edea::core::par::Parallelism;
@@ -66,7 +70,7 @@ fn backend(s: &Setup, threads: usize) -> SimulatorBackend {
 fn median_ms(reps: usize, mut f: impl FnMut()) -> f64 {
     let mut samples: Vec<f64> = (0..reps)
         .map(|_| {
-            let t = Instant::now(); // edea-lint: allow(wall-clock-in-sim): wall-clock bench of the simulator host itself, the one sanctioned use
+            let t = Instant::now();
             f();
             t.elapsed().as_secs_f64() * 1e3
         })

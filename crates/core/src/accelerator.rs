@@ -271,11 +271,13 @@ impl Edea {
             &mut scratch,
             true,
         )?;
+        #[expect(clippy::expect_used, reason = "from_ref put exactly one image in")]
+        let output = run.outputs.pop().expect("one image in, one image out");
+        #[expect(clippy::expect_used, reason = "from_ref put exactly one image in")]
+        let pwc_input = run.pwc_inputs.pop().expect("one image in, one image out");
         Ok(LayerRun {
-            // edea-lint: allow(panic-in-lib): from_ref put exactly one image in
-            output: run.outputs.pop().expect("one image in, one image out"),
-            // edea-lint: allow(panic-in-lib): from_ref put exactly one image in
-            pwc_input: run.pwc_inputs.pop().expect("one image in, one image out"),
+            output,
+            pwc_input,
             stats: run.stats,
         })
     }
@@ -338,7 +340,10 @@ impl Edea {
     /// scratch and its lane's tally, so any static partition of portions
     /// is race-free by construction, and every count it produces is a
     /// pure function of the portion alone (identical in any lane).
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "a portion borrows shared plan state and lane-private scratch, slots and tally apart"
+    )]
     fn run_portion(
         &self,
         layer: &QuantizedDscLayer,
@@ -468,7 +473,10 @@ impl Edea {
     /// portion order) and the portion outputs pasted in portion order —
     /// bit-identical to the serial run by construction (see [`crate::par`])
     /// and enforced by the `parallel_identity` suite.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "the one layer entry behind single, batched and planned runs takes the union of their knobs"
+    )]
     fn execute_layer(
         &self,
         layer: &QuantizedDscLayer,
@@ -758,10 +766,14 @@ impl Edea {
             xs = Some(run.outputs);
             layers.push(run.stats);
         }
+        #[expect(
+            clippy::expect_used,
+            reason = "every output of one layer has the layer's shape"
+        )]
+        let outputs =
+            Batch::new(xs.unwrap_or_else(|| inputs.to_vec())).expect("uniform layer outputs");
         Ok(BatchRun {
-            outputs: Batch::new(xs.unwrap_or_else(|| inputs.to_vec()))
-                // edea-lint: allow(panic-in-lib): every output of one layer has the layer's shape
-                .expect("uniform layer outputs"),
+            outputs,
             stats: NetworkStats {
                 batch: inputs.len(),
                 layers,
@@ -775,9 +787,10 @@ impl BatchRun {
     pub(crate) fn into_single(self) -> NetworkRun {
         let mut outputs = self.outputs.into_images();
         debug_assert_eq!(outputs.len(), 1);
+        #[expect(clippy::expect_used, reason = "a batch holds at least one image")]
+        let output = outputs.pop().expect("one image in, one image out");
         NetworkRun {
-            // edea-lint: allow(panic-in-lib): a batch holds at least one image
-            output: outputs.pop().expect("one image in, one image out"),
+            output,
             stats: self.stats,
         }
     }

@@ -87,7 +87,10 @@ impl DwcEngine {
     /// 7×7, `stride` is 0, the input is not square or has no channels
     /// `c0..c0 + Td`, the portion is not a whole number of tiles or
     /// reaches past the padded map, or `weights` is not `Td·K·K` long.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "channel offset, weights, portion, stride, pad and accumulator are independent inputs"
+    )]
     pub fn compute_portion_into(
         &self,
         input: &Tensor3<i8>,

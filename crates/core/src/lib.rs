@@ -91,6 +91,7 @@
 //! ```
 
 #![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

@@ -200,6 +200,10 @@ pub fn chunk_ranges(n: usize, lanes: usize) -> Vec<std::ops::Range<usize>> {
 /// A panic on any lane is re-raised on the calling thread
 /// (`resume_unwind`) after the scope joins — panics never vanish into a
 /// detached thread.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "map_lanes is the one sanctioned fork point of the workspace"
+)]
 pub fn map_lanes<T, R, F>(lanes: Vec<T>, f: F) -> Vec<R>
 where
     T: Send,
@@ -216,7 +220,10 @@ where
     std::thread::scope(|scope| {
         let f = &f;
         let mut items = lanes.into_iter();
-        // edea-lint: allow(panic-in-lib): the len <= 1 early return guarantees a first item
+        #[expect(
+            clippy::expect_used,
+            reason = "the len <= 1 early return guarantees a first item"
+        )]
         let first = items.next().expect("len checked above");
         // Spawn lanes 1.. first so they overlap with lane 0's inline run.
         let handles: Vec<_> = items

@@ -499,6 +499,7 @@ fn route(
             *rr_cursor = (*rr_cursor + 1) % workers.len();
             i
         }
+        #[expect(clippy::expect_used, reason = "Pool::new rejects empty worker sets")]
         DispatchPolicy::LeastLoaded => {
             workers
                 .iter()
@@ -507,16 +508,15 @@ fn route(
                     let busy = if w.free_at > now { w.in_service } else { 0 };
                     (w.queue.len() + busy, w.free_at.max(now), *i)
                 })
-                // edea-lint: allow(panic-in-lib): Pool::new rejects empty worker sets
                 .expect("pool is non-empty")
                 .0
         }
+        #[expect(clippy::expect_used, reason = "Pool::new rejects empty worker sets")]
         DispatchPolicy::JoinShortestQueue => {
             workers
                 .iter()
                 .enumerate()
                 .min_by_key(|(i, w)| (w.queue.len(), w.free_at.max(now), *i))
-                // edea-lint: allow(panic-in-lib): Pool::new rejects empty worker sets
                 .expect("pool is non-empty")
                 .0
         }
@@ -632,10 +632,13 @@ fn execute<W: Backend>(
         runs.into_iter()
     });
     for p in planned.drain(..) {
+        #[expect(
+            clippy::expect_used,
+            reason = "a lane skips batches only after its first error, which completes \
+                      (and returns) before any batch it skipped"
+        )]
         let run = runs[lane_of[p.worker]]
             .next()
-            // edea-lint: allow(panic-in-lib): a lane skips batches only after its first
-            // error, which completes (and returns) before any batch it skipped
             .expect("every batch up to the first error was executed")?;
         report.complete(layers, workers[p.worker].name(), p, run)?;
     }
@@ -919,7 +922,10 @@ fn drive<W: Backend>(
         };
 
         if route_next {
-            // edea-lint: allow(panic-in-lib): route_next is true only when the front exists
+            #[expect(
+                clippy::expect_used,
+                reason = "route_next is true only when the front exists"
+            )]
             let r = pending.pop_front().expect("checked front");
             advance(&mut states, &mut now, r.arrival);
             let w = route(&states, dispatch, &mut rr_cursor, now);
@@ -940,13 +946,19 @@ fn drive<W: Backend>(
             continue;
         }
 
-        // edea-lint: allow(panic-in-lib): route_next is false only when a dispatch exists
+        #[expect(
+            clippy::expect_used,
+            reason = "route_next is false only when a dispatch exists"
+        )]
         let (t, wi) = next_dispatch.expect("route_next is false only with a dispatch");
         advance(&mut states, &mut now, t);
         let state = &mut states[wi];
         let size = state.same_network_prefix().min(policy.max_batch);
-        // edea-lint: allow(panic-in-lib): dispatch_at returned Some, so the queue
-        // head (and thus a non-empty same-network prefix) exists
+        #[expect(
+            clippy::expect_used,
+            reason = "dispatch_at returned Some, so the queue head (and thus a non-empty \
+                      same-network prefix) exists"
+        )]
         let network = state.queue.front().expect("non-empty batch").network;
         let Some(cycles) = workers[wi].dispatch_cycles_for(network, size) else {
             // Errors surface in dispatch order at every lane count: batches
@@ -978,8 +990,11 @@ fn drive<W: Backend>(
             timeline.push((r.id, r.arrival));
             inputs.push(r.input);
         }
-        // edea-lint: allow(panic-in-lib): every request shape was checked against the
-        // backend at intake (InvalidRequest), so the drained batch is uniform
+        #[expect(
+            clippy::expect_used,
+            reason = "every request shape was checked against the backend at intake \
+                      (InvalidRequest), so the drained batch is uniform"
+        )]
         let inputs = Batch::new(inputs).expect("request shapes validated above");
         // A dispatch whose network differs from the worker's resident one
         // pays the incoming network's refetch and flips residency.

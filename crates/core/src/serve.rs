@@ -677,8 +677,11 @@ impl Backend for AnalyticBackend {
 
     fn run(&self, inputs: &Batch<i8>) -> Result<BackendRun, CoreError> {
         let (k, h, w) = self.out_shape;
+        #[expect(
+            clippy::expect_used,
+            reason = "the from_fn closure yields one fixed shape"
+        )]
         let outputs = Batch::from_fn(inputs.len(), |_| Tensor3::<i8>::zeros(k, h, w))
-            // edea-lint: allow(panic-in-lib): the from_fn closure yields one fixed shape
             .expect("uniform placeholder outputs");
         Ok(BackendRun {
             outputs,

@@ -117,7 +117,6 @@ impl Registry {
     /// Folds an event stream into a snapshot. Pure and deterministic: the
     /// same events always yield the same registry.
     #[must_use]
-    #[allow(clippy::too_many_lines)]
     pub fn from_events(events: &[Event]) -> Self {
         let workers = events
             .iter()

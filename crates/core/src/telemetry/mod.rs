@@ -47,8 +47,8 @@
 //!
 //! Timestamps always come from the **caller's simulated clock** — never
 //! from [`std::time::Instant`] or any other wall-clock source (enforced by
-//! the `edea-lint` `wall-clock-in-sim` rule, which carries a
-//! telemetry-specific diagnostic for this module).
+//! clippy's `disallowed_types`, which rejects `Instant` and `SystemTime`
+//! in every crate under `crates/`).
 
 pub mod derive;
 pub mod export;

@@ -306,7 +306,7 @@ fn pwc_by_tiles(
     let mut tile = Tensor3::<i8>::zeros(td, 2, 2);
     for r in (0..rows).step_by(2) {
         for c in (0..cols).step_by(2) {
-            mid.copy_window_into(0, r, c, &mut tile);
+            mid.copy_window_to_slice((0, r, c), tile.shape(), tile.as_mut_slice());
             for kt in (0..k).step_by(16) {
                 let (partial, activity) = pwc_portion(engine, &tile, &weights.kernel_slice(kt, 16));
                 out.paste_window(kt, r, c, &partial);
@@ -438,7 +438,7 @@ proptest! {
         let mut t = Tensor3::<i8>::zeros(8, 2, 2);
         for r in (0..rows).step_by(2) {
             for c in (0..cols).step_by(2) {
-                tile_acc.copy_window_into(r, c, 0, &mut acc_tile);
+                tile_acc.copy_window_to_slice((r, c, 0), acc_tile.shape(), acc_tile.as_mut_slice());
                 NonConvUnit.apply(&acc_tile, &params, 0, None, t.as_mut_slice()).unwrap();
                 tile_mid.paste_window(0, r, c, &t);
             }

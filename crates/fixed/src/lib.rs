@@ -37,6 +37,9 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
+// Integer-only kernels: with `f32`/`f64` disallowed in crates/fixed/clippy.toml,
+// this also rejects float arithmetic on values whose type is never named.
+#![deny(clippy::float_arithmetic)]
 
 mod q8_16;
 mod round;

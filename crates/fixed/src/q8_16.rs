@@ -77,6 +77,11 @@ impl Q8x16 {
     ///
     /// Panics if `x` is NaN.
     #[must_use]
+    #[expect(
+        clippy::disallowed_types,
+        clippy::float_arithmetic,
+        reason = "the offline f64 to Q8.16 conversion boundary"
+    )]
     pub fn from_f64(x: f64) -> Self {
         assert!(!x.is_nan(), "cannot convert NaN to Q8.16");
         if x.is_infinite() {
@@ -100,6 +105,11 @@ impl Q8x16 {
 
     /// The represented real value (exact: Q8.16 ⊂ f64).
     #[must_use]
+    #[expect(
+        clippy::disallowed_types,
+        clippy::float_arithmetic,
+        reason = "the Q8.16 to f64 conversion boundary"
+    )]
     pub fn to_f64(&self) -> f64 {
         f64::from(self.0) / f64::from(1u32 << Q8X16_FRAC_BITS)
     }
@@ -154,6 +164,11 @@ impl WideQ16 {
 
     /// The represented real value.
     #[must_use]
+    #[expect(
+        clippy::disallowed_types,
+        clippy::float_arithmetic,
+        reason = "the wide Q16 to f64 conversion boundary"
+    )]
     pub fn to_f64(&self) -> f64 {
         self.0 as f64 / f64::from(1u32 << Q8X16_FRAC_BITS)
     }
@@ -184,6 +199,10 @@ impl WideQ16 {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_types,
+    reason = "the conversions are checked against f64 references"
+)]
 mod tests {
     use super::*;
 

@@ -51,6 +51,10 @@ pub(crate) fn shift_right_half_away(value: i128) -> i128 {
 /// assert_eq!(round_f64(-1.25), -1);
 /// ```
 #[must_use]
+#[expect(
+    clippy::disallowed_types,
+    reason = "the offline f64 rounding boundary, the integer path's reference"
+)]
 pub fn round_f64(x: f64) -> i128 {
     assert!(x.is_finite(), "round_f64 requires a finite input");
     let r = x.round(); // f64::round is half-away-from-zero
@@ -62,6 +66,10 @@ pub fn round_f64(x: f64) -> i128 {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_types,
+    reason = "the integer rounding is checked against an f64 reference"
+)]
 mod tests {
     use super::*;
 

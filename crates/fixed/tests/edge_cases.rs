@@ -2,6 +2,11 @@
 //! arithmetic at the integer extremes and round-half-away behaviour exactly
 //! at its tie points.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "the integer rounding is checked against f64 references"
+)]
+
 use edea_fixed::sat::fits_in_bits;
 use edea_fixed::{round_f64, Q8x16, WideQ16};
 

@@ -163,7 +163,7 @@ impl QuantizedDscLayer {
     ///
     /// Panics if tensor shapes or Non-Conv parameter counts do not match
     /// `shape`.
-    #[allow(clippy::too_many_arguments)] // mirrors the artifact layout 1:1
+    #[expect(clippy::too_many_arguments, reason = "mirrors the artifact layout 1:1")]
     #[must_use]
     pub fn from_parts(
         shape: LayerShape,

@@ -57,7 +57,10 @@ impl<T> Batch<T> {
 
     /// Number of images in the batch (`N ≥ 1`).
     #[must_use]
-    #[allow(clippy::len_without_is_empty)] // a Batch is non-empty by construction
+    #[expect(
+        clippy::len_without_is_empty,
+        reason = "a Batch is non-empty by construction"
+    )]
     pub fn len(&self) -> usize {
         self.images.len()
     }

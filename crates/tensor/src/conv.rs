@@ -273,44 +273,6 @@ pub fn pointwise_conv2d_i8(input: &Tensor3<i8>, weights: &Tensor4<i8>) -> Tensor
     out
 }
 
-/// Standard integer convolution (used for the MobileNetV1 stem layer).
-///
-/// # Panics
-///
-/// Same conditions as [`conv2d_f32`].
-#[must_use]
-pub fn conv2d_i8(
-    input: &Tensor3<i8>,
-    weights: &Tensor4<i8>,
-    stride: usize,
-    pad: usize,
-) -> Tensor3<i32> {
-    let (c_in, h_in, w_in) = input.shape();
-    let (k, wc, kh, kw) = weights.shape();
-    assert_eq!(wc, c_in, "weight channels {wc} != input channels {c_in}");
-    let h_out = out_dim(h_in, kh, stride, pad);
-    let w_out = out_dim(w_in, kw, stride, pad);
-    let padded = input.zero_padded(pad);
-    let mut out = Tensor3::<i32>::zeros(k, h_out, w_out);
-    for ko in 0..k {
-        for ho in 0..h_out {
-            for wo in 0..w_out {
-                let mut acc = 0i32;
-                for ci in 0..c_in {
-                    for dh in 0..kh {
-                        for dw in 0..kw {
-                            acc += i32::from(padded[(ci, ho * stride + dh, wo * stride + dw)])
-                                * i32::from(weights[(ko, ci, dh, dw)]);
-                        }
-                    }
-                }
-                out[(ko, ho, wo)] = acc;
-            }
-        }
-    }
-    out
-}
-
 /// Composes a depthwise and a pointwise convolution into the equivalent
 /// *standard* convolution weights — the mathematical identity behind DSC
 /// (`SC ≈ DWC ∘ PWC` when the DSC is exact). Used by tests to validate the
@@ -455,18 +417,6 @@ mod tests {
         let ypi = pointwise_conv2d_i8(&xi, &pw);
         let ypf = pointwise_conv2d_f32(&xf, &pw.map(|&v| f32::from(v)));
         for (a, b) in ypi.as_slice().iter().zip(ypf.as_slice()) {
-            assert_eq!(*a as f32, *b);
-        }
-    }
-
-    #[test]
-    fn conv2d_i8_matches_f32_reference() {
-        let xi = Tensor3::<i8>::from_fn(3, 5, 5, |c, h, w| ((c + 2 * h + 3 * w) % 17) as i8 - 8);
-        let wi = Tensor4::<i8>::from_fn(4, 3, 3, 3, |k, c, h, w| ((k + c + h + w) % 7) as i8 - 3);
-        let yi = conv2d_i8(&xi, &wi, 2, 1);
-        let yf = conv2d_f32(&xi.map(|&v| f32::from(v)), &wi.map(|&v| f32::from(v)), 2, 1);
-        assert_eq!(yi.shape(), yf.shape());
-        for (a, b) in yi.as_slice().iter().zip(yf.as_slice()) {
             assert_eq!(*a as f32, *b);
         }
     }

@@ -166,22 +166,11 @@ impl<T: Copy + Default> Tensor3<T> {
         }
     }
 
-    /// Copies the window anchored at `(c0, h0, w0)` whose extent is `out`'s
-    /// shape into `out`, overwriting every element — the allocation-free
-    /// counterpart of building a window tensor from scratch. Rows are moved
-    /// with flat-index `copy_from_slice` calls, not per-element indexing.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the window exceeds this tensor's bounds.
-    pub fn copy_window_into(&self, c0: usize, h0: usize, w0: usize, out: &mut Self) {
-        let shape = out.shape();
-        self.copy_window_to_slice((c0, h0, w0), shape, &mut out.data);
-    }
-
-    /// [`Tensor3::copy_window_into`] into a plain slice holding a window of
-    /// `shape = (cn, hn, wn)` in channel-major order — for writing a window
-    /// straight into a channel slab of a larger tensor.
+    /// Copies the window anchored at `(c0, h0, w0)` of extent
+    /// `shape = (cn, hn, wn)` into `out` in channel-major order, overwriting
+    /// every element — for writing a window straight into a channel slab of
+    /// a larger tensor without allocating. Rows are moved with flat-index
+    /// `copy_from_slice` calls, not per-element indexing.
     ///
     /// # Panics
     ///
@@ -209,7 +198,7 @@ impl<T: Copy + Default> Tensor3<T> {
     }
 
     /// Writes `src` into the window of this tensor anchored at
-    /// `(c0, h0, w0)` — the inverse of [`Tensor3::copy_window_into`], used
+    /// `(c0, h0, w0)` — the inverse of [`Tensor3::copy_window_to_slice`], used
     /// to scatter a computed tile back into a full feature map without
     /// per-element index arithmetic. A window spanning whole planes is one
     /// contiguous run and lands with a single copy.
@@ -758,31 +747,31 @@ mod tests {
     }
 
     #[test]
-    fn copy_window_into_matches_from_fn_window() {
+    fn copy_window_to_slice_matches_from_fn_window() {
         let t = Tensor3::<i32>::from_fn(6, 7, 8, |c, h, w| (c * 100 + h * 10 + w) as i32);
         let mut win = Tensor3::<i32>::zeros(3, 4, 5);
-        t.copy_window_into(2, 1, 3, &mut win);
+        t.copy_window_to_slice((2, 1, 3), win.shape(), win.as_mut_slice());
         let expect = Tensor3::from_fn(3, 4, 5, |c, h, w| t[(2 + c, 1 + h, 3 + w)]);
         assert_eq!(win, expect);
         // Full-tensor window is an identity copy.
         let mut full = Tensor3::<i32>::zeros(6, 7, 8);
-        t.copy_window_into(0, 0, 0, &mut full);
+        t.copy_window_to_slice((0, 0, 0), full.shape(), full.as_mut_slice());
         assert_eq!(full, t);
     }
 
     #[test]
     #[should_panic(expected = "exceeds shape")]
-    fn copy_window_into_rejects_out_of_bounds() {
+    fn copy_window_to_slice_rejects_out_of_bounds() {
         let t = Tensor3::<i32>::zeros(2, 4, 4);
         let mut win = Tensor3::<i32>::zeros(1, 3, 3);
-        t.copy_window_into(0, 2, 2, &mut win);
+        t.copy_window_to_slice((0, 2, 2), win.shape(), win.as_mut_slice());
     }
 
     #[test]
-    fn paste_window_is_inverse_of_copy_window_into() {
+    fn paste_window_is_inverse_of_copy_window_to_slice() {
         let t = Tensor3::<i32>::from_fn(4, 5, 6, |c, h, w| (c * 100 + h * 10 + w) as i32);
         let mut win = Tensor3::<i32>::zeros(2, 2, 3);
-        t.copy_window_into(1, 2, 1, &mut win);
+        t.copy_window_to_slice((1, 2, 1), win.shape(), win.as_mut_slice());
         let mut out = Tensor3::<i32>::zeros(4, 5, 6);
         out.paste_window(1, 2, 1, &win);
         for c in 0..2 {

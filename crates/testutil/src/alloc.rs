@@ -23,7 +23,10 @@
 //! measurements from a single `#[test]` (the default test harness runs
 //! tests of one binary concurrently, which would interleave counts).
 
-#![allow(unsafe_code)]
+#![expect(
+    unsafe_code,
+    reason = "the counting GlobalAlloc needs one unsafe impl; the rest of the crate denies unsafe_code"
+)]
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -24,8 +24,8 @@
 //! ```
 
 // `deny`, not `forbid`: the counting allocator in [`alloc`] needs one
-// `unsafe impl GlobalAlloc` (explicitly allowed there); everything else
-// stays safe.
+// `unsafe impl GlobalAlloc` (an `#![expect(unsafe_code)]` there);
+// everything else stays safe.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
