@@ -859,9 +859,9 @@ pub fn pool_sweep() -> String {
          Dispatch policies at 4.00x load, N = 4:\n{}\n\
          round-robin is state-blind, so consecutive requests can queue behind a\n\
          busy worker while another idles; join-shortest-queue sees only queued\n\
-         work; least-loaded counts queued + in-service requests and edges both\n\
-         out on makespan while forming the largest batches (least weight\n\
-         traffic) — the policies trade DRAM amortization against latency.\n",
+         work; least-loaded counts queued + in-service requests and forms the\n\
+         largest batches (least weight traffic) but finishes last (longest\n\
+         makespan) — the policies trade DRAM amortization against latency.\n",
         policy.max_batch,
         4 * service,
         table,

@@ -456,15 +456,18 @@ impl WorkerState {
     }
 
     /// Number of leading queued requests that target the same network as
-    /// the queue head — the longest batch the worker could dispatch
-    /// (batches are never mixed-network: one plan runs per dispatch). On
-    /// single-model streams this is the whole queue.
-    fn same_network_prefix(&self) -> usize {
+    /// the queue head, counted up to `cap` — the batch the worker would
+    /// dispatch (batches are never mixed-network: one plan runs per
+    /// dispatch). Both callers pass `policy.max_batch`, so the count reads
+    /// at most `max_batch` requests however deep the queue: a serve-loop
+    /// event costs O(workers · max_batch), not O(queued requests).
+    fn same_network_prefix(&self, cap: usize) -> usize {
         let Some(head) = self.queue.front() else {
             return 0;
         };
         self.queue
             .iter()
+            .take(cap)
             .take_while(|r| r.network == head.network)
             .count()
     }
@@ -478,7 +481,7 @@ impl WorkerState {
     fn dispatch_at(&self, now: u64, policy: Policy) -> Option<u64> {
         let head = self.queue.front()?;
         let ready = now.max(self.free_at);
-        if self.same_network_prefix() >= policy.max_batch {
+        if self.same_network_prefix(policy.max_batch) >= policy.max_batch {
             Some(ready)
         } else {
             Some(ready.max(head.arrival.saturating_add(policy.max_wait)))
@@ -953,7 +956,7 @@ fn drive<W: Backend>(
         let (t, wi) = next_dispatch.expect("route_next is false only with a dispatch");
         advance(&mut states, &mut now, t);
         let state = &mut states[wi];
-        let size = state.same_network_prefix().min(policy.max_batch);
+        let size = state.same_network_prefix(policy.max_batch);
         #[expect(
             clippy::expect_used,
             reason = "dispatch_at returned Some, so the queue head (and thus a non-empty \
@@ -1540,6 +1543,117 @@ mod tests {
                 assert!(detail.contains("net9"), "{detail}");
             }
             other => panic!("expected InvalidRequest, got {other:?}"),
+        }
+    }
+
+    /// A worker whose queue holds one request per entry of `nets`.
+    fn queued(nets: &[u32]) -> WorkerState {
+        let mut state = WorkerState::new();
+        state.queue = (0u64..)
+            .zip(nets)
+            .map(|(id, &n)| Request::for_network(id, 0, NetworkId(n), Tensor3::zeros(1, 1, 1)))
+            .collect();
+        state
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// The capped prefix is the uncapped same-network run, clamped at
+        /// the cap — what both serve-loop callers used to compute.
+        #[test]
+        fn capped_prefix_is_the_clamped_same_network_run(
+            nets in proptest::prop::collection::vec(0u32..3, 0..41),
+            cap in 1usize..17,
+        ) {
+            let run = nets.iter().take_while(|&&n| n == nets[0]).count();
+            proptest::prop_assert_eq!(queued(&nets).same_network_prefix(cap), run.min(cap));
+        }
+    }
+
+    /// One analytic worker serving two networks of the same cost.
+    struct TwoNetworks(AnalyticBackend);
+
+    impl Backend for TwoNetworks {
+        fn name(&self) -> &'static str {
+            self.0.name()
+        }
+        fn config(&self) -> &EdeaConfig {
+            self.0.config()
+        }
+        fn input_shape(&self) -> (usize, usize, usize) {
+            self.0.input_shape()
+        }
+        fn run(&self, inputs: &Batch<i8>) -> Result<crate::serve::BackendRun, CoreError> {
+            self.0.run(inputs)
+        }
+        fn dispatch_cycles(&self, batch: usize) -> Option<u64> {
+            self.0.dispatch_cycles(batch)
+        }
+        fn input_shape_for(&self, network: NetworkId) -> Option<(usize, usize, usize)> {
+            (network.0 < 2).then(|| self.input_shape())
+        }
+        fn run_for(
+            &self,
+            _network: NetworkId,
+            inputs: &Batch<i8>,
+        ) -> Result<crate::serve::BackendRun, CoreError> {
+            self.0.run(inputs)
+        }
+        fn dispatch_cycles_for(&self, network: NetworkId, batch: usize) -> Option<u64> {
+            self.0.dispatch_cycles(batch).filter(|_| network.0 < 2)
+        }
+    }
+
+    #[test]
+    fn a_deep_backlog_batches_each_same_network_run_in_fifo_chunks() {
+        // 4 096 requests at tick 0 on one worker: the queue alternates
+        // runs of 3 (net0) and 11 (net1). With max_batch 8 each run
+        // dispatches as chunks of min(rest of the run, 8), in order.
+        let shape = edea_nn::workload::LayerShape::dsc(0, 2, 8, 16, 1, 3);
+        let b = TwoNetworks(AnalyticBackend::new(&[shape], &EdeaConfig::paper()).unwrap());
+        let (d, h, w) = b.input_shape();
+        let mut nets = Vec::new();
+        let mut want = Vec::new();
+        for (net, run) in [(0u32, 3usize), (1, 11)].into_iter().cycle() {
+            let run = run.min(4_096 - nets.len());
+            nets.extend(std::iter::repeat_n(NetworkId(net), run));
+            want.extend(
+                (0..run)
+                    .step_by(8)
+                    .map(|i| (NetworkId(net), (run - i).min(8))),
+            );
+            if nets.len() == 4_096 {
+                break;
+            }
+        }
+        let reqs = (0u64..)
+            .zip(&nets)
+            .map(|(id, &n)| Request::for_network(id, 0, n, Tensor3::zeros(d, h, w)))
+            .collect();
+        let report = Dispatcher::new(Policy::new(8, 0).unwrap(), DispatchPolicy::RoundRobin)
+            .serve(&Pool::new(vec![b]).unwrap(), reqs)
+            .unwrap();
+        let got: Vec<(NetworkId, usize)> = report
+            .serve
+            .batches
+            .iter()
+            .map(|b| (b.network, b.size))
+            .collect();
+        assert_eq!(got, want);
+        assert_eq!(report.max_queue_depth(), 4_096);
+        // FIFO: batch after batch, request ids come out in arrival order.
+        let mut by_dispatch: Vec<(usize, u64)> = report
+            .serve
+            .responses
+            .iter()
+            .map(|r| (r.batch, r.id))
+            .collect();
+        by_dispatch.sort_unstable();
+        let ids: Vec<u64> = by_dispatch.into_iter().map(|(_, id)| id).collect();
+        assert_eq!(ids, (0..4_096).collect::<Vec<u64>>());
+        for r in &report.serve.responses {
+            assert_eq!(r.network, nets[r.id as usize]);
         }
     }
 
