@@ -12,6 +12,7 @@
 use edea_tensor::conv::{depthwise_conv2d_i8, pointwise_conv2d_i8};
 use edea_tensor::Tensor3;
 
+use crate::fold::apply_planes;
 use crate::quantize::{QuantizedDscLayer, QuantizedDscNetwork};
 use crate::workload::StageOp;
 use crate::NnError;
@@ -134,29 +135,21 @@ fn try_run_layer_with(
     let (dwc_acc, pwc_input) = match s.op {
         StageOp::Dsc => {
             let acc = depthwise_conv2d_i8(input, layer.dw_weights().values(), s.stride, s.pad);
-            let (d, oh, ow) = acc.shape();
-            let mid = Tensor3::from_fn(d, oh, ow, |c, h, w| {
-                layer.nonconv1()[c].apply_fixed(acc[(c, h, w)], 0)
-            });
+            let mid = apply_planes(&acc, layer.nonconv1(), None, 0);
             (Some(acc), mid)
         }
         StageOp::PwcOnly => (None, input.clone()),
     };
-    let (_, oh, ow) = pwc_input.shape();
     // PWC: int8 conv to i32 accumulators.
     let pwc_acc = pointwise_conv2d_i8(&pwc_input, layer.pw_weights().values());
     // Non-Conv #2 (same hardware, used at the layer output boundary): low
     // clip 0 with a folded ReLU, −128 for a linear (project) stage.
-    let (k, _, _) = pwc_acc.shape();
-    let lo = layer.out_lo();
-    let output = match residual.zip(layer.residual_scale()) {
-        Some((res, r)) => Tensor3::from_fn(k, oh, ow, |c, h, w| {
-            layer.nonconv2()[c].apply_fixed_residual(pwc_acc[(c, h, w)], res[(c, h, w)], r, lo)
-        }),
-        None => Tensor3::from_fn(k, oh, ow, |c, h, w| {
-            layer.nonconv2()[c].apply_fixed(pwc_acc[(c, h, w)], lo)
-        }),
-    };
+    let output = apply_planes(
+        &pwc_acc,
+        layer.nonconv2(),
+        residual.zip(layer.residual_scale()),
+        layer.out_lo(),
+    );
     let activity = LayerActivity {
         input_zero: zero_fraction(input),
         dwc_out_zero: zero_fraction(&pwc_input),

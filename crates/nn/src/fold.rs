@@ -25,6 +25,7 @@
 
 use edea_fixed::{round_f64, Q8x16};
 use edea_tensor::ops::BatchNorm;
+use edea_tensor::Tensor3;
 
 use crate::NnError;
 
@@ -132,6 +133,45 @@ impl FoldedAffine {
             b: Q8x16::from_f64(b_exact),
         }
     }
+}
+
+/// Applies a layer's per-channel folds to an accumulator map, one channel
+/// plane at a time: `fold[c]` maps plane `c` through
+/// [`FoldedAffine::apply_fixed`], or through
+/// [`FoldedAffine::apply_fixed_residual`] with the same plane of the
+/// residual map and its Q8.16 rescale when `residual` is given.
+pub(crate) fn apply_planes(
+    acc: &Tensor3<i32>,
+    fold: &[FoldedAffine],
+    residual: Option<(&Tensor3<i8>, Q8x16)>,
+    lo: i8,
+) -> Tensor3<i8> {
+    let (c, h, w) = acc.shape();
+    debug_assert_eq!(fold.len(), c);
+    let mut out = Tensor3::<i8>::zeros(c, h, w);
+    let planes = out
+        .as_mut_slice()
+        .chunks_exact_mut(h * w)
+        .zip(acc.as_slice().chunks_exact(h * w))
+        .zip(fold);
+    match residual {
+        Some((res, r)) => {
+            debug_assert_eq!(res.shape(), (c, h, w));
+            for (((out, acc), f), res) in planes.zip(res.as_slice().chunks_exact(h * w)) {
+                for ((o, &a), &x) in out.iter_mut().zip(acc).zip(res) {
+                    *o = f.apply_fixed_residual(a, x, r, lo);
+                }
+            }
+        }
+        None => {
+            for ((out, acc), f) in planes {
+                for (o, &a) in out.iter_mut().zip(acc) {
+                    *o = f.apply_fixed(a, lo);
+                }
+            }
+        }
+    }
+    out
 }
 
 /// Folds a whole layer boundary: per-channel BN + the three step sizes.

@@ -28,7 +28,7 @@ use edea_tensor::{QTensor4, QuantParams, Tensor3, Tensor4};
 
 use edea_fixed::Q8x16;
 
-use crate::fold::{fold_boundary, FoldedAffine};
+use crate::fold::{apply_planes, fold_boundary, FoldedAffine};
 use crate::lsq::{learn_step, LsqConfig};
 use crate::mobilenet::{MobileNetV1, MobileNetV2};
 use crate::sparsity::{shape_bn_from_pools, ShapingReport, SparsityProfile};
@@ -319,19 +319,17 @@ fn fit_scale_to_fold(bn: &BatchNorm, s_in: f64, s_w: f64, s_out: f64) -> f64 {
     required
 }
 
-/// Per-channel pools (in real units) of an int accumulator tensor set.
+/// Per-channel pools (in real units) of an int accumulator tensor set:
+/// pool `c` holds plane `c` of every map, in map order.
 fn acc_pools(accs: &[Tensor3<i32>], unit: f64) -> Vec<Vec<f32>> {
     let c = accs[0].channels();
-    let mut pools = vec![Vec::new(); c];
+    let per_pool = accs.iter().map(Tensor3::len).sum::<usize>() / c;
+    let mut pools: Vec<Vec<f32>> = (0..c).map(|_| Vec::with_capacity(per_pool)).collect();
     for t in accs {
         let (tc, h, w) = t.shape();
         debug_assert_eq!(tc, c);
-        for ci in 0..c {
-            for hi in 0..h {
-                for wi in 0..w {
-                    pools[ci].push((f64::from(t[(ci, hi, wi)]) * unit) as f32);
-                }
-            }
+        for (pool, plane) in pools.iter_mut().zip(t.as_slice().chunks_exact(h * w)) {
+            pool.extend(plane.iter().map(|&v| (f64::from(v) * unit) as f32));
         }
     }
     pools
@@ -340,12 +338,7 @@ fn acc_pools(accs: &[Tensor3<i32>], unit: f64) -> Vec<Vec<f32>> {
 /// Applies a per-channel fold (low clip `lo`) to every accumulator map.
 fn apply_fold(accs: &[Tensor3<i32>], fold: &[FoldedAffine], lo: i8) -> Vec<Tensor3<i8>> {
     accs.iter()
-        .map(|acc| {
-            let (c, h, w) = acc.shape();
-            Tensor3::from_fn(c, h, w, |ci, hi, wi| {
-                fold[ci].apply_fixed(acc[(ci, hi, wi)], lo)
-            })
-        })
+        .map(|acc| apply_planes(acc, fold, None, lo))
         .collect()
 }
 
@@ -639,17 +632,7 @@ impl QuantizedDscNetwork {
                 (Some((res_xs, _)), Some(r)) => pwc_accs
                     .iter()
                     .zip(res_xs)
-                    .map(|(acc, res_x)| {
-                        let (c, h, w) = acc.shape();
-                        Tensor3::from_fn(c, h, w, |ci, hi, wi| {
-                            nonconv2[ci].apply_fixed_residual(
-                                acc[(ci, hi, wi)],
-                                res_x[(ci, hi, wi)],
-                                r,
-                                out_lo,
-                            )
-                        })
-                    })
+                    .map(|(acc, res_x)| apply_planes(acc, &nonconv2, Some((res_x, r)), out_lo))
                     .collect(),
                 _ => apply_fold(&pwc_accs, &nonconv2, out_lo),
             };

@@ -1,12 +1,24 @@
 //! Reference convolution kernels (golden models).
 //!
-//! These are deliberately straightforward loop-nest implementations: they
-//! define *correct* results for standard, depthwise and pointwise
+//! These define *correct* results for standard, depthwise and pointwise
 //! convolution, against which the EDEA engine simulators are verified
 //! bit-exactly (integer variants) or to floating-point tolerance.
 //!
-//! Two independent implementations of standard convolution are provided
-//! (direct and im2col) so the reference itself is cross-checked.
+//! * The `f32` kernels are the oracle: straightforward loop nests over
+//!   checked `(c, h, w)` indices, every output summed in one pass
+//!   (`ko, ho, wo, ci, dh, dw`). The int8 kernels are property-tested
+//!   against them on integer-valued data, where f32 sums are exact.
+//!   Two independent implementations of standard convolution are provided
+//!   (direct and im2col) so the oracle itself is cross-checked.
+//! * The int8 kernels are the golden models the engines must match bit
+//!   for bit, written for speed on the host: their inner loops run over
+//!   contiguous slices. [`depthwise_conv2d_i8`] loops `c, dh, dw, ho, wo`
+//!   (per channel plane, one row axpy per tap and output row);
+//!   [`pointwise_conv2d_i8`] loops `ko, pixel, ci` over a pixel-major copy
+//!   of its input (one contiguous dot product per output). Integer sums
+//!   are exact in any order, so the loop order does not change a result.
+//!   They stay dense loop nests and share no code with the engine
+//!   simulators in `edea-core`: no zero skip, no tiling, no portions.
 
 use crate::{Tensor3, Tensor4};
 
@@ -207,6 +219,10 @@ pub fn pointwise_conv2d_f32(input: &Tensor3<f32>, weights: &Tensor4<f32>) -> Ten
 /// This is the *functional* golden model for the DWC engine: the engine must
 /// produce exactly these accumulator values before the Non-Conv stage.
 ///
+/// Loop order `c, dh, dw, ho, wo`: per channel plane, each tap in turn adds
+/// `weight × input row` into every output row (a row axpy over the padded
+/// plane), so every output still sums its taps in `(dh, dw)` order.
+///
 /// # Panics
 ///
 /// Same conditions as [`depthwise_conv2d_f32`].
@@ -227,18 +243,23 @@ pub fn depthwise_conv2d_i8(
     let h_out = out_dim(h_in, kh, stride, pad);
     let w_out = out_dim(w_in, kw, stride, pad);
     let padded = input.zero_padded(pad);
+    let (_, hp, wp) = padded.shape();
     let mut out = Tensor3::<i32>::zeros(c_in, h_out, w_out);
-    for c in 0..c_in {
-        for ho in 0..h_out {
-            for wo in 0..w_out {
-                let mut acc = 0i32;
-                for dh in 0..kh {
-                    for dw in 0..kw {
-                        acc += i32::from(padded[(c, ho * stride + dh, wo * stride + dw)])
-                            * i32::from(weights[(c, 0, dh, dw)]);
+    for ((plane, taps), out_plane) in padded
+        .as_slice()
+        .chunks_exact(hp * wp)
+        .zip(weights.as_slice().chunks_exact(kh * kw))
+        .zip(out.as_mut_slice().chunks_exact_mut(h_out * w_out))
+    {
+        for (dh, tap_row) in taps.chunks_exact(kw).enumerate() {
+            for (dw, &tap) in tap_row.iter().enumerate() {
+                let tap = i32::from(tap);
+                for (ho, out_row) in out_plane.chunks_exact_mut(w_out).enumerate() {
+                    let row = &plane[(ho * stride + dh) * wp + dw..];
+                    for (o, &x) in out_row.iter_mut().zip(row.iter().step_by(stride)) {
+                        *o += tap * i32::from(x);
                     }
                 }
-                out[(c, ho, wo)] = acc;
             }
         }
     }
@@ -249,6 +270,12 @@ pub fn depthwise_conv2d_i8(
 ///
 /// The functional golden model for the PWC engine.
 ///
+/// Loop order `ko, pixel, ci`: one pixel-major (`H·W×C`) copy of the
+/// input is made per call, so each output is a contiguous dot product of
+/// a pixel's channels with its kernel row. Both sides of the product are
+/// widened to `i16` first, which lets the dot product vectorize as
+/// 16-bit multiply-adds.
+///
 /// # Panics
 ///
 /// Same conditions as [`pointwise_conv2d_f32`].
@@ -258,16 +285,29 @@ pub fn pointwise_conv2d_i8(input: &Tensor3<i8>, weights: &Tensor4<i8>) -> Tensor
     let (k, wc, kh, kw) = weights.shape();
     assert_eq!(wc, c_in, "weight channels {wc} != input channels {c_in}");
     assert_eq!((kh, kw), (1, 1), "pointwise kernels must be 1x1");
+    let hw = h * w;
+    let mut pixels = vec![0i16; hw * c_in];
+    for (ci, plane) in input.as_slice().chunks_exact(hw).enumerate() {
+        for (p, &x) in plane.iter().enumerate() {
+            pixels[p * c_in + ci] = i16::from(x);
+        }
+    }
+    let mut row = vec![0i16; c_in];
     let mut out = Tensor3::<i32>::zeros(k, h, w);
-    for ko in 0..k {
-        for ho in 0..h {
-            for wo in 0..w {
-                let mut acc = 0i32;
-                for ci in 0..c_in {
-                    acc += i32::from(input[(ci, ho, wo)]) * i32::from(weights[(ko, ci, 0, 0)]);
-                }
-                out[(ko, ho, wo)] = acc;
-            }
+    for (out_plane, kernel) in out
+        .as_mut_slice()
+        .chunks_exact_mut(hw)
+        .zip(weights.as_slice().chunks_exact(c_in))
+    {
+        for (r, &wt) in row.iter_mut().zip(kernel) {
+            *r = i16::from(wt);
+        }
+        for (o, pixel) in out_plane.iter_mut().zip(pixels.chunks_exact(c_in)) {
+            *o = pixel
+                .iter()
+                .zip(&row)
+                .map(|(&x, &wt)| i32::from(x) * i32::from(wt))
+                .sum();
         }
     }
     out

@@ -23,6 +23,32 @@ fn small_i8_tensor4(
         .prop_map(move |v| Tensor4::from_vec(v, k, c, kh, kw).expect("sized correctly"))
 }
 
+/// A full-range int8 value source: uniform for `fill` 0–1, else every
+/// value at one extreme (2: all −128, 3: all 127).
+fn fill_value(fill: u8) -> Option<i8> {
+    match fill {
+        2 => Some(i8::MIN),
+        3 => Some(i8::MAX),
+        _ => None,
+    }
+}
+
+/// A `c×h×w` int8 map drawn by [`fill_value`].
+fn i8_map(c: usize, h: usize, w: usize, fill: u8, seed: u64) -> Tensor3<i8> {
+    match fill_value(fill) {
+        Some(v) => Tensor3::from_fn(c, h, w, |_, _, _| v),
+        None => rng::uniform_i8_tensor3(c, h, w, i8::MIN, i8::MAX, seed),
+    }
+}
+
+/// `k×c×size×size` int8 kernels drawn by [`fill_value`].
+fn i8_kernels(k: usize, c: usize, size: usize, fill: u8, seed: u64) -> Tensor4<i8> {
+    match fill_value(fill) {
+        Some(v) => Tensor4::from_fn(k, c, size, size, |_, _, _, _| v),
+        None => rng::uniform_i8_tensor4(k, c, size, size, i8::MIN, i8::MAX, seed),
+    }
+}
+
 proptest! {
     /// out_dim is consistent with actually sliding a window.
     #[test]
@@ -81,28 +107,45 @@ proptest! {
         prop_assert_eq!(a, b);
     }
 
-    /// Integer depthwise conv matches the f32 reference exactly on int data.
+    /// Integer depthwise conv matches the f32 reference exactly on int data,
+    /// at generated geometries: 1–64 channels, maps 1–17 on a side,
+    /// kernels 1/3/5, strides 1–3, pads 0–2 where the window fits.
     #[test]
-    fn depthwise_int_matches_float(x in small_i8_tensor3(3, 6, 6),
-                                   w in small_i8_tensor4(3, 1, 3, 3),
-                                   stride in 1usize..3) {
-        let yi = depthwise_conv2d_i8(&x, &w, stride, 1);
-        let yf = depthwise_conv2d_f32(&x.map(|&v| f32::from(v)), &w.map(|&v| f32::from(v)), stride, 1);
-        prop_assert_eq!(yi.shape(), yf.shape());
-        for (a, b) in yi.as_slice().iter().zip(yf.as_slice()) {
-            prop_assert_eq!(*a as f32, *b);
-        }
+    fn depthwise_int_matches_float(c in 1usize..=64, h in 1usize..=17, w in 1usize..=17,
+                                   k in (0usize..3).prop_map(|i| 2 * i + 1), stride in 1usize..=3, pad in 0usize..=2,
+                                   fills in (0u8..4, 0u8..4), seed in any::<u64>()) {
+        prop_assume!(h + 2 * pad >= k && w + 2 * pad >= k);
+        let x = i8_map(c, h, w, fills.0, seed);
+        let wt = i8_kernels(c, 1, k, fills.1, seed);
+        let yi = depthwise_conv2d_i8(&x, &wt, stride, pad);
+        let yf = depthwise_conv2d_f32(&x.map(|&v| f32::from(v)), &wt.map(|&v| f32::from(v)), stride, pad);
+        prop_assert_eq!(yi.map(|&v| v as f32), yf);
     }
 
-    /// Integer pointwise conv matches the f32 reference exactly on int data.
+    /// Integer pointwise conv matches the f32 reference exactly on int data:
+    /// 1–64 input and output channels on maps 1–17 on a side.
     #[test]
-    fn pointwise_int_matches_float(x in small_i8_tensor3(4, 3, 3),
-                                   w in small_i8_tensor4(5, 4, 1, 1)) {
-        let yi = pointwise_conv2d_i8(&x, &w);
-        let yf = pointwise_conv2d_f32(&x.map(|&v| f32::from(v)), &w.map(|&v| f32::from(v)));
-        for (a, b) in yi.as_slice().iter().zip(yf.as_slice()) {
-            prop_assert_eq!(*a as f32, *b);
-        }
+    fn pointwise_int_matches_float(c in 1usize..=64, k in 1usize..=64,
+                                   h in 1usize..=17, w in 1usize..=17,
+                                   fills in (0u8..4, 0u8..4), seed in any::<u64>()) {
+        let x = i8_map(c, h, w, fills.0, seed);
+        let wt = i8_kernels(k, c, 1, fills.1, seed);
+        let yi = pointwise_conv2d_i8(&x, &wt);
+        let yf = pointwise_conv2d_f32(&x.map(|&v| f32::from(v)), &wt.map(|&v| f32::from(v)));
+        prop_assert_eq!(yi.map(|&v| v as f32), yf);
+    }
+
+    /// The same on deep inputs: 65–1024 input channels on maps up to 4×4.
+    /// A sum reaches at most 1024·128·128 = 2²⁴, still exact in f32.
+    #[test]
+    fn pointwise_deep_int_matches_float(c in 65usize..=1024, k in 1usize..=16,
+                                        h in 1usize..=4, w in 1usize..=4,
+                                        fills in (0u8..4, 0u8..4), seed in any::<u64>()) {
+        let x = i8_map(c, h, w, fills.0, seed);
+        let wt = i8_kernels(k, c, 1, fills.1, seed);
+        let yi = pointwise_conv2d_i8(&x, &wt);
+        let yf = pointwise_conv2d_f32(&x.map(|&v| f32::from(v)), &wt.map(|&v| f32::from(v)));
+        prop_assert_eq!(yi.map(|&v| v as f32), yf);
     }
 
     /// The DSC composition identity holds for random weights.
